@@ -37,7 +37,14 @@ from .dop import (
 from .fusion import FusionWeights, fuse_height, simulate_ceiling_echo
 from .harness import TrialRecord, Trajectory, make_trajectory, run_fix, run_trajectory, sweep_snr
 from .placement import BeaconDomain, PlacementProblem, PlacementResult, optimize
-from .ranging import RangeEstimate, cross_correlate, decode_bits, despread, estimate_range
+from .ranging import (
+    RangeEstimate,
+    cross_correlate,
+    decode_bits,
+    despread,
+    estimate_range,
+    estimate_ranges,
+)
 from .solver import PositionFix, trilaterate
 from .waveform import (
     HopPlan,
@@ -46,6 +53,7 @@ from .waveform import (
     WalshMatrix,
     encode_symbol,
     generate_tx_signal,
+    generate_tx_signals,
     random_hop_plan,
     walsh_hadamard,
 )

@@ -55,7 +55,6 @@ class ChannelConfigSection:
     first_tap_db: float = channel_mod.FIRST_TAP_DB
     decay_time: float = channel_mod.TAP_DECAY_TIME
     speed_of_sound: float = channel_mod.SPEED_OF_SOUND
-    max_doppler: float = 0.0
     distance_attenuation: bool = False
 
 
@@ -232,7 +231,6 @@ _SCHEMA: dict[str, dict[str, object]] = {
         "first_tap_db": _parse_float,
         "decay_time": _parse_float,
         "speed_of_sound": _parse_float,
-        "max_doppler": _parse_float,
         "distance_attenuation": _parse_bool,
     },
     "fusion": {
@@ -350,6 +348,15 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
     ch = cfg.channel
     if not 0 < ch.excess_delay_min < ch.excess_delay_max:
         fail("excess delay range must satisfy 0 < min < max")
+    if ch.taps_per_beacon < 0:
+        fail("taps_per_beacon must be non-negative")
+    tap_span = channel_mod.MIN_TAP_SPACING * (ch.taps_per_beacon - 1)
+    if ch.multipath and tap_span >= ch.excess_delay_max - ch.excess_delay_min:
+        fail(
+            f"{ch.taps_per_beacon} taps spaced {channel_mod.MIN_TAP_SPACING} s apart "
+            f"do not fit the excess delay range "
+            f"[{ch.excess_delay_min}, {ch.excess_delay_max}] s"
+        )
     if ch.speed_of_sound <= 0:
         fail("speed_of_sound must be positive")
     if ch.snr_db is not None and not math.isfinite(ch.snr_db):
@@ -369,6 +376,10 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
     ):
         if lo > hi:
             fail(f"{name} range must have min <= max")
+    if rn.domain_grid <= 0:
+        fail("domain_grid must be positive")
+    if rn.fix_spacing <= 0:
+        fail("fix_spacing must be positive")
     room = cfg.scene.room_dims
     if (
         rn.domain_x[0] <= 0
@@ -381,3 +392,7 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
         fail("drone domain must lie strictly inside the room")
     if rn.workers < 1:
         fail("workers must be at least 1")
+    try:
+        cfg.placement_problem()
+    except ValueError as exc:
+        fail(f"[placement] {exc}")

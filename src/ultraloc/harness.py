@@ -30,12 +30,12 @@ from .config import SimConfig
 from .dop import DroneDomain, dop_components
 from .errors import ConfigError, UltralocError
 from .fusion import FusionWeights, fuse_height, inverse_variance_weights, simulate_ceiling_echo
-from .ranging import estimate_range
+from .ranging import estimate_ranges
 from .solver import trilaterate
 from .waveform import (
     SampledSignal,
     WaveformConfig,
-    generate_tx_signal,
+    generate_tx_signals,
     random_data_bits,
     random_hop_plan,
     walsh_hadamard,
@@ -204,7 +204,9 @@ def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> Tr
         )
         for i in range(4)
     ]
-    tx = [generate_tx_signal(wconfigs[i], plan, walsh.row(i)) for i in range(4)]
+    # the unscaled bursts double as the receiver's matched-filter references
+    references = generate_tx_signals(wconfigs, plan, [walsh.row(i) for i in range(4)])
+    tx = references
     if ch.distance_attenuation:
         tx = [
             SampledSignal(
@@ -234,10 +236,7 @@ def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> Tr
     )
     received = apply_channel(tx, scene, model)
 
-    estimates = [
-        estimate_range(received, i, wconfigs[i], plan, walsh.row(i), ch.speed_of_sound)
-        for i in range(4)
-    ]
+    estimates = estimate_ranges(received, references, ch.speed_of_sound)
     ranges = np.array([e.distance for e in estimates])
     true_dists = np.linalg.norm(
         np.asarray(config.scene.layout.positions) - true_position[None, :], axis=1

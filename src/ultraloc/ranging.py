@@ -1,23 +1,27 @@
 """Receiver chain: despreading, cross-correlation, and range estimation.
 
-Ranging correlates the raw composite signal against the known transmitted
-burst of one beacon (code and hop plan included). Sliding the full coded
+Ranging correlates the raw composite signal against each beacon's known
+transmitted burst (code and hop plan included). Sliding the full coded
 reference is the same computation as despreading each candidate alignment
 and integrating, but stays exact for delays that are not chip-aligned.
-The standalone despread operation serves data recovery and diagnostics,
-where the receiver clock defines the chip grid.
+All beacons are ranged in one pass: the received signal is transformed
+once, the bursts the transmitter made are the references, and one batched
+real-FFT correlation yields every beacon's lags. The standalone despread
+operation serves data recovery and diagnostics, where the receiver clock
+defines the chip grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal as sp_signal
+from scipy import fft as sp_fft
 
 from .channel import SPEED_OF_SOUND
 from .errors import NoPeakError
-from .waveform import HopPlan, SampledSignal, WaveformConfig, generate_tx_signal
+from .waveform import HopPlan, SampledSignal, WaveformConfig, generate_tx_signal, hop_carrier
 
 
 @dataclass(frozen=True)
@@ -65,19 +69,64 @@ def despread(
     )
 
 
-def cross_correlate(received: SampledSignal, reference: SampledSignal) -> np.ndarray:
-    """Sliding inner product of the reference against the received signal.
+def cross_correlate(
+    received: SampledSignal, reference: SampledSignal | Sequence[SampledSignal]
+) -> np.ndarray:
+    """Sliding inner product of one or more references against the received signal.
 
     Returns one value per lag L in [0, len(received) - len(reference)]:
-    sum_k received[k+L] * reference[k].
+    sum_k received[k+L] * reference[k]. A single reference gives a 1-D
+    array; a sequence of equal-length references gives one row per
+    reference. The received signal is transformed once, all references in
+    one batched real FFT, both at the fast length n >= len(received); a
+    circular correlation of that length does not wrap on these lags.
     """
-    if len(received) == 0 or len(reference) == 0:
+    stacked = not isinstance(reference, SampledSignal)
+    refs = list(reference) if stacked else [reference]
+    if len(received) == 0 or not refs or any(len(r) == 0 for r in refs):
         raise ValueError("signals must be nonempty")
-    if len(reference) > len(received):
+    m = len(refs[0])
+    if any(len(r) != m for r in refs):
+        raise ValueError("stacked references must share one length")
+    if m > len(received):
         raise ValueError("reference must not be longer than the received signal")
-    if reference.sample_rate != received.sample_rate:
+    if any(r.sample_rate != received.sample_rate for r in refs):
         raise ValueError("sample rates differ between received and reference")
-    return sp_signal.correlate(received.samples, reference.samples, mode="valid")
+    n = sp_fft.next_fast_len(len(received), real=True)
+    rx_spec = sp_fft.rfft(received.samples, n)
+    ref_spec = sp_fft.rfft(np.stack([r.samples for r in refs]), n, axis=1)
+    corr = sp_fft.irfft(rx_spec * ref_spec.conj(), n, axis=1)[:, : len(received) - m + 1]
+    return corr if stacked else corr[0]
+
+
+def estimate_ranges(
+    received: SampledSignal,
+    references: Sequence[SampledSignal],
+    speed_of_sound: float = SPEED_OF_SOUND,
+) -> list[RangeEstimate]:
+    """Estimate the distance to every beacon from the composite signal.
+
+    references[i] is beacon i's transmitted burst. One correlation pass
+    covers all of them; each beacon's peak is the global maximum of its
+    correlation magnitude, converted to meters via
+    distance = peak_sample / sample_rate * speed_of_sound.
+
+    Raises:
+        NoPeakError: If the received signal is identically zero.
+    """
+    if not np.any(received.samples):
+        raise NoPeakError("received signal is all zeros; no correlation peak")
+    corr = cross_correlate(received, references)
+    peaks = np.argmax(np.abs(corr), axis=1)
+    return [
+        RangeEstimate(
+            beacon_index=i,
+            distance=int(peak) / received.sample_rate * speed_of_sound,
+            peak_sample=int(peak),
+            peak_value=float(abs(corr[i, peak])),
+        )
+        for i, peak in enumerate(peaks)
+    ]
 
 
 def estimate_range(
@@ -90,25 +139,15 @@ def estimate_range(
 ) -> RangeEstimate:
     """Estimate the distance to one beacon from the composite signal.
 
-    Rebuilds that beacon's transmitted burst, finds the global maximum of
-    the correlation magnitude, and converts the peak lag to meters via
-    distance = peak_sample / sample_rate * speed_of_sound.
+    Synthesizes that beacon's burst from its config, hop plan and code
+    row, then ranges it as estimate_ranges does.
 
     Raises:
         NoPeakError: If the received signal is identically zero.
     """
-    if not np.any(received.samples):
-        raise NoPeakError("received signal is all zeros; no correlation peak")
     reference = generate_tx_signal(config, plan, code_row)
-    corr = cross_correlate(received, reference)
-    peak_sample = int(np.argmax(np.abs(corr)))
-    distance = peak_sample / received.sample_rate * speed_of_sound
-    return RangeEstimate(
-        beacon_index=beacon_index,
-        distance=distance,
-        peak_sample=peak_sample,
-        peak_value=float(abs(corr[peak_sample])),
-    )
+    (est,) = estimate_ranges(received, [reference], speed_of_sound)
+    return replace(est, beacon_index=beacon_index)
 
 
 def decode_bits(
@@ -127,10 +166,7 @@ def decode_bits(
     y = result.signal.samples
     sps = config.samples_per_symbol
     n_symbols = y.size // sps
-    freqs = np.asarray(plan.center_frequencies, dtype=float)
-    f_per_sample = np.repeat(freqs[plan.hop_sequence[:n_symbols]], sps)
-    t = np.arange(n_symbols * sps) / config.sample_rate
-    carrier = np.sin(2.0 * np.pi * f_per_sample * t + plan.carrier_phase)
+    carrier = hop_carrier(plan, config.sample_rate, sps, n_symbols)
     per_symbol = (y[: n_symbols * sps] * carrier).reshape(n_symbols, sps).sum(axis=1)
     bits = np.where(per_symbol >= 0, 1, -1).astype(np.int64)
     return bits

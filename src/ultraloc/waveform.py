@@ -194,47 +194,77 @@ class SampledSignal:
         return float(np.sum(self.samples**2))
 
 
-def generate_tx_signal(
-    config: WaveformConfig, plan: HopPlan, code_row: np.ndarray
-) -> SampledSignal:
-    """Synthesize one beacon's FH-CDMA burst.
+def hop_carrier(
+    plan: HopPlan, sample_rate: float, samples_per_symbol: int, n_symbols: int
+) -> np.ndarray:
+    """Unit sinusoid at each symbol's hop channel, sin(2*pi*f_m*t + phase).
+
+    The argument uses global time t = n / sample_rate, so the carrier is
+    continuous in time but may jump in phase at a hop boundary.
+    """
+    freqs = np.asarray(plan.center_frequencies, dtype=float)
+    f_per_sample = np.repeat(freqs[plan.hop_sequence[:n_symbols]], samples_per_symbol)
+    t = np.arange(n_symbols * samples_per_symbol) / sample_rate
+    return np.sin(2.0 * np.pi * f_per_sample * t + plan.carrier_phase)
+
+
+def generate_tx_signals(
+    configs: list[WaveformConfig], plan: HopPlan, code_rows: list[np.ndarray]
+) -> list[SampledSignal]:
+    """Synthesize several beacons' FH-CDMA bursts over one shared carrier.
 
     Every data bit is spread into len(code_row) chips; the chips of one
     symbol gate a unit-amplitude sinusoid at that symbol's hop channel.
-    The carrier argument uses global time, so the waveform is exactly the
-    chip sequence times sin(2*pi*f_m*t + phase) on each symbol interval.
+    All beacons share the hop plan, so the carrier (hop_carrier) is built
+    once and each burst is exactly its chip sequence times that carrier.
 
     Raises:
         ChipAlignmentError: If chips do not align to whole samples.
-        ValueError: If the hop sequence is shorter than the data, or the
-            sample rate violates Nyquist for the highest channel.
+        ValueError: If the configs disagree on sample rate, symbol length
+            or burst length, the hop sequence is shorter than the data,
+            or the sample rate violates Nyquist for the highest channel.
     """
-    code_row = np.asarray(code_row, dtype=np.int64)
-    if code_row.size == 0 or not np.all(np.isin(code_row, (-1, 1))):
-        raise ValueError("code_row must be a nonempty +/-1 sequence")
+    if len(configs) == 0 or len(configs) != len(code_rows):
+        raise ValueError("need one code row per waveform config")
+    first = configs[0]
+    shape = (first.sample_rate, first.symbol_duration, first.data_bits.size)
+    if any((c.sample_rate, c.symbol_duration, c.data_bits.size) != shape for c in configs):
+        raise ValueError("bursts on one carrier need one sample rate, symbol and burst length")
+    rows = [np.asarray(row, dtype=np.int64) for row in code_rows]
+    if rows[0].size == 0 or any(r.shape != rows[0].shape for r in rows):
+        raise ValueError("code rows must be nonempty and of one length")
+    codes = np.stack(rows)
+    if not np.all(np.isin(codes, (-1, 1))):
+        raise ValueError("code rows must be +/-1 sequences")
+    n_chips = codes.shape[1]
     freqs = np.asarray(plan.center_frequencies, dtype=float)
-    if config.sample_rate < 2.0 * freqs.max():
+    if first.sample_rate < 2.0 * freqs.max():
         raise ValueError(
-            f"sample rate {config.sample_rate} Hz below Nyquist for "
+            f"sample rate {first.sample_rate} Hz below Nyquist for "
             f"{freqs.max()} Hz carrier"
         )
-    bits = config.data_bits
-    if plan.hop_sequence.size < bits.size:
+    bits = np.stack([c.data_bits for c in configs])
+    n_bits = bits.shape[1]
+    if plan.hop_sequence.size < n_bits:
         raise ValueError("hop sequence shorter than the data burst")
 
-    sps = config.samples_per_symbol
-    if sps % code_row.size != 0:
+    sps = first.samples_per_symbol
+    if sps % n_chips != 0:
         raise ChipAlignmentError(
-            f"{sps} samples/symbol not divisible by code length {code_row.size}"
+            f"{sps} samples/symbol not divisible by code length {n_chips}"
         )
-    chip_len = sps // code_row.size
+    carrier = hop_carrier(plan, first.sample_rate, sps, n_bits)
+    # chips[b, k] per beacon b and output sample k, built symbol by symbol
+    chips = np.repeat(bits[:, :, None] * codes[:, None, :], sps // n_chips, axis=2)
+    samples = chips.reshape(len(configs), -1) * carrier
+    return [SampledSignal(samples=row, sample_rate=first.sample_rate) for row in samples]
 
-    # chips[k] and f[k] per output sample, built symbol by symbol
-    chips = np.repeat(bits[:, None] * code_row[None, :], chip_len, axis=1).ravel()
-    f_per_sample = np.repeat(freqs[plan.hop_sequence[: bits.size]], sps)
-    t = np.arange(bits.size * sps) / config.sample_rate
-    samples = chips * np.sin(2.0 * np.pi * f_per_sample * t + plan.carrier_phase)
-    return SampledSignal(samples=samples, sample_rate=config.sample_rate)
+
+def generate_tx_signal(
+    config: WaveformConfig, plan: HopPlan, code_row: np.ndarray
+) -> SampledSignal:
+    """Synthesize one beacon's FH-CDMA burst (see generate_tx_signals)."""
+    return generate_tx_signals([config], plan, [code_row])[0]
 
 
 def band_energy_fraction(

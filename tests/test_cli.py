@@ -134,3 +134,23 @@ class TestErrorPaths:
             "simulate", "--layout", "missing-file.json", "--out", str(tmp_path)
         )
         assert code != 0
+
+    @pytest.mark.parametrize(
+        "ini",
+        [
+            "[run]\nfix_spacing = 0\n",
+            "[run]\ndomain_grid = 0\n",
+            "[placement]\npopulation = 3\n",
+            "[channel]\ntaps_per_beacon = 40\n",
+        ],
+        ids=["fix_spacing", "domain_grid", "population", "taps_per_beacon"],
+    )
+    def test_bad_value_is_one_error_line(self, tmp_path, capsys, ini):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(ini)
+        code = run_cli("trajectory", "--config", str(bad), "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""

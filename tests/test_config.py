@@ -95,6 +95,40 @@ snr_list = 0, 10, 20
         with pytest.raises(ConfigError, match="sum to 1"):
             cfg_mod.load_config(path)
 
+    def test_max_doppler_is_an_unknown_key(self, tmp_path):
+        # the channel has no Doppler model, so there is no such knob
+        path = write(tmp_path, "[channel]\nmax_doppler = 50\n")
+        with pytest.raises(ConfigError, match="unknown key 'max_doppler'"):
+            cfg_mod.load_config(path)
+
+
+class TestFailLoud:
+    """Values that used to crash or silently fail every trial later on."""
+
+    def test_zero_fix_spacing_rejected(self, tmp_path):
+        path = write(tmp_path, "[run]\nfix_spacing = 0\n")
+        with pytest.raises(ConfigError, match="fix_spacing must be positive"):
+            cfg_mod.load_config(path)
+
+    def test_zero_domain_grid_rejected(self, tmp_path):
+        path = write(tmp_path, "[run]\ndomain_grid = 0\n")
+        with pytest.raises(ConfigError, match="domain_grid must be positive"):
+            cfg_mod.load_config(path)
+
+    def test_population_below_parents_rejected(self, tmp_path):
+        path = write(tmp_path, "[placement]\npopulation = 3\n")
+        with pytest.raises(ConfigError, match=r"\[placement\].*parents"):
+            cfg_mod.load_config(path)
+
+    def test_taps_that_cannot_be_spaced_rejected(self, tmp_path):
+        path = write(tmp_path, "[channel]\ntaps_per_beacon = 40\n")
+        with pytest.raises(ConfigError, match="40 taps .* excess delay range"):
+            cfg_mod.load_config(path)
+
+    def test_tap_count_ignored_without_multipath(self, tmp_path):
+        path = write(tmp_path, "[channel]\nmultipath = false\ntaps_per_beacon = 40\n")
+        assert cfg_mod.load_config(path).channel.taps_per_beacon == 40
+
 
 class TestResolveLayout:
     def test_builtins(self):

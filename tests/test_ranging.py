@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
+from ultraloc import channel as ch
 from ultraloc import ranging as rg
 from ultraloc import waveform as wf
 from ultraloc.errors import NoPeakError
@@ -140,6 +142,110 @@ class TestCrossCorrelate:
         other = wf.SampledSignal(samples=np.zeros(len(sig) + 10), sample_rate=FS / 2)
         with pytest.raises(ValueError):
             rg.cross_correlate(other, sig)
+
+
+class TestStackedCrossCorrelate:
+    def test_rows_match_naive_summation_oracle(self):
+        rng = np.random.default_rng(3)
+        received = wf.SampledSignal(samples=rng.normal(0, 1, 3_000), sample_rate=FS)
+        refs = [
+            wf.SampledSignal(samples=rng.normal(0, 1, 1_200), sample_rate=FS)
+            for _ in range(4)
+        ]
+        fast = rg.cross_correlate(received, refs)
+        n_lags = len(received) - 1_200 + 1
+        assert fast.shape == (4, n_lags)
+        for row, ref in zip(fast, refs):
+            naive = np.array(
+                [
+                    np.dot(received.samples[lag : lag + len(ref)], ref.samples)
+                    for lag in range(n_lags)
+                ]
+            )
+            np.testing.assert_allclose(row, naive, rtol=1e-9, atol=1e-9)
+
+    def test_single_reference_equals_its_stack_row(self):
+        rng = np.random.default_rng(4)
+        received = wf.SampledSignal(samples=rng.normal(0, 1, 2_000), sample_rate=FS)
+        ref = wf.SampledSignal(samples=rng.normal(0, 1, 500), sample_rate=FS)
+        single = rg.cross_correlate(received, ref)
+        assert single.ndim == 1
+        np.testing.assert_allclose(
+            single, rg.cross_correlate(received, [ref])[0], rtol=0, atol=1e-9
+        )
+
+    def test_rejects_unequal_reference_lengths(self):
+        rng = np.random.default_rng(5)
+        received = wf.SampledSignal(samples=rng.normal(0, 1, 2_000), sample_rate=FS)
+        refs = [
+            wf.SampledSignal(samples=rng.normal(0, 1, n), sample_rate=FS)
+            for n in (500, 501)
+        ]
+        with pytest.raises(ValueError, match="one length"):
+            rg.cross_correlate(received, refs)
+
+    def test_rejects_rate_mismatch_in_stack(self):
+        received = wf.SampledSignal(samples=np.ones(2_000), sample_rate=FS)
+        refs = [
+            wf.SampledSignal(samples=np.ones(500), sample_rate=FS),
+            wf.SampledSignal(samples=np.ones(500), sample_rate=FS / 2),
+        ]
+        with pytest.raises(ValueError, match="sample rates"):
+            rg.cross_correlate(received, refs)
+
+
+def channel_composite(seed, snr_db):
+    """Four default bursts through multipath and AWGN at a random position."""
+    rng = np.random.default_rng([seed, 77])
+    walsh = wf.walsh_hadamard(4)
+    position = rng.uniform([0.5, 0.5, 0.5], [4.5, 4.5, 3.0])
+    scene = ch.Scene(ch.ROOM_DIMS, ch.ORIGINAL_LAYOUT, position)
+    plan = wf.random_hop_plan(wf.BURST_BITS, seed=int(rng.integers(2**31)))
+    configs = [
+        make_burst_config(wf.random_data_bits(wf.BURST_BITS, rng), i) for i in range(4)
+    ]
+    refs = wf.generate_tx_signals(configs, plan, [walsh.row(i) for i in range(4)])
+    model = ch.ChannelModel(
+        taps_per_beacon=ch.sample_multipath(scene, rng),
+        snr_db=snr_db,
+        rng_seed=int(rng.integers(2**31)),
+    )
+    return ch.apply_channel(refs, scene, model), refs
+
+
+class TestEstimateRanges:
+    @pytest.mark.parametrize("snr_db", [0.0, 15.0])
+    def test_peaks_match_scipy_signal_oracle(self, snr_db):
+        # 2 x 25 seeded multipath composites: the one-pass receiver picks
+        # the same peak lag as scipy.signal's "valid" correlation
+        for seed in range(25):
+            received, refs = channel_composite(seed, snr_db)
+            estimates = rg.estimate_ranges(received, refs, C)
+            for i, (est, ref) in enumerate(zip(estimates, refs)):
+                oracle = sp_signal.correlate(received.samples, ref.samples, mode="valid")
+                assert est.beacon_index == i
+                assert est.peak_sample == int(np.argmax(np.abs(oracle)))
+                assert est.peak_value == pytest.approx(
+                    abs(oracle[est.peak_sample]), rel=1e-9
+                )
+
+    def test_agrees_with_single_beacon_estimate(self, walsh4):
+        rng = np.random.default_rng(8)
+        plan = wf.random_hop_plan(16, seed=3)
+        configs = [make_burst_config(wf.random_data_bits(16, rng), i) for i in range(4)]
+        refs = wf.generate_tx_signals(configs, plan, [walsh4.row(i) for i in range(4)])
+        received = wf.SampledSignal(
+            samples=np.sum(
+                [shifted(r, 100 * (i + 1), tail=400 - 100 * i).samples for i, r in enumerate(refs)],
+                axis=0,
+            ),
+            sample_rate=FS,
+        )
+        together = rg.estimate_ranges(received, refs, C)
+        for i in range(4):
+            alone = rg.estimate_range(received, i, configs[i], plan, walsh4.row(i), C)
+            assert alone.peak_sample == together[i].peak_sample == 100 * (i + 1)
+            assert alone.beacon_index == together[i].beacon_index == i
 
 
 class TestEstimateRange:

@@ -187,6 +187,31 @@ class TestGenerateTxSignal:
             wf.generate_tx_signal(config, plan, walsh4.row(0))
 
 
+class TestGenerateTxSignals:
+    def test_equals_one_burst_per_beacon(self, walsh4):
+        rng = np.random.default_rng(6)
+        plan = wf.random_hop_plan(32, seed=9, carrier_phase=0.4)
+        configs = [make_burst_config(wf.random_data_bits(32, rng), i) for i in range(4)]
+        rows = [walsh4.row(i) for i in range(4)]
+        together = wf.generate_tx_signals(configs, plan, rows)
+        for config, row, sig in zip(configs, rows, together):
+            alone = wf.generate_tx_signal(config, plan, row)
+            assert np.array_equal(sig.samples, alone.samples)
+            assert sig.sample_rate == alone.sample_rate
+
+    def test_rejects_mismatched_burst_lengths(self, walsh4):
+        plan = wf.random_hop_plan(4, seed=1)
+        configs = [make_burst_config([1, 1, 1, 1]), make_burst_config([1, 1, 1], 1)]
+        with pytest.raises(ValueError):
+            wf.generate_tx_signals(configs, plan, [walsh4.row(0), walsh4.row(1)])
+
+    def test_rejects_missing_code_row(self, walsh4):
+        plan = wf.random_hop_plan(2, seed=1)
+        configs = [make_burst_config([1, 1]), make_burst_config([1, -1], 1)]
+        with pytest.raises(ValueError):
+            wf.generate_tx_signals(configs, plan, [walsh4.row(0)])
+
+
 class TestSpectralOccupancy:
     """Fraction of a symbol's energy inside its assigned 5 kHz channel."""
 
