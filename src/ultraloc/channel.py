@@ -49,10 +49,11 @@ class BeaconLayout:
         pos = np.asarray(self.positions, dtype=float)
         if pos.shape != (4, 3):
             raise ValueError(f"expected 4 beacons with xyz coordinates, got shape {pos.shape}")
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if np.allclose(pos[i], pos[j]):
-                    raise ValueError(f"beacons {i} and {j} coincide")
+        close = np.isclose(pos[:, None, :], pos[None, :, :]).all(axis=2)
+        pairs = np.argwhere(np.triu(close, k=1))
+        if pairs.size:
+            i, j = pairs[0]
+            raise ValueError(f"beacons {i} and {j} coincide")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
@@ -194,12 +195,21 @@ def sample_multipath(
 def _spaced_uniform(
     rng: np.random.Generator, lo: float, hi: float, n: int, min_spacing: float
 ) -> np.ndarray:
-    """Sorted uniform draws with a minimum pairwise gap (rejection)."""
+    """Sorted uniform draws on [lo, hi] with a minimum pairwise gap.
+
+    Rejection first, so seeded draws that it finds stay as they are. If
+    1000 draws miss (tight ranges), draw n sorted uniforms on the shrunk
+    range [lo, hi - (n-1)*min_spacing] and shift the k-th by
+    k*min_spacing: that translation maps the shrunk ordered simplex onto
+    the spaced set, so it samples the same distribution as rejection.
+    The caller guarantees (n-1)*min_spacing < hi - lo.
+    """
     for _ in range(1000):
         draws = np.sort(rng.uniform(lo, hi, size=n))
         if n < 2 or np.min(np.diff(draws)) >= min_spacing:
             return draws
-    raise RuntimeError("could not draw spaced tap delays; range too tight")
+    span = min_spacing * (n - 1)
+    return np.sort(rng.uniform(lo, hi - span, size=n)) + min_spacing * np.arange(n)
 
 
 def apply_channel(

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .config import SimConfig, default_config, load_config, resolve_layout
+from .config import SimConfig, default_config, load_config, resolve_layout, validate_config
 from .dop import dop_components
 from .errors import UltralocError
 from .placement import optimize as run_placement
@@ -67,6 +67,7 @@ def _load(args: argparse.Namespace) -> SimConfig:
                 cfg.scene, layout_name=args.layout, layout=resolve_layout(args.layout)
             ),
         )
+    validate_config(cfg, source="command line")
     return cfg
 
 

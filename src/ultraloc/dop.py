@@ -155,6 +155,13 @@ def dop_components(
     Returns (hdop, vdop, degenerate_mask); hdop/vdop are NaN where the
     geometry is degenerate. Used by domain averaging and the placement
     optimizer's fitness evaluations.
+
+    A point is degenerate when a beacon coincides with it or the normal
+    matrix M has cond(M) > CONDITION_CAP. M is symmetric PSD, so
+    cond(M) <= trace(M)^3 / det(M); eigvalsh therefore runs only where
+    det(M) * CONDITION_CAP <= 10 * trace(M)^3. Every other point is
+    well-conditioned by a factor of 10 to spare, so the mask equals the
+    one eigvalsh would give at every point.
     """
     positions = np.asarray(
         beacons.positions if isinstance(beacons, BeaconLayout) else beacons, dtype=float
@@ -166,8 +173,16 @@ def dop_components(
     r_safe = np.where(r < 1e-12, 1.0, r)
     u = diff / r_safe[:, :, None]
     m = np.einsum("pij,pik->pjk", u, u)
-    eigs = np.linalg.eigvalsh(m)
-    degenerate = coincident | (eigs[:, 0] <= 0) | (eigs[:, -1] / np.maximum(eigs[:, 0], 1e-300) > CONDITION_CAP)
+    a, b, c = m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]
+    d, e, f = m[:, 0, 1], m[:, 0, 2], m[:, 1, 2]
+    det = a * (b * c - f * f) - d * (d * c - f * e) + e * (d * f - b * e)
+    unsure = ~(coincident | (det * CONDITION_CAP > 10.0 * (a + b + c) ** 3))
+    degenerate = coincident.copy()
+    if np.any(unsure):
+        eigs = np.linalg.eigvalsh(m[unsure])
+        degenerate[unsure] = (eigs[:, 0] <= 0) | (
+            eigs[:, -1] / np.maximum(eigs[:, 0], 1e-300) > CONDITION_CAP
+        )
 
     hdop = np.full(points.shape[0], np.nan)
     vdop = np.full(points.shape[0], np.nan)

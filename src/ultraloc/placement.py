@@ -12,9 +12,9 @@ individual misses either tolerance.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -30,8 +30,6 @@ PARENTS = 40
 ITERATIONS = 100
 MAX_RESTARTS = 10
 HDOP_PENALTY = 1e6
-
-_counter = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -84,10 +82,6 @@ class Individual:
     fitness: float = math.inf
     hdop_avg: float = math.nan
     vdop_avg: float = math.nan
-    order: int = field(default_factory=lambda: next(_counter))
-
-    def sort_key(self) -> tuple[float, int]:
-        return (self.fitness, self.order)
 
 
 @dataclass(frozen=True)
@@ -259,6 +253,9 @@ def _mutate(points: np.ndarray, problem: PlacementProblem, rng: np.random.Genera
     return out
 
 
+_by_fitness = attrgetter("fitness")
+
+
 def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
     """Run the full placement search, restarting until tolerances are met.
 
@@ -269,11 +266,27 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
     seeded population, up to max_restarts times; the best layout found
     anywhere is then returned flagged infeasible.
 
+    Each distinct layout is scored once per search: fitness terms are
+    memoized by the exact bytes of the beacon array (layouts are lattice
+    copies, so equal layouts are equal bytes), and surviving clones or
+    children that snap back onto a scored layout reuse them. Ranking is
+    a stable sort on fitness alone, so ties stay in creation order.
+
     observer, if given, is called as observer(run_idx, iteration,
     population) after every cull, for instrumentation.
     """
     candidates = problem.beacon_domain.candidates()
     tree = cKDTree(candidates)
+    scores: dict[bytes, tuple[float, float, float]] = {}
+
+    def score(individual: Individual) -> None:
+        key = individual.beacons.tobytes()
+        terms = scores.get(key)
+        if terms is None:
+            fitness(individual, problem)
+            scores[key] = (individual.fitness, individual.hdop_avg, individual.vdop_avg)
+        else:
+            individual.fitness, individual.hdop_avg, individual.vdop_avg = terms
 
     best_overall: Individual | None = None
     best_history: list[float] = []
@@ -281,24 +294,24 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
         rng = np.random.default_rng([problem.rng_seed, run_idx])
         population = seed_population(problem, rng)
         for ind in population:
-            fitness(ind, problem)
+            score(ind)
         history: list[float] = []
         for iteration in range(problem.iterations):
-            population.sort(key=Individual.sort_key)
+            population.sort(key=_by_fitness)
             parents = population[: problem.parents]
             offspring = []
             for i in range(0, problem.parents, 2):
                 child = crossover(parents[i], parents[i + 1], problem, rng, tree, candidates)
-                fitness(child, problem)
+                score(child)
                 offspring.append(child)
             pool = population + offspring
-            pool.sort(key=Individual.sort_key)
+            pool.sort(key=_by_fitness)
             population = pool[: problem.population]
             history.append(population[0].fitness)
             if observer is not None:
                 observer(run_idx, iteration, population)
 
-        population.sort(key=Individual.sort_key)
+        population.sort(key=_by_fitness)
         best = population[0]
         if best_overall is None or best.fitness < best_overall.fitness:
             best_overall = best

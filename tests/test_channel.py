@@ -40,6 +40,19 @@ class TestSceneAndLayout:
         with pytest.raises(ValueError):
             ch.BeaconLayout(positions=pos)
 
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 3), (2, 3)])
+    def test_coincidence_error_names_the_pair(self, pair):
+        pos = np.array([[1, 1, 1], [2, 2, 2], [3, 3, 3], [4, 4, 4]], dtype=float)
+        pos[pair[1]] = pos[pair[0]] + 1e-12
+        with pytest.raises(ValueError, match=f"beacons {pair[0]} and {pair[1]} coincide"):
+            ch.BeaconLayout(positions=pos)
+
+    def test_coincidence_error_names_first_pair_in_loop_order(self):
+        # (0, 3) and (1, 2) both coincide; i-major order reports (0, 3)
+        pos = np.array([[1, 1, 1], [2, 2, 2], [2, 2, 2], [1, 1, 1]], dtype=float)
+        with pytest.raises(ValueError, match="beacons 0 and 3 coincide"):
+            ch.BeaconLayout(positions=pos)
+
     def test_scene_rejects_receiver_outside(self):
         with pytest.raises(ValueError):
             make_scene(receiver=(6.0, 2.5, 1.5))
@@ -224,6 +237,22 @@ class TestSampleMultipath:
             gains.extend(tap.gain for bt in taps for tap in bt)
         mean_power = np.mean(np.square(gains))
         assert mean_power < 10.0 ** (ch.FIRST_TAP_DB / 10.0)
+
+
+    @pytest.mark.parametrize("n_taps", [13, 20, 31])
+    def test_dense_taps_stay_spaced_and_in_range(self, n_taps):
+        # 31 taps is the most that MIN_TAP_SPACING fits into the default
+        # range; rejection alone gives up from about 13 taps on. Shifted
+        # sums carry rounding of a few ulps, hence the 1e-12 s slack.
+        lo, hi = ch.EXCESS_DELAY_RANGE
+        scene = make_scene()
+        for seed in range(3):
+            taps = ch.sample_multipath(scene, np.random.default_rng(seed), n_taps=n_taps)
+            for i, beacon_taps in enumerate(taps):
+                excess = np.array([t.delay for t in beacon_taps]) - ch.direct_delay(scene, i)
+                assert excess.size == n_taps
+                assert np.all(excess >= lo - 1e-12) and np.all(excess <= hi + 1e-12)
+                assert np.all(np.diff(excess) >= ch.MIN_TAP_SPACING - 1e-12)
 
 
 class TestModelValidation:

@@ -116,6 +116,16 @@ class TestFlags:
         assert summary["n_trials"] == 4
         assert summary["seed"] == 11
 
+    def test_dense_multipath_taps_run(self, tmp_path):
+        ini = tmp_path / "taps.ini"
+        ini.write_text("[waveform]\nburst_bits = 8\n\n[channel]\ntaps_per_beacon = 14\n")
+        code = run_cli(
+            "simulate", "--config", str(ini), "--out", str(tmp_path), "--trials", "3"
+        )
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["n_trials"] == 3
+
     def test_defaults_without_config(self, tmp_path):
         out = tmp_path / "defaults"
         assert run_cli("dopmap", "--out", str(out)) == 0
@@ -154,3 +164,14 @@ class TestErrorPaths:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    def test_zero_trials_override_is_one_error_line(self, fast_ini, tmp_path, capsys):
+        code = run_cli(
+            "simulate", "--config", fast_ini, "--out", str(tmp_path), "--trials", "0"
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: command line: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "trials.csv").exists()

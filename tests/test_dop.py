@@ -6,6 +6,7 @@ import pytest
 from ultraloc import dop
 from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout
 from ultraloc.errors import DegenerateGeometryError, DomainDegeneracyError
+from ultraloc.placement import BeaconDomain
 from ultraloc.solver import trilaterate
 
 
@@ -203,6 +204,66 @@ class TestOracleEquivalence:
             assert r.hdop == pytest.approx(expected_h, rel=1e-9)
             assert r.vdop == pytest.approx(expected_v, rel=1e-9)
             assert r.gdop == pytest.approx(expected_g, rel=1e-9)
+
+
+def unscreened_dop_components(positions, points):
+    """dop_components with eigvalsh at every point: the reference for the
+    condition screen, which must reproduce it bit for bit."""
+    positions = np.asarray(positions, dtype=float)
+    diff = positions[None, :, :] - points[:, None, :]
+    r = np.linalg.norm(diff, axis=2)
+    coincident = np.any(r < 1e-12, axis=1)
+    u = diff / np.where(r < 1e-12, 1.0, r)[:, :, None]
+    m = np.einsum("pij,pik->pjk", u, u)
+    eigs = np.linalg.eigvalsh(m)
+    cond = eigs[:, -1] / np.maximum(eigs[:, 0], 1e-300)
+    degenerate = coincident | (eigs[:, 0] <= 0) | (cond > dop.CONDITION_CAP)
+    hdop = np.full(points.shape[0], np.nan)
+    vdop = np.full(points.shape[0], np.nan)
+    for k in np.flatnonzero(~degenerate):
+        q = np.linalg.inv(m[k])
+        hdop[k] = np.sqrt(q[0, 0] + q[1, 1])
+        vdop[k] = np.sqrt(q[2, 2])
+    return hdop, vdop, degenerate
+
+
+def assert_same_as_unscreened(positions, points):
+    got = dop.dop_components(positions, points)
+    want = unscreened_dop_components(positions, points)
+    np.testing.assert_array_equal(got[2], want[2])
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    return want[2]
+
+
+class TestConditionScreen:
+    def test_random_lattice_layouts(self):
+        candidates = BeaconDomain().candidates()
+        points = dop.DroneDomain().points()
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            positions = candidates[rng.choice(candidates.shape[0], size=4, replace=False)]
+            assert_same_as_unscreened(positions, points)
+
+    @pytest.mark.parametrize("n_beacons", [3, 4])
+    def test_targets_approaching_the_beacon_plane(self, n_beacons):
+        # Beacons on the ceiling: the normal matrix loses rank as the
+        # target rises into their plane, so cond sweeps through the cap.
+        ceiling = np.array([[1.0, 1.0, 4.0], [4.0, 1.5, 4.0], [3.5, 4.0, 4.0], [1.0, 4.5, 4.0]])
+        gaps = np.geomspace(1e-1, 1e-7, 600)
+        points = np.column_stack([np.full(gaps.size, 2.2), np.full(gaps.size, 2.7), 4.0 - gaps])
+        mask = assert_same_as_unscreened(ceiling[:n_beacons], points)
+        assert mask.any() and not mask.all()
+
+    def test_coincident_and_in_plane_targets(self):
+        positions = ORIGINAL_LAYOUT.positions
+        points = np.vstack([positions, [[2.5, 2.5, 1.5], [2.5, 2.5, 2.0]]])
+        mask = assert_same_as_unscreened(positions, points)
+        assert mask[:4].all() and not mask[4:].any()
+
+    def test_one_point_call(self):
+        for target in ([2.5, 2.5, 1.5], [0.7, 4.1, 2.9]):
+            assert_same_as_unscreened(OPTIMIZED_LAYOUT.positions, np.array([target]))
 
 
 class TestEmpiricalConsistency:

@@ -197,6 +197,50 @@ class TestOptimize:
             assert tuple(b) in candidates
 
 
+class TestFitnessMemo:
+    def test_each_distinct_layout_scored_once(self, monkeypatch):
+        plain_fitness = placement.fitness
+        scored = []
+
+        def counting_fitness(individual, problem):
+            scored.append(individual.beacons.tobytes())
+            return plain_fitness(individual, problem)
+
+        monkeypatch.setattr(placement, "fitness", counting_fitness)
+        problem = fast_problem()
+        seen = []
+
+        def observer(run_idx, iteration, population):
+            for ind in population:
+                fresh = placement.Individual(beacons=ind.beacons.copy())
+                plain_fitness(fresh, problem)
+                seen.append(
+                    (
+                        ind.beacons.tobytes(),
+                        (ind.fitness, ind.hdop_avg, ind.vdop_avg),
+                        (fresh.fitness, fresh.hdop_avg, fresh.vdop_avg),
+                    )
+                )
+
+        placement.optimize(problem, observer=observer)
+        assert len(scored) == len(set(scored))
+        assert seen
+        for key, got, want in seen:
+            assert key in scored
+            np.testing.assert_array_equal(got, want)
+
+    def test_repeat_search_in_one_process_is_identical(self):
+        first = placement.optimize(fast_problem())
+        second = placement.optimize(fast_problem())
+        assert first.history == second.history
+        np.testing.assert_array_equal(first.layout.positions, second.layout.positions)
+        assert (first.vdop_avg, first.hdop_avg, first.restarts) == (
+            second.vdop_avg,
+            second.hdop_avg,
+            second.restarts,
+        )
+
+
 class TestProblemValidation:
     def test_rejects_more_parents_than_population(self):
         with pytest.raises(ValueError):
