@@ -32,7 +32,6 @@ from .dop import (
     crb_2d,
     dop_at,
     dop_average,
-    geometry_matrix,
 )
 from .fusion import FusionWeights, fuse_height, simulate_ceiling_echo
 from .harness import TrialRecord, Trajectory, make_trajectory, run_fix, run_trajectory, sweep_snr

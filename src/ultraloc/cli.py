@@ -12,7 +12,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -144,11 +143,9 @@ def _cmd_optimize(args) -> int:
         "seed": cfg.run.seed,
     }
     harness.write_summary_json(record, out / "placement.json")
-    with open(out / "history.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "best_fitness"])
-        for i, f in enumerate(result.history):
-            writer.writerow([i, f"{f:.12g}"])
+    harness.write_csv(
+        out / "history.csv", ["iteration", "best_fitness"], enumerate(result.history)
+    )
     print(
         f"optimize: feasible={result.feasible} vdop_avg={result.vdop_avg:.4f} "
         f"hdop_avg={result.hdop_avg:.4f} after {result.restarts} restarts"
@@ -162,18 +159,13 @@ def _cmd_dopmap(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     points = cfg.drone_domain().points()
-    hdop, vdop, degenerate = dop_components(cfg.scene.layout, points)
+    hdop, vdop, _ = dop_components(cfg.scene.layout, points)
     gdop = np.sqrt(hdop**2 + vdop**2)
-    with open(out / "dopmap.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "hdop", "vdop", "gdop"])
-        for p, h, v, g, bad in zip(points, hdop, vdop, gdop, degenerate):
-            if bad:
-                writer.writerow([f"{p[0]:.12g}", f"{p[1]:.12g}", f"{p[2]:.12g}", "nan", "nan", "nan"])
-            else:
-                writer.writerow(
-                    [f"{p[0]:.12g}", f"{p[1]:.12g}", f"{p[2]:.12g}", f"{h:.12g}", f"{v:.12g}", f"{g:.12g}"]
-                )
+    harness.write_csv(
+        out / "dopmap.csv",
+        ["x", "y", "z", "hdop", "vdop", "gdop"],
+        np.column_stack([points, hdop, vdop, gdop]),
+    )
     print(f"dopmap: {points.shape[0]} lattice points -> {out/'dopmap.csv'}")
     return 0
 
@@ -182,20 +174,15 @@ def _cmd_rangetest(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     records = harness.simulate(cfg)
-    with open(out / "rangetest.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial_id", "beacon", "range_error", "peak_sample", "failed"])
-        for rec in records:
-            for b in range(4):
-                writer.writerow(
-                    [
-                        rec.trial_id,
-                        b,
-                        f"{rec.range_errors[b]:.12g}",
-                        rec.peak_samples[b],
-                        "1" if rec.failed else "0",
-                    ]
-                )
+    harness.write_csv(
+        out / "rangetest.csv",
+        ["trial_id", "beacon", "range_error", "peak_sample", "failed"],
+        (
+            (rec.trial_id, b, rec.range_errors[b], rec.peak_samples[b], rec.failed)
+            for rec in records
+            for b in range(4)
+        ),
+    )
     ok = [r for r in records if not r.failed]
     if ok:
         errs = np.abs(np.array([r.range_errors for r in ok]))

@@ -149,27 +149,30 @@ def resolve_layout(name: str) -> BeaconLayout:
     path = Path(name)
     if not path.exists():
         raise ConfigError(f"layout '{name}' is neither built-in nor an existing file")
-    text = path.read_text()
     try:
-        data = json.loads(text)
-        positions = np.asarray(data, dtype=float)
-    except (json.JSONDecodeError, ValueError):
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(v) for v in line.replace(",", " ").split()])
-        positions = np.asarray(rows, dtype=float)
-    try:
+        text = path.read_text()
+        try:
+            positions = np.asarray(json.loads(text), dtype=float)
+        except json.JSONDecodeError:
+            rows = []
+            for line in text.splitlines():
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                rows.append([float(v) for v in line.replace(",", " ").split()])
+            positions = np.asarray(rows, dtype=float)
         return BeaconLayout(positions=positions)
-    except ValueError as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"layout file '{name}': {exc}") from exc
 
 
 # (section, key) -> parser; the closed set of recognized options.
 def _parse_float(s: str) -> float:
-    return float(s)
+    # every range check below is written x <= 0, which NaN would pass
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _parse_int(s: str) -> int:
@@ -186,7 +189,7 @@ def _parse_bool(s: str) -> bool:
 
 
 def _parse_floats(s: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in s.replace(",", " ").split())
+    return tuple(_parse_float(v) for v in s.replace(",", " ").split())
 
 
 def _parse_pair(s: str) -> tuple[float, float]:
@@ -357,6 +360,8 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
             f"do not fit the excess delay range "
             f"[{ch.excess_delay_min}, {ch.excess_delay_max}] s"
         )
+    if ch.decay_time <= 0:
+        fail("decay_time must be positive")
     if ch.speed_of_sound <= 0:
         fail("speed_of_sound must be positive")
     if ch.snr_db is not None and not math.isfinite(ch.snr_db):
@@ -366,6 +371,10 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
         fail("fusion weights must be in [0,1] and sum to 1")
     if not 0.0 <= fu.obstruction_prob <= 1.0:
         fail("obstruction_prob must be a probability")
+    if fu.echo_noise_std < 0:
+        fail("echo_noise_std must be non-negative")
+    if fu.auto_weights and fu.echo_noise_std == 0:
+        fail("auto_weights needs a positive echo_noise_std to weight the echo by")
     rn = cfg.run
     if rn.trials < 1:
         fail("trials must be positive")

@@ -10,6 +10,8 @@ banding of GDOP values.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -66,13 +68,6 @@ class DopReport:
 
 
 @dataclass(frozen=True)
-class GeometryMatrix:
-    """One unit row vector per beacon, pointing from the target to it."""
-
-    rows: np.ndarray
-
-
-@dataclass(frozen=True)
 class DroneDomain:
     """Axis-aligned flight volume discretized on a regular lattice."""
 
@@ -89,13 +84,20 @@ class DroneDomain:
             raise ValueError("grid resolution must be positive")
 
     def points(self) -> np.ndarray:
-        """Lattice points covering the box, inclusive of both ends."""
+        """Lattice points covering the box, inclusive of both ends; built on
+        the first call and shared, read-only, by every later one."""
+        return self._lattice
+
+    @functools.cached_property
+    def _lattice(self) -> np.ndarray:
         axes = [
             _inclusive_arange(lo, hi, self.grid_resolution)
             for lo, hi in (self.x_range, self.y_range, self.z_range)
         ]
         xx, yy, zz = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
+        pts = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
+        pts.flags.writeable = False
+        return pts
 
     def contains(self, p: np.ndarray) -> bool:
         p = np.asarray(p, dtype=float)
@@ -112,39 +114,22 @@ def _inclusive_arange(lo: float, hi: float, step: float) -> np.ndarray:
     return pts[pts <= hi + 1e-9]
 
 
-def geometry_matrix(beacons: BeaconLayout, target: np.ndarray) -> GeometryMatrix:
-    """Unit direction vectors from the target point to every beacon.
-
-    Raises:
-        ValueError: If the target coincides with a beacon.
-    """
-    target = np.asarray(target, dtype=float)
-    diff = np.asarray(beacons.positions, dtype=float) - target[None, :]
-    r = np.linalg.norm(diff, axis=1)
-    if np.any(r < 1e-12):
-        raise ValueError("target coincides with a beacon")
-    return GeometryMatrix(rows=diff / r[:, None])
-
-
 def dop_at(beacons: BeaconLayout, target: np.ndarray) -> DopReport:
     """Compute HDOP/VDOP/GDOP of the layout at one target point.
 
     Raises:
-        DegenerateGeometryError: If the normal matrix is singular or its
-            condition number exceeds CONDITION_CAP.
+        DegenerateGeometryError: If the target coincides with a beacon, or
+            the normal matrix is singular or its condition number exceeds
+            CONDITION_CAP.
     """
-    u = geometry_matrix(beacons, target).rows
-    m = u.T @ u
-    eigs = np.linalg.eigvalsh(m)
-    if eigs[0] <= 0 or eigs[-1] / eigs[0] > CONDITION_CAP:
+    hdop, vdop, degenerate = dop_components(beacons, target)
+    if degenerate[0]:
         raise DegenerateGeometryError(
-            f"geometry at {np.asarray(target)} is degenerate (cond too high)"
+            f"geometry at {np.asarray(target)} is degenerate (on a beacon or cond too high)"
         )
-    q = np.linalg.inv(m)
-    hdop = float(np.sqrt(q[0, 0] + q[1, 1]))
-    vdop = float(np.sqrt(q[2, 2]))
-    gdop = float(np.sqrt(q[0, 0] + q[1, 1] + q[2, 2]))
-    return DopReport(hdop=hdop, vdop=vdop, gdop=gdop, classification=classify_gdop(gdop))
+    h, v = float(hdop[0]), float(vdop[0])
+    gdop = math.hypot(h, v)
+    return DopReport(hdop=h, vdop=v, gdop=gdop, classification=classify_gdop(gdop))
 
 
 def dop_components(

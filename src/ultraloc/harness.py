@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -87,21 +88,19 @@ class TrialRecord:
         "error",
     )
 
-    def csv_row(self) -> list[str]:
-        def num(x: float) -> str:
-            return f"{x:.12g}"
-
+    def csv_row(self) -> list:
+        """Raw cell values in CSV_FIELDS order; write_csv formats them."""
         return [
-            str(self.trial_id),
-            "" if self.snr_db is None else num(self.snr_db),
-            *[num(v) for v in self.true_position],
-            *[num(v) for v in self.est_position],
-            num(self.err_xy),
-            num(self.err_z),
-            num(self.err_3d),
-            *[num(v) for v in self.range_errors],
-            *[str(p) for p in self.peak_samples],
-            "1" if self.failed else "0",
+            self.trial_id,
+            self.snr_db,
+            *self.true_position,
+            *self.est_position,
+            self.err_xy,
+            self.err_z,
+            self.err_3d,
+            *self.range_errors,
+            *self.peak_samples,
+            self.failed,
             self.error,
         ]
 
@@ -156,11 +155,12 @@ def make_trajectory(
 
 
 def run_fix(config: SimConfig, true_position: np.ndarray, rng_seed) -> TrialRecord:
-    """Simulate one complete localization fix; never raises on module errors."""
+    """Simulate one complete localization fix. A physical failure (an
+    UltralocError) comes back as a failed record; anything else propagates."""
     true_position = np.asarray(true_position, dtype=float)
     try:
         return _run_fix_inner(config, true_position, rng_seed)
-    except (UltralocError, ValueError, np.linalg.LinAlgError) as exc:
+    except UltralocError as exc:
         nan3 = np.full(3, np.nan)
         return TrialRecord(
             trial_id=0,
@@ -392,24 +392,36 @@ def run_trajectory(
     return records, summary
 
 
-def write_trials_csv(records: list[TrialRecord], path: str | Path) -> None:
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write one CSV table; every output table goes through here.
+
+    Cell rule: None -> "", bool -> "1"/"0", float (numpy floats included)
+    -> 12 significant digits, anything else -> str().
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TrialRecord.CSV_FIELDS)
-        for rec in records:
-            writer.writerow(rec.csv_row())
+        writer.writerow(header)
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
+
+
+def write_trials_csv(records: list[TrialRecord], path: str | Path) -> None:
+    write_csv(path, TrialRecord.CSV_FIELDS, (rec.csv_row() for rec in records))
 
 
 def write_sweep_csv(table: list[dict], path: str | Path) -> None:
     if not table:
         raise ValueError("empty sweep table")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(table[0].keys()))
-        for row in table:
-            writer.writerow(
-                [f"{v:.12g}" if isinstance(v, float) else str(v) for v in row.values()]
-            )
+    write_csv(path, list(table[0]), (row.values() for row in table))
 
 
 def write_summary_json(summary: dict, path: str | Path) -> None:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -89,6 +90,40 @@ class TestCommands:
         assert len(rows) == 2 * 4
 
 
+# sha256 of each CSV the CLI writes from FAST_INI: the output format is
+# pinned byte for byte, so any change to a cell's text fails here.
+GOLDEN = {
+    ("simulate", "trials.csv"): "235d1dc019da8ef334cd66e9a7163c16d0c3124f9d01840711c26710b0f9286b",
+    ("sweep", "sweep.csv"): "bb1fb19097bacb3bff749640dee09cc8a2e4b94dd993f3287cfe22f659b8ff82",
+    ("sweep", "trials.csv"): "229df507d7e08a2eb4921b67f6082de315d457738c41d3dcc4e792c4b906ec09",
+    ("trajectory", "trajectory.csv"): "97ac0d008e5abb2fbf2d032c9b1b2138302fd29dead6da7b821c08402b6ef800",
+    ("optimize", "history.csv"): "76bd991115a8f6e7ae92f1dfea8bb5816b0564334ac9d48930c5b337705eeb3c",
+    ("rangetest", "rangetest.csv"): "5f71840b6dcb8f437481959d5e7c681679cfe840478077b19ae818ea9ce5189e",
+    ("dopmap", "dopmap.csv"): "c47da92f458c6b9d479152245d6b7412e42bb94218c1f9974d77a3d46cd4002b",
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("command,name", sorted(GOLDEN), ids="/".join)
+    def test_csv_bytes(self, fast_ini, tmp_path, command, name):
+        assert run_cli(command, "--config", fast_ini, "--out", str(tmp_path)) == 0
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN[command, name]
+
+    def test_dopmap_beacon_on_lattice_point(self, fast_ini, tmp_path):
+        layout = tmp_path / "layout.txt"
+        layout.write_text("0 0 4\n5 0 3\n5 5 4\n2.5 2.5 2.5\n")
+        code = run_cli(
+            "dopmap", "--config", fast_ini, "--out", str(tmp_path), "--layout", str(layout)
+        )
+        assert code == 0
+        data = (tmp_path / "dopmap.csv").read_bytes()
+        assert b"\n2.5,2.5,2.5,nan,nan,nan\r\n" in data
+        assert hashlib.sha256(data).hexdigest() == (
+            "4be1f5440effa7ce09754f2a0f137630b864fb97849629322ebf9181387d62a8"
+        )
+
+
 class TestFlags:
     def test_layout_override(self, fast_ini, tmp_path):
         out = tmp_path / "opt_layout"
@@ -152,8 +187,23 @@ class TestErrorPaths:
             "[run]\ndomain_grid = 0\n",
             "[placement]\npopulation = 3\n",
             "[channel]\ntaps_per_beacon = 40\n",
+            "[fusion]\necho_noise_std = -1e-5\n",
+            "[fusion]\nenabled = true\nauto_weights = true\necho_noise_std = 0\n",
+            "[channel]\ndecay_time = 0\n",
+            "[channel]\ndecay_time = -1e-3\n",
+            "[channel]\ndecay_time = nan\n",
         ],
-        ids=["fix_spacing", "domain_grid", "population", "taps_per_beacon"],
+        ids=[
+            "fix_spacing",
+            "domain_grid",
+            "population",
+            "taps_per_beacon",
+            "echo_noise_std_negative",
+            "echo_noise_std_zero_auto_weights",
+            "decay_time_zero",
+            "decay_time_negative",
+            "decay_time_nan",
+        ],
     )
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, ini):
         bad = tmp_path / "bad.ini"
@@ -162,6 +212,18 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text", ["a b c\n", '{"a": 1}'], ids=["words", "json_object"])
+    def test_unparsable_layout_file_is_one_error_line(self, tmp_path, capsys, text):
+        layout = tmp_path / "bad-layout.txt"
+        layout.write_text(text)
+        code = run_cli("simulate", "--layout", str(layout), "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: layout file ")
+        assert "bad-layout.txt" in captured.err
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 

@@ -129,6 +129,43 @@ class TestFailLoud:
         path = write(tmp_path, "[channel]\nmultipath = false\ntaps_per_beacon = 40\n")
         assert cfg_mod.load_config(path).channel.taps_per_beacon == 40
 
+    def test_negative_echo_noise_rejected(self, tmp_path):
+        path = write(tmp_path, "[fusion]\necho_noise_std = -1e-5\n")
+        with pytest.raises(ConfigError, match="echo_noise_std must be non-negative"):
+            cfg_mod.load_config(path)
+
+    def test_zero_echo_noise_with_auto_weights_rejected(self, tmp_path):
+        path = write(
+            tmp_path, "[fusion]\nenabled = true\nauto_weights = true\necho_noise_std = 0\n"
+        )
+        with pytest.raises(ConfigError, match="auto_weights needs a positive echo_noise_std"):
+            cfg_mod.load_config(path)
+
+    def test_zero_echo_noise_with_fixed_weights_accepted(self, tmp_path):
+        path = write(tmp_path, "[fusion]\nenabled = true\necho_noise_std = 0\n")
+        assert cfg_mod.load_config(path).fusion.echo_noise_std == 0.0
+
+    @pytest.mark.parametrize(
+        "ini",
+        [
+            "[channel]\ndecay_time = nan\n",
+            "[channel]\nspeed_of_sound = nan\n",
+            "[fusion]\necho_noise_std = inf\n",
+            "[run]\nsnr_list = 0, nan\n",
+        ],
+        ids=["decay_time", "speed_of_sound", "echo_noise_std", "snr_list"],
+    )
+    def test_non_finite_float_rejected(self, tmp_path, ini):
+        path = write(tmp_path, ini)
+        with pytest.raises(ConfigError, match="not a finite number"):
+            cfg_mod.load_config(path)
+
+    @pytest.mark.parametrize("value", ["0", "-1e-3"])
+    def test_nonpositive_decay_time_rejected(self, tmp_path, value):
+        path = write(tmp_path, f"[channel]\ndecay_time = {value}\n")
+        with pytest.raises(ConfigError, match="decay_time must be positive"):
+            cfg_mod.load_config(path)
+
 
 class TestResolveLayout:
     def test_builtins(self):
@@ -161,4 +198,14 @@ class TestResolveLayout:
     def test_wrong_shape_rejected(self, tmp_path):
         path = write(tmp_path, "[[1, 1, 3], [4, 1, 3.5]]", name="two.json")
         with pytest.raises(ConfigError):
+            cfg_mod.resolve_layout(str(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a b c\n", '{"a": 1}', "1 1 3\n4 1\n4 4 3\n1 4 3.5\n"],
+        ids=["words", "json_object", "ragged_rows"],
+    )
+    def test_unparsable_file_names_the_file(self, tmp_path, text):
+        path = write(tmp_path, text, name="bad-layout.txt")
+        with pytest.raises(ConfigError, match="layout file '.*bad-layout.txt'"):
             cfg_mod.resolve_layout(str(path))

@@ -41,42 +41,6 @@ def random_layout_and_target(rng):
             return BeaconLayout(positions=positions), target
 
 
-class TestGeometryMatrix:
-    def test_beacon_directly_above(self):
-        layout = BeaconLayout(
-            positions=np.array([[1, 1, 3], [4, 1, 2], [4, 4, 3], [1, 4, 2]], dtype=float)
-        )
-        rows = dop.geometry_matrix(layout, np.array([1.0, 1.0, 1.0])).rows
-        np.testing.assert_allclose(rows[0], [0.0, 0.0, 1.0], atol=1e-12)
-
-    def test_diagonal_direction(self):
-        target = np.array([1.0, 1.0, 1.0])
-        layout = BeaconLayout(
-            positions=np.array([[2, 2, 2], [4, 1, 2], [4, 4, 3], [1, 4, 2]], dtype=float)
-        )
-        rows = dop.geometry_matrix(layout, target).rows
-        np.testing.assert_allclose(rows[0], np.full(3, 1 / math.sqrt(3)), atol=1e-12)
-
-    def test_reference_geometry_by_hand(self):
-        # beacon (5, 2.5, 2.5) from (2.5, 2.5, 1.5): offsets (2.5, 0, 1),
-        # range sqrt(7.25)
-        rows = dop.geometry_matrix(ORIGINAL_LAYOUT, np.array([2.5, 2.5, 1.5])).rows
-        expected = np.array([2.5, 0.0, 1.0]) / math.sqrt(7.25)
-        np.testing.assert_allclose(rows[1], expected, atol=1e-12)
-
-    def test_rows_unit_norm(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            layout, target = random_layout_and_target(rng)
-            rows = dop.geometry_matrix(layout, target).rows
-            np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
-
-    def test_rejects_coincident_target(self):
-        target = np.asarray(ORIGINAL_LAYOUT.positions)[0]
-        with pytest.raises(ValueError):
-            dop.geometry_matrix(ORIGINAL_LAYOUT, target)
-
-
 class TestDopAt:
     def test_hand_inverted_diagonal_case(self):
         # beacons offset (+1,0,0), (-1,0,0), (0,1,0), (0,0,1) from the
@@ -121,6 +85,11 @@ class TestDopAt:
         )
         with pytest.raises(DegenerateGeometryError):
             dop.dop_at(BeaconLayout(positions=positions), np.zeros(3))
+
+    def test_rejects_coincident_target(self):
+        target = np.asarray(ORIGINAL_LAYOUT.positions)[0]
+        with pytest.raises(DegenerateGeometryError):
+            dop.dop_at(ORIGINAL_LAYOUT, target)
 
 
 class TestClassification:
@@ -188,6 +157,16 @@ class TestDopAverage:
     def test_lattice_point_count(self):
         domain = dop.DroneDomain()
         assert domain.points().shape == (9 * 9 * 6, 3)
+
+    def test_lattice_built_once_and_read_only(self):
+        domain = dop.DroneDomain()
+        points = domain.points()
+        assert domain.points() is points
+        with pytest.raises(ValueError):
+            points[0, 0] = 0.0
+        axes = [np.arange(0.5, 4.51, 0.5), np.arange(0.5, 4.51, 0.5), np.arange(0.5, 3.01, 0.5)]
+        fresh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        np.testing.assert_array_equal(points, fresh)
 
 
 class TestOracleEquivalence:

@@ -62,6 +62,12 @@ class TestRunFix:
         assert "SingularGeometryError" in rec.error
         assert math.isnan(rec.err_3d)
 
+    def test_programming_error_propagates(self):
+        # not a physical failure: Scene rejects the position, and run_fix
+        # must not turn that into a failed record
+        with pytest.raises(ValueError, match="not strictly inside the room"):
+            harness.run_fix(fast_config(), np.array([2.0, 2.0, 9.0]), 2)
+
     def test_fusion_improves_height(self):
         base = fast_config(burst_bits=32)
         fused_cfg = replace(base, fusion=replace(base.fusion, enabled=True))
