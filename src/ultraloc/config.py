@@ -1,9 +1,11 @@
 """Simulation configuration: defaults, INI-style file loading, validation.
 
 Config files use sections [scene], [waveform], [channel], [fusion],
-[placement], [run]. Every key is optional and falls back to the defaults
-below; unknown sections or keys fail loading immediately with the
-offending name in the message.
+[placement], [run]. A section's keys are the fields of its dataclass
+below (the scene's room_dims and layout_name are spelled room and
+layout), each parsed by its annotation. Every key is optional and falls
+back to the field's default; unknown sections or keys fail loading
+immediately with the offending name in the message.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 import configparser
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -21,9 +24,11 @@ from . import dop as dop_mod
 from . import fusion as fusion_mod
 from . import placement as placement_mod
 from . import waveform as waveform_mod
-from .channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout
+from .channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout, ChannelModel, Scene
 from .dop import DroneDomain
 from .errors import ConfigError
+from .fusion import FusionWeights
+from .waveform import WaveformConfig, generate_tx_signals, random_hop_plan, walsh_hadamard
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,6 @@ class PlacementConfigSection:
     beacon_grid: float = placement_mod.BEACON_GRID
     min_separation: float = placement_mod.MIN_SEPARATION
     max_restarts: int = placement_mod.MAX_RESTARTS
-    mutation_rate: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,6 @@ class SimConfig:
             rng_seed=self.run.seed,
             min_separation=self.placement.min_separation,
             max_restarts=self.placement.max_restarts,
-            mutation_rate=self.placement.mutation_rate,
         )
 
 
@@ -166,17 +169,12 @@ def resolve_layout(name: str) -> BeaconLayout:
         raise ConfigError(f"layout file '{name}': {exc}") from exc
 
 
-# (section, key) -> parser; the closed set of recognized options.
 def _parse_float(s: str) -> float:
-    # every range check below is written x <= 0, which NaN would pass
+    # every range check is written x <= 0, which NaN would pass
     value = float(s)
     if not math.isfinite(value):
         raise ValueError("not a finite number")
     return value
-
-
-def _parse_int(s: str) -> int:
-    return int(s)
 
 
 def _parse_bool(s: str) -> bool:
@@ -213,141 +211,89 @@ def _parse_snr(s: str) -> float | None:
     return float(s)
 
 
-_SCHEMA: dict[str, dict[str, object]] = {
-    "scene": {"room": _parse_triple, "layout": str},
-    "waveform": {
-        "sample_rate": _parse_float,
-        "symbol_duration": _parse_float,
-        "center_frequencies": _parse_floats,
-        "channel_bandwidth": _parse_float,
-        "burst_bits": _parse_int,
-        "carrier_phase": _parse_float,
-        "walsh_order": _parse_int,
-        "hop_reuse_window": _parse_int,
-    },
-    "channel": {
-        "snr_db": _parse_snr,
-        "multipath": _parse_bool,
-        "taps_per_beacon": _parse_int,
-        "excess_delay_min": _parse_float,
-        "excess_delay_max": _parse_float,
-        "first_tap_db": _parse_float,
-        "decay_time": _parse_float,
-        "speed_of_sound": _parse_float,
-        "distance_attenuation": _parse_bool,
-    },
-    "fusion": {
-        "enabled": _parse_bool,
-        "w1": _parse_float,
-        "w2": _parse_float,
-        "echo_noise_std": _parse_float,
-        "auto_weights": _parse_bool,
-        "obstruction_prob": _parse_float,
-    },
-    "placement": {
-        "hdop_tolerance": _parse_float,
-        "vdop_tolerance": _parse_float,
-        "population": _parse_int,
-        "parents": _parse_int,
-        "iterations": _parse_int,
-        "beacon_grid": _parse_float,
-        "min_separation": _parse_float,
-        "max_restarts": _parse_int,
-        "mutation_rate": _parse_float,
-    },
-    "run": {
-        "trials": _parse_int,
-        "seed": _parse_int,
-        "snr_list": _parse_floats,
-        "domain_x": _parse_pair,
-        "domain_y": _parse_pair,
-        "domain_z": _parse_pair,
-        "domain_grid": _parse_float,
-        "fix_spacing": _parse_float,
-        "trajectory_waypoints": _parse_int,
-        "workers": _parse_int,
-    },
+# field annotation text -> parser of its key's value
+_PARSERS = {
+    "float": _parse_float,
+    "int": int,
+    "bool": _parse_bool,
+    "str": str,
+    "float | None": _parse_snr,
+    "tuple[float, ...]": _parse_floats,
+    "tuple[float, float]": _parse_pair,
+    "tuple[float, float, float]": _parse_triple,
 }
 
-_SECTION_FIELD = {"room": "room_dims", "layout": "layout_name"}
+# field -> key where the two names differ
+_KEY_NAMES = {"room_dims": "room", "layout_name": "layout"}
+
+_SECTIONS = get_type_hints(SimConfig)
+
+# section -> key -> (field, parser): the closed set of recognized options,
+# one per section dataclass field except the layout that layout_name names
+_SCHEMA = {
+    section: {
+        _KEY_NAMES.get(f.name, f.name): (f.name, _PARSERS[f.type])
+        for f in fields(cls)
+        if (section, f.name) != ("scene", "layout")
+    }
+    for section, cls in _SECTIONS.items()
+}
 
 
 def load_config(path: str | Path) -> SimConfig:
     """Read and validate a config file, failing fast on unknown keys."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}".replace("\n", " ")) from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
-    values: dict[str, dict[str, object]] = {}
+    values: dict[str, dict[str, object]] = {section: {} for section in _SCHEMA}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(
                 f"{path}: unknown section [{section}] "
                 f"(expected one of {sorted(_SCHEMA)})"
             )
-        values[section] = {}
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(
                     f"{path}: unknown key '{key}' in section [{section}] "
                     f"(expected one of {sorted(_SCHEMA[section])})"
                 )
-            parse = _SCHEMA[section][key]
+            name, parse = _SCHEMA[section][key]
             try:
-                values[section][_SECTION_FIELD.get(key, key)] = parse(raw)  # type: ignore[operator]
+                values[section][name] = parse(raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"{path}: bad value for '{key}' in [{section}]: {raw!r} ({exc})"
                 ) from exc
 
-    scene_kwargs = values.get("scene", {})
-    if "layout_name" in scene_kwargs:
-        scene_kwargs["layout"] = resolve_layout(str(scene_kwargs["layout_name"]))
-    try:
-        cfg = SimConfig(
-            scene=SceneConfig(**scene_kwargs),
-            waveform=WaveformConfigSection(**values.get("waveform", {})),
-            channel=ChannelConfigSection(**values.get("channel", {})),
-            fusion=FusionConfigSection(**values.get("fusion", {})),
-            placement=PlacementConfigSection(**values.get("placement", {})),
-            run=RunConfigSection(**values.get("run", {})),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    scene = values["scene"]
+    if "layout_name" in scene:
+        scene["layout"] = resolve_layout(str(scene["layout_name"]))
+    cfg = SimConfig(**{section: cls(**values[section]) for section, cls in _SECTIONS.items()})
     validate_config(cfg, source=str(path))
     return cfg
 
 
 def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
-    """Cross-field consistency checks beyond per-key parsing."""
+    """Reject a config unless every object a run builds from it can be built.
+
+    The checks below are the rules no such object states; the objects
+    themselves are then built once, and a ValueError from any of them is
+    reported with the section it came from.
+    """
     def fail(msg: str):
         raise ConfigError(f"{source}: {msg}")
 
     wf = cfg.waveform
-    if wf.sample_rate < 2.0 * max(wf.center_frequencies):
-        fail(
-            f"sample_rate {wf.sample_rate} violates Nyquist for the "
-            f"{max(wf.center_frequencies)} Hz channel"
-        )
-    sps = wf.symbol_duration * wf.sample_rate
-    if abs(sps - round(sps)) > 1e-6:
-        fail("symbol_duration * sample_rate must be a whole number of samples")
-    if round(sps) % wf.walsh_order != 0:
-        fail(
-            f"{round(sps)} samples/symbol is not divisible by the "
-            f"{wf.walsh_order}-chip code"
-        )
     if wf.walsh_order < 4:
         fail("walsh_order must be at least 4 to separate four beacons")
     if wf.burst_bits < 1:
         fail("burst_bits must be positive")
-    n_ch = len(wf.center_frequencies)
-    if not 0 <= wf.hop_reuse_window <= max(n_ch - 2, 0):
-        fail(
-            f"hop_reuse_window must be in [0, {max(n_ch - 2, 0)}] "
-            f"for {n_ch} channels"
-        )
     ch = cfg.channel
     if not 0 < ch.excess_delay_min < ch.excess_delay_max:
         fail("excess delay range must satisfy 0 < min < max")
@@ -362,13 +308,9 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
         )
     if ch.decay_time <= 0:
         fail("decay_time must be positive")
-    if ch.speed_of_sound <= 0:
-        fail("speed_of_sound must be positive")
     if ch.snr_db is not None and not math.isfinite(ch.snr_db):
         fail("snr_db must be finite or 'none'")
     fu = cfg.fusion
-    if abs(fu.w1 + fu.w2 - 1.0) > 1e-9 or not (0 <= fu.w1 <= 1):
-        fail("fusion weights must be in [0,1] and sum to 1")
     if not 0.0 <= fu.obstruction_prob <= 1.0:
         fail("obstruction_prob must be a probability")
     if fu.echo_noise_std < 0:
@@ -378,30 +320,55 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
     rn = cfg.run
     if rn.trials < 1:
         fail("trials must be positive")
-    for name, (lo, hi) in (
-        ("domain_x", rn.domain_x),
-        ("domain_y", rn.domain_y),
-        ("domain_z", rn.domain_z),
-    ):
-        if lo > hi:
-            fail(f"{name} range must have min <= max")
+    if not rn.snr_list:
+        fail("snr_list needs at least one SNR")
+    if rn.seed < 0:
+        fail("seed must be non-negative")
+    if rn.trajectory_waypoints < 1:
+        fail("trajectory_waypoints must be at least 1")
     if rn.domain_grid <= 0:
         fail("domain_grid must be positive")
     if rn.fix_spacing <= 0:
         fail("fix_spacing must be positive")
     room = cfg.scene.room_dims
-    if (
-        rn.domain_x[0] <= 0
-        or rn.domain_x[1] >= room[0]
-        or rn.domain_y[0] <= 0
-        or rn.domain_y[1] >= room[1]
-        or rn.domain_z[0] <= 0
-        or rn.domain_z[1] >= room[2]
+    if not all(
+        0 < lo and hi < side
+        for (lo, hi), side in zip((rn.domain_x, rn.domain_y, rn.domain_z), room)
     ):
         fail("drone domain must lie strictly inside the room")
     if rn.workers < 1:
         fail("workers must be at least 1")
-    try:
-        cfg.placement_problem()
-    except ValueError as exc:
-        fail(f"[placement] {exc}")
+
+    def waveform() -> None:
+        walsh = walsh_hadamard(wf.walsh_order)
+        plan = random_hop_plan(
+            n_symbols=wf.burst_bits,
+            seed=0,
+            center_frequencies=wf.center_frequencies,
+            channel_bandwidth=wf.channel_bandwidth,
+            carrier_phase=wf.carrier_phase,
+            reuse_window=wf.hop_reuse_window,
+        )
+        unit = WaveformConfig(
+            sample_rate=wf.sample_rate,
+            symbol_duration=wf.symbol_duration,
+            data_bits=np.ones(1, dtype=np.int64),
+        )
+        generate_tx_signals([unit], plan, [walsh.row(0)])
+
+    def scene() -> None:
+        centre = [(lo + hi) / 2.0 for lo, hi in (rn.domain_x, rn.domain_y, rn.domain_z)]
+        Scene(room_dims=room, beacons=cfg.scene.layout, receiver_position=np.array(centre))
+
+    for section, build in (
+        ("waveform", waveform),
+        ("channel", lambda: ChannelModel(speed_of_sound=ch.speed_of_sound)),
+        ("fusion", lambda: FusionWeights(w1=fu.w1, w2=fu.w2)),
+        ("run", cfg.drone_domain),
+        ("scene", scene),
+        ("placement", cfg.placement_problem),
+    ):
+        try:
+            build()
+        except ValueError as exc:
+            fail(f"[{section}] {exc}")

@@ -200,9 +200,8 @@ def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> Tr
             sample_rate=wf.sample_rate,
             symbol_duration=wf.symbol_duration,
             data_bits=random_data_bits(wf.burst_bits, rng),
-            code_row_index=i,
         )
-        for i in range(4)
+        for _ in range(4)
     ]
     # the unscaled bursts double as the receiver's matched-filter references
     references = generate_tx_signals(wconfigs, plan, [walsh.row(i) for i in range(4)])

@@ -98,7 +98,6 @@ class PlacementProblem:
     rng_seed: int = 0
     min_separation: float = MIN_SEPARATION
     max_restarts: int = MAX_RESTARTS
-    mutation_rate: float = 0.0
 
     def __post_init__(self):
         if self.hdop_tolerance <= 0 or self.vdop_tolerance <= 0:
@@ -109,6 +108,8 @@ class PlacementProblem:
             raise ValueError("parents must pair up, so their count must be even")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
+        if self.max_restarts < 0:
+            raise ValueError("max_restarts must be non-negative")
 
     @property
     def offspring(self) -> int:
@@ -232,25 +233,11 @@ def crossover(
     for _ in range(20):
         mask = rng.integers(0, 2, size=(4, 3)).astype(bool)
         mixed = np.where(mask, parent_a.beacons, parent_b.beacons)
-        if problem.mutation_rate > 0.0:
-            mixed = _mutate(mixed, problem, rng)
         _, nearest = tree.query(mixed)
         child_pts = candidates[nearest]
         if _separated(child_pts, problem.min_separation):
             return Individual(beacons=child_pts)
     return Individual(beacons=parent_a.beacons.copy())
-
-
-def _mutate(points: np.ndarray, problem: PlacementProblem, rng: np.random.Generator) -> np.ndarray:
-    """Optional per-coordinate redraw within the room extent."""
-    w, d, h = problem.beacon_domain.room_dims
-    hi = np.array([w, d, h])
-    out = points.copy()
-    for k in range(out.shape[0]):
-        for c in range(3):
-            if rng.random() < problem.mutation_rate:
-                out[k, c] = rng.uniform(0.0, hi[c])
-    return out
 
 
 _by_fitness = attrgetter("fitness")

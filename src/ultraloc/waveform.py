@@ -112,19 +112,18 @@ def random_hop_plan(
     symbol durations then always land on a foreign-frequency dwell and
     cannot interfere with the direct path's correlation peak. The window
     must leave at least two admissible channels so the sequence stays
-    random.
+    random; with one channel there is nothing to block, so it must be 0.
     """
     n_ch = len(center_frequencies)
-    if reuse_window < 0 or (n_ch > 1 and reuse_window > n_ch - 2):
+    if n_ch == 0:
+        raise ValueError("hop plan needs at least one channel")
+    if not 0 <= reuse_window <= max(n_ch - 2, 0):
         raise ValueError(
-            f"reuse_window must be in [0, {n_ch - 2}] for {n_ch} channels"
+            f"reuse_window must be in [0, {max(n_ch - 2, 0)}] for {n_ch} channels"
         )
     rng = np.random.default_rng(seed)
     seq = np.empty(n_symbols, dtype=np.int64)
     for k in range(n_symbols):
-        if n_ch == 1:
-            seq[k] = 0
-            continue
         blocked = set(seq[max(0, k - reuse_window) : k].tolist())
         choices = [c for c in range(n_ch) if c not in blocked]
         seq[k] = choices[rng.integers(0, len(choices))]
@@ -143,7 +142,6 @@ class WaveformConfig:
     sample_rate: float = SAMPLE_RATE
     symbol_duration: float = SYMBOL_DURATION
     data_bits: np.ndarray = field(default_factory=lambda: np.ones(BURST_BITS, dtype=np.int64))
-    code_row_index: int = 0
 
     def __post_init__(self):
         if self.sample_rate <= 0:
@@ -163,7 +161,7 @@ class WaveformConfig:
         n_int = int(round(n))
         if abs(n - n_int) > 1e-6:
             raise ChipAlignmentError(
-                f"symbol_duration * sample_rate = {n} is not a whole sample count"
+                f"symbol_duration * sample_rate = {n} is not a whole number of samples"
             )
         return n_int
 

@@ -9,13 +9,11 @@ def walsh4():
     return wf.walsh_hadamard(4)
 
 
-def make_burst_config(bits, code_row_index=0, sample_rate=wf.SAMPLE_RATE,
-                      symbol_duration=wf.SYMBOL_DURATION):
+def make_burst_config(bits, sample_rate=wf.SAMPLE_RATE, symbol_duration=wf.SYMBOL_DURATION):
     return wf.WaveformConfig(
         sample_rate=sample_rate,
         symbol_duration=symbol_duration,
         data_bits=np.asarray(bits, dtype=np.int64),
-        code_row_index=code_row_index,
     )
 
 

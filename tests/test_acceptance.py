@@ -68,7 +68,7 @@ def test_criterion_1_walsh_orthogonality_and_despreading():
     rng = np.random.default_rng(20)
     plan = wf.random_hop_plan(32, seed=77)
     configs = [
-        wf.WaveformConfig(data_bits=wf.random_data_bits(32, rng), code_row_index=i)
+        wf.WaveformConfig(data_bits=wf.random_data_bits(32, rng))
         for i in range(4)
     ]
     signals = [
@@ -106,9 +106,7 @@ def test_criterion_2_ranging_quantization_floor():
     for k, dist in enumerate(distances):
         scene = Scene(ROOM, layout, beacon0 + dist * direction)
         plan = wf.random_hop_plan(32, seed=1000 + k)
-        config = wf.WaveformConfig(
-            data_bits=wf.random_data_bits(32, rng), code_row_index=0
-        )
+        config = wf.WaveformConfig(data_bits=wf.random_data_bits(32, rng))
         tx0 = wf.generate_tx_signal(config, plan, walsh.row(0))
         silent = wf.SampledSignal(samples=np.zeros(len(tx0)), sample_rate=FS)
         received = apply_channel([tx0, silent, silent, silent], scene, ChannelModel())

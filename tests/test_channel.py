@@ -177,7 +177,7 @@ class TestApplyChannel:
         plan = wf.random_hop_plan(8, seed=11)
         sigs = [
             wf.generate_tx_signal(
-                make_burst_config(np.ones(8, dtype=np.int64), i), plan, walsh.row(i)
+                make_burst_config(np.ones(8, dtype=np.int64)), plan, walsh.row(i)
             )
             for i in range(4)
         ]

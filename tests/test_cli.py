@@ -192,6 +192,15 @@ class TestErrorPaths:
             "[channel]\ndecay_time = 0\n",
             "[channel]\ndecay_time = -1e-3\n",
             "[channel]\ndecay_time = nan\n",
+            "[waveform]\nwalsh_order = 5\n",
+            "[waveform]\nchannel_bandwidth = 6000\n",
+            "[waveform]\ncenter_frequencies =\n",
+            "[waveform]\ncenter_frequencies = 22500\nhop_reuse_window = 2\n",
+            "[scene]\nroom = 4.6, 4.6, 3.5\n",
+            "[placement]\nmax_restarts = -1\n",
+            "[placement]\nmutation_rate = -0.5\n",
+            "[run]\ntrajectory_waypoints = 0\n",
+            "[run]\nseed = -1\n",
         ],
         ids=[
             "fix_spacing",
@@ -203,6 +212,15 @@ class TestErrorPaths:
             "decay_time_zero",
             "decay_time_negative",
             "decay_time_nan",
+            "walsh_order",
+            "channel_bandwidth",
+            "no_channels",
+            "one_channel_reuse_window",
+            "layout_outside_room",
+            "max_restarts",
+            "mutation_rate",
+            "trajectory_waypoints",
+            "seed",
         ],
     )
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, ini):
@@ -214,6 +232,17 @@ class TestErrorPaths:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_negative_seed_override_is_one_error_line(self, fast_ini, tmp_path, capsys):
+        code = run_cli(
+            "simulate", "--config", fast_ini, "--out", str(tmp_path), "--seed", "-1"
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: command line: seed must be non-negative\n"
+        assert captured.out == ""
+        assert not (tmp_path / "trials.csv").exists()
 
     @pytest.mark.parametrize("text", ["a b c\n", '{"a": 1}'], ids=["words", "json_object"])
     def test_unparsable_layout_file_is_one_error_line(self, tmp_path, capsys, text):

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ultraloc import config as cfg_mod
+from ultraloc import waveform as wf
 from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT
 from ultraloc.errors import ConfigError
 
@@ -102,6 +107,198 @@ snr_list = 0, 10, 20
             cfg_mod.load_config(path)
 
 
+# every recognized key, by section: the schema is derived from the section
+# dataclasses, so a field added or renamed there shows up here
+KEYS = {
+    "scene": ["layout", "room"],
+    "waveform": [
+        "burst_bits",
+        "carrier_phase",
+        "center_frequencies",
+        "channel_bandwidth",
+        "hop_reuse_window",
+        "sample_rate",
+        "symbol_duration",
+        "walsh_order",
+    ],
+    "channel": [
+        "decay_time",
+        "distance_attenuation",
+        "excess_delay_max",
+        "excess_delay_min",
+        "first_tap_db",
+        "multipath",
+        "snr_db",
+        "speed_of_sound",
+        "taps_per_beacon",
+    ],
+    "fusion": ["auto_weights", "echo_noise_std", "enabled", "obstruction_prob", "w1", "w2"],
+    "placement": [
+        "beacon_grid",
+        "hdop_tolerance",
+        "iterations",
+        "max_restarts",
+        "min_separation",
+        "parents",
+        "population",
+        "vdop_tolerance",
+    ],
+    "run": [
+        "domain_grid",
+        "domain_x",
+        "domain_y",
+        "domain_z",
+        "fix_spacing",
+        "seed",
+        "snr_list",
+        "trajectory_waypoints",
+        "trials",
+        "workers",
+    ],
+}
+
+
+def _sorted_pair(lo, hi):
+    return st.tuples(st.floats(lo, hi), st.floats(lo, hi)).map(lambda p: tuple(sorted(p)))
+
+
+@st.composite
+def _waveform(draw):
+    sample_rate = draw(st.floats(100_000.0, 1_000_000.0))
+    walsh_order = draw(st.sampled_from([4, 8]))
+    samples_per_symbol = 8 * draw(st.integers(10, 100))
+    channels = tuple(
+        draw(st.lists(st.sampled_from(wf.CENTER_FREQUENCIES), min_size=1, unique=True))
+    )
+    return {
+        "sample_rate": sample_rate,
+        "symbol_duration": samples_per_symbol / sample_rate,
+        "center_frequencies": channels,
+        "channel_bandwidth": draw(st.floats(100.0, 5_000.0)),
+        "burst_bits": draw(st.integers(1, 64)),
+        "carrier_phase": draw(st.floats(-math.pi, math.pi)),
+        "walsh_order": walsh_order,
+        "hop_reuse_window": draw(st.integers(0, max(len(channels) - 2, 0))),
+    }
+
+
+@st.composite
+def _channel(draw):
+    taps = draw(st.integers(0, 10))
+    delay_min = draw(st.floats(1e-4, 5e-3))
+    return {
+        "snr_db": draw(st.none() | st.floats(-20.0, 40.0)),
+        "multipath": draw(st.booleans()),
+        "taps_per_beacon": taps,
+        "excess_delay_min": delay_min,
+        "excess_delay_max": delay_min + 3e-4 * taps + draw(st.floats(1e-4, 1e-2)),
+        "first_tap_db": draw(st.floats(-30.0, 0.0)),
+        "decay_time": draw(st.floats(1e-4, 1e-2)),
+        "speed_of_sound": draw(st.floats(300.0, 360.0)),
+        "distance_attenuation": draw(st.booleans()),
+    }
+
+
+@st.composite
+def _fusion(draw):
+    w1 = draw(st.floats(0.0, 1.0))
+    return {
+        "enabled": draw(st.booleans()),
+        "w1": w1,
+        "w2": 1.0 - w1,
+        "echo_noise_std": draw(st.floats(1e-7, 1e-3)),
+        "auto_weights": draw(st.booleans()),
+        "obstruction_prob": draw(st.floats(0.0, 1.0)),
+    }
+
+
+@st.composite
+def _placement(draw):
+    parents = 2 * draw(st.integers(1, 30))
+    return {
+        "hdop_tolerance": draw(st.floats(0.1, 10.0)),
+        "vdop_tolerance": draw(st.floats(0.1, 10.0)),
+        "population": parents + draw(st.integers(0, 30)),
+        "parents": parents,
+        "iterations": draw(st.integers(1, 200)),
+        "beacon_grid": draw(st.floats(0.1, 1.0)),
+        "min_separation": draw(st.floats(0.0, 2.0)),
+        "max_restarts": draw(st.integers(0, 10)),
+    }
+
+
+# in-range values of every key; the room holds both built-in layouts and
+# the drone domain lies strictly inside it
+IN_RANGE = st.fixed_dictionaries(
+    {
+        "scene": st.fixed_dictionaries(
+            {
+                "room": st.tuples(
+                    st.floats(5.0, 10.0), st.floats(5.0, 10.0), st.floats(4.0, 10.0)
+                ),
+                "layout": st.sampled_from(["original", "optimized"]),
+            }
+        ),
+        "waveform": _waveform(),
+        "channel": _channel(),
+        "fusion": _fusion(),
+        "placement": _placement(),
+        "run": st.fixed_dictionaries(
+            {
+                "trials": st.integers(1, 1000),
+                "seed": st.integers(0, 2**32),
+                "snr_list": st.lists(st.floats(-20.0, 40.0), min_size=1, max_size=6).map(
+                    tuple
+                ),
+                "domain_x": _sorted_pair(0.1, 4.9),
+                "domain_y": _sorted_pair(0.1, 4.9),
+                "domain_z": _sorted_pair(0.1, 3.9),
+                "domain_grid": st.floats(0.05, 2.0),
+                "fix_spacing": st.floats(0.01, 1.0),
+                "trajectory_waypoints": st.integers(1, 20),
+                "workers": st.integers(1, 4),
+            }
+        ),
+    }
+)
+
+
+def _ini_value(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+class TestSchema:
+    def test_keys_of_each_section(self):
+        assert {s: sorted(keys) for s, keys in cfg_mod._SCHEMA.items()} == KEYS
+        assert sum(len(keys) for keys in KEYS.values()) == 43
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(values=IN_RANGE)
+    def test_every_key_round_trips(self, tmp_path, values):
+        assert {s: sorted(keys) for s, keys in values.items()} == KEYS
+        text = "".join(
+            f"[{section}]\n"
+            + "".join(f"{key} = {_ini_value(v)}\n" for key, v in keys.items())
+            for section, keys in values.items()
+        )
+        cfg = cfg_mod.load_config(write(tmp_path, text))
+        for section, keys in values.items():
+            for key, value in keys.items():
+                name, _ = cfg_mod._SCHEMA[section][key]
+                assert getattr(getattr(cfg, section), name) == value, (section, key)
+
+
 class TestFailLoud:
     """Values that used to crash or silently fail every trial later on."""
 
@@ -164,6 +361,57 @@ class TestFailLoud:
     def test_nonpositive_decay_time_rejected(self, tmp_path, value):
         path = write(tmp_path, f"[channel]\ndecay_time = {value}\n")
         with pytest.raises(ConfigError, match="decay_time must be positive"):
+            cfg_mod.load_config(path)
+
+
+    @pytest.mark.parametrize(
+        "ini,match",
+        [
+            ("[waveform]\nwalsh_order = 5\n", r"\[waveform\] .*power of two"),
+            ("[waveform]\nwalsh_order = 16\n", r"\[waveform\] .*code length 16"),
+            ("[waveform]\nchannel_bandwidth = 6000\n", r"\[waveform\] .*overlap"),
+            ("[waveform]\ncenter_frequencies =\n", "at least one channel"),
+            (
+                "[waveform]\ncenter_frequencies = 22500\nhop_reuse_window = 2\n",
+                r"reuse_window must be in \[0, 0\] for 1 channels",
+            ),
+            ("[channel]\nspeed_of_sound = 0\n", r"\[channel\] speed of sound"),
+            ("[scene]\nroom = 4.6, 4.6, 3.5\n", r"\[scene\] beacon 1 .* outside the room"),
+            ("[placement]\nmax_restarts = -1\n", r"\[placement\] max_restarts"),
+            ("[run]\ndomain_x = 3, 1\n", r"\[run\] .*min <= max"),
+            ("[run]\nseed = -1\n", "seed must be non-negative"),
+            ("[run]\ntrajectory_waypoints = 0\n", "trajectory_waypoints must be at least 1"),
+            ("[run]\nsnr_list =\n", "snr_list needs at least one SNR"),
+            ("[placement]\nmutation_rate = 0.1\n", "unknown key 'mutation_rate'"),
+            ("trials = 3\n", "no section headers"),
+            ("[run]\ntrials = 3\ntrials = 4\n", "already exists"),
+        ],
+        ids=[
+            "walsh_order_not_power_of_two",
+            "walsh_order_chips",
+            "channel_bandwidth",
+            "no_channels",
+            "one_channel_reuse_window",
+            "speed_of_sound",
+            "layout_outside_room",
+            "max_restarts",
+            "domain_reversed",
+            "seed",
+            "trajectory_waypoints",
+            "snr_list",
+            "mutation_rate",
+            "no_section",
+            "duplicate_key",
+        ],
+    )
+    def test_value_a_run_cannot_build_from_rejected(self, tmp_path, ini, match):
+        path = write(tmp_path, ini)
+        with pytest.raises(ConfigError, match=match):
+            cfg_mod.load_config(path)
+
+    def test_percent_sign_is_literal(self, tmp_path):
+        path = write(tmp_path, "[scene]\nlayout = 50%\n")
+        with pytest.raises(ConfigError, match="layout '50%' is neither built-in"):
             cfg_mod.load_config(path)
 
 

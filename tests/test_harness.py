@@ -36,6 +36,18 @@ class TestRunFix:
         assert rec.err_3d <= floor
         assert np.all(np.abs(rec.range_errors) <= floor)
 
+    def test_distance_attenuation_keeps_quantization_floor(self):
+        cfg = fast_config(burst_bits=32)
+        cfg = replace(cfg, channel=replace(cfg.channel, distance_attenuation=True))
+        position = np.array([2.0, 3.0, 1.2])
+        rec = harness.run_fix(cfg, position, 4)
+        assert not rec.failed
+        floor = 2.0 * SPEED_OF_SOUND / wf.SAMPLE_RATE
+        assert rec.err_3d <= floor
+        assert np.all(np.abs(rec.range_errors) <= floor)
+        plain = harness.run_fix(fast_config(burst_bits=32), position, 4)
+        assert rec.peak_samples == plain.peak_samples
+
     def test_deterministic_per_seed(self):
         cfg = fast_config(snr_db=10.0, multipath=True)
         a = harness.run_fix(cfg, np.array([1.5, 2.5, 1.0]), [3, 14])

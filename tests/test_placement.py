@@ -254,5 +254,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             placement.PlacementProblem(hdop_tolerance=0.0)
 
+    def test_rejects_negative_max_restarts(self):
+        # with no run at all there would be no best layout to return
+        with pytest.raises(ValueError, match="max_restarts must be non-negative"):
+            placement.PlacementProblem(max_restarts=-1)
+
+    def test_zero_restarts_runs_one_search(self):
+        result = placement.optimize(fast_problem(max_restarts=0))
+        assert result.restarts == 0
+        assert len(result.history) == 8
+
     def test_offspring_is_half_of_parents(self):
         assert placement.PlacementProblem(parents=40).offspring == 20

@@ -18,7 +18,7 @@ def coded_burst(walsh, row_index, bits=None, n_bits=16, seed=0, plan_seed=10):
     if bits is None:
         bits = wf.random_data_bits(n_bits, rng)
     plan = wf.random_hop_plan(len(bits), seed=plan_seed)
-    config = make_burst_config(bits, code_row_index=row_index)
+    config = make_burst_config(bits)
     return config, plan, wf.generate_tx_signal(config, plan, walsh.row(row_index))
 
 
@@ -73,7 +73,7 @@ class TestDespread:
         rng = np.random.default_rng(11)
         plan = wf.random_hop_plan(32, seed=5)
         for i in range(4):
-            config = make_burst_config(wf.random_data_bits(32, rng), i)
+            config = make_burst_config(wf.random_data_bits(32, rng))
             sig = wf.generate_tx_signal(config, plan, walsh4.row(i))
             uncoded = wf.generate_tx_signal(config, plan, walsh4.row(0))
             matched = np.abs(
@@ -202,7 +202,7 @@ def channel_composite(seed, snr_db):
     scene = ch.Scene(ch.ROOM_DIMS, ch.ORIGINAL_LAYOUT, position)
     plan = wf.random_hop_plan(wf.BURST_BITS, seed=int(rng.integers(2**31)))
     configs = [
-        make_burst_config(wf.random_data_bits(wf.BURST_BITS, rng), i) for i in range(4)
+        make_burst_config(wf.random_data_bits(wf.BURST_BITS, rng)) for _ in range(4)
     ]
     refs = wf.generate_tx_signals(configs, plan, [walsh.row(i) for i in range(4)])
     model = ch.ChannelModel(
@@ -232,7 +232,7 @@ class TestEstimateRanges:
     def test_agrees_with_single_beacon_estimate(self, walsh4):
         rng = np.random.default_rng(8)
         plan = wf.random_hop_plan(16, seed=3)
-        configs = [make_burst_config(wf.random_data_bits(16, rng), i) for i in range(4)]
+        configs = [make_burst_config(wf.random_data_bits(16, rng)) for _ in range(4)]
         refs = wf.generate_tx_signals(configs, plan, [walsh4.row(i) for i in range(4)])
         received = wf.SampledSignal(
             samples=np.sum(
@@ -303,7 +303,7 @@ class TestDecodeBits:
         rng = np.random.default_rng(9)
         plan = wf.random_hop_plan(32, seed=42)
         configs = [
-            make_burst_config(wf.random_data_bits(32, rng), i) for i in range(4)
+            make_burst_config(wf.random_data_bits(32, rng)) for _ in range(4)
         ]
         sigs = [
             wf.generate_tx_signal(configs[i], plan, walsh4.row(i)) for i in range(4)

@@ -98,12 +98,22 @@ class TestHopPlan:
         with pytest.raises(ValueError):
             wf.random_hop_plan(8, seed=1, reuse_window=5)
 
+    def test_random_plan_rejects_empty_channel_list(self):
+        with pytest.raises(ValueError, match="hop plan needs at least one channel"):
+            wf.random_hop_plan(8, seed=1, center_frequencies=())
+
+    def test_one_channel_plan_takes_no_reuse_window(self):
+        with pytest.raises(ValueError, match=r"reuse_window must be in \[0, 0\]"):
+            wf.random_hop_plan(8, seed=1, center_frequencies=(22_500.0,), reuse_window=1)
+        plan = wf.random_hop_plan(8, seed=1, center_frequencies=(22_500.0,), reuse_window=0)
+        assert np.array_equal(plan.hop_sequence, np.zeros(8, dtype=np.int64))
+
 
 class TestGenerateTxSignal:
     def test_single_tone_matches_sample_oracle(self, walsh4):
         # one +1 bit, all-ones code, single 22.5 kHz channel: the burst
         # must be exactly sin(2*pi*f*t) sample by sample
-        config = make_burst_config([1], code_row_index=0)
+        config = make_burst_config([1])
         plan = single_channel_plan(1)
         sig = wf.generate_tx_signal(config, plan, walsh4.row(0))
         assert len(sig) == 680
@@ -122,8 +132,8 @@ class TestGenerateTxSignal:
         rng = np.random.default_rng(4)
         bits = wf.random_data_bits(16, rng)
         plan = wf.random_hop_plan(16, seed=21)
-        a = wf.generate_tx_signal(make_burst_config(bits, 2), plan, walsh4.row(2))
-        b = wf.generate_tx_signal(make_burst_config(-bits, 2), plan, walsh4.row(2))
+        a = wf.generate_tx_signal(make_burst_config(bits), plan, walsh4.row(2))
+        b = wf.generate_tx_signal(make_burst_config(-bits), plan, walsh4.row(2))
         assert np.array_equal(b.samples, -a.samples)
 
     def test_symbol_energy_lands_on_assigned_channel(self, walsh4):
@@ -132,7 +142,7 @@ class TestGenerateTxSignal:
         plan = wf.HopPlan(
             wf.CENTER_FREQUENCIES, wf.CHANNEL_BANDWIDTH, np.array([0, 3]), 0.0
         )
-        config = make_burst_config([1, 1], code_row_index=0)
+        config = make_burst_config([1, 1])
         sig = wf.generate_tx_signal(config, plan, walsh4.row(0))
         sps = config.samples_per_symbol
         for s, ch in enumerate([0, 3]):
@@ -191,7 +201,7 @@ class TestGenerateTxSignals:
     def test_equals_one_burst_per_beacon(self, walsh4):
         rng = np.random.default_rng(6)
         plan = wf.random_hop_plan(32, seed=9, carrier_phase=0.4)
-        configs = [make_burst_config(wf.random_data_bits(32, rng), i) for i in range(4)]
+        configs = [make_burst_config(wf.random_data_bits(32, rng)) for _ in range(4)]
         rows = [walsh4.row(i) for i in range(4)]
         together = wf.generate_tx_signals(configs, plan, rows)
         for config, row, sig in zip(configs, rows, together):
@@ -201,13 +211,13 @@ class TestGenerateTxSignals:
 
     def test_rejects_mismatched_burst_lengths(self, walsh4):
         plan = wf.random_hop_plan(4, seed=1)
-        configs = [make_burst_config([1, 1, 1, 1]), make_burst_config([1, 1, 1], 1)]
+        configs = [make_burst_config([1, 1, 1, 1]), make_burst_config([1, 1, 1])]
         with pytest.raises(ValueError):
             wf.generate_tx_signals(configs, plan, [walsh4.row(0), walsh4.row(1)])
 
     def test_rejects_missing_code_row(self, walsh4):
         plan = wf.random_hop_plan(2, seed=1)
-        configs = [make_burst_config([1, 1]), make_burst_config([1, -1], 1)]
+        configs = [make_burst_config([1, 1]), make_burst_config([1, -1])]
         with pytest.raises(ValueError):
             wf.generate_tx_signals(configs, plan, [walsh4.row(0)])
 
@@ -216,7 +226,7 @@ class TestSpectralOccupancy:
     """Fraction of a symbol's energy inside its assigned 5 kHz channel."""
 
     def _fraction(self, walsh4, row_index, freq=32_500.0):
-        config = make_burst_config([1], code_row_index=row_index)
+        config = make_burst_config([1])
         plan = single_channel_plan(1, freq=freq)
         sig = wf.generate_tx_signal(config, plan, walsh4.row(row_index))
         return wf.band_energy_fraction(
