@@ -8,6 +8,7 @@ model's RNG seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,6 +60,12 @@ class BeaconLayout:
 
     def __iter__(self):
         return iter(self.positions)
+
+    @functools.cached_property
+    def spans_3d(self) -> bool:
+        """Whether p_n - p_i have rank 3 (1e-9 m), as a 3-D fix needs; computed once."""
+        diffs = self.positions[-1] - self.positions[:-1]
+        return bool(np.linalg.matrix_rank(diffs, tol=1e-9) == 3)
 
 
 # Baseline beacon coordinates used by the preliminary-stage experiments,

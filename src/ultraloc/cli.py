@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -76,6 +77,15 @@ def _outdir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _fail_if_all_failed(records: list[harness.TrialRecord]) -> None:
+    """Stop a trial command whose files are written if every trial failed."""
+    if all(r.failed for r in records):
+        error, count = Counter(r.error for r in records).most_common(1)[0]
+        raise UltralocError(
+            f"all {len(records)} trials failed; most common cause ({count}x): {error}"
+        )
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
@@ -85,6 +95,7 @@ def _cmd_simulate(args) -> int:
     summary["layout"] = cfg.scene.layout_name
     summary["seed"] = cfg.run.seed
     harness.write_summary_json(summary, out / "summary.json")
+    _fail_if_all_failed(records)
     print(f"simulate: {len(records)} fixes -> {out/'trials.csv'}")
     print(
         f"mean err_3d = {summary['mean_err_3d']:.6f} m "
@@ -100,6 +111,7 @@ def _cmd_sweep(args) -> int:
     harness.write_trials_csv(records, out / "trials.csv")
     harness.write_sweep_csv(table, out / "sweep.csv")
     harness.write_summary_json({"rows": table, "seed": cfg.run.seed}, out / "summary.json")
+    _fail_if_all_failed(records)
     print(f"sweep: {len(table)} SNR points x {cfg.run.trials} trials -> {out/'sweep.csv'}")
     for row in table:
         print(
@@ -122,6 +134,7 @@ def _cmd_trajectory(args) -> int:
     harness.write_trials_csv(records, out / "trajectory.csv")
     summary["layout"] = cfg.scene.layout_name
     harness.write_summary_json(summary, out / "summary.json")
+    _fail_if_all_failed(records)
     print(
         f"trajectory: {summary['n_fixes']} fixes, mean err_z={summary['mean_err_z']:.6f} m, "
         f"mean err_3d={summary['mean_err_3d']:.6f} m"
@@ -137,7 +150,7 @@ def _cmd_optimize(args) -> int:
         "beacons": result.layout.positions.tolist(),
         "vdop_avg": result.vdop_avg,
         "hdop_avg": result.hdop_avg,
-        "iterations": result.iterations,
+        "iterations": len(result.history),
         "restarts": result.restarts,
         "feasible": result.feasible,
         "seed": cfg.run.seed,
@@ -183,13 +196,12 @@ def _cmd_rangetest(args) -> int:
             for b in range(4)
         ),
     )
-    ok = [r for r in records if not r.failed]
-    if ok:
-        errs = np.abs(np.array([r.range_errors for r in ok]))
-        print(
-            f"rangetest: {len(ok)} fixes, mean |range error| per beacon = "
-            + ", ".join(f"{e*1000:.3f} mm" for e in errs.mean(axis=0))
-        )
+    _fail_if_all_failed(records)
+    errs = np.abs([r.range_errors for r in records if not r.failed])
+    print(
+        f"rangetest: {len(errs)} fixes, mean |range error| per beacon = "
+        + ", ".join(f"{e*1000:.3f} mm" for e in errs.mean(axis=0))
+    )
     return 0
 
 

@@ -96,7 +96,6 @@ class RunConfigSection:
     domain_grid: float = dop_mod.DOMAIN_GRID
     fix_spacing: float = 0.25
     trajectory_waypoints: int = 8
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -336,8 +335,6 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
         for (lo, hi), side in zip((rn.domain_x, rn.domain_y, rn.domain_z), room)
     ):
         fail("drone domain must lie strictly inside the room")
-    if rn.workers < 1:
-        fail("workers must be at least 1")
 
     def waveform() -> None:
         walsh = walsh_hadamard(wf.walsh_order)

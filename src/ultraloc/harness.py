@@ -14,7 +14,6 @@ import csv
 import json
 import math
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -107,10 +106,9 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fix points along a flight path, pre-sampled at fix_spacing."""
+    """Fix points along a flight path."""
 
     waypoints: np.ndarray
-    fix_spacing: float
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
@@ -139,9 +137,7 @@ def make_trajectory(
     if n_waypoints < 1:
         raise ValueError("need at least one waypoint")
     rng = np.random.default_rng([seed, _STREAM_TRAJECTORY])
-    corners = np.array([random_position(domain, rng) for _ in range(max(n_waypoints, 1))])
-    if corners.shape[0] == 1:
-        return Trajectory(waypoints=corners, fix_spacing=fix_spacing)
+    corners = np.array([random_position(domain, rng) for _ in range(n_waypoints)])
     fixes = [corners[0]]
     for a, b in zip(corners[:-1], corners[1:]):
         seg = b - a
@@ -151,7 +147,7 @@ def make_trajectory(
         n_steps = max(int(math.floor(length / fix_spacing)), 1)
         for k in range(1, n_steps + 1):
             fixes.append(a + seg * min(k * fix_spacing / length, 1.0))
-    return Trajectory(waypoints=np.array(fixes), fix_spacing=fix_spacing)
+    return Trajectory(waypoints=np.array(fixes))
 
 
 def run_fix(config: SimConfig, true_position: np.ndarray, rng_seed) -> TrialRecord:
@@ -283,35 +279,28 @@ def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> Tr
 
 def _run_trials(
     config: SimConfig,
-    tasks: list[tuple[int, np.ndarray, list[int]]],
-    workers: int,
+    n: int,
+    *stream: int,
+    positions: np.ndarray | None = None,
+    first_id: int = 0,
 ) -> list[TrialRecord]:
-    """Run (trial_id, position, seed) tasks, then restore trial-id order."""
-
-    def one(task: tuple[int, np.ndarray, list[int]]) -> TrialRecord:
-        trial_id, position, seed = task
-        rec = run_fix(config, position, seed)
-        return replace(rec, trial_id=trial_id)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, tasks))
-    else:
-        records = [one(t) for t in tasks]
-    records.sort(key=lambda r: r.trial_id)
-    return records
+    """Run n fixes in trial-id order: fix k has seed [run.seed, *stream, k]
+    and trial id first_id + k, and runs at positions[k] or, without
+    positions, at a drone-domain position drawn from [*seed, 999]."""
+    seeds = [[config.run.seed, *stream, k] for k in range(n)]
+    if positions is None:
+        domain = config.drone_domain()
+        positions = [random_position(domain, np.random.default_rng([*s, 999])) for s in seeds]
+    return [
+        replace(run_fix(config, p, s), trial_id=first_id + k)
+        for k, (p, s) in enumerate(zip(positions, seeds))
+    ]
 
 
 def simulate(config: SimConfig, trials: int | None = None) -> list[TrialRecord]:
     """Run seeded fixes at random drone-domain positions at the config SNR."""
     n = trials if trials is not None else config.run.trials
-    domain = config.drone_domain()
-    tasks = []
-    for t in range(n):
-        seed = [config.run.seed, _STREAM_SIMULATE, t]
-        pos_rng = np.random.default_rng([*seed, 999])
-        tasks.append((t, random_position(domain, pos_rng), seed))
-    return _run_trials(config, tasks, config.run.workers)
+    return _run_trials(config, n, _STREAM_SIMULATE)
 
 
 def sweep_snr(
@@ -326,17 +315,11 @@ def sweep_snr(
     """
     snrs = snr_list if snr_list is not None else config.run.snr_list
     n = trials_per_point if trials_per_point is not None else config.run.trials
-    domain = config.drone_domain()
     all_records: list[TrialRecord] = []
     table: list[dict] = []
     for s_idx, snr in enumerate(snrs):
         cfg_s = replace(config, channel=replace(config.channel, snr_db=snr))
-        tasks = []
-        for t in range(n):
-            seed = [config.run.seed, _STREAM_SWEEP, s_idx, t]
-            pos_rng = np.random.default_rng([*seed, 999])
-            tasks.append((s_idx * n + t, random_position(domain, pos_rng), seed))
-        records = _run_trials(cfg_s, tasks, config.run.workers)
+        records = _run_trials(cfg_s, n, _STREAM_SWEEP, s_idx, first_id=s_idx * n)
         all_records.extend(records)
         table.append(aggregate_records(records, snr))
     return all_records, table
@@ -376,11 +359,8 @@ def run_trajectory(
     for i, p in enumerate(trajectory.waypoints):
         if not domain.contains(p):
             raise ConfigError(f"trajectory waypoint {i} at {p} is outside the drone domain")
-    tasks = [
-        (i, p, [config.run.seed, _STREAM_TRAJECTORY, i])
-        for i, p in enumerate(trajectory.waypoints)
-    ]
-    records = _run_trials(config, tasks, config.run.workers)
+    waypoints = trajectory.waypoints
+    records = _run_trials(config, len(waypoints), _STREAM_TRAJECTORY, positions=waypoints)
     ok = [r for r in records if not r.failed]
     summary = {
         "n_fixes": len(records),

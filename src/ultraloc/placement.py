@@ -12,6 +12,7 @@ individual misses either tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -21,7 +22,7 @@ from scipy.spatial import cKDTree
 
 from .channel import ROOM_DIMS, BeaconLayout
 from .dop import DroneDomain, dop_average
-from .errors import DomainDegeneracyError, InfeasibleDomainError
+from .errors import DomainDegeneracyError, InfeasibleDomainError, SingularGeometryError
 
 BEACON_GRID = 0.25
 MIN_SEPARATION = 0.5
@@ -46,7 +47,21 @@ class BeaconDomain:
             raise ValueError("room dimensions must be positive")
 
     def candidates(self) -> np.ndarray:
-        """Deduplicated lattice points on the ceiling and upper wall halves."""
+        """Deduplicated lattice points on the ceiling and upper wall halves;
+        built on the first call and shared, read-only, by every later one."""
+        return self._lattice
+
+    def snap(self, points: np.ndarray) -> np.ndarray:
+        """The lattice candidate nearest to each point."""
+        _, nearest = self._tree.query(points)
+        return self._lattice[nearest]
+
+    @functools.cached_property
+    def _tree(self) -> cKDTree:
+        return cKDTree(self._lattice)
+
+    @functools.cached_property
+    def _lattice(self) -> np.ndarray:
         w, d, h = self.room_dims
         res = self.grid_resolution
         xs = _grid(0.0, w, res)
@@ -63,7 +78,9 @@ class BeaconDomain:
             for x in xs:
                 seen[(round(x, 9), 0.0, round(z, 9))] = None
                 seen[(round(x, 9), round(d, 9), round(z, 9))] = None
-        return np.array(list(seen.keys()), dtype=float)
+        pts = np.array(list(seen.keys()), dtype=float)
+        pts.flags.writeable = False
+        return pts
 
     def on_ceiling(self, points: np.ndarray) -> np.ndarray:
         return np.isclose(np.atleast_2d(points)[:, 2], self.room_dims[2])
@@ -122,7 +139,6 @@ class PlacementResult:
     vdop_avg: float
     hdop_avg: float
     history: list[float]
-    iterations: int
     restarts: int
     feasible: bool
 
@@ -194,12 +210,10 @@ def fitness(individual: Individual, problem: PlacementProblem) -> float:
     domain and coplanar beacon sets, which the downstream linearized
     trilateration cannot use even when their DOP is finite.
     """
-    diffs = individual.beacons[-1] - individual.beacons[:-1]
-    if np.linalg.matrix_rank(diffs, tol=1e-9) < 3:
-        individual.fitness = math.inf
-        return individual.fitness
     try:
         layout = BeaconLayout(positions=individual.beacons)
+        if not layout.spans_3d:
+            raise SingularGeometryError("beacons are coplanar or collinear")
         hdop_avg, vdop_avg = dop_average(layout, problem.drone_domain)
     except (DomainDegeneracyError, ValueError):
         individual.fitness = math.inf
@@ -215,8 +229,6 @@ def crossover(
     parent_b: Individual,
     problem: PlacementProblem,
     rng: np.random.Generator,
-    tree: cKDTree | None = None,
-    candidates: np.ndarray | None = None,
 ) -> Individual:
     """Mix two placements coordinate-by-coordinate into a child.
 
@@ -226,15 +238,10 @@ def crossover(
     planes). Redraws up to 20 times to honor the separation constraint
     and falls back to a copy of parent_a.
     """
-    if candidates is None:
-        candidates = problem.beacon_domain.candidates()
-    if tree is None:
-        tree = cKDTree(candidates)
     for _ in range(20):
         mask = rng.integers(0, 2, size=(4, 3)).astype(bool)
         mixed = np.where(mask, parent_a.beacons, parent_b.beacons)
-        _, nearest = tree.query(mixed)
-        child_pts = candidates[nearest]
+        child_pts = problem.beacon_domain.snap(mixed)
         if _separated(child_pts, problem.min_separation):
             return Individual(beacons=child_pts)
     return Individual(beacons=parent_a.beacons.copy())
@@ -262,8 +269,6 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
     observer, if given, is called as observer(run_idx, iteration,
     population) after every cull, for instrumentation.
     """
-    candidates = problem.beacon_domain.candidates()
-    tree = cKDTree(candidates)
     scores: dict[bytes, tuple[float, float, float]] = {}
 
     def score(individual: Individual) -> None:
@@ -288,7 +293,7 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
             parents = population[: problem.parents]
             offspring = []
             for i in range(0, problem.parents, 2):
-                child = crossover(parents[i], parents[i + 1], problem, rng, tree, candidates)
+                child = crossover(parents[i], parents[i + 1], problem, rng)
                 score(child)
                 offspring.append(child)
             pool = population + offspring
@@ -313,7 +318,6 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
                 vdop_avg=best.vdop_avg,
                 hdop_avg=best.hdop_avg,
                 history=history,
-                iterations=len(history),
                 restarts=run_idx,
                 feasible=True,
             )
@@ -324,7 +328,6 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
         vdop_avg=best_overall.vdop_avg,
         hdop_avg=best_overall.hdop_avg,
         history=best_history,
-        iterations=len(best_history),
         restarts=problem.max_restarts,
         feasible=False,
     )

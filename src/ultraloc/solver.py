@@ -37,7 +37,7 @@ def trilaterate(beacons: BeaconLayout, ranges: np.ndarray) -> PositionFix:
 
     Raises:
         SingularGeometryError: If the beacons are collinear/coplanar so A
-            loses column rank.
+            loses column rank (BeaconLayout.spans_3d).
         ValueError: If fewer than 4 ranges are supplied or any is negative.
     """
     positions = np.asarray(beacons.positions, dtype=float)
@@ -46,10 +46,12 @@ def trilaterate(beacons: BeaconLayout, ranges: np.ndarray) -> PositionFix:
         raise ValueError(
             f"expected {positions.shape[0]} ranges, got shape {d.shape}"
         )
-    if positions.shape[0] < 4:
-        raise ValueError("need at least 4 beacons for a 3-D fix")
     if np.any(d < 0):
         raise ValueError("ranges must be nonnegative")
+    if not beacons.spans_3d:
+        raise SingularGeometryError(
+            "beacon geometry is rank-deficient (coplanar or collinear layout)"
+        )
 
     ref = positions[-1]
     others = positions[:-1]
@@ -60,10 +62,6 @@ def trilaterate(beacons: BeaconLayout, ranges: np.ndarray) -> PositionFix:
         - np.sum(others**2, axis=1)
         + np.sum(ref**2)
     )
-    if np.linalg.matrix_rank(a_mat, tol=1e-10) < 3:
-        raise SingularGeometryError(
-            "beacon geometry is rank-deficient (coplanar or collinear layout)"
-        )
     x, _, _, _ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
     residual = float(np.linalg.norm(a_mat @ x - b_vec))
     return PositionFix(position=x, residual_norm=residual)

@@ -53,6 +53,21 @@ class TestSceneAndLayout:
         with pytest.raises(ValueError, match="beacons 0 and 3 coincide"):
             ch.BeaconLayout(positions=pos)
 
+    @pytest.mark.parametrize(
+        "positions,spans",
+        [
+            (ch.ORIGINAL_LAYOUT.positions, True),
+            (ch.OPTIMIZED_LAYOUT.positions, True),
+            ([[0.5, 0.5, 4], [4.5, 0.5, 4], [4.5, 4.5, 4], [0.5, 4.5, 4]], False),
+            ([[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3]], False),
+        ],
+        ids=["original", "optimized", "ceiling", "collinear"],
+    )
+    def test_spans_3d_computed_once(self, positions, spans):
+        layout = ch.BeaconLayout(positions=np.array(positions, dtype=float))
+        assert layout.spans_3d is spans
+        assert layout.__dict__["spans_3d"] is spans
+
     def test_scene_rejects_receiver_outside(self):
         with pytest.raises(ValueError):
             make_scene(receiver=(6.0, 2.5, 1.5))

@@ -256,6 +256,44 @@ class TestErrorPaths:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command,name",
+        [
+            ("simulate", "trials.csv"),
+            ("sweep", "trials.csv"),
+            ("trajectory", "trajectory.csv"),
+            ("rangetest", "rangetest.csv"),
+        ],
+    )
+    def test_all_trials_failed_is_one_error_line(
+        self, fast_ini, tmp_path, capsys, command, name
+    ):
+        layout = tmp_path / "coplanar.txt"
+        layout.write_text("0.5 0.5 2\n4.5 0.5 2\n4.5 4.5 2\n0.5 4.5 2\n")
+        code = run_cli(
+            command, "--config", fast_ini, "--out", str(tmp_path), "--layout", str(layout)
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: all ")
+        assert "SingularGeometryError" in captured.err
+        assert captured.err.count("\n") == 1
+        with open(tmp_path / name) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["failed"] == "1" for r in rows)
+
+    def test_ceiling_only_layout_still_maps_dop(self, fast_ini, tmp_path):
+        # coplanar beacons cannot trilaterate, yet their DOP is finite below
+        # the ceiling, so dopmap must not reject the layout
+        layout = tmp_path / "ceiling.txt"
+        layout.write_text("0.5 0.5 4\n4.5 0.5 4\n4.5 4.5 4\n0.5 4.5 4\n")
+        code = run_cli("dopmap", "--out", str(tmp_path), "--layout", str(layout))
+        assert code == 0
+        with open(tmp_path / "dopmap.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 486
+        assert "nan" not in {r[k] for r in rows for k in ("hdop", "vdop", "gdop")}
+
     def test_zero_trials_override_is_one_error_line(self, fast_ini, tmp_path, capsys):
         code = run_cli(
             "simulate", "--config", fast_ini, "--out", str(tmp_path), "--trials", "0"

@@ -153,7 +153,6 @@ KEYS = {
         "snr_list",
         "trajectory_waypoints",
         "trials",
-        "workers",
     ],
 }
 
@@ -256,7 +255,6 @@ IN_RANGE = st.fixed_dictionaries(
                 "domain_grid": st.floats(0.05, 2.0),
                 "fix_spacing": st.floats(0.01, 1.0),
                 "trajectory_waypoints": st.integers(1, 20),
-                "workers": st.integers(1, 4),
             }
         ),
     }
@@ -276,7 +274,7 @@ def _ini_value(value) -> str:
 class TestSchema:
     def test_keys_of_each_section(self):
         assert {s: sorted(keys) for s, keys in cfg_mod._SCHEMA.items()} == KEYS
-        assert sum(len(keys) for keys in KEYS.values()) == 43
+        assert sum(len(keys) for keys in KEYS.values()) == 42
 
     @settings(
         max_examples=60,
@@ -383,6 +381,7 @@ class TestFailLoud:
             ("[run]\ntrajectory_waypoints = 0\n", "trajectory_waypoints must be at least 1"),
             ("[run]\nsnr_list =\n", "snr_list needs at least one SNR"),
             ("[placement]\nmutation_rate = 0.1\n", "unknown key 'mutation_rate'"),
+            ("[run]\nworkers = 2\n", "unknown key 'workers'"),
             ("trials = 3\n", "no section headers"),
             ("[run]\ntrials = 3\ntrials = 4\n", "already exists"),
         ],
@@ -400,6 +399,7 @@ class TestFailLoud:
             "trajectory_waypoints",
             "snr_list",
             "mutation_rate",
+            "workers",
             "no_section",
             "duplicate_key",
         ],

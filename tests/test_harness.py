@@ -132,13 +132,6 @@ class TestSimulateAndSweep:
         assert table[0]["n_failed"] == 3
         assert all(r.failed for r in records)
 
-    def test_threaded_matches_sequential(self):
-        cfg = fast_config(snr_db=15.0, multipath=True)
-        seq = harness.simulate(cfg)
-        par = harness.simulate(replace(cfg, run=replace(cfg.run, workers=4)))
-        for a, b in zip(seq, par):
-            assert np.array_equal(a.est_position, b.est_position)
-
     def test_optimized_layout_shrinks_z_gap(self):
         # the placement-optimized layout narrows the vertical-vs-horizontal
         # error ratio relative to the baseline layout
@@ -192,7 +185,7 @@ class TestLayoutComparison:
             axis=1,
         )
         _, summary = harness.run_trajectory(
-            cfg, harness.Trajectory(waypoints=line, fix_spacing=0.2)
+            cfg, harness.Trajectory(waypoints=line)
         )
         assert summary["n_failed"] == 0
         assert summary["mean_err_3d"] <= 0.015
@@ -217,9 +210,33 @@ class TestTrajectory:
         assert np.array_equal(records[0].est_position, direct.est_position)
         assert summary["mean_err_3d"] == pytest.approx(records[0].err_3d)
 
+    @pytest.mark.parametrize("stream,s_idx", [(0, None), (1, 1)], ids=["simulate", "sweep"])
+    def test_random_trial_equals_run_fix(self, stream, s_idx):
+        # trial t of a stream runs with seed [run.seed, stream, *indices, t]
+        # at the drone-domain position drawn from [*seed, 999]
+        cfg = fast_config(snr_db=10.0, multipath=True)
+        t = 1
+        if s_idx is None:
+            records = harness.simulate(cfg)
+            seed = [cfg.run.seed, stream, t]
+            trial_id = t
+        else:
+            records, _ = harness.sweep_snr(cfg, snr_list=(0.0, 10.0), trials_per_point=3)
+            seed = [cfg.run.seed, stream, s_idx, t]
+            trial_id = s_idx * 3 + t
+        rec = records[trial_id]
+        assert rec.trial_id == trial_id
+        position = harness.random_position(
+            cfg.drone_domain(), np.random.default_rng([*seed, 999])
+        )
+        direct = harness.run_fix(cfg, position, seed)
+        assert np.array_equal(rec.true_position, position)
+        assert np.array_equal(rec.est_position, direct.est_position)
+        assert rec.peak_samples == direct.peak_samples
+
     def test_out_of_domain_waypoint_rejected(self):
         cfg = fast_config()
-        traj = harness.Trajectory(waypoints=np.array([[0.1, 0.1, 0.1]]), fix_spacing=0.25)
+        traj = harness.Trajectory(waypoints=np.array([[0.1, 0.1, 0.1]]))
         with pytest.raises(ConfigError):
             harness.run_trajectory(cfg, traj)
 

@@ -48,6 +48,20 @@ class TestBeaconDomain:
         scaled = pts / 0.25
         np.testing.assert_allclose(scaled, np.round(scaled), atol=1e-9)
 
+    def test_lattice_built_once_and_read_only(self):
+        dom = placement.BeaconDomain()
+        pts = dom.candidates()
+        assert dom.candidates() is pts
+        with pytest.raises(ValueError):
+            pts[0, 0] = 1.0
+
+    def test_snap_picks_nearest_candidate(self):
+        dom = placement.BeaconDomain(grid_resolution=0.5)
+        pts = dom.candidates()
+        queries = np.random.default_rng(2).uniform([0, 0, 0], dom.room_dims, size=(50, 3))
+        dists = np.linalg.norm(queries[:, None, :] - pts[None, :, :], axis=2)
+        np.testing.assert_array_equal(dom.snap(queries), pts[dists.argmin(axis=1)])
+
 
 class TestSeedPopulation:
     def test_size_and_membership(self):
