@@ -403,14 +403,23 @@ def write_sweep_csv(table: list[dict], path: str | Path) -> None:
     write_csv(path, list(table[0]), (row.values() for row in table))
 
 
-def write_summary_json(summary: dict, path: str | Path) -> None:
-    def coerce(obj):
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        raise TypeError(f"not JSON serializable: {type(obj)}")
+def _strict_json(obj):
+    """obj with numpy values made plain and each non-finite float made None."""
+    if isinstance(obj, dict):
+        return {key: _strict_json(value) for key, value in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(value) for value in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
+
+def write_summary_json(summary: dict, path: str | Path) -> None:
+    """Write summary as strict JSON: a mean with no sample is null, never NaN."""
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=coerce)
+        json.dump(_strict_json(summary), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

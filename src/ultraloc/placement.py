@@ -31,6 +31,10 @@ PARENTS = 40
 ITERATIONS = 100
 MAX_RESTARTS = 10
 HDOP_PENALTY = 1e6
+MAX_DRAWS = 20
+
+# The six beacon pairs (i < j) of a four-beacon layout.
+_PAIRS = np.triu_indices(4, 1)
 
 
 @dataclass(frozen=True)
@@ -143,12 +147,18 @@ class PlacementResult:
     feasible: bool
 
 
-def _separated(points: np.ndarray, min_sep: float) -> bool:
-    for i in range(points.shape[0]):
-        for j in range(i + 1, points.shape[0]):
-            if np.linalg.norm(points[i] - points[j]) < min_sep:
-                return False
-    return True
+def _separated(points: np.ndarray, min_sep: float) -> np.ndarray:
+    """Whether every beacon pair of each (..., 4, 3) layout is min_sep apart.
+
+    The result has the layouts' leading shape, a numpy bool for one layout.
+    """
+    i, j = _PAIRS
+    d = points[..., i, :] - points[..., j, :]
+    # vecdot runs the same ddot kernel as the scalar np.linalg.norm(d), so
+    # near-threshold lattice pairs compare alike. norm(d, axis=-1) rounds
+    # another way: it puts 0.1 m lattice points (0.4, 0, 4) and (0.7, 0.4, 4)
+    # 0.5 apart, where the scalar norm gives 0.49999999999999994.
+    return np.all(np.sqrt(np.vecdot(d, d)) >= min_sep, axis=-1)
 
 
 def _draw_separated(
@@ -224,27 +234,60 @@ def fitness(individual: Individual, problem: PlacementProblem) -> float:
     return individual.fitness
 
 
+def breed(
+    parents: list[Individual], problem: PlacementProblem, rng: np.random.Generator
+) -> list[Individual]:
+    """Cross each adjacent pair of parents into one child, in array passes.
+
+    Beacon k of a child takes each of x, y, z independently from either
+    parent's beacon k with probability 1/2, then snaps to the nearest
+    lattice candidate (coordinate mixing can leave the wall/ceiling
+    planes). A child whose beacons break the separation constraint is
+    redrawn; after MAX_DRAWS failed draws it is a copy of its first parent.
+
+    The masks form one queue consumed in child order, exactly as a loop
+    drawing one (4, 3) mask per try would consume them. Each pass draws
+    one mask per child still owed, snaps and tests them all at once, and
+    accepts the children before the first rejected one; the rejected
+    child takes the next mask in the queue. Each mask bit costs one
+    32-bit draw that never rejects, so one (k, 4, 3) draw equals k (4, 3)
+    draws, and the children and the generator's final state equal the
+    per-child loop's.
+    """
+    # reshape, not stack: with [placement] parents = 0 the list is empty
+    a = np.reshape([p.beacons for p in parents[0::2]], (-1, 4, 3))
+    b = np.reshape([p.beacons for p in parents[1::2]], (-1, 4, 3))
+    children: list[Individual] = []
+    masks = np.empty((0, 4, 3), dtype=bool)
+    failed = 0
+    while len(children) < len(a):
+        c = len(children)
+        if not len(masks):
+            masks = rng.integers(0, 2, size=(len(a) - c, 4, 3)).astype(bool)
+        k = len(masks)
+        child_pts = problem.beacon_domain.snap(np.where(masks, a[c : c + k], b[c : c + k]))
+        ok = _separated(child_pts, problem.min_separation)
+        n_ok = k if ok.all() else int(ok.argmin())
+        children.extend(Individual(beacons=pts) for pts in child_pts[:n_ok])
+        masks = masks[n_ok + 1 :]
+        if n_ok:
+            failed = 0
+        if n_ok < k:
+            failed += 1
+            if failed == MAX_DRAWS:
+                children.append(Individual(beacons=a[len(children)].copy()))
+                failed = 0
+    return children
+
+
 def crossover(
     parent_a: Individual,
     parent_b: Individual,
     problem: PlacementProblem,
     rng: np.random.Generator,
 ) -> Individual:
-    """Mix two placements coordinate-by-coordinate into a child.
-
-    Beacon k of the child takes each of x, y, z independently from either
-    parent's beacon k with probability 1/2, then snaps to the nearest
-    lattice candidate (coordinate mixing can leave the wall/ceiling
-    planes). Redraws up to 20 times to honor the separation constraint
-    and falls back to a copy of parent_a.
-    """
-    for _ in range(20):
-        mask = rng.integers(0, 2, size=(4, 3)).astype(bool)
-        mixed = np.where(mask, parent_a.beacons, parent_b.beacons)
-        child_pts = problem.beacon_domain.snap(mixed)
-        if _separated(child_pts, problem.min_separation):
-            return Individual(beacons=child_pts)
-    return Individual(beacons=parent_a.beacons.copy())
+    """Mix two placements into one child: breed's one-pair case."""
+    return breed([parent_a, parent_b], problem, rng)[0]
 
 
 _by_fitness = attrgetter("fitness")
@@ -254,8 +297,9 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
     """Run the full placement search, restarting until tolerances are met.
 
     Each run: seed a stratified population, then for the configured
-    iteration count sort by fitness, cross the best 40 pairwise into 20
-    offspring, and cull the worst 20 of the pooled 70. If the run's best
+    iteration count sort by fitness, breed the best 40 pairwise into 20
+    offspring in one array pass per generation, and cull the worst 20 of
+    the pooled 70. If the run's best
     individual misses either tolerance the search restarts with a fresh
     seeded population, up to max_restarts times; the best layout found
     anywhere is then returned flagged infeasible.
@@ -290,12 +334,9 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
         history: list[float] = []
         for iteration in range(problem.iterations):
             population.sort(key=_by_fitness)
-            parents = population[: problem.parents]
-            offspring = []
-            for i in range(0, problem.parents, 2):
-                child = crossover(parents[i], parents[i + 1], problem, rng)
+            offspring = breed(population[: problem.parents], problem, rng)
+            for child in offspring:
                 score(child)
-                offspring.append(child)
             pool = population + offspring
             pool.sort(key=_by_fitness)
             population = pool[: problem.population]

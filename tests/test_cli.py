@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -40,6 +41,15 @@ def fast_ini(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def strict_json(path):
+    """Parse a file as a strict JSON reader does: NaN and Infinity fail."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestCommands:
@@ -281,6 +291,23 @@ class TestErrorPaths:
         with open(tmp_path / name) as fh:
             rows = list(csv.DictReader(fh))
         assert rows and all(r["failed"] == "1" for r in rows)
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "trajectory"])
+    def test_all_trials_failed_summary_is_strict_json(self, fast_ini, tmp_path, command):
+        layout = tmp_path / "coplanar.txt"
+        layout.write_text("0.5 0.5 2\n4.5 0.5 2\n4.5 4.5 2\n0.5 4.5 2\n")
+        code = run_cli(
+            command, "--config", fast_ini, "--out", str(tmp_path), "--layout", str(layout)
+        )
+        assert code == 1
+        summary = strict_json(tmp_path / "summary.json")
+        rows = summary.get("rows", [summary])
+        assert rows and all(row["mean_err_3d"] is None for row in rows)
+
+    def test_placement_json_is_strict_json(self, fast_ini, tmp_path):
+        assert run_cli("optimize", "--config", fast_ini, "--out", str(tmp_path)) == 0
+        record = strict_json(tmp_path / "placement.json")
+        assert math.isfinite(record["vdop_avg"]) and math.isfinite(record["hdop_avg"])
 
     def test_ceiling_only_layout_still_maps_dop(self, fast_ini, tmp_path):
         # coplanar beacons cannot trilaterate, yet their DOP is finite below

@@ -267,3 +267,25 @@ class TestWriters:
         harness.write_summary_json(summary, path)
         loaded = json.loads(path.read_text())
         assert loaded["n_trials"] == len(records)
+
+    def test_summary_json_writes_non_finite_as_null(self, tmp_path):
+        import json
+
+        summary = {
+            "mean": np.float64("nan"),
+            "rows": [{"std": math.inf, "n": np.int64(3)}, {"std": -math.inf}],
+            "point": np.array([0.5, np.nan]),
+            "pair": (np.float32(0.25), None),
+        }
+        path = tmp_path / "summary.json"
+        harness.write_summary_json(summary, path)
+
+        def reject(token):
+            raise ValueError(token)
+
+        assert json.loads(path.read_text(), parse_constant=reject) == {
+            "mean": None,
+            "rows": [{"std": None, "n": 3}, {"std": None}],
+            "point": [0.5, None],
+            "pair": [0.25, None],
+        }

@@ -1,7 +1,10 @@
+import copy
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from ultraloc import placement
 from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT
@@ -169,6 +172,113 @@ class TestCrossover:
             assert placement._separated(child.beacons, problem.min_separation)
             for bcn in child.beacons:
                 assert tuple(bcn) in candidates
+
+
+def scalar_separated(points, min_sep):
+    """The pair-by-pair scalar test _separated replaced."""
+    return all(
+        np.linalg.norm(points[i] - points[j]) >= min_sep
+        for i, j in itertools.combinations(range(len(points)), 2)
+    )
+
+
+def per_child_breed(parents, problem, rng):
+    """The per-child crossover loop breed replaced, with its branch counts."""
+    children, redraws, fallbacks = [], 0, 0
+    for a, b in zip(parents[0::2], parents[1::2]):
+        for _ in range(20):
+            mask = rng.integers(0, 2, size=(4, 3)).astype(bool)
+            pts = problem.beacon_domain.snap(np.where(mask, a.beacons, b.beacons))
+            if scalar_separated(pts, problem.min_separation):
+                children.append(pts)
+                break
+            redraws += 1
+        else:
+            children.append(a.beacons.copy())
+            fallbacks += 1
+    return children, redraws, fallbacks
+
+
+class TestBreed:
+    @pytest.mark.parametrize(
+        "grid, min_sep, falls_back",
+        [(0.25, 0.5, False), (0.1, 0.5, False), (0.5, 1.5, False), (0.5, 2.0, True)],
+    )
+    def test_matches_per_child_loop(self, grid, min_sep, falls_back):
+        problem = placement.PlacementProblem(
+            beacon_domain=placement.BeaconDomain(grid_resolution=grid),
+            min_separation=min_sep,
+        )
+        redraws = fallbacks = 0
+        for seed in range(8):
+            # seed_population's choice() calls leave the generator mid-word
+            rng = np.random.default_rng(seed)
+            parents = placement.seed_population(problem, rng)[: problem.parents]
+            oracle_rng = copy.deepcopy(rng)
+            want, r, f = per_child_breed(parents, problem, oracle_rng)
+            got = placement.breed(parents, problem, rng)
+            assert len(got) == len(want) == problem.offspring
+            for child, pts in zip(got, want):
+                np.testing.assert_array_equal(child.beacons, pts)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            redraws += r
+            fallbacks += f
+        assert redraws > 0
+        if falls_back:
+            assert fallbacks > 0
+
+    def test_falls_back_after_max_draws(self):
+        # equal parents mix only into themselves, so an unseparated pair fails
+        # every draw, while a separated pair accepts its first mask
+        problem = fast_problem()
+        good = placement.seed_population(problem, np.random.default_rng(10))[0]
+        bad = placement.Individual(beacons=good.beacons.copy())
+        bad.beacons[1] = bad.beacons[0]
+        rng = np.random.default_rng(11)
+        children = placement.breed([bad, bad, good, good], problem, rng)
+        np.testing.assert_array_equal(children[0].beacons, bad.beacons)
+        assert children[0].beacons is not bad.beacons
+        np.testing.assert_array_equal(children[1].beacons, good.beacons)
+        spent = np.random.default_rng(11)
+        spent.integers(0, 2, size=(placement.MAX_DRAWS + 1, 4, 3))
+        assert rng.bit_generator.state == spent.bit_generator.state
+
+    def test_no_parents_breed_nothing(self):
+        # [placement] parents = 0 is accepted: the search only culls its seeds
+        rng = np.random.default_rng(12)
+        state = rng.bit_generator.state
+        assert placement.breed([], fast_problem(), rng) == []
+        assert rng.bit_generator.state == state
+
+    def test_crossover_is_one_pair_breed(self):
+        problem = fast_problem()
+        pop = placement.seed_population(problem, np.random.default_rng(8))
+        child = placement.crossover(pop[0], pop[5], problem, np.random.default_rng(9))
+        (want,), _, _ = per_child_breed([pop[0], pop[5]], problem, np.random.default_rng(9))
+        np.testing.assert_array_equal(child.beacons, want)
+
+
+class TestSeparated:
+    @pytest.mark.parametrize("grid", [0.1, 0.3])
+    def test_matches_scalar_norm_near_threshold(self, grid):
+        lattice = placement.BeaconDomain(grid_resolution=grid).candidates()
+        pairs = cKDTree(lattice).query_pairs(0.5 + 1e-9, output_type="ndarray")
+        d = lattice[pairs[:, 0]] - lattice[pairs[:, 1]]
+        pairs = pairs[np.abs(np.sqrt((d * d).sum(axis=1)) - 0.5) < 1e-9]
+        assert len(pairs)
+        far = np.array([[100.0, 100.0, 100.0], [-100.0, -100.0, -100.0]])
+        layouts = np.concatenate(
+            [lattice[pairs], np.broadcast_to(far, (len(pairs), 2, 3))], axis=1
+        )
+        want = [scalar_separated(layout, 0.5) for layout in layouts]
+        np.testing.assert_array_equal(placement._separated(layouts, 0.5), want)
+
+    def test_pins_offset_that_axis_norm_rounds_up(self):
+        # vecdot, not norm(axis=-1): the axis norm rounds this offset up to 0.5
+        dom = placement.BeaconDomain(grid_resolution=0.1)
+        pair = dom.snap(np.array([[0.4, 0.0, 4.0], [0.7, 0.4, 4.0]]))
+        layout = np.vstack([pair, [[100.0, 100.0, 100.0], [-100.0, -100.0, -100.0]]])
+        assert placement._separated(layout, 0.5) == scalar_separated(layout, 0.5)
 
 
 class TestOptimize:
