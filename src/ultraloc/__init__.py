@@ -41,7 +41,6 @@ from .ranging import (
     cross_correlate,
     decode_bits,
     despread,
-    estimate_range,
     estimate_ranges,
 )
 from .solver import PositionFix, trilaterate
@@ -51,7 +50,6 @@ from .waveform import (
     WaveformConfig,
     WalshMatrix,
     encode_symbol,
-    generate_tx_signal,
     generate_tx_signals,
     random_hop_plan,
     walsh_hadamard,

@@ -47,7 +47,8 @@ class BeaconLayout:
     positions: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
+        # a copy, so freezing the layout's array leaves the caller's writeable
+        pos = np.array(self.positions, dtype=float)
         if pos.shape != (4, 3):
             raise ValueError(f"expected 4 beacons with xyz coordinates, got shape {pos.shape}")
         close = np.isclose(pos[:, None, :], pos[None, :, :]).all(axis=2)
@@ -219,41 +220,36 @@ def _spaced_uniform(
     return np.sort(rng.uniform(lo, hi - span, size=n)) + min_spacing * np.arange(n)
 
 
-def apply_channel(
-    tx_signals: list[SampledSignal], scene: Scene, model: ChannelModel
-) -> SampledSignal:
-    """Propagate the four beacon signals to the receiver and add noise.
+def apply_channel(tx: SampledSignal, scene: Scene, model: ChannelModel) -> SampledSignal:
+    """Propagate the four beacons' bursts to the receiver and add noise.
 
-    Each beacon contributes its signal delayed by the direct-path delay
-    plus one attenuated copy per multipath tap; all delays are rounded to
-    the nearest sample. The output is long enough that no delayed copy is
+    tx holds one burst row per beacon, shape (4, n). Each beacon
+    contributes its row delayed by the direct-path delay plus one
+    attenuated copy per multipath tap; all delays are rounded to the
+    nearest sample. The output is long enough that no delayed copy is
     truncated. White Gaussian noise is scaled so that
     total-signal-power / noise-power equals 10^(snr_db/10).
 
     Raises:
-        ValueError: If the four signals disagree on sample rate, or a tap
-            arrives no later than its beacon's direct path.
+        ValueError: If tx does not have 4 rows, or a tap arrives no later
+            than its beacon's direct path.
     """
-    if len(tx_signals) != 4:
-        raise ValueError("expected exactly 4 transmit signals")
-    fs = tx_signals[0].sample_rate
-    if any(s.sample_rate != fs for s in tx_signals):
-        raise ValueError("transmit signals must share one sample rate")
+    if tx.samples.shape[:-1] != (4,):
+        raise ValueError(f"expected one burst row per beacon (4, n), got {tx.samples.shape}")
+    fs = tx.sample_rate
 
     arrivals = []  # (delay_samples, gain, samples)
-    for i, sig in enumerate(tx_signals):
+    for i, row in enumerate(tx.samples):
         tau0 = direct_delay(scene, i, model.speed_of_sound)
-        n0 = int(round(tau0 * fs))
-        arrivals.append((n0, 1.0, sig.samples))
+        arrivals.append((int(round(tau0 * fs)), 1.0, row))
         for tap in model.taps_per_beacon[i]:
             if tap.delay <= tau0:
                 raise ValueError(
                     f"beacon {i} tap delay {tap.delay}s not beyond direct path {tau0}s"
                 )
-            arrivals.append((int(round(tap.delay * fs)), tap.gain, sig.samples))
+            arrivals.append((int(round(tap.delay * fs)), tap.gain, row))
 
-    out_len = max(n + s.size for n, _, s in arrivals)
-    clean = np.zeros(out_len)
+    clean = np.zeros(max(n for n, _, _ in arrivals) + len(tx))
     for n, g, s in arrivals:
         clean[n : n + s.size] += g * s
 
@@ -262,5 +258,5 @@ def apply_channel(
         signal_power = float(np.mean(clean**2))
         noise_power = signal_power / 10.0 ** (model.snr_db / 10.0)
         rng = np.random.default_rng(model.rng_seed)
-        noisy = clean + rng.normal(0.0, math.sqrt(noise_power), size=out_len)
+        noisy = clean + rng.normal(0.0, math.sqrt(noise_power), size=clean.size)
     return SampledSignal(samples=noisy, sample_rate=fs)

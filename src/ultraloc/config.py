@@ -351,7 +351,7 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
             symbol_duration=wf.symbol_duration,
             data_bits=np.ones(1, dtype=np.int64),
         )
-        generate_tx_signals([unit], plan, [walsh.row(0)])
+        generate_tx_signals(unit, plan, walsh.row(0))
 
     def scene() -> None:
         centre = [(lo + hi) / 2.0 for lo, hi in (rn.domain_x, rn.domain_y, rn.domain_z)]

@@ -33,7 +33,6 @@ from .fusion import FusionWeights, fuse_height, inverse_variance_weights, simula
 from .ranging import estimate_ranges
 from .solver import trilaterate
 from .waveform import (
-    SampledSignal,
     WaveformConfig,
     generate_tx_signals,
     random_data_bits,
@@ -191,26 +190,18 @@ def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> Tr
         carrier_phase=wf.carrier_phase,
         reuse_window=wf.hop_reuse_window,
     )
-    wconfigs = [
-        WaveformConfig(
-            sample_rate=wf.sample_rate,
-            symbol_duration=wf.symbol_duration,
-            data_bits=random_data_bits(wf.burst_bits, rng),
-        )
-        for _ in range(4)
-    ]
+    wconfig = WaveformConfig(
+        sample_rate=wf.sample_rate,
+        symbol_duration=wf.symbol_duration,
+        data_bits=random_data_bits((4, wf.burst_bits), rng),
+    )
     # the unscaled bursts double as the receiver's matched-filter references
-    references = generate_tx_signals(wconfigs, plan, [walsh.row(i) for i in range(4)])
+    references = generate_tx_signals(wconfig, plan, walsh.rows[:4])
     tx = references
     if ch.distance_attenuation:
-        tx = [
-            SampledSignal(
-                samples=s.samples
-                / max(direct_delay(scene, i, ch.speed_of_sound) * ch.speed_of_sound, 1.0),
-                sample_rate=s.sample_rate,
-            )
-            for i, s in enumerate(tx)
-        ]
+        c = ch.speed_of_sound
+        divisors = np.array([max(direct_delay(scene, i, c) * c, 1.0) for i in range(4)])
+        tx = replace(references, samples=references.samples / divisors[:, None])
 
     taps: tuple = ((), (), (), ())
     if ch.multipath:

@@ -123,6 +123,8 @@ class PlacementProblem:
     def __post_init__(self):
         if self.hdop_tolerance <= 0 or self.vdop_tolerance <= 0:
             raise ValueError("tolerances must be positive")
+        if self.parents < 2:
+            raise ValueError("need at least 2 parents to breed")
         if self.parents > self.population:
             raise ValueError("cannot select more parents than the population holds")
         if self.parents % 2 != 0:
@@ -254,7 +256,7 @@ def breed(
     draws, and the children and the generator's final state equal the
     per-child loop's.
     """
-    # reshape, not stack: with [placement] parents = 0 the list is empty
+    # reshape, not stack: np.stack rejects an empty parent list
     a = np.reshape([p.beacons for p in parents[0::2]], (-1, 4, 3))
     b = np.reshape([p.beacons for p in parents[1::2]], (-1, 4, 3))
     children: list[Individual] = []

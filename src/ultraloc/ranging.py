@@ -5,23 +5,22 @@ transmitted burst (code and hop plan included). Sliding the full coded
 reference is the same computation as despreading each candidate alignment
 and integrating, but stays exact for delays that are not chip-aligned.
 All beacons are ranged in one pass: the received signal is transformed
-once, the bursts the transmitter made are the references, and one batched
-real-FFT correlation yields every beacon's lags. The standalone despread
-operation serves data recovery and diagnostics, where the receiver clock
-defines the chip grid.
+once, the (4, n) burst array the transmitter made is the reference, and
+one batched real-FFT correlation yields every beacon's lags. The
+standalone despread operation serves data recovery and diagnostics, where
+the receiver clock defines the chip grid.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
 
 from .channel import SPEED_OF_SOUND
 from .errors import NoPeakError
-from .waveform import HopPlan, SampledSignal, WaveformConfig, generate_tx_signal, hop_carrier
+from .waveform import HopPlan, SampledSignal, WaveformConfig, hop_carrier
 
 
 @dataclass(frozen=True)
@@ -69,46 +68,41 @@ def despread(
     )
 
 
-def cross_correlate(
-    received: SampledSignal, reference: SampledSignal | Sequence[SampledSignal]
-) -> np.ndarray:
-    """Sliding inner product of one or more references against the received signal.
+def cross_correlate(received: SampledSignal, reference: SampledSignal) -> np.ndarray:
+    """Sliding inner product of each reference row against the received signal.
 
     Returns one value per lag L in [0, len(received) - len(reference)]:
-    sum_k received[k+L] * reference[k]. A single reference gives a 1-D
-    array; a sequence of equal-length references gives one row per
-    reference. The received signal is transformed once, all references in
-    one batched real FFT, both at the fast length n >= len(received); a
-    circular correlation of that length does not wrap on these lags.
+    sum_k received[k+L] * reference[..., k], with the reference's leading
+    shape: a 1-D reference gives a 1-D array, a (k, m) burst array one row
+    per beacon. The received signal is transformed once, all reference
+    rows in one batched real FFT, both at the fast length
+    n >= len(received); a circular correlation of that length does not
+    wrap on these lags.
     """
-    stacked = not isinstance(reference, SampledSignal)
-    refs = list(reference) if stacked else [reference]
-    if len(received) == 0 or not refs or any(len(r) == 0 for r in refs):
+    m = len(reference)
+    if len(received) == 0 or m == 0:
         raise ValueError("signals must be nonempty")
-    m = len(refs[0])
-    if any(len(r) != m for r in refs):
-        raise ValueError("stacked references must share one length")
     if m > len(received):
         raise ValueError("reference must not be longer than the received signal")
-    if any(r.sample_rate != received.sample_rate for r in refs):
+    if reference.sample_rate != received.sample_rate:
         raise ValueError("sample rates differ between received and reference")
     n = sp_fft.next_fast_len(len(received), real=True)
     rx_spec = sp_fft.rfft(received.samples, n)
-    ref_spec = sp_fft.rfft(np.stack([r.samples for r in refs]), n, axis=1)
-    corr = sp_fft.irfft(rx_spec * ref_spec.conj(), n, axis=1)[:, : len(received) - m + 1]
-    return corr if stacked else corr[0]
+    ref_spec = sp_fft.rfft(reference.samples, n, axis=-1)
+    return sp_fft.irfft(rx_spec * ref_spec.conj(), n, axis=-1)[..., : len(received) - m + 1]
 
 
 def estimate_ranges(
     received: SampledSignal,
-    references: Sequence[SampledSignal],
+    references: SampledSignal,
     speed_of_sound: float = SPEED_OF_SOUND,
 ) -> list[RangeEstimate]:
     """Estimate the distance to every beacon from the composite signal.
 
-    references[i] is beacon i's transmitted burst. One correlation pass
-    covers all of them; each beacon's peak is the global maximum of its
-    correlation magnitude, converted to meters via
+    Row i of references is beacon i's transmitted burst; a 1-D reference
+    counts as one row. One correlation pass covers all of them; each
+    beacon's peak is the global maximum of its correlation magnitude,
+    converted to meters via
     distance = peak_sample / sample_rate * speed_of_sound.
 
     Raises:
@@ -116,7 +110,7 @@ def estimate_ranges(
     """
     if not np.any(received.samples):
         raise NoPeakError("received signal is all zeros; no correlation peak")
-    corr = cross_correlate(received, references)
+    corr = np.atleast_2d(cross_correlate(received, references))
     peaks = np.argmax(np.abs(corr), axis=1)
     return [
         RangeEstimate(
@@ -127,27 +121,6 @@ def estimate_ranges(
         )
         for i, peak in enumerate(peaks)
     ]
-
-
-def estimate_range(
-    received: SampledSignal,
-    beacon_index: int,
-    config: WaveformConfig,
-    plan: HopPlan,
-    code_row: np.ndarray,
-    speed_of_sound: float = SPEED_OF_SOUND,
-) -> RangeEstimate:
-    """Estimate the distance to one beacon from the composite signal.
-
-    Synthesizes that beacon's burst from its config, hop plan and code
-    row, then ranges it as estimate_ranges does.
-
-    Raises:
-        NoPeakError: If the received signal is identically zero.
-    """
-    reference = generate_tx_signal(config, plan, code_row)
-    (est,) = estimate_ranges(received, [reference], speed_of_sound)
-    return replace(est, beacon_index=beacon_index)
 
 
 def decode_bits(

@@ -137,7 +137,8 @@ def random_hop_plan(
 
 @dataclass(frozen=True)
 class WaveformConfig:
-    """Transmit-side parameters for one ranging burst."""
+    """Transmit-side parameters of one burst: data_bits is (n_bits,) for
+    one beacon or (k, n_bits) for k beacons sharing rate and symbol."""
 
     sample_rate: float = SAMPLE_RATE
     symbol_duration: float = SYMBOL_DURATION
@@ -149,8 +150,8 @@ class WaveformConfig:
         if self.symbol_duration <= 0:
             raise ValueError("symbol_duration must be positive")
         bits = np.asarray(self.data_bits, dtype=np.int64)
-        if bits.size == 0:
-            raise ValueError("data_bits must be nonempty")
+        if bits.ndim not in (1, 2) or bits.size == 0:
+            raise ValueError("data_bits must be a nonempty (n_bits,) or (k, n_bits) array")
         if not np.all(np.isin(bits, (-1, 1))):
             raise ValueError("data_bits must be +1/-1 valued")
         object.__setattr__(self, "data_bits", bits)
@@ -168,7 +169,7 @@ class WaveformConfig:
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Uniformly sampled real-valued waveform."""
+    """Uniformly sampled real-valued waveform: (n,) or one row per beacon."""
 
     samples: np.ndarray
     sample_rate: float
@@ -182,11 +183,11 @@ class SampledSignal:
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
-        return self.samples.size
+        return self.samples.shape[-1]
 
     @property
     def duration(self) -> float:
-        return self.samples.size / self.sample_rate
+        return len(self) / self.sample_rate
 
     def energy(self) -> float:
         return float(np.sum(self.samples**2))
@@ -206,63 +207,49 @@ def hop_carrier(
     return np.sin(2.0 * np.pi * f_per_sample * t + plan.carrier_phase)
 
 
-def generate_tx_signals(
-    configs: list[WaveformConfig], plan: HopPlan, code_rows: list[np.ndarray]
-) -> list[SampledSignal]:
-    """Synthesize several beacons' FH-CDMA bursts over one shared carrier.
+def generate_tx_signals(config: WaveformConfig, plan: HopPlan, codes: np.ndarray) -> SampledSignal:
+    """Synthesize FH-CDMA bursts over one shared carrier.
 
-    Every data bit is spread into len(code_row) chips; the chips of one
-    symbol gate a unit-amplitude sinusoid at that symbol's hop channel.
-    All beacons share the hop plan, so the carrier (hop_carrier) is built
-    once and each burst is exactly its chip sequence times that carrier.
+    codes has the bits' leading shape: one code row for (n_bits,) bits
+    gives an (n_samples,) burst, k rows for (k, n_bits) bits a (k,
+    n_samples) burst array. Every data bit is spread into len(code_row)
+    chips; the chips of one symbol gate a unit-amplitude sinusoid at that
+    symbol's hop channel. The carrier (hop_carrier) is built once and each
+    burst row is exactly its chip sequence times that carrier.
 
     Raises:
         ChipAlignmentError: If chips do not align to whole samples.
-        ValueError: If the configs disagree on sample rate, symbol length
-            or burst length, the hop sequence is shorter than the data,
-            or the sample rate violates Nyquist for the highest channel.
+        ValueError: If codes do not match the bits' leading shape, the hop
+            sequence is shorter than the data, or the sample rate violates
+            Nyquist for the highest channel.
     """
-    if len(configs) == 0 or len(configs) != len(code_rows):
-        raise ValueError("need one code row per waveform config")
-    first = configs[0]
-    shape = (first.sample_rate, first.symbol_duration, first.data_bits.size)
-    if any((c.sample_rate, c.symbol_duration, c.data_bits.size) != shape for c in configs):
-        raise ValueError("bursts on one carrier need one sample rate, symbol and burst length")
-    rows = [np.asarray(row, dtype=np.int64) for row in code_rows]
-    if rows[0].size == 0 or any(r.shape != rows[0].shape for r in rows):
-        raise ValueError("code rows must be nonempty and of one length")
-    codes = np.stack(rows)
+    bits = config.data_bits
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.shape[:-1] != bits.shape[:-1] or codes.shape[-1] == 0:
+        raise ValueError("need one nonempty code row per row of data bits")
     if not np.all(np.isin(codes, (-1, 1))):
         raise ValueError("code rows must be +/-1 sequences")
-    n_chips = codes.shape[1]
+    n_chips = codes.shape[-1]
     freqs = np.asarray(plan.center_frequencies, dtype=float)
-    if first.sample_rate < 2.0 * freqs.max():
+    if config.sample_rate < 2.0 * freqs.max():
         raise ValueError(
-            f"sample rate {first.sample_rate} Hz below Nyquist for "
+            f"sample rate {config.sample_rate} Hz below Nyquist for "
             f"{freqs.max()} Hz carrier"
         )
-    bits = np.stack([c.data_bits for c in configs])
-    n_bits = bits.shape[1]
+    n_bits = bits.shape[-1]
     if plan.hop_sequence.size < n_bits:
         raise ValueError("hop sequence shorter than the data burst")
 
-    sps = first.samples_per_symbol
+    sps = config.samples_per_symbol
     if sps % n_chips != 0:
         raise ChipAlignmentError(
             f"{sps} samples/symbol not divisible by code length {n_chips}"
         )
-    carrier = hop_carrier(plan, first.sample_rate, sps, n_bits)
-    # chips[b, k] per beacon b and output sample k, built symbol by symbol
-    chips = np.repeat(bits[:, :, None] * codes[:, None, :], sps // n_chips, axis=2)
-    samples = chips.reshape(len(configs), -1) * carrier
-    return [SampledSignal(samples=row, sample_rate=first.sample_rate) for row in samples]
-
-
-def generate_tx_signal(
-    config: WaveformConfig, plan: HopPlan, code_row: np.ndarray
-) -> SampledSignal:
-    """Synthesize one beacon's FH-CDMA burst (see generate_tx_signals)."""
-    return generate_tx_signals([config], plan, [code_row])[0]
+    carrier = hop_carrier(plan, config.sample_rate, sps, n_bits)
+    # chips[..., k] per output sample k, built symbol by symbol
+    chips = np.repeat(bits[..., None] * codes[..., None, :], sps // n_chips, axis=-1)
+    samples = chips.reshape(*bits.shape[:-1], -1) * carrier
+    return SampledSignal(samples=samples, sample_rate=config.sample_rate)
 
 
 def band_energy_fraction(
@@ -284,6 +271,6 @@ def band_energy_fraction(
     return float(in_band / total)
 
 
-def random_data_bits(n_bits: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n_bits independent +/-1 data bits."""
-    return rng.choice(np.array([-1, 1], dtype=np.int64), size=n_bits)
+def random_data_bits(shape: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Draw +/-1 data bits; one (k, n) draw equals k n-bit draws, state included."""
+    return rng.choice(np.array([-1, 1], dtype=np.int64), size=shape)

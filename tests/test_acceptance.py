@@ -67,20 +67,13 @@ def test_criterion_1_walsh_orthogonality_and_despreading():
 
     rng = np.random.default_rng(20)
     plan = wf.random_hop_plan(32, seed=77)
-    configs = [
-        wf.WaveformConfig(data_bits=wf.random_data_bits(32, rng))
-        for i in range(4)
-    ]
-    signals = [
-        wf.generate_tx_signal(configs[i], plan, walsh.row(i)) for i in range(4)
-    ]
-    composite = wf.SampledSignal(
-        samples=np.sum([s.samples for s in signals], axis=0), sample_rate=FS
-    )
+    config = wf.WaveformConfig(data_bits=wf.random_data_bits((4, 32), rng))
+    signals = wf.generate_tx_signals(config, plan, walsh.rows[:4])
+    composite = wf.SampledSignal(samples=signals.samples.sum(axis=0), sample_rate=FS)
     bit_errors = 0
     for i in range(4):
-        decoded = rg.decode_bits(composite, walsh.row(i), plan, configs[i])
-        bit_errors += int(np.sum(decoded != configs[i].data_bits))
+        decoded = rg.decode_bits(composite, walsh.row(i), plan, config)
+        bit_errors += int(np.sum(decoded != config.data_bits[i]))
     elapsed = time.perf_counter() - t0
     _report(
         1,
@@ -107,10 +100,12 @@ def test_criterion_2_ranging_quantization_floor():
         scene = Scene(ROOM, layout, beacon0 + dist * direction)
         plan = wf.random_hop_plan(32, seed=1000 + k)
         config = wf.WaveformConfig(data_bits=wf.random_data_bits(32, rng))
-        tx0 = wf.generate_tx_signal(config, plan, walsh.row(0))
-        silent = wf.SampledSignal(samples=np.zeros(len(tx0)), sample_rate=FS)
-        received = apply_channel([tx0, silent, silent, silent], scene, ChannelModel())
-        est = rg.estimate_range(received, 0, config, plan, walsh.row(0), C)
+        tx0 = wf.generate_tx_signals(config, plan, walsh.row(0))
+        tx = wf.SampledSignal(
+            samples=np.vstack([tx0.samples, np.zeros((3, len(tx0)))]), sample_rate=FS
+        )
+        received = apply_channel(tx, scene, ChannelModel())
+        est = rg.estimate_ranges(received, tx0, C)[0]
         worst = max(worst, abs(est.distance - dist))
     elapsed = time.perf_counter() - t0
     _report(

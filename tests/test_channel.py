@@ -18,14 +18,17 @@ def make_scene(receiver=(2.5, 2.5, 1.5), layout=None):
     )
 
 
-def zero_signal(n=680):
-    return wf.SampledSignal(samples=np.zeros(n), sample_rate=FS)
+def beacon0_only(sig):
+    """Four-row transmit signal: sig on beacon 0, the other beacons silent."""
+    samples = np.zeros((4, len(sig)))
+    samples[0] = sig.samples
+    return wf.SampledSignal(samples=samples, sample_rate=sig.sample_rate)
 
 
 def tone_burst(n_bits=1, seed=0):
     walsh = wf.walsh_hadamard(4)
     bits = np.ones(n_bits, dtype=np.int64)
-    return wf.generate_tx_signal(
+    return wf.generate_tx_signals(
         make_burst_config(bits), single_channel_plan(n_bits), walsh.row(0)
     )
 
@@ -34,6 +37,14 @@ class TestSceneAndLayout:
     def test_layout_requires_four_beacons(self):
         with pytest.raises(ValueError):
             ch.BeaconLayout(positions=np.zeros((3, 3)))
+
+    def test_layout_freezes_its_own_copy(self):
+        pos = np.array(ch.ORIGINAL_LAYOUT.positions)
+        layout = ch.BeaconLayout(positions=pos)
+        assert pos.flags.writeable
+        assert not layout.positions.flags.writeable
+        pos[0, 0] = 0.1
+        assert layout.positions[0, 0] == 2.5
 
     def test_layout_rejects_coincident_beacons(self):
         pos = np.array([[1, 1, 1], [1, 1, 1], [2, 2, 2], [3, 3, 3]], dtype=float)
@@ -126,7 +137,7 @@ class TestApplyChannel:
         sig = tone_burst()
         scene = self._delay_scene(500)
         model = ch.ChannelModel(snr_db=None)
-        out = ch.apply_channel([sig] + [zero_signal()] * 3, scene, model)
+        out = ch.apply_channel(beacon0_only(sig), scene, model)
         assert np.array_equal(out.samples[:500], np.zeros(500))
         np.testing.assert_allclose(out.samples[500 : 500 + len(sig)], sig.samples, atol=1e-12)
 
@@ -134,11 +145,9 @@ class TestApplyChannel:
         rng = np.random.default_rng(0)
         long_sig = wf.SampledSignal(samples=rng.normal(0, 1, 200_000), sample_rate=FS)
         scene = self._delay_scene(100)
-        clean = ch.apply_channel(
-            [long_sig] + [zero_signal()] * 3, scene, ch.ChannelModel(snr_db=None)
-        )
+        clean = ch.apply_channel(beacon0_only(long_sig), scene, ch.ChannelModel(snr_db=None))
         noisy = ch.apply_channel(
-            [long_sig] + [zero_signal()] * 3, scene, ch.ChannelModel(snr_db=10.0, rng_seed=5)
+            beacon0_only(long_sig), scene, ch.ChannelModel(snr_db=10.0, rng_seed=5)
         )
         noise = noisy.samples - clean.samples
         signal_power = np.mean(clean.samples**2)
@@ -152,7 +161,7 @@ class TestApplyChannel:
         tau0 = ch.direct_delay(scene, 0)
         tap = ch.MultipathTap(delay=tau0 + 0.003, gain=0.5)
         model = ch.ChannelModel(taps_per_beacon=((tap,), (), (), ()), snr_db=None)
-        out = ch.apply_channel([sig] + [zero_signal()] * 3, scene, model)
+        out = ch.apply_channel(beacon0_only(sig), scene, model)
         n0 = int(round(tau0 * FS))
         n_tap = int(round((tau0 + 0.003) * FS))
         assert n_tap >= n0 + len(sig)
@@ -169,10 +178,9 @@ class TestApplyChannel:
         scene = make_scene()
         taps = ch.sample_multipath(scene, np.random.default_rng(1))
         model = ch.ChannelModel(taps_per_beacon=taps, snr_db=None)
-        zeros = [zero_signal(2000)] * 3
-        out_a = ch.apply_channel([a] + zeros, scene, model)
-        out_b = ch.apply_channel([b] + zeros, scene, model)
-        out_ab = ch.apply_channel([ab] + zeros, scene, model)
+        out_a = ch.apply_channel(beacon0_only(a), scene, model)
+        out_b = ch.apply_channel(beacon0_only(b), scene, model)
+        out_ab = ch.apply_channel(beacon0_only(ab), scene, model)
         np.testing.assert_allclose(
             out_ab.samples, out_a.samples + out_b.samples, atol=1e-9
         )
@@ -182,7 +190,7 @@ class TestApplyChannel:
         scene = make_scene()
         taps = ch.sample_multipath(scene, np.random.default_rng(8))
         model = ch.ChannelModel(taps_per_beacon=taps, snr_db=5.0, rng_seed=123)
-        sigs = [sig] + [zero_signal(len(sig))] * 3
+        sigs = beacon0_only(sig)
         out1 = ch.apply_channel(sigs, scene, model)
         out2 = ch.apply_channel(sigs, scene, model)
         assert np.array_equal(out1.samples, out2.samples)
@@ -190,39 +198,35 @@ class TestApplyChannel:
     def test_energy_conserved_without_taps_or_noise(self):
         walsh = wf.walsh_hadamard(4)
         plan = wf.random_hop_plan(8, seed=11)
-        sigs = [
-            wf.generate_tx_signal(
-                make_burst_config(np.ones(8, dtype=np.int64)), plan, walsh.row(i)
-            )
-            for i in range(4)
-        ]
+        sigs = wf.generate_tx_signals(
+            make_burst_config(np.ones((4, 8), dtype=np.int64)), plan, walsh.rows[:4]
+        )
         scene = make_scene(receiver=(1.7, 3.1, 1.2))
         out = ch.apply_channel(sigs, scene, ch.ChannelModel(snr_db=None))
         # distinct delays prevent cross terms from cancelling exactly, so
         # compare total output energy against the energy of each shifted
         # copy summed coherently
         direct = np.zeros(len(out))
-        for i, s in enumerate(sigs):
+        for i, s in enumerate(sigs.samples):
             n0 = int(round(ch.direct_delay(scene, i) * FS))
-            direct[n0 : n0 + len(s)] += s.samples
+            direct[n0 : n0 + s.size] += s
         np.testing.assert_allclose(out.samples, direct, atol=1e-12)
 
-    def test_rejects_mismatched_sample_rates(self):
-        sig = tone_burst()
-        odd = wf.SampledSignal(samples=np.zeros(100), sample_rate=FS / 2)
-        with pytest.raises(ValueError):
-            ch.apply_channel([sig, odd, zero_signal(), zero_signal()], make_scene(), ch.ChannelModel())
-
     def test_rejects_wrong_signal_count(self):
+        three = wf.SampledSignal(samples=np.zeros((3, 680)), sample_rate=FS)
         with pytest.raises(ValueError):
-            ch.apply_channel([tone_burst()] * 3, make_scene(), ch.ChannelModel())
+            ch.apply_channel(three, make_scene(), ch.ChannelModel())
+
+    def test_rejects_one_dimensional_signal(self):
+        with pytest.raises(ValueError, match=r"\(4, n\), got \(680,\)"):
+            ch.apply_channel(tone_burst(), make_scene(), ch.ChannelModel())
 
     def test_rejects_tap_before_direct_path(self):
         scene = make_scene()
         tap = ch.MultipathTap(delay=1e-6, gain=0.3)
         model = ch.ChannelModel(taps_per_beacon=((tap,), (), (), ()), snr_db=None)
         with pytest.raises(ValueError):
-            ch.apply_channel([tone_burst()] + [zero_signal()] * 3, scene, model)
+            ch.apply_channel(beacon0_only(tone_burst()), scene, model)
 
 
 class TestSampleMultipath:

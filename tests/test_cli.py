@@ -208,6 +208,7 @@ class TestErrorPaths:
             "[waveform]\ncenter_frequencies = 22500\nhop_reuse_window = 2\n",
             "[scene]\nroom = 4.6, 4.6, 3.5\n",
             "[placement]\nmax_restarts = -1\n",
+            "[placement]\nparents = 0\n",
             "[placement]\nmutation_rate = -0.5\n",
             "[run]\ntrajectory_waypoints = 0\n",
             "[run]\nseed = -1\n",
@@ -228,6 +229,7 @@ class TestErrorPaths:
             "one_channel_reuse_window",
             "layout_outside_room",
             "max_restarts",
+            "parents_zero",
             "mutation_rate",
             "trajectory_waypoints",
             "seed",

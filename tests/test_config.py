@@ -315,6 +315,12 @@ class TestFailLoud:
         with pytest.raises(ConfigError, match=r"\[placement\].*parents"):
             cfg_mod.load_config(path)
 
+    def test_zero_parents_rejected(self, tmp_path):
+        # with no parents the search would never breed
+        path = write(tmp_path, "[placement]\nparents = 0\n")
+        with pytest.raises(ConfigError, match=r"\[placement\] need at least 2 parents"):
+            cfg_mod.load_config(path)
+
     def test_taps_that_cannot_be_spaced_rejected(self, tmp_path):
         path = write(tmp_path, "[channel]\ntaps_per_beacon = 40\n")
         with pytest.raises(ConfigError, match="40 taps .* excess delay range"):

@@ -244,7 +244,7 @@ class TestBreed:
         assert rng.bit_generator.state == spent.bit_generator.state
 
     def test_no_parents_breed_nothing(self):
-        # [placement] parents = 0 is accepted: the search only culls its seeds
+        # a problem never has fewer than 2 parents, but breed stays total
         rng = np.random.default_rng(12)
         state = rng.bit_generator.state
         assert placement.breed([], fast_problem(), rng) == []
@@ -369,6 +369,11 @@ class TestProblemValidation:
     def test_rejects_more_parents_than_population(self):
         with pytest.raises(ValueError):
             placement.PlacementProblem(population=10, parents=12)
+
+    @pytest.mark.parametrize("parents", [0, -2])
+    def test_rejects_fewer_than_two_parents(self, parents):
+        with pytest.raises(ValueError, match="at least 2 parents"):
+            placement.PlacementProblem(population=10, parents=parents)
 
     def test_rejects_odd_parent_count(self):
         with pytest.raises(ValueError):

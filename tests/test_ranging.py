@@ -19,7 +19,7 @@ def coded_burst(walsh, row_index, bits=None, n_bits=16, seed=0, plan_seed=10):
         bits = wf.random_data_bits(n_bits, rng)
     plan = wf.random_hop_plan(len(bits), seed=plan_seed)
     config = make_burst_config(bits)
-    return config, plan, wf.generate_tx_signal(config, plan, walsh.row(row_index))
+    return config, plan, wf.generate_tx_signals(config, plan, walsh.row(row_index))
 
 
 def shifted(sig, n, tail=0):
@@ -34,7 +34,7 @@ class TestDespread:
         # despreading a beacon's own signal with its own code equals the
         # same bits spread with the all-ones row
         config, plan, sig = coded_burst(walsh4, row_index=2)
-        uncoded = wf.generate_tx_signal(config, plan, walsh4.row(0))
+        uncoded = wf.generate_tx_signals(config, plan, walsh4.row(0))
         result = rg.despread(sig, walsh4.row(2), config)
         assert not result.truncated
         assert np.array_equal(result.signal.samples, uncoded.samples)
@@ -74,8 +74,8 @@ class TestDespread:
         plan = wf.random_hop_plan(32, seed=5)
         for i in range(4):
             config = make_burst_config(wf.random_data_bits(32, rng))
-            sig = wf.generate_tx_signal(config, plan, walsh4.row(i))
-            uncoded = wf.generate_tx_signal(config, plan, walsh4.row(0))
+            sig = wf.generate_tx_signals(config, plan, walsh4.row(i))
+            uncoded = wf.generate_tx_signals(config, plan, walsh4.row(0))
             matched = np.abs(
                 rg.cross_correlate(
                     rg.despread(sig, walsh4.row(i), config).signal, uncoded
@@ -148,17 +148,14 @@ class TestStackedCrossCorrelate:
     def test_rows_match_naive_summation_oracle(self):
         rng = np.random.default_rng(3)
         received = wf.SampledSignal(samples=rng.normal(0, 1, 3_000), sample_rate=FS)
-        refs = [
-            wf.SampledSignal(samples=rng.normal(0, 1, 1_200), sample_rate=FS)
-            for _ in range(4)
-        ]
+        refs = wf.SampledSignal(samples=rng.normal(0, 1, (4, 1_200)), sample_rate=FS)
         fast = rg.cross_correlate(received, refs)
         n_lags = len(received) - 1_200 + 1
         assert fast.shape == (4, n_lags)
-        for row, ref in zip(fast, refs):
+        for row, ref in zip(fast, refs.samples):
             naive = np.array(
                 [
-                    np.dot(received.samples[lag : lag + len(ref)], ref.samples)
+                    np.dot(received.samples[lag : lag + ref.size], ref)
                     for lag in range(n_lags)
                 ]
             )
@@ -170,26 +167,14 @@ class TestStackedCrossCorrelate:
         ref = wf.SampledSignal(samples=rng.normal(0, 1, 500), sample_rate=FS)
         single = rg.cross_correlate(received, ref)
         assert single.ndim == 1
+        one_row = wf.SampledSignal(samples=ref.samples[None, :], sample_rate=FS)
         np.testing.assert_allclose(
-            single, rg.cross_correlate(received, [ref])[0], rtol=0, atol=1e-9
+            single, rg.cross_correlate(received, one_row)[0], rtol=0, atol=1e-9
         )
-
-    def test_rejects_unequal_reference_lengths(self):
-        rng = np.random.default_rng(5)
-        received = wf.SampledSignal(samples=rng.normal(0, 1, 2_000), sample_rate=FS)
-        refs = [
-            wf.SampledSignal(samples=rng.normal(0, 1, n), sample_rate=FS)
-            for n in (500, 501)
-        ]
-        with pytest.raises(ValueError, match="one length"):
-            rg.cross_correlate(received, refs)
 
     def test_rejects_rate_mismatch_in_stack(self):
         received = wf.SampledSignal(samples=np.ones(2_000), sample_rate=FS)
-        refs = [
-            wf.SampledSignal(samples=np.ones(500), sample_rate=FS),
-            wf.SampledSignal(samples=np.ones(500), sample_rate=FS / 2),
-        ]
+        refs = wf.SampledSignal(samples=np.ones((2, 500)), sample_rate=FS / 2)
         with pytest.raises(ValueError, match="sample rates"):
             rg.cross_correlate(received, refs)
 
@@ -201,10 +186,8 @@ def channel_composite(seed, snr_db):
     position = rng.uniform([0.5, 0.5, 0.5], [4.5, 4.5, 3.0])
     scene = ch.Scene(ch.ROOM_DIMS, ch.ORIGINAL_LAYOUT, position)
     plan = wf.random_hop_plan(wf.BURST_BITS, seed=int(rng.integers(2**31)))
-    configs = [
-        make_burst_config(wf.random_data_bits(wf.BURST_BITS, rng)) for _ in range(4)
-    ]
-    refs = wf.generate_tx_signals(configs, plan, [walsh.row(i) for i in range(4)])
+    config = make_burst_config(wf.random_data_bits((4, wf.BURST_BITS), rng))
+    refs = wf.generate_tx_signals(config, plan, walsh.rows[:4])
     model = ch.ChannelModel(
         taps_per_beacon=ch.sample_multipath(scene, rng),
         snr_db=snr_db,
@@ -221,8 +204,8 @@ class TestEstimateRanges:
         for seed in range(25):
             received, refs = channel_composite(seed, snr_db)
             estimates = rg.estimate_ranges(received, refs, C)
-            for i, (est, ref) in enumerate(zip(estimates, refs)):
-                oracle = sp_signal.correlate(received.samples, ref.samples, mode="valid")
+            for i, (est, ref) in enumerate(zip(estimates, refs.samples)):
+                oracle = sp_signal.correlate(received.samples, ref, mode="valid")
                 assert est.beacon_index == i
                 assert est.peak_sample == int(np.argmax(np.abs(oracle)))
                 assert est.peak_value == pytest.approx(
@@ -232,20 +215,31 @@ class TestEstimateRanges:
     def test_agrees_with_single_beacon_estimate(self, walsh4):
         rng = np.random.default_rng(8)
         plan = wf.random_hop_plan(16, seed=3)
-        configs = [make_burst_config(wf.random_data_bits(16, rng)) for _ in range(4)]
-        refs = wf.generate_tx_signals(configs, plan, [walsh4.row(i) for i in range(4)])
+        config = make_burst_config(wf.random_data_bits((4, 16), rng))
+        refs = wf.generate_tx_signals(config, plan, walsh4.rows[:4])
         received = wf.SampledSignal(
             samples=np.sum(
-                [shifted(r, 100 * (i + 1), tail=400 - 100 * i).samples for i, r in enumerate(refs)],
+                [
+                    np.concatenate([np.zeros(100 * (i + 1)), r, np.zeros(400 - 100 * i)])
+                    for i, r in enumerate(refs.samples)
+                ],
                 axis=0,
             ),
             sample_rate=FS,
         )
         together = rg.estimate_ranges(received, refs, C)
         for i in range(4):
-            alone = rg.estimate_range(received, i, configs[i], plan, walsh4.row(i), C)
+            one_row = wf.SampledSignal(samples=refs.samples[i : i + 1], sample_rate=FS)
+            (alone,) = rg.estimate_ranges(received, one_row, C)
             assert alone.peak_sample == together[i].peak_sample == 100 * (i + 1)
-            assert alone.beacon_index == together[i].beacon_index == i
+            assert together[i].beacon_index == i
+            assert alone.beacon_index == 0
+
+
+def estimate_one(received, config, plan, code_row):
+    """Range one beacon: its burst is a one-row reference."""
+    reference = wf.generate_tx_signals(config, plan, code_row)
+    return rg.estimate_ranges(received, reference, C)[0]
 
 
 class TestEstimateRange:
@@ -254,43 +248,36 @@ class TestEstimateRange:
         true_distance = 3.43
         delay = int(round(true_distance / C * FS))
         received = shifted(sig, delay, tail=100)
-        est = rg.estimate_range(received, 1, config, plan, walsh4.row(1), C)
+        est = estimate_one(received, config, plan, walsh4.row(1))
         assert abs(est.distance - true_distance) <= C / FS
         assert est.peak_sample == delay
-        assert est.beacon_index == 1
+        assert est.beacon_index == 0
 
     def test_zero_delay_loopback(self, walsh4):
         config, plan, sig = coded_burst(walsh4, row_index=0)
-        est = rg.estimate_range(sig, 0, config, plan, walsh4.row(0), C)
+        est = estimate_one(sig, config, plan, walsh4.row(0))
         assert est.distance == 0.0
         assert est.peak_sample == 0
 
     def test_peak_sample_tracks_delay_exactly(self, walsh4):
         config, plan, sig = coded_burst(walsh4, row_index=3)
-        base = rg.estimate_range(
-            shifted(sig, 300, tail=800), 3, config, plan, walsh4.row(3), C
-        )
+        base = estimate_one(shifted(sig, 300, tail=800), config, plan, walsh4.row(3))
         for extra in (1, 17, 500):
-            more = rg.estimate_range(
-                shifted(sig, 300 + extra, tail=800 - extra),
-                3,
-                config,
-                plan,
-                walsh4.row(3),
-                C,
+            more = estimate_one(
+                shifted(sig, 300 + extra, tail=800 - extra), config, plan, walsh4.row(3)
             )
             assert more.peak_sample == base.peak_sample + extra
 
     def test_distance_identity(self, walsh4):
         config, plan, sig = coded_burst(walsh4, row_index=2)
-        est = rg.estimate_range(shifted(sig, 777), 2, config, plan, walsh4.row(2), C)
+        est = estimate_one(shifted(sig, 777), config, plan, walsh4.row(2))
         assert est.distance == pytest.approx(est.peak_sample / FS * C, rel=1e-15)
 
     def test_all_zero_signal_raises(self, walsh4):
         config, plan, sig = coded_burst(walsh4, 0, n_bits=2)
         zeros = wf.SampledSignal(samples=np.zeros(len(sig) + 10), sample_rate=FS)
         with pytest.raises(NoPeakError):
-            rg.estimate_range(zeros, 0, config, plan, walsh4.row(0), C)
+            estimate_one(zeros, config, plan, walsh4.row(0))
 
 
 class TestDecodeBits:
@@ -302,15 +289,9 @@ class TestDecodeBits:
     def test_four_beacon_composite_zero_errors(self, walsh4):
         rng = np.random.default_rng(9)
         plan = wf.random_hop_plan(32, seed=42)
-        configs = [
-            make_burst_config(wf.random_data_bits(32, rng)) for _ in range(4)
-        ]
-        sigs = [
-            wf.generate_tx_signal(configs[i], plan, walsh4.row(i)) for i in range(4)
-        ]
-        composite = wf.SampledSignal(
-            samples=np.sum([s.samples for s in sigs], axis=0), sample_rate=FS
-        )
+        config = make_burst_config(wf.random_data_bits((4, 32), rng))
+        sigs = wf.generate_tx_signals(config, plan, walsh4.rows[:4])
+        composite = wf.SampledSignal(samples=sigs.samples.sum(axis=0), sample_rate=FS)
         for i in range(4):
-            decoded = rg.decode_bits(composite, walsh4.row(i), plan, configs[i])
-            assert np.array_equal(decoded, configs[i].data_bits)
+            decoded = rg.decode_bits(composite, walsh4.row(i), plan, config)
+            assert np.array_equal(decoded, config.data_bits[i])

@@ -115,7 +115,7 @@ class TestGenerateTxSignal:
         # must be exactly sin(2*pi*f*t) sample by sample
         config = make_burst_config([1])
         plan = single_channel_plan(1)
-        sig = wf.generate_tx_signal(config, plan, walsh4.row(0))
+        sig = wf.generate_tx_signals(config, plan, walsh4.row(0))
         assert len(sig) == 680
         expected = np.array(
             [math.sin(2.0 * math.pi * 22_500.0 * k / 340_000.0) for k in range(680)]
@@ -124,16 +124,16 @@ class TestGenerateTxSignal:
 
     def test_bpsk_antipodality_single_bit(self, walsh4):
         plan = single_channel_plan(1)
-        pos = wf.generate_tx_signal(make_burst_config([1]), plan, walsh4.row(0))
-        neg = wf.generate_tx_signal(make_burst_config([-1]), plan, walsh4.row(0))
+        pos = wf.generate_tx_signals(make_burst_config([1]), plan, walsh4.row(0))
+        neg = wf.generate_tx_signals(make_burst_config([-1]), plan, walsh4.row(0))
         assert np.array_equal(neg.samples, -pos.samples)
 
     def test_antipodality_full_burst(self, walsh4):
         rng = np.random.default_rng(4)
         bits = wf.random_data_bits(16, rng)
         plan = wf.random_hop_plan(16, seed=21)
-        a = wf.generate_tx_signal(make_burst_config(bits), plan, walsh4.row(2))
-        b = wf.generate_tx_signal(make_burst_config(-bits), plan, walsh4.row(2))
+        a = wf.generate_tx_signals(make_burst_config(bits), plan, walsh4.row(2))
+        b = wf.generate_tx_signals(make_burst_config(-bits), plan, walsh4.row(2))
         assert np.array_equal(b.samples, -a.samples)
 
     def test_symbol_energy_lands_on_assigned_channel(self, walsh4):
@@ -143,7 +143,7 @@ class TestGenerateTxSignal:
             wf.CENTER_FREQUENCIES, wf.CHANNEL_BANDWIDTH, np.array([0, 3]), 0.0
         )
         config = make_burst_config([1, 1])
-        sig = wf.generate_tx_signal(config, plan, walsh4.row(0))
+        sig = wf.generate_tx_signals(config, plan, walsh4.row(0))
         sps = config.samples_per_symbol
         for s, ch in enumerate([0, 3]):
             segment = sig.samples[s * sps : (s + 1) * sps]
@@ -160,12 +160,12 @@ class TestGenerateTxSignal:
         for n_bits in (1, 7, 32):
             bits = np.ones(n_bits, dtype=np.int64)
             plan = wf.random_hop_plan(n_bits, seed=1)
-            sig = wf.generate_tx_signal(make_burst_config(bits), plan, walsh4.row(1))
+            sig = wf.generate_tx_signals(make_burst_config(bits), plan, walsh4.row(1))
             assert len(sig) == n_bits * round(wf.SYMBOL_DURATION * wf.SAMPLE_RATE)
 
     def test_unit_peak_amplitude(self, walsh4):
         plan = wf.random_hop_plan(8, seed=2)
-        sig = wf.generate_tx_signal(
+        sig = wf.generate_tx_signals(
             make_burst_config(np.ones(8, dtype=np.int64)), plan, walsh4.row(3)
         )
         assert np.max(np.abs(sig.samples)) <= 1.0 + 1e-12
@@ -175,51 +175,61 @@ class TestGenerateTxSignal:
         plan = single_channel_plan(2)
         config = make_burst_config([1, 1, 1])
         with pytest.raises(ValueError):
-            wf.generate_tx_signal(config, plan, walsh4.row(0))
+            wf.generate_tx_signals(config, plan, walsh4.row(0))
 
     def test_rejects_chip_misalignment(self, walsh4):
         # 682 samples/symbol is not divisible by the 4-chip code
         config = make_burst_config([1], symbol_duration=682 / 340_000.0)
         plan = single_channel_plan(1)
         with pytest.raises(ChipAlignmentError):
-            wf.generate_tx_signal(config, plan, walsh4.row(0))
+            wf.generate_tx_signals(config, plan, walsh4.row(0))
 
     def test_rejects_fractional_symbol_samples(self, walsh4):
         config = make_burst_config([1], symbol_duration=680.5 / 340_000.0)
         plan = single_channel_plan(1)
         with pytest.raises(ChipAlignmentError):
-            wf.generate_tx_signal(config, plan, walsh4.row(0))
+            wf.generate_tx_signals(config, plan, walsh4.row(0))
 
     def test_rejects_sub_nyquist_rate(self, walsh4):
         config = make_burst_config([1], sample_rate=68_000.0, symbol_duration=0.002)
         plan = single_channel_plan(1, freq=47_500.0)
         with pytest.raises(ValueError):
-            wf.generate_tx_signal(config, plan, walsh4.row(0))
+            wf.generate_tx_signals(config, plan, walsh4.row(0))
 
 
 class TestGenerateTxSignals:
     def test_equals_one_burst_per_beacon(self, walsh4):
         rng = np.random.default_rng(6)
         plan = wf.random_hop_plan(32, seed=9, carrier_phase=0.4)
-        configs = [make_burst_config(wf.random_data_bits(32, rng)) for _ in range(4)]
-        rows = [walsh4.row(i) for i in range(4)]
-        together = wf.generate_tx_signals(configs, plan, rows)
-        for config, row, sig in zip(configs, rows, together):
-            alone = wf.generate_tx_signal(config, plan, row)
-            assert np.array_equal(sig.samples, alone.samples)
-            assert sig.sample_rate == alone.sample_rate
-
-    def test_rejects_mismatched_burst_lengths(self, walsh4):
-        plan = wf.random_hop_plan(4, seed=1)
-        configs = [make_burst_config([1, 1, 1, 1]), make_burst_config([1, 1, 1])]
-        with pytest.raises(ValueError):
-            wf.generate_tx_signals(configs, plan, [walsh4.row(0), walsh4.row(1)])
+        config = make_burst_config(wf.random_data_bits((4, 32), rng))
+        together = wf.generate_tx_signals(config, plan, walsh4.rows[:4])
+        assert together.samples.shape == (4, 32 * config.samples_per_symbol)
+        assert len(together) == together.samples.shape[1]
+        for i, row in enumerate(together.samples):
+            alone = wf.generate_tx_signals(
+                make_burst_config(config.data_bits[i]), plan, walsh4.row(i)
+            )
+            assert np.array_equal(row, alone.samples)
+            assert together.sample_rate == alone.sample_rate
 
     def test_rejects_missing_code_row(self, walsh4):
         plan = wf.random_hop_plan(2, seed=1)
-        configs = [make_burst_config([1, 1]), make_burst_config([1, -1])]
+        config = make_burst_config([[1, 1], [1, -1]])
         with pytest.raises(ValueError):
-            wf.generate_tx_signals(configs, plan, [walsh4.row(0)])
+            wf.generate_tx_signals(config, plan, walsh4.rows[:1])
+
+
+class TestRandomDataBits:
+    @pytest.mark.parametrize("n_bits", [1, 7, 16, 32, 33])
+    def test_stacked_draw_equals_successive_draws(self, n_bits):
+        # a (4, n) draw is four n-bit draws row for row, and it leaves the
+        # generator where the four draws leave it
+        stacked_rng = np.random.default_rng(n_bits)
+        rows_rng = np.random.default_rng(n_bits)
+        stacked = wf.random_data_bits((4, n_bits), stacked_rng)
+        rows = [wf.random_data_bits(n_bits, rows_rng) for _ in range(4)]
+        assert np.array_equal(stacked, np.stack(rows))
+        assert stacked_rng.bit_generator.state == rows_rng.bit_generator.state
 
 
 class TestSpectralOccupancy:
@@ -228,7 +238,7 @@ class TestSpectralOccupancy:
     def _fraction(self, walsh4, row_index, freq=32_500.0):
         config = make_burst_config([1])
         plan = single_channel_plan(1, freq=freq)
-        sig = wf.generate_tx_signal(config, plan, walsh4.row(row_index))
+        sig = wf.generate_tx_signals(config, plan, walsh4.row(row_index))
         return wf.band_energy_fraction(
             sig.samples, sig.sample_rate, freq - 2_500.0, freq + 2_500.0
         )
@@ -263,6 +273,16 @@ class TestValidation:
     def test_config_rejects_empty_bits(self):
         with pytest.raises(ValueError):
             wf.WaveformConfig(data_bits=np.array([], dtype=np.int64))
+
+    @pytest.mark.parametrize("shape", [(), (2, 2, 2)])
+    def test_config_rejects_bits_neither_1d_nor_2d(self, shape):
+        with pytest.raises(ValueError, match=r"\(n_bits,\) or \(k, n_bits\)"):
+            wf.WaveformConfig(data_bits=np.ones(shape, dtype=np.int64))
+
+    def test_stacked_signal_counts_samples_per_row(self):
+        sig = wf.SampledSignal(samples=np.zeros((4, 680)), sample_rate=340_000.0)
+        assert len(sig) == 680
+        assert sig.duration == pytest.approx(0.002)
 
     def test_signal_rejects_non_finite(self):
         with pytest.raises(ValueError):
