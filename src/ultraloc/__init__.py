@@ -17,10 +17,9 @@ from .channel import (
     SPEED_OF_SOUND,
     BeaconLayout,
     ChannelModel,
-    MultipathTap,
     Scene,
     apply_channel,
-    direct_delay,
+    direct_delays,
     sample_multipath,
 )
 from .config import SimConfig, default_config, load_config
@@ -34,10 +33,10 @@ from .dop import (
     dop_average,
 )
 from .fusion import FusionWeights, fuse_height, simulate_ceiling_echo
-from .harness import TrialRecord, Trajectory, make_trajectory, run_fix, run_trajectory, sweep_snr
+from .harness import TrialRecord, make_trajectory, run_fix, run_trajectory, sweep_snr
 from .placement import BeaconDomain, PlacementProblem, PlacementResult, optimize
 from .ranging import (
-    RangeEstimate,
+    RangeEstimates,
     cross_correlate,
     decode_bits,
     despread,

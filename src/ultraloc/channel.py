@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,45 +99,31 @@ class Scene:
         rx = np.asarray(self.receiver_position, dtype=float)
         if rx.shape != (3,):
             raise ValueError("receiver position must be a 3-vector")
-        if not _inside_box(rx, dims):
+        if not np.all((0.0 < rx) & (rx < dims)):
             raise ValueError(f"receiver {rx} is not strictly inside the room {dims}")
-        for i, b in enumerate(self.beacons.positions):
-            if not _inside_box(b, dims, allow_boundary=True):
-                raise ValueError(f"beacon {i} at {b} lies outside the room {dims}")
+        beacons = self.beacons.positions
+        outside = ~np.all((0.0 <= beacons) & (beacons <= dims), axis=1)
+        if outside.any():
+            i = int(outside.argmax())
+            raise ValueError(f"beacon {i} at {beacons[i]} lies outside the room {dims}")
         object.__setattr__(self, "room_dims", dims)
         object.__setattr__(self, "receiver_position", rx)
 
 
-def _inside_box(p: np.ndarray, dims: tuple[float, float, float], allow_boundary: bool = False) -> bool:
-    if allow_boundary:
-        return all(0.0 <= p[i] <= dims[i] for i in range(3))
-    return all(0.0 < p[i] < dims[i] for i in range(3))
-
-
-@dataclass(frozen=True)
-class MultipathTap:
-    """One reflected path: absolute arrival delay and amplitude gain."""
-
-    delay: float
-    gain: float
-
-    def __post_init__(self):
-        if self.delay <= 0:
-            raise ValueError("tap delay must be positive")
-        if abs(self.gain) >= 1.0:
-            raise ValueError("tap gain magnitude must be below 1")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity, as arrays have no single truth value
 class ChannelModel:
-    """Per-beacon multipath tap sets plus the AWGN level.
+    """Per-beacon multipath taps plus the AWGN level.
 
-    snr_db of None (or +inf) disables noise. The seed makes the noise
-    realization reproducible; multipath taps are carried explicitly so a
-    trial's channel is fully pinned down by this object.
+    Row i of tap_delays and tap_gains holds beacon i's reflected paths:
+    absolute arrival delays (s, positive) and amplitude gains (|g| < 1),
+    both float (4, n_taps) arrays, stored as read-only copies. snr_db of
+    None (or +inf) disables noise. The seed makes the noise realization
+    reproducible; the taps are carried explicitly so a trial's channel is
+    fully pinned down by this object.
     """
 
-    taps_per_beacon: tuple[tuple[MultipathTap, ...], ...] = ((), (), (), ())
+    tap_delays: np.ndarray = field(default_factory=lambda: np.zeros((4, 0)))
+    tap_gains: np.ndarray = field(default_factory=lambda: np.zeros((4, 0)))
     snr_db: float | None = None
     speed_of_sound: float = SPEED_OF_SOUND
     rng_seed: int = 0
@@ -145,17 +131,28 @@ class ChannelModel:
     def __post_init__(self):
         if self.speed_of_sound <= 0:
             raise ValueError("speed of sound must be positive")
-        taps = tuple(tuple(t) for t in self.taps_per_beacon)
-        if len(taps) != 4:
-            raise ValueError("expected one tap list per beacon (4 total)")
-        object.__setattr__(self, "taps_per_beacon", taps)
+        delays = np.array(self.tap_delays, dtype=float)
+        gains = np.array(self.tap_gains, dtype=float)
+        if delays.ndim != 2 or delays.shape[0] != 4 or gains.shape != delays.shape:
+            raise ValueError(
+                f"expected (4, n_taps) tap delays and gains, got {delays.shape} and {gains.shape}"
+            )
+        if not np.all(delays > 0):
+            raise ValueError("tap delays must be positive")
+        if not np.all(np.abs(gains) < 1.0):
+            raise ValueError("tap gain magnitudes must be below 1")
+        delays.setflags(write=False)
+        gains.setflags(write=False)
+        object.__setattr__(self, "tap_delays", delays)
+        object.__setattr__(self, "tap_gains", gains)
 
 
-def direct_delay(scene: Scene, beacon_index: int, c: float = SPEED_OF_SOUND) -> float:
-    """One-way propagation delay from a beacon to the receiver, in seconds."""
-    beacon = scene.beacons.positions[beacon_index]
-    distance = float(np.linalg.norm(beacon - scene.receiver_position))
-    return distance / c
+def direct_delays(scene: Scene, c: float = SPEED_OF_SOUND) -> np.ndarray:
+    """One-way propagation delay from each beacon to the receiver, in seconds, shape (4,)."""
+    d = scene.beacons.positions - scene.receiver_position
+    # vecdot runs the same ddot kernel as the scalar np.linalg.norm(d[i]);
+    # norm(d, axis=-1) rounds another way on about one pair in ten
+    return np.sqrt(np.vecdot(d, d)) / c
 
 
 def sample_multipath(
@@ -167,11 +164,12 @@ def sample_multipath(
     decay_time: float = TAP_DECAY_TIME,
     c: float = SPEED_OF_SOUND,
     min_spacing: float = MIN_TAP_SPACING,
-) -> tuple[tuple[MultipathTap, ...], ...]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw one Rayleigh-faded multipath realization for every beacon.
 
-    Excess delays are uniform over excess_delay_range with pairwise
-    spacing of at least min_spacing; the mean tap power starts
+    Returns (tap_delays, tap_gains), each (4, n_taps), as ChannelModel
+    takes them. Excess delays are uniform over excess_delay_range with
+    pairwise spacing of at least min_spacing; the mean tap power starts
     first_tap_db below the direct path and decays exponentially with
     excess delay (time constant decay_time). Gain magnitudes are Rayleigh
     draws around that profile, clipped at MAX_TAP_GAIN, with random sign.
@@ -182,22 +180,20 @@ def sample_multipath(
     if min_spacing * (n_taps - 1) >= (hi - lo):
         raise ValueError("excess delay range too narrow for the tap spacing")
     p0 = 10.0 ** (first_tap_db / 10.0)
-    taps_all = []
+    tau0 = direct_delays(scene, c)
+    delays = np.empty((4, n_taps))
+    gains = np.empty((4, n_taps))
+    # one beacon after another: delays, magnitudes, signs; that order fixes the stream
     for i in range(4):
-        tau0 = direct_delay(scene, i, c)
         excess = _spaced_uniform(rng, lo, hi, n_taps, min_spacing)
         mean_power = p0 * np.exp(-(excess - lo) / decay_time)
         # Rayleigh scale sigma gives E[g^2] = 2 sigma^2 = mean_power
         mags = rng.rayleigh(scale=np.sqrt(mean_power / 2.0))
         mags = np.minimum(mags, MAX_TAP_GAIN)
         signs = rng.choice((-1.0, 1.0), size=n_taps)
-        taps_all.append(
-            tuple(
-                MultipathTap(delay=tau0 + float(e), gain=float(s * m))
-                for e, m, s in zip(excess, mags, signs)
-            )
-        )
-    return tuple(taps_all)
+        delays[i] = tau0[i] + excess
+        gains[i] = signs * mags
+    return delays, gains
 
 
 def _spaced_uniform(
@@ -237,21 +233,22 @@ def apply_channel(tx: SampledSignal, scene: Scene, model: ChannelModel) -> Sampl
     if tx.samples.shape[:-1] != (4,):
         raise ValueError(f"expected one burst row per beacon (4, n), got {tx.samples.shape}")
     fs = tx.sample_rate
+    tau0 = direct_delays(scene, model.speed_of_sound)
+    early = model.tap_delays <= tau0[:, None]
+    if early.any():
+        i, k = np.argwhere(early)[0]
+        raise ValueError(
+            f"beacon {i} tap delay {model.tap_delays[i, k]}s not beyond direct path {tau0[i]}s"
+        )
 
-    arrivals = []  # (delay_samples, gain, samples)
-    for i, row in enumerate(tx.samples):
-        tau0 = direct_delay(scene, i, model.speed_of_sound)
-        arrivals.append((int(round(tau0 * fs)), 1.0, row))
-        for tap in model.taps_per_beacon[i]:
-            if tap.delay <= tau0:
-                raise ValueError(
-                    f"beacon {i} tap delay {tap.delay}s not beyond direct path {tau0}s"
-                )
-            arrivals.append((int(round(tap.delay * fs)), tap.gain, row))
-
-    clean = np.zeros(max(n for n, _, _ in arrivals) + len(tx))
-    for n, g, s in arrivals:
-        clean[n : n + s.size] += g * s
+    # per beacon row: the direct path first, then its taps in order
+    delays = np.column_stack([tau0, model.tap_delays])
+    gains = np.column_stack([np.ones(4), model.tap_gains])
+    lags = np.rint(delays * fs).astype(np.int64)
+    clean = np.zeros(int(lags.max()) + len(tx))
+    for row, row_lags, row_gains in zip(tx.samples, lags.tolist(), gains.tolist()):
+        for n, g in zip(row_lags, row_gains):
+            clean[n : n + row.size] += g * row
 
     noisy = clean
     if model.snr_db is not None and not math.isinf(model.snr_db):

@@ -26,46 +26,48 @@ from .errors import UltralocError
 from .placement import optimize as run_placement
 
 
+# The optional flags, each registered only on the commands that read it.
+_FLAGS = {
+    "seed": dict(type=int, help="master RNG seed"),
+    "trials": dict(type=int, help="trial count override"),
+    "layout": dict(type=str, help="'original', 'optimized', or a coordinate file"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ultraloc",
         description="Ultrasonic FH-CDMA indoor localization simulation lab",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("simulate", "run seeded fixes at random drone positions"),
-        ("sweep", "sweep localization error over SNR values"),
-        ("trajectory", "localize along a random piecewise-linear path"),
-        ("optimize", "search for a beacon placement minimizing average VDOP"),
-        ("dopmap", "emit the DOP lattice for a layout"),
-        ("rangetest", "per-beacon ranging diagnostics"),
+    for name, helptext, flags in (
+        ("simulate", "run seeded fixes at random drone positions", "seed trials layout"),
+        ("sweep", "sweep localization error over SNR values", "seed trials layout"),
+        ("trajectory", "localize along a random piecewise-linear path", "seed layout"),
+        ("optimize", "search for a beacon placement minimizing average VDOP", "seed"),
+        ("dopmap", "emit the DOP lattice for a layout", "layout"),
+        ("rangetest", "per-beacon ranging diagnostics", "seed trials layout"),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", type=str, default=None, help="config file path")
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed")
         p.add_argument("--out", type=str, default=".", help="output directory")
-        p.add_argument("--trials", type=int, default=None, help="trial count override")
-        p.add_argument(
-            "--layout",
-            type=str,
-            default=None,
-            help="'original', 'optimized', or a coordinate file",
-        )
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", default=None, **_FLAGS[flag])
     return parser
 
 
 def _load(args: argparse.Namespace) -> SimConfig:
     cfg = load_config(args.config) if args.config else default_config()
-    if args.seed is not None:
-        cfg = replace(cfg, run=replace(cfg.run, seed=args.seed))
-    if args.trials is not None:
-        cfg = replace(cfg, run=replace(cfg.run, trials=args.trials))
-    if args.layout is not None:
+    flags = vars(args)  # a command has only the flags it reads
+    if flags.get("seed") is not None:
+        cfg = replace(cfg, run=replace(cfg.run, seed=flags["seed"]))
+    if flags.get("trials") is not None:
+        cfg = replace(cfg, run=replace(cfg.run, trials=flags["trials"]))
+    layout = flags.get("layout")
+    if layout is not None:
         cfg = replace(
             cfg,
-            scene=replace(
-                cfg.scene, layout_name=args.layout, layout=resolve_layout(args.layout)
-            ),
+            scene=replace(cfg.scene, layout_name=layout, layout=resolve_layout(layout)),
         )
     validate_config(cfg, source="command line")
     return cfg
@@ -73,7 +75,10 @@ def _load(args: argparse.Namespace) -> SimConfig:
 
 def _outdir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UltralocError(f"cannot use {out} as output directory: {exc.strerror}") from exc
     return out
 
 

@@ -23,7 +23,7 @@ from .channel import (
     ChannelModel,
     Scene,
     apply_channel,
-    direct_delay,
+    direct_delays,
     sample_multipath,
 )
 from .config import SimConfig
@@ -103,19 +103,6 @@ class TrialRecord:
         ]
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Fix points along a flight path."""
-
-    waypoints: np.ndarray
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
-        if pts.shape[0] < 1 or pts.shape[1] != 3:
-            raise ValueError("trajectory needs at least one 3-D waypoint")
-        object.__setattr__(self, "waypoints", pts)
-
-
 def random_position(domain: DroneDomain, rng: np.random.Generator) -> np.ndarray:
     return np.array(
         [
@@ -131,8 +118,8 @@ def make_trajectory(
     seed: int,
     n_waypoints: int = 8,
     fix_spacing: float = 0.25,
-) -> Trajectory:
-    """Seeded piecewise-linear random path resampled at fix_spacing."""
+) -> np.ndarray:
+    """Seeded piecewise-linear random path resampled at fix_spacing, as (n, 3) fix points."""
     if n_waypoints < 1:
         raise ValueError("need at least one waypoint")
     rng = np.random.default_rng([seed, _STREAM_TRAJECTORY])
@@ -146,7 +133,7 @@ def make_trajectory(
         n_steps = max(int(math.floor(length / fix_spacing)), 1)
         for k in range(1, n_steps + 1):
             fixes.append(a + seg * min(k * fix_spacing / length, 1.0))
-    return Trajectory(waypoints=np.array(fixes))
+    return np.array(fixes)
 
 
 def run_fix(config: SimConfig, true_position: np.ndarray, rng_seed) -> TrialRecord:
@@ -200,12 +187,12 @@ def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> Tr
     tx = references
     if ch.distance_attenuation:
         c = ch.speed_of_sound
-        divisors = np.array([max(direct_delay(scene, i, c) * c, 1.0) for i in range(4)])
+        divisors = np.maximum(direct_delays(scene, c) * c, 1.0)
         tx = replace(references, samples=references.samples / divisors[:, None])
 
-    taps: tuple = ((), (), (), ())
+    tap_delays = tap_gains = np.zeros((4, 0))
     if ch.multipath:
-        taps = sample_multipath(
+        tap_delays, tap_gains = sample_multipath(
             scene,
             rng,
             n_taps=ch.taps_per_beacon,
@@ -215,7 +202,8 @@ def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> Tr
             c=ch.speed_of_sound,
         )
     model = ChannelModel(
-        taps_per_beacon=taps,
+        tap_delays=tap_delays,
+        tap_gains=tap_gains,
         snr_db=ch.snr_db,
         speed_of_sound=ch.speed_of_sound,
         rng_seed=int(rng.integers(2**31)),
@@ -223,7 +211,7 @@ def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> Tr
     received = apply_channel(tx, scene, model)
 
     estimates = estimate_ranges(received, references, ch.speed_of_sound)
-    ranges = np.array([e.distance for e in estimates])
+    ranges = estimates.distances
     true_dists = np.linalg.norm(
         np.asarray(config.scene.layout.positions) - true_position[None, :], axis=1
     )
@@ -262,7 +250,7 @@ def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> Tr
         err_z=err_z,
         err_3d=float(np.hypot(err_xy, err_z)),
         range_errors=ranges - true_dists,
-        peak_samples=tuple(e.peak_sample for e in estimates),
+        peak_samples=tuple(estimates.peak_samples.tolist()),
         failed=False,
         error="",
     )
@@ -288,10 +276,9 @@ def _run_trials(
     ]
 
 
-def simulate(config: SimConfig, trials: int | None = None) -> list[TrialRecord]:
-    """Run seeded fixes at random drone-domain positions at the config SNR."""
-    n = trials if trials is not None else config.run.trials
-    return _run_trials(config, n, _STREAM_SIMULATE)
+def simulate(config: SimConfig) -> list[TrialRecord]:
+    """Run run.trials seeded fixes at random drone-domain positions at the config SNR."""
+    return _run_trials(config, config.run.trials, _STREAM_SIMULATE)
 
 
 def sweep_snr(
@@ -343,14 +330,16 @@ def aggregate_records(records: list[TrialRecord], snr_db: float | None) -> dict:
 
 
 def run_trajectory(
-    config: SimConfig, trajectory: Trajectory
+    config: SimConfig, waypoints: np.ndarray
 ) -> tuple[list[TrialRecord], dict]:
-    """One fix per trajectory point plus a mean-error summary."""
+    """One fix per trajectory point of the (n, 3) waypoints plus a mean-error summary."""
+    waypoints = np.atleast_2d(np.asarray(waypoints, dtype=float))
+    if waypoints.ndim != 2 or waypoints.shape[0] < 1 or waypoints.shape[1] != 3:
+        raise ValueError("trajectory needs at least one 3-D waypoint")
     domain = config.drone_domain()
-    for i, p in enumerate(trajectory.waypoints):
+    for i, p in enumerate(waypoints):
         if not domain.contains(p):
             raise ConfigError(f"trajectory waypoint {i} at {p} is outside the drone domain")
-    waypoints = trajectory.waypoints
     records = _run_trials(config, len(waypoints), _STREAM_TRAJECTORY, positions=waypoints)
     ok = [r for r in records if not r.failed]
     summary = {

@@ -179,16 +179,12 @@ def _draw_separated(
     )
 
 
-def seed_population(
-    problem: PlacementProblem, rng: np.random.Generator | None = None
-) -> list[Individual]:
+def seed_population(problem: PlacementProblem, rng: np.random.Generator) -> list[Individual]:
     """Generate the initial population, stratified to escape local minima.
 
     Deterministic quotas split the population into all-ceiling, all-wall,
     and mixed groups so the search starts spread over the beacon domain.
     """
-    if rng is None:
-        rng = np.random.default_rng(problem.rng_seed)
     candidates = problem.beacon_domain.candidates()
     ceiling_mask = problem.beacon_domain.on_ceiling(candidates)
     ceiling = candidates[ceiling_mask]
@@ -280,16 +276,6 @@ def breed(
                 children.append(Individual(beacons=a[len(children)].copy()))
                 failed = 0
     return children
-
-
-def crossover(
-    parent_a: Individual,
-    parent_b: Individual,
-    problem: PlacementProblem,
-    rng: np.random.Generator,
-) -> Individual:
-    """Mix two placements into one child: breed's one-pair case."""
-    return breed([parent_a, parent_b], problem, rng)[0]
 
 
 _by_fitness = attrgetter("fitness")

@@ -23,14 +23,17 @@ from .errors import NoPeakError
 from .waveform import HopPlan, SampledSignal, WaveformConfig, hop_carrier
 
 
-@dataclass(frozen=True)
-class RangeEstimate:
-    """One beacon's estimated distance and the correlation peak behind it."""
+@dataclass(frozen=True, eq=False)  # compared by identity, as arrays have no single truth value
+class RangeEstimates:
+    """Every beacon's estimated distance and the correlation peak behind it.
 
-    beacon_index: int
-    distance: float
-    peak_sample: int
-    peak_value: float
+    Entry i of each array belongs to reference row i: distance in meters,
+    peak lag in samples, and the peak's correlation magnitude.
+    """
+
+    distances: np.ndarray
+    peak_samples: np.ndarray
+    peak_values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ def estimate_ranges(
     received: SampledSignal,
     references: SampledSignal,
     speed_of_sound: float = SPEED_OF_SOUND,
-) -> list[RangeEstimate]:
+) -> RangeEstimates:
     """Estimate the distance to every beacon from the composite signal.
 
     Row i of references is beacon i's transmitted burst; a 1-D reference
@@ -110,17 +113,13 @@ def estimate_ranges(
     """
     if not np.any(received.samples):
         raise NoPeakError("received signal is all zeros; no correlation peak")
-    corr = np.atleast_2d(cross_correlate(received, references))
-    peaks = np.argmax(np.abs(corr), axis=1)
-    return [
-        RangeEstimate(
-            beacon_index=i,
-            distance=int(peak) / received.sample_rate * speed_of_sound,
-            peak_sample=int(peak),
-            peak_value=float(abs(corr[i, peak])),
-        )
-        for i, peak in enumerate(peaks)
-    ]
+    magnitude = np.abs(np.atleast_2d(cross_correlate(received, references)))
+    peaks = np.argmax(magnitude, axis=1)
+    return RangeEstimates(
+        distances=peaks / received.sample_rate * speed_of_sound,
+        peak_samples=peaks,
+        peak_values=magnitude[np.arange(len(peaks)), peaks],
+    )
 
 
 def decode_bits(

@@ -105,8 +105,8 @@ def test_criterion_2_ranging_quantization_floor():
             samples=np.vstack([tx0.samples, np.zeros((3, len(tx0)))]), sample_rate=FS
         )
         received = apply_channel(tx, scene, ChannelModel())
-        est = rg.estimate_ranges(received, tx0, C)[0]
-        worst = max(worst, abs(est.distance - dist))
+        est = rg.estimate_ranges(received, tx0, C).distances[0]
+        worst = max(worst, abs(est - dist))
     elapsed = time.perf_counter() - t0
     _report(
         2,

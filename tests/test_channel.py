@@ -99,6 +99,18 @@ class TestSceneAndLayout:
         with pytest.raises(ValueError):
             make_scene(layout=bad)
 
+    def test_scene_error_names_first_beacon_outside(self):
+        bad = ch.BeaconLayout(
+            positions=np.array([[2.5, 0, 1.5], [5, 2.5, 4.5], [2.5, 5, 2], [-0.5, 5, 3]])
+        )
+        with pytest.raises(ValueError, match="beacon 1 at"):
+            make_scene(layout=bad)
+
+    @pytest.mark.parametrize("receiver", [(2.5, 5.0, 1.5), (2.5, 2.5, 4.0), (np.nan, 2.5, 1.5)])
+    def test_scene_rejects_receiver_on_far_wall_or_nan(self, receiver):
+        with pytest.raises(ValueError, match="not strictly inside"):
+            make_scene(receiver=receiver)
+
 
 class TestDirectDelay:
     def test_axis_aligned_distance(self):
@@ -106,7 +118,7 @@ class TestDirectDelay:
             positions=np.array([[1.0, 1.0, 0.0], [5, 2.5, 2.5], [2.5, 5, 2], [0, 5, 3]])
         )
         scene = make_scene(receiver=(1.0, 1.0, 3.43), layout=layout)
-        assert ch.direct_delay(scene, 0, c=343.0) == pytest.approx(0.01, abs=1e-15)
+        assert ch.direct_delays(scene, c=343.0)[0] == pytest.approx(0.01, abs=1e-15)
 
     def test_near_coincident_limit(self):
         eps = 1e-6
@@ -114,13 +126,23 @@ class TestDirectDelay:
             positions=np.array([[1.0, 1.0, 1.0], [5, 2.5, 2.5], [2.5, 5, 2], [0, 5, 3]])
         )
         scene = make_scene(receiver=(1.0, 1.0, 1.0 + eps), layout=layout)
-        assert ch.direct_delay(scene, 0, c=343.0) == pytest.approx(eps / 343.0)
+        assert ch.direct_delays(scene, c=343.0)[0] == pytest.approx(eps / 343.0)
 
     def test_reference_geometry_by_hand(self):
         # beacon (2.5, 0, 1.5) to receiver (2.5, 2.5, 1.5) is 2.5 m
         scene = make_scene(receiver=(2.5, 2.5, 1.5))
-        assert ch.direct_delay(scene, 0, c=343.0) == pytest.approx(2.5 / 343.0)
-        assert ch.direct_delay(scene, 0, c=343.0) == pytest.approx(7.289e-3, abs=1e-6)
+        assert ch.direct_delays(scene, c=343.0)[0] == pytest.approx(2.5 / 343.0)
+        assert ch.direct_delays(scene, c=343.0)[0] == pytest.approx(7.289e-3, abs=1e-6)
+
+    def test_equals_scalar_norm_bit_for_bit(self):
+        # the per-beacon scalar norm fixed every pinned output; the (4,)
+        # array must give the same last bits at every receiver position
+        rng = np.random.default_rng(21)
+        for layout in (ch.ORIGINAL_LAYOUT, ch.OPTIMIZED_LAYOUT):
+            for rx in rng.uniform([0.01, 0.01, 0.01], [4.99, 4.99, 3.99], size=(500, 3)):
+                scene = make_scene(receiver=rx, layout=layout)
+                scalar = [np.linalg.norm(b - rx) / C for b in layout.positions]
+                assert ch.direct_delays(scene, C).tolist() == scalar
 
 
 class TestApplyChannel:
@@ -158,9 +180,11 @@ class TestApplyChannel:
         # copy is untouched and the echo starts after it ends
         sig = tone_burst(n_bits=1)
         scene = self._delay_scene(400)
-        tau0 = ch.direct_delay(scene, 0)
-        tap = ch.MultipathTap(delay=tau0 + 0.003, gain=0.5)
-        model = ch.ChannelModel(taps_per_beacon=((tap,), (), (), ()), snr_db=None)
+        tau0 = ch.direct_delays(scene)[0]
+        # every beacon has one tap 3 ms late; only beacon 0's is audible
+        delays = ch.direct_delays(scene)[:, None] + 0.003
+        gains = np.array([[0.5], [0.0], [0.0], [0.0]])
+        model = ch.ChannelModel(tap_delays=delays, tap_gains=gains, snr_db=None)
         out = ch.apply_channel(beacon0_only(sig), scene, model)
         n0 = int(round(tau0 * FS))
         n_tap = int(round((tau0 + 0.003) * FS))
@@ -176,8 +200,8 @@ class TestApplyChannel:
         b = wf.SampledSignal(samples=rng.normal(0, 1, 2000), sample_rate=FS)
         ab = wf.SampledSignal(samples=a.samples + b.samples, sample_rate=FS)
         scene = make_scene()
-        taps = ch.sample_multipath(scene, np.random.default_rng(1))
-        model = ch.ChannelModel(taps_per_beacon=taps, snr_db=None)
+        delays, gains = ch.sample_multipath(scene, np.random.default_rng(1))
+        model = ch.ChannelModel(tap_delays=delays, tap_gains=gains, snr_db=None)
         out_a = ch.apply_channel(beacon0_only(a), scene, model)
         out_b = ch.apply_channel(beacon0_only(b), scene, model)
         out_ab = ch.apply_channel(beacon0_only(ab), scene, model)
@@ -188,8 +212,8 @@ class TestApplyChannel:
     def test_determinism_same_seed(self):
         sig = tone_burst(4)
         scene = make_scene()
-        taps = ch.sample_multipath(scene, np.random.default_rng(8))
-        model = ch.ChannelModel(taps_per_beacon=taps, snr_db=5.0, rng_seed=123)
+        delays, gains = ch.sample_multipath(scene, np.random.default_rng(8))
+        model = ch.ChannelModel(tap_delays=delays, tap_gains=gains, snr_db=5.0, rng_seed=123)
         sigs = beacon0_only(sig)
         out1 = ch.apply_channel(sigs, scene, model)
         out2 = ch.apply_channel(sigs, scene, model)
@@ -208,7 +232,7 @@ class TestApplyChannel:
         # copy summed coherently
         direct = np.zeros(len(out))
         for i, s in enumerate(sigs.samples):
-            n0 = int(round(ch.direct_delay(scene, i) * FS))
+            n0 = int(round(ch.direct_delays(scene)[i] * FS))
             direct[n0 : n0 + s.size] += s
         np.testing.assert_allclose(out.samples, direct, atol=1e-12)
 
@@ -223,37 +247,59 @@ class TestApplyChannel:
 
     def test_rejects_tap_before_direct_path(self):
         scene = make_scene()
-        tap = ch.MultipathTap(delay=1e-6, gain=0.3)
-        model = ch.ChannelModel(taps_per_beacon=((tap,), (), (), ()), snr_db=None)
+        delays = ch.direct_delays(scene)[:, None] + 0.003
+        delays[0, 0] = 1e-6
+        model = ch.ChannelModel(tap_delays=delays, tap_gains=np.full((4, 1), 0.3), snr_db=None)
         with pytest.raises(ValueError):
             ch.apply_channel(beacon0_only(tone_burst()), scene, model)
+
+    def test_early_tap_error_names_first_beacon(self):
+        # beacons 2 and 3 each have a tap at their direct path; 2 is named
+        scene = make_scene()
+        delays = ch.direct_delays(scene)[:, None] + [0.003, 0.004]
+        delays[3, 0] = ch.direct_delays(scene)[3]
+        delays[2, 1] = ch.direct_delays(scene)[2]
+        model = ch.ChannelModel(tap_delays=delays, tap_gains=np.full((4, 2), 0.3))
+        with pytest.raises(ValueError, match="beacon 2 tap delay"):
+            ch.apply_channel(beacon0_only(tone_burst()), scene, model)
+
+    def test_half_sample_lags_round_half_to_even(self):
+        # beacon 0's taps arrive 100.5 and 101.5 samples in; like round(),
+        # the channel puts them on the even samples 100 and 102
+        scene = self._delay_scene(50)
+        halves = [k + 0.5 for k in (100, 101)]
+        assert all(h / FS * FS == h for h in halves)
+        delays = ch.direct_delays(scene)[:, None] + [0.001, 0.002]
+        delays[0] = [h / FS for h in halves]
+        impulse = np.zeros((4, 1))
+        impulse[0, 0] = 1.0
+        model = ch.ChannelModel(tap_delays=delays, tap_gains=np.full((4, 2), 0.5))
+        out = ch.apply_channel(wf.SampledSignal(samples=impulse, sample_rate=FS), scene, model)
+        assert [out.samples[n] for n in (50, 100, 101, 102)] == [1.0, 0.5, 0.0, 0.5]
 
 
 class TestSampleMultipath:
     def test_tap_properties(self):
         scene = make_scene()
-        taps = ch.sample_multipath(scene, np.random.default_rng(2))
-        assert len(taps) == 4
-        for i, beacon_taps in enumerate(taps):
-            tau0 = ch.direct_delay(scene, i)
-            assert len(beacon_taps) == ch.N_TAPS
-            for tap in beacon_taps:
-                excess = tap.delay - tau0
-                assert ch.EXCESS_DELAY_RANGE[0] <= excess <= ch.EXCESS_DELAY_RANGE[1]
-                assert abs(tap.gain) < 1.0
+        delays, gains = ch.sample_multipath(scene, np.random.default_rng(2))
+        assert delays.shape == gains.shape == (4, ch.N_TAPS)
+        excess = delays - ch.direct_delays(scene)[:, None]
+        assert np.all(excess >= ch.EXCESS_DELAY_RANGE[0])
+        assert np.all(excess <= ch.EXCESS_DELAY_RANGE[1])
+        assert np.all(np.abs(gains) < 1.0)
 
     def test_deterministic_given_rng(self):
         scene = make_scene()
         t1 = ch.sample_multipath(scene, np.random.default_rng(7))
         t2 = ch.sample_multipath(scene, np.random.default_rng(7))
-        assert t1 == t2
+        assert all(np.array_equal(a, b) for a, b in zip(t1, t2))
 
     def test_mean_tap_power_below_direct(self):
         scene = make_scene()
         gains = []
         for seed in range(200):
-            taps = ch.sample_multipath(scene, np.random.default_rng(seed))
-            gains.extend(tap.gain for bt in taps for tap in bt)
+            _, tap_gains = ch.sample_multipath(scene, np.random.default_rng(seed))
+            gains.extend(tap_gains.ravel())
         mean_power = np.mean(np.square(gains))
         assert mean_power < 10.0 ** (ch.FIRST_TAP_DB / 10.0)
 
@@ -266,9 +312,8 @@ class TestSampleMultipath:
         lo, hi = ch.EXCESS_DELAY_RANGE
         scene = make_scene()
         for seed in range(3):
-            taps = ch.sample_multipath(scene, np.random.default_rng(seed), n_taps=n_taps)
-            for i, beacon_taps in enumerate(taps):
-                excess = np.array([t.delay for t in beacon_taps]) - ch.direct_delay(scene, i)
+            delays, _ = ch.sample_multipath(scene, np.random.default_rng(seed), n_taps=n_taps)
+            for excess in delays - ch.direct_delays(scene)[:, None]:
                 assert excess.size == n_taps
                 assert np.all(excess >= lo - 1e-12) and np.all(excess <= hi + 1e-12)
                 assert np.all(np.diff(excess) >= ch.MIN_TAP_SPACING - 1e-12)
@@ -276,12 +321,23 @@ class TestSampleMultipath:
 
 class TestModelValidation:
     def test_tap_rejects_gain_at_one(self):
-        with pytest.raises(ValueError):
-            ch.MultipathTap(delay=0.005, gain=1.0)
+        gains = np.full((4, 2), 0.5)
+        gains[2, 1] = -1.0
+        with pytest.raises(ValueError, match="gain"):
+            ch.ChannelModel(tap_delays=np.full((4, 2), 0.005), tap_gains=gains)
 
     def test_tap_rejects_nonpositive_delay(self):
-        with pytest.raises(ValueError):
-            ch.MultipathTap(delay=0.0, gain=0.5)
+        delays = np.full((4, 2), 0.005)
+        delays[1, 0] = 0.0
+        with pytest.raises(ValueError, match="delay"):
+            ch.ChannelModel(tap_delays=delays, tap_gains=np.full((4, 2), 0.5))
+
+    def test_tap_rejects_nan(self):
+        nan = np.full((4, 1), np.nan)
+        with pytest.raises(ValueError, match="delay"):
+            ch.ChannelModel(tap_delays=nan, tap_gains=np.zeros((4, 1)))
+        with pytest.raises(ValueError, match="gain"):
+            ch.ChannelModel(tap_delays=np.ones((4, 1)), tap_gains=nan)
 
     def test_model_rejects_bad_speed(self):
         with pytest.raises(ValueError):
@@ -289,4 +345,28 @@ class TestModelValidation:
 
     def test_model_rejects_wrong_beacon_count(self):
         with pytest.raises(ValueError):
-            ch.ChannelModel(taps_per_beacon=((), ()))
+            ch.ChannelModel(tap_delays=np.zeros((2, 0)), tap_gains=np.zeros((2, 0)))
+
+    @pytest.mark.parametrize(
+        "delays,gains",
+        [((4, 2), (4, 3)), ((4,), (4,)), ((4, 1, 1), (4, 1, 1))],
+        ids=["mismatch", "1-D", "3-D"],
+    )
+    def test_model_rejects_bad_tap_shapes(self, delays, gains):
+        with pytest.raises(ValueError, match=r"\(4, n_taps\)"):
+            ch.ChannelModel(tap_delays=np.full(delays, 0.005), tap_gains=np.full(gains, 0.1))
+
+    def test_model_compares_by_identity(self):
+        model = ch.ChannelModel()
+        assert model == model
+        assert model != ch.ChannelModel()
+        assert hash(model) == hash(model)
+
+    def test_model_freezes_its_own_copies(self):
+        delays, gains = np.full((4, 1), 0.005), np.full((4, 1), 0.1)
+        model = ch.ChannelModel(tap_delays=delays, tap_gains=gains)
+        assert delays.flags.writeable and gains.flags.writeable
+        assert not model.tap_delays.flags.writeable
+        assert not model.tap_gains.flags.writeable
+        delays[0, 0] = 0.009
+        assert model.tap_delays[0, 0] == 0.005

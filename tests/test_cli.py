@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ultraloc.cli import main
+from ultraloc.cli import _build_parser, main
 
 FAST_INI = """
 [waveform]
@@ -175,6 +175,44 @@ class TestFlags:
         out = tmp_path / "defaults"
         assert run_cli("dopmap", "--out", str(out)) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--trials", "3"],
+            ["optimize", "--layout", "original"],
+            ["dopmap", "--seed", "7"],
+            ["dopmap", "--trials", "3"],
+            ["trajectory", "--trials", "3"],
+        ],
+        ids=" ".join,
+    )
+    def test_flag_a_command_ignores_is_a_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.err.startswith("usage: ")
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--config", "a.ini", "--seed", "1", "--out", "o", "--trials", "8"],
+            ["optimize", "--seed", "1", "--out", "o"],
+            ["simulate", "--config", "a.ini", "--seed", "1", "--out", "o", "--trials", "2",
+             "--layout", "optimized"],
+            ["trajectory", "--config", "a.ini", "--seed", "1", "--out", "o", "--layout", "x"],
+            ["rangetest", "--config", "a.ini", "--seed", "1", "--out", "o", "--trials", "2",
+             "--layout", "x"],
+            ["dopmap", "--config", "a.ini", "--out", "o", "--layout", "original"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_read_flag_parses(self, argv):
+        args = _build_parser().parse_args(argv)
+        assert args.command == argv[0] and args.out == "o"
+
 
 class TestErrorPaths:
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
@@ -322,6 +360,19 @@ class TestErrorPaths:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 486
         assert "nan" not in {r[k] for r in rows for k in ("hdop", "vdop", "gdop")}
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under_file"])
+    def test_out_naming_a_file_is_one_error_line(self, fast_ini, tmp_path, capsys, sub):
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        out = afile / sub if sub else afile
+        code = run_cli("dopmap", "--config", fast_ini, "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: cannot use {out} as output directory: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert afile.read_text() == "keep"
 
     def test_zero_trials_override_is_one_error_line(self, fast_ini, tmp_path, capsys):
         code = run_cli(

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from ultraloc import dop
 from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout
@@ -294,6 +297,49 @@ class TestEmpiricalConsistency:
         ratio, target = self._z_error_std(refine=False, n_trials=2000)
         report = dop.dop_at(ORIGINAL_LAYOUT, target)
         assert ratio == pytest.approx(report.vdop, rel=0.2)
+
+
+def hvg(positions, points):
+    hdop, vdop, _ = dop.dop_components(positions, points)
+    return hdop, vdop, np.sqrt(hdop**2 + vdop**2)
+
+
+class TestInvarianceProperty:
+    """HDOP and VDOP depend on the beacons only through their geometry seen
+    from each point with z kept vertical: relabelling, translating and
+    turning the scene about z leave them alone. GDOP is the root of the
+    DOP matrix's trace, which any rotation leaves alone."""
+
+    POINTS = dop.DroneDomain().points()[::37]
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        layout=st.sampled_from([ORIGINAL_LAYOUT, OPTIMIZED_LAYOUT]),
+        perm=st.permutations(range(4)),
+        yaw=st.floats(-np.pi, np.pi),
+        shift=st.tuples(*[st.floats(-20.0, 20.0)] * 3),
+    )
+    def test_hdop_vdop_invariant_under_relabelling_translation_and_yaw(
+        self, layout, perm, yaw, shift
+    ):
+        rot = Rotation.from_euler("z", yaw).as_matrix()
+        beacons = layout.positions[list(perm)] @ rot.T + shift
+        points = self.POINTS @ rot.T + shift
+        hdop, vdop, _ = hvg(layout.positions, self.POINTS)
+        moved_hdop, moved_vdop, _ = hvg(beacons, points)
+        np.testing.assert_allclose(moved_hdop, hdop, rtol=1e-9)
+        np.testing.assert_allclose(moved_vdop, vdop, rtol=1e-9)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        layout=st.sampled_from([ORIGINAL_LAYOUT, OPTIMIZED_LAYOUT]),
+        angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+    )
+    def test_gdop_invariant_under_any_rotation(self, layout, angles):
+        rot = Rotation.from_euler("zyx", angles).as_matrix()
+        _, _, gdop = hvg(layout.positions, self.POINTS)
+        _, _, moved_gdop = hvg(layout.positions @ rot.T, self.POINTS @ rot.T)
+        np.testing.assert_allclose(moved_gdop, gdop, rtol=1e-9)
 
 
 class TestCrb2d:

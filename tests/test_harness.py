@@ -184,9 +184,7 @@ class TestLayoutComparison:
             ],
             axis=1,
         )
-        _, summary = harness.run_trajectory(
-            cfg, harness.Trajectory(waypoints=line)
-        )
+        _, summary = harness.run_trajectory(cfg, line)
         assert summary["n_failed"] == 0
         assert summary["mean_err_3d"] <= 0.015
 
@@ -196,9 +194,9 @@ class TestTrajectory:
         cfg = fast_config()
         domain = cfg.drone_domain()
         traj = harness.make_trajectory(domain, seed=3, n_waypoints=5, fix_spacing=0.25)
-        for p in traj.waypoints:
+        for p in traj:
             assert domain.contains(p)
-        steps = np.linalg.norm(np.diff(traj.waypoints, axis=0), axis=1)
+        steps = np.linalg.norm(np.diff(traj, axis=0), axis=1)
         assert np.all(steps <= 0.25 + 1e-9)
 
     def test_single_waypoint_equals_run_fix(self):
@@ -206,7 +204,7 @@ class TestTrajectory:
         traj = harness.make_trajectory(cfg.drone_domain(), seed=cfg.run.seed, n_waypoints=1)
         records, summary = harness.run_trajectory(cfg, traj)
         assert len(records) == 1
-        direct = harness.run_fix(cfg, traj.waypoints[0], [cfg.run.seed, 2, 0])
+        direct = harness.run_fix(cfg, traj[0], [cfg.run.seed, 2, 0])
         assert np.array_equal(records[0].est_position, direct.est_position)
         assert summary["mean_err_3d"] == pytest.approx(records[0].err_3d)
 
@@ -236,15 +234,32 @@ class TestTrajectory:
 
     def test_out_of_domain_waypoint_rejected(self):
         cfg = fast_config()
-        traj = harness.Trajectory(waypoints=np.array([[0.1, 0.1, 0.1]]))
+        traj = np.array([[0.1, 0.1, 0.1]])
         with pytest.raises(ConfigError):
             harness.run_trajectory(cfg, traj)
+
+    @pytest.mark.parametrize(
+        "waypoints",
+        [np.empty((0, 3)), np.ones((2, 2)), np.full((2, 3, 3), 2.0), np.array([])],
+        ids=["none", "2-D points", "3-D array", "empty"],
+    )
+    def test_bad_waypoint_shape_rejected(self, waypoints):
+        with pytest.raises(ValueError, match="at least one 3-D waypoint"):
+            harness.run_trajectory(fast_config(), waypoints)
+
+    def test_one_point_is_one_waypoint(self):
+        cfg = fast_config()
+        point = np.array([2.0, 2.5, 1.5])
+        records, _ = harness.run_trajectory(cfg, point)
+        (row,), _ = harness.run_trajectory(cfg, point[None, :])
+        assert len(records) == 1
+        assert np.array_equal(records[0].est_position, row.est_position)
 
     def test_trajectory_deterministic(self):
         cfg = fast_config()
         a = harness.make_trajectory(cfg.drone_domain(), seed=3, n_waypoints=4)
         b = harness.make_trajectory(cfg.drone_domain(), seed=3, n_waypoints=4)
-        assert np.array_equal(a.waypoints, b.waypoints)
+        assert np.array_equal(a, b)
 
 
 class TestWriters:

@@ -69,7 +69,7 @@ class TestBeaconDomain:
 class TestSeedPopulation:
     def test_size_and_membership(self):
         problem = placement.PlacementProblem(rng_seed=1)
-        pop = placement.seed_population(problem)
+        pop = placement.seed_population(problem, np.random.default_rng(problem.rng_seed))
         assert len(pop) == problem.population
         candidates = {tuple(p) for p in problem.beacon_domain.candidates()}
         for ind in pop:
@@ -80,7 +80,7 @@ class TestSeedPopulation:
 
     def test_stratified_groups(self):
         problem = placement.PlacementProblem(rng_seed=1)
-        pop = placement.seed_population(problem)
+        pop = placement.seed_population(problem, np.random.default_rng(problem.rng_seed))
         dom = problem.beacon_domain
         h = dom.room_dims[2]
         n_ceiling = (problem.population + 2) // 3
@@ -95,14 +95,14 @@ class TestSeedPopulation:
 
     def test_deterministic(self):
         problem = placement.PlacementProblem(rng_seed=33)
-        a = placement.seed_population(problem)
-        b = placement.seed_population(problem)
+        a = placement.seed_population(problem, np.random.default_rng(problem.rng_seed))
+        b = placement.seed_population(problem, np.random.default_rng(problem.rng_seed))
         assert all(np.array_equal(x.beacons, y.beacons) for x, y in zip(a, b))
 
     def test_infeasible_separation(self):
         problem = fast_problem(min_separation=50.0)
         with pytest.raises(InfeasibleDomainError):
-            placement.seed_population(problem)
+            placement.seed_population(problem, np.random.default_rng(problem.rng_seed))
 
 
 class TestFitness:
@@ -142,7 +142,7 @@ class TestCrossover:
         rng = np.random.default_rng(2)
         pop = placement.seed_population(problem, rng)
         parent = pop[0]
-        child = placement.crossover(parent, parent, problem, np.random.default_rng(3))
+        child = placement.breed([parent, parent], problem, np.random.default_rng(3))[0]
         assert np.array_equal(child.beacons, parent.beacons)
 
     def test_coordinates_come_from_parents_when_lattice_aligned(self):
@@ -155,7 +155,7 @@ class TestCrossover:
         ceiling = ceiling[np.isclose(ceiling[:, 2], h)]
         a = placement.Individual(beacons=placement._draw_separated(ceiling, rng, 0.5))
         b = placement.Individual(beacons=placement._draw_separated(ceiling, rng, 0.5))
-        child = placement.crossover(a, b, problem, np.random.default_rng(5))
+        child = placement.breed([a, b], problem, np.random.default_rng(5))[0]
         for k in range(4):
             for c in range(3):
                 assert child.beacons[k, c] in (a.beacons[k, c], b.beacons[k, c])
@@ -168,7 +168,7 @@ class TestCrossover:
         child_rng = np.random.default_rng(7)
         for i in range(1000):
             a, b = pop[i % len(pop)], pop[(i * 7 + 3) % len(pop)]
-            child = placement.crossover(a, b, problem, child_rng)
+            child = placement.breed([a, b], problem, child_rng)[0]
             assert placement._separated(child.beacons, problem.min_separation)
             for bcn in child.beacons:
                 assert tuple(bcn) in candidates
@@ -253,7 +253,7 @@ class TestBreed:
     def test_crossover_is_one_pair_breed(self):
         problem = fast_problem()
         pop = placement.seed_population(problem, np.random.default_rng(8))
-        child = placement.crossover(pop[0], pop[5], problem, np.random.default_rng(9))
+        child = placement.breed([pop[0], pop[5]], problem, np.random.default_rng(9))[0]
         (want,), _, _ = per_child_breed([pop[0], pop[5]], problem, np.random.default_rng(9))
         np.testing.assert_array_equal(child.beacons, want)
 

@@ -188,8 +188,10 @@ def channel_composite(seed, snr_db):
     plan = wf.random_hop_plan(wf.BURST_BITS, seed=int(rng.integers(2**31)))
     config = make_burst_config(wf.random_data_bits((4, wf.BURST_BITS), rng))
     refs = wf.generate_tx_signals(config, plan, walsh.rows[:4])
+    delays, gains = ch.sample_multipath(scene, rng)
     model = ch.ChannelModel(
-        taps_per_beacon=ch.sample_multipath(scene, rng),
+        tap_delays=delays,
+        tap_gains=gains,
         snr_db=snr_db,
         rng_seed=int(rng.integers(2**31)),
     )
@@ -204,13 +206,12 @@ class TestEstimateRanges:
         for seed in range(25):
             received, refs = channel_composite(seed, snr_db)
             estimates = rg.estimate_ranges(received, refs, C)
-            for i, (est, ref) in enumerate(zip(estimates, refs.samples)):
+            assert estimates.peak_samples.shape == estimates.peak_values.shape == (4,)
+            for i, ref in enumerate(refs.samples):
                 oracle = sp_signal.correlate(received.samples, ref, mode="valid")
-                assert est.beacon_index == i
-                assert est.peak_sample == int(np.argmax(np.abs(oracle)))
-                assert est.peak_value == pytest.approx(
-                    abs(oracle[est.peak_sample]), rel=1e-9
-                )
+                peak = estimates.peak_samples[i]
+                assert peak == int(np.argmax(np.abs(oracle)))
+                assert estimates.peak_values[i] == pytest.approx(abs(oracle[peak]), rel=1e-9)
 
     def test_agrees_with_single_beacon_estimate(self, walsh4):
         rng = np.random.default_rng(8)
@@ -230,16 +231,32 @@ class TestEstimateRanges:
         together = rg.estimate_ranges(received, refs, C)
         for i in range(4):
             one_row = wf.SampledSignal(samples=refs.samples[i : i + 1], sample_rate=FS)
-            (alone,) = rg.estimate_ranges(received, one_row, C)
-            assert alone.peak_sample == together[i].peak_sample == 100 * (i + 1)
-            assert together[i].beacon_index == i
-            assert alone.beacon_index == 0
+            alone = rg.estimate_ranges(received, one_row, C)
+            assert alone.peak_samples.shape == (1,)
+            assert alone.peak_samples[0] == together.peak_samples[i] == 100 * (i + 1)
+            assert alone.distances[0] == together.distances[i]
+
+    def test_distances_equal_per_peak_scalar_expression(self):
+        # the (4,) expression gives the last bits of int(peak) / fs * c;
+        # p * (c / fs) would differ on about one peak in four
+        for seed in range(10):
+            received, refs = channel_composite(seed, 15.0)
+            estimates = rg.estimate_ranges(received, refs, C)
+            scalar = [int(p) / FS * C for p in estimates.peak_samples]
+            assert estimates.distances.tolist() == scalar
+
+    def test_estimates_compare_by_identity(self):
+        received, refs = channel_composite(0, 15.0)
+        estimates = rg.estimate_ranges(received, refs, C)
+        assert estimates == estimates
+        assert estimates != rg.estimate_ranges(received, refs, C)
 
 
 def estimate_one(received, config, plan, code_row):
-    """Range one beacon: its burst is a one-row reference."""
+    """Range one beacon, its burst a one-row reference: (distance, peak sample)."""
     reference = wf.generate_tx_signals(config, plan, code_row)
-    return rg.estimate_ranges(received, reference, C)[0]
+    estimates = rg.estimate_ranges(received, reference, C)
+    return estimates.distances[0], estimates.peak_samples[0]
 
 
 class TestEstimateRange:
@@ -248,30 +265,29 @@ class TestEstimateRange:
         true_distance = 3.43
         delay = int(round(true_distance / C * FS))
         received = shifted(sig, delay, tail=100)
-        est = estimate_one(received, config, plan, walsh4.row(1))
-        assert abs(est.distance - true_distance) <= C / FS
-        assert est.peak_sample == delay
-        assert est.beacon_index == 0
+        distance, peak = estimate_one(received, config, plan, walsh4.row(1))
+        assert abs(distance - true_distance) <= C / FS
+        assert peak == delay
 
     def test_zero_delay_loopback(self, walsh4):
         config, plan, sig = coded_burst(walsh4, row_index=0)
-        est = estimate_one(sig, config, plan, walsh4.row(0))
-        assert est.distance == 0.0
-        assert est.peak_sample == 0
+        distance, peak = estimate_one(sig, config, plan, walsh4.row(0))
+        assert distance == 0.0
+        assert peak == 0
 
     def test_peak_sample_tracks_delay_exactly(self, walsh4):
         config, plan, sig = coded_burst(walsh4, row_index=3)
-        base = estimate_one(shifted(sig, 300, tail=800), config, plan, walsh4.row(3))
+        _, base = estimate_one(shifted(sig, 300, tail=800), config, plan, walsh4.row(3))
         for extra in (1, 17, 500):
-            more = estimate_one(
+            _, more = estimate_one(
                 shifted(sig, 300 + extra, tail=800 - extra), config, plan, walsh4.row(3)
             )
-            assert more.peak_sample == base.peak_sample + extra
+            assert more == base + extra
 
     def test_distance_identity(self, walsh4):
         config, plan, sig = coded_burst(walsh4, row_index=2)
-        est = estimate_one(shifted(sig, 777), config, plan, walsh4.row(2))
-        assert est.distance == pytest.approx(est.peak_sample / FS * C, rel=1e-15)
+        distance, peak = estimate_one(shifted(sig, 777), config, plan, walsh4.row(2))
+        assert distance == pytest.approx(peak / FS * C, rel=1e-15)
 
     def test_all_zero_signal_raises(self, walsh4):
         config, plan, sig = coded_burst(walsh4, 0, n_bits=2)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
-from ultraloc.channel import ORIGINAL_LAYOUT, BeaconLayout
+from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout
 from ultraloc.errors import SingularGeometryError
 from ultraloc.solver import trilaterate
 
@@ -119,3 +122,29 @@ class TestDegenerateGeometry:
     def test_negative_range(self):
         with pytest.raises(ValueError):
             trilaterate(ORIGINAL_LAYOUT, np.array([1.0, 2.0, 3.0, -0.5]))
+
+
+class TestRigidMotionProperty:
+    """Noiseless trilateration commutes with relabelling the beacons and
+    with moving the whole scene: the fix of the moved problem is the moved
+    fix, to 1e-6 m."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        layout=st.sampled_from([ORIGINAL_LAYOUT, OPTIMIZED_LAYOUT]),
+        target=st.tuples(
+            st.floats(0.5, 4.5), st.floats(0.5, 4.5), st.floats(0.5, 3.0)
+        ),
+        perm=st.permutations(range(4)),
+        angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+        shift=st.tuples(*[st.floats(-20.0, 20.0)] * 3),
+    )
+    def test_commutes_with_permutation_and_rigid_motion(
+        self, layout, target, perm, angles, shift
+    ):
+        rot = Rotation.from_euler("zyx", angles).as_matrix()
+        ranges = true_ranges(layout, target)
+        fix = trilaterate(layout, ranges).position
+        moved = BeaconLayout(positions=layout.positions[list(perm)] @ rot.T + shift)
+        moved_fix = trilaterate(moved, ranges[list(perm)]).position
+        np.testing.assert_allclose(moved_fix, rot @ fix + shift, rtol=0, atol=1e-6)

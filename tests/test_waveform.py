@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultraloc import waveform as wf
 from ultraloc.errors import ChipAlignmentError
@@ -89,6 +91,20 @@ class TestHopPlan:
         assert np.all(seq[1:] != seq[:-1])
         assert np.all(seq[2:] != seq[:-2])
         assert seq.min() >= 0 and seq.max() < len(wf.CENTER_FREQUENCIES)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data(), n_symbols=st.integers(0, 200), seed=st.integers(0, 2**31 - 1))
+    def test_no_channel_reused_within_window(self, data, n_symbols, seed):
+        n_ch = data.draw(st.integers(1, len(wf.CENTER_FREQUENCIES)), label="n_channels")
+        window = data.draw(st.integers(0, max(n_ch - 2, 0)), label="reuse_window")
+        plan = wf.random_hop_plan(
+            n_symbols, seed, center_frequencies=wf.CENTER_FREQUENCIES[:n_ch], reuse_window=window
+        )
+        seq = plan.hop_sequence.tolist()
+        assert len(seq) == n_symbols
+        assert all(0 <= ch < n_ch for ch in seq)
+        for k, ch in enumerate(seq):
+            assert ch not in seq[max(0, k - window) : k]
 
     def test_random_plan_unconstrained_window(self):
         plan = wf.random_hop_plan(500, seed=3, reuse_window=0)
