@@ -40,7 +40,7 @@ MAX_TAP_GAIN = 0.6
 MIN_TAP_SPACING = 0.0003
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity, as arrays have no single truth value
 class BeaconLayout:
     """Positions of the four ultrasonic transmitter beacons, in meters."""
 

@@ -241,6 +241,8 @@ _SCHEMA = {
 
 def load_config(path: str | Path) -> SimConfig:
     """Read and validate a config file, failing fast on unknown keys."""
+    if Path(path).is_dir():
+        raise ConfigError(f"config path is a directory, not a file: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)

@@ -4,15 +4,22 @@ Ranging correlates the raw composite signal against each beacon's known
 transmitted burst (code and hop plan included). Sliding the full coded
 reference is the same computation as despreading each candidate alignment
 and integrating, but stays exact for delays that are not chip-aligned.
-All beacons are ranged in one pass: the received signal is transformed
-once, the (4, n) burst array the transmitter made is the reference, and
-one batched real-FFT correlation yields every beacon's lags. The
-standalone despread operation serves data recovery and diagnostics, where
-the receiver clock defines the chip grid.
+All beacons are ranged in one pass: the received signal and the (4, n)
+burst array the transmitter made go through one batched real FFT, and
+one inverse transform yields every beacon's lags. The transforms run in
+a workspace of zero-padded signal, spectrum and lag buffers that each
+thread keeps per reference-row count and reuses from call to call,
+growing it only for a longer signal. A stream of fixes therefore
+allocates no signal-length temporaries, which the allocator would hand
+back to the kernel and fault in again on every fix. Callers get a copy
+of the valid lags, never a view of the workspace. The standalone
+despread operation serves data recovery and diagnostics, where the
+receiver clock defines the chip grid.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,16 +78,44 @@ def despread(
     )
 
 
+class _Workspaces(threading.local):
+    """This thread's correlation buffers, one set per reference-row count k."""
+
+    def __init__(self):
+        self.by_rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def get(self, k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(k+1, n) signal, (k+1, n//2+1) spectrum and (k, n) lag buffers.
+
+        Row 0 of the first two is the received signal, rows 1..k the
+        references. They are views of one set of buffers per k, replaced
+        only by a longer n, so a stream of varying lengths allocates once.
+        """
+        buffers = self.by_rows.get(k)
+        if buffers is None or buffers[0].shape[1] < n:
+            buffers = self.by_rows[k] = (
+                np.empty((k + 1, n)),
+                np.empty((k + 1, n // 2 + 1), dtype=complex),
+                np.empty((k, n)),
+            )
+        signals, spectra, lags = buffers
+        return signals[:, :n], spectra[:, : n // 2 + 1], lags[:, :n]
+
+
+_workspaces = _Workspaces()
+
+
 def cross_correlate(received: SampledSignal, reference: SampledSignal) -> np.ndarray:
     """Sliding inner product of each reference row against the received signal.
 
     Returns one value per lag L in [0, len(received) - len(reference)]:
     sum_k received[k+L] * reference[..., k], with the reference's leading
     shape: a 1-D reference gives a 1-D array, a (k, m) burst array one row
-    per beacon. The received signal is transformed once, all reference
-    rows in one batched real FFT, both at the fast length
-    n >= len(received); a circular correlation of that length does not
-    wrap on these lags.
+    per beacon. The received signal and all reference rows are zero-padded
+    to the fast length n >= len(received) and transformed in one batched
+    real FFT; a circular correlation of that length does not wrap on these
+    lags. The work runs in this thread's reused workspace, and the result
+    is a fresh array.
     """
     m = len(reference)
     if len(received) == 0 or m == 0:
@@ -89,10 +124,21 @@ def cross_correlate(received: SampledSignal, reference: SampledSignal) -> np.nda
         raise ValueError("reference must not be longer than the received signal")
     if reference.sample_rate != received.sample_rate:
         raise ValueError("sample rates differ between received and reference")
-    n = sp_fft.next_fast_len(len(received), real=True)
-    rx_spec = sp_fft.rfft(received.samples, n)
-    ref_spec = sp_fft.rfft(reference.samples, n, axis=-1)
-    return sp_fft.irfft(rx_spec * ref_spec.conj(), n, axis=-1)[..., : len(received) - m + 1]
+    refs = np.atleast_2d(reference.samples)
+    k, n_rx = len(refs), len(received)
+    n = sp_fft.next_fast_len(n_rx, real=True)
+    signals, spectra, lags = _workspaces.get(k, n)
+    signals[0, :n_rx] = received.samples
+    signals[0, n_rx:] = 0.0
+    signals[1:, :m] = refs
+    signals[1:, m:] = 0.0
+    np.fft.rfft(signals, axis=-1, out=spectra)
+    products = np.conjugate(spectra[1:], out=spectra[1:])
+    # rx · conj(ref), as written; conj(ref) · rx moves the last bits
+    np.multiply(spectra[0], products, out=products)
+    np.fft.irfft(products, n, axis=-1, out=lags)
+    valid = lags[:, : n_rx - m + 1]
+    return valid[0].copy() if reference.samples.ndim == 1 else valid.copy()
 
 
 def estimate_ranges(

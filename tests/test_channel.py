@@ -46,6 +46,13 @@ class TestSceneAndLayout:
         pos[0, 0] = 0.1
         assert layout.positions[0, 0] == 2.5
 
+    def test_layout_compares_by_identity(self):
+        layout = ch.BeaconLayout(positions=ch.ORIGINAL_LAYOUT.positions)
+        assert layout == layout
+        assert layout != ch.ORIGINAL_LAYOUT
+        assert hash(ch.ORIGINAL_LAYOUT) == hash(ch.ORIGINAL_LAYOUT)
+        assert {ch.ORIGINAL_LAYOUT: 1}[ch.ORIGINAL_LAYOUT] == 1
+
     def test_layout_rejects_coincident_beacons(self):
         pos = np.array([[1, 1, 1], [1, 1, 1], [2, 2, 2], [3, 3, 3]], dtype=float)
         with pytest.raises(ValueError):

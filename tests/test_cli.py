@@ -374,6 +374,13 @@ class TestErrorPaths:
         assert captured.out == ""
         assert afile.read_text() == "keep"
 
+    def test_config_naming_a_directory_is_one_error_line(self, tmp_path, capsys):
+        code = run_cli("dopmap", "--config", str(tmp_path), "--out", str(tmp_path / "o"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: config path is a directory, not a file: {tmp_path}\n"
+        assert captured.out == ""
+
     def test_zero_trials_override_is_one_error_line(self, fast_ini, tmp_path, capsys):
         code = run_cli(
             "simulate", "--config", fast_ini, "--out", str(tmp_path), "--trials", "0"

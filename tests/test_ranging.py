@@ -1,5 +1,10 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 from scipy import signal as sp_signal
 
 from ultraloc import channel as ch
@@ -250,6 +255,80 @@ class TestEstimateRanges:
         estimates = rg.estimate_ranges(received, refs, C)
         assert estimates == estimates
         assert estimates != rg.estimate_ranges(received, refs, C)
+
+
+def scipy_correlation(received, reference):
+    """The receiver's correlation written inline on scipy.fft, at the same n."""
+    n = sp_fft.next_fast_len(len(received), real=True)
+    rx_spec = sp_fft.rfft(received.samples, n)
+    ref_spec = sp_fft.rfft(reference.samples, n, axis=-1)
+    valid = len(received) - len(reference) + 1
+    return sp_fft.irfft(rx_spec * ref_spec.conj(), n, axis=-1)[..., :valid]
+
+
+class TestWorkspace:
+    def test_grown_workspace_is_bit_identical_to_scipy(self):
+        # a longer call first leaves stale samples past the shorter signal
+        # and references, which the next call must overwrite with zeros
+        received, refs = channel_composite(3, 15.0)
+        longer = wf.SampledSignal(
+            samples=np.concatenate([received.samples, np.ones(9_000)]), sample_rate=FS
+        )
+        one_row = wf.SampledSignal(samples=refs.samples[2], sample_rate=FS)
+        for reference in (refs, one_row):
+            tail = np.ones(reference.samples.shape[:-1] + (500,))
+            longer_ref = wf.SampledSignal(
+                samples=np.concatenate([reference.samples, tail], axis=-1), sample_rate=FS
+            )
+            rg.cross_correlate(longer, longer_ref)
+            corr = rg.cross_correlate(received, reference)
+            assert corr.shape == scipy_correlation(received, reference).shape
+            assert np.array_equal(corr, scipy_correlation(received, reference))
+
+    def test_result_survives_later_calls(self):
+        received, refs = channel_composite(4, 15.0)
+        first = rg.cross_correlate(received, refs)
+        kept = first.copy()
+        other, other_refs = channel_composite(5, 0.0)
+        second = rg.cross_correlate(other, other_refs)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+    def test_threads_match_sequential_peaks(self):
+        composites = [channel_composite(seed, 15.0) for seed in range(4)]
+        expected = [rg.estimate_ranges(rx, refs, C).peak_samples for rx, refs in composites]
+        got = {}
+
+        def work(i):
+            rx, refs = composites[i]
+            got[i] = [rg.estimate_ranges(rx, refs, C).peak_samples for _ in range(5)]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, peaks in enumerate(expected):
+            assert all(np.array_equal(p, peaks) for p in got[i])
+
+    def test_steady_state_allocates_no_fft_temporaries(self):
+        # correlating through scipy.fft, with its padding copies and fresh
+        # spectra and products, peaks near 3 MB
+        received, refs = channel_composite(0, 15.0)
+        rg.estimate_ranges(received, refs, C)  # sizes this thread's workspace
+        tracemalloc.start()
+        try:
+            rg.estimate_ranges(received, refs, C)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def estimate_one(received, config, plan, code_row):
