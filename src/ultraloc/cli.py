@@ -30,7 +30,9 @@ from .placement import optimize as run_placement
 _FLAGS = {
     "seed": dict(type=int, help="master RNG seed"),
     "trials": dict(type=int, help="trial count override"),
-    "layout": dict(type=str, help="'original', 'optimized', or a coordinate file"),
+    "layout": dict(
+        type=str, help="'original', 'optimized', a coordinate file, or optimize's placement.json"
+    ),
 }
 
 

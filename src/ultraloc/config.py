@@ -141,8 +141,9 @@ def resolve_layout(name: str) -> BeaconLayout:
     """Map a layout argument to beacon coordinates.
 
     "original" and "optimized" are built in; anything else is read as a
-    file path holding either a JSON list of four [x, y, z] triples or
-    four whitespace/comma separated coordinate lines.
+    file path holding a JSON list of four [x, y, z] triples, a JSON object
+    whose "beacons" key holds that list (the placement.json `optimize`
+    writes), or four whitespace/comma separated coordinate lines.
     """
     if name == "original":
         return ORIGINAL_LAYOUT
@@ -154,7 +155,7 @@ def resolve_layout(name: str) -> BeaconLayout:
     try:
         text = path.read_text()
         try:
-            positions = np.asarray(json.loads(text), dtype=float)
+            data = json.loads(text)
         except json.JSONDecodeError:
             rows = []
             for line in text.splitlines():
@@ -162,8 +163,12 @@ def resolve_layout(name: str) -> BeaconLayout:
                 if not line or line.startswith("#"):
                     continue
                 rows.append([float(v) for v in line.replace(",", " ").split()])
-            positions = np.asarray(rows, dtype=float)
-        return BeaconLayout(positions=positions)
+            data = rows
+        if isinstance(data, dict):
+            if "beacons" not in data:
+                raise ValueError("a JSON object needs a 'beacons' key")
+            data = data["beacons"]
+        return BeaconLayout(positions=np.asarray(data, dtype=float))
     except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"layout file '{name}': {exc}") from exc
 

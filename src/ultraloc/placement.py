@@ -8,6 +8,10 @@ feasible ones. Selection keeps the best 40 of 50, adjacent parents are
 crossed per coordinate, and the worst 20 of the resulting 70 are culled.
 The whole search restarts from a fresh population when the final best
 individual misses either tolerance.
+
+Children are snapped to the lattice through scipy's k-d tree. The tree,
+and scipy.spatial with it, loads on a domain's first snap rather than at
+import, so commands that never search do not pay the ~0.25 s import.
 """
 
 from __future__ import annotations
@@ -16,13 +20,16 @@ import functools
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .channel import ROOM_DIMS, BeaconLayout
 from .dop import DroneDomain, dop_average
 from .errors import DomainDegeneracyError, InfeasibleDomainError, SingularGeometryError
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 BEACON_GRID = 0.25
 MIN_SEPARATION = 0.5
@@ -62,6 +69,9 @@ class BeaconDomain:
 
     @functools.cached_property
     def _tree(self) -> cKDTree:
+        # deferred: scipy.spatial takes ~0.25 s to load and only a search snaps
+        from scipy.spatial import cKDTree
+
         return cKDTree(self._lattice)
 
     @functools.cached_property

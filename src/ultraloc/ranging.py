@@ -6,7 +6,9 @@ reference is the same computation as despreading each candidate alignment
 and integrating, but stays exact for delays that are not chip-aligned.
 All beacons are ranged in one pass: the received signal and the (4, n)
 burst array the transmitter made go through one batched real FFT, and
-one inverse transform yields every beacon's lags. The transforms run in
+one inverse transform yields every beacon's lags. Both are numpy's, at
+scipy's real-transform fast length for the received signal, which
+`_fast_length` computes so that the receiver loads no scipy. They run in
 a workspace of zero-padded signal, spectrum and lag buffers that each
 thread keeps per reference-row count and reuses from call to call,
 growing it only for a longer signal. A stream of fixes therefore
@@ -23,7 +25,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .channel import SPEED_OF_SOUND
 from .errors import NoPeakError
@@ -78,6 +79,25 @@ def despread(
     )
 
 
+def _fast_length(n: int) -> int:
+    """The smallest 2^a · 3^b · 5^c >= n, for n >= 1.
+
+    These are the lengths pocketfft's real transforms split into radix-2,
+    3 and 5 passes, so this is scipy.fft.next_fast_len(n, real=True)
+    without loading scipy.
+    """
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            # the smallest power-of-two multiple of f35 that reaches n
+            best = min(best, f35 << (-(-n // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 class _Workspaces(threading.local):
     """This thread's correlation buffers, one set per reference-row count k."""
 
@@ -126,7 +146,7 @@ def cross_correlate(received: SampledSignal, reference: SampledSignal) -> np.nda
         raise ValueError("sample rates differ between received and reference")
     refs = np.atleast_2d(reference.samples)
     k, n_rx = len(refs), len(received)
-    n = sp_fft.next_fast_len(n_rx, real=True)
+    n = _fast_length(n_rx)
     signals, spectra, lags = _workspaces.get(k, n)
     signals[0, :n_rx] = received.samples
     signals[0, n_rx:] = 0.0

@@ -3,9 +3,12 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
+from ultraloc.channel import ORIGINAL_LAYOUT, SPEED_OF_SOUND
 from ultraloc.cli import _build_parser, main
+from ultraloc.waveform import SAMPLE_RATE
 
 FAST_INI = """
 [waveform]
@@ -142,6 +145,31 @@ class TestFlags:
         )
         assert code == 0
         assert json.loads((out / "summary.json").read_text())["layout"] == "optimized"
+
+    def test_optimize_output_is_a_layout(self, tmp_path):
+        # the paper's flow: search a placement, then localize with it
+        ini = tmp_path / "search.ini"
+        ini.write_text("[placement]\npopulation = 6\nparents = 4\niterations = 2\n")
+        placement = tmp_path / "opt" / "placement.json"
+        assert run_cli("optimize", "--config", str(ini), "--out", str(placement.parent)) == 0
+        beacons = np.array(json.loads(placement.read_text())["beacons"])
+        out = tmp_path / "sim"
+        code = run_cli(
+            "simulate", "--layout", str(placement), "--trials", "2", "--out", str(out)
+        )
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["layout"] == str(placement)
+        with open(out / "trials.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            # every correlation peak sits at the direct delay from an EA beacon
+            true = np.array([float(row[f"true_{axis}"]) for axis in "xyz"])
+            peaks = np.array([int(row[f"peak_{b}"]) for b in range(4)])
+            samples = SAMPLE_RATE / SPEED_OF_SOUND
+            assert np.all(abs(peaks - np.linalg.norm(beacons - true, axis=1) * samples) <= 1)
+            from_original = np.linalg.norm(ORIGINAL_LAYOUT.positions - true, axis=1) * samples
+            assert np.any(abs(peaks - from_original) > 1)
 
     def test_trials_and_seed_override(self, fast_ini, tmp_path):
         out = tmp_path / "ov"

@@ -436,6 +436,21 @@ class TestResolveLayout:
         assert layout.positions.shape == (4, 3)
         assert layout.positions[1][2] == 3.5
 
+    def test_placement_json_object(self, tmp_path):
+        # the file `optimize` writes: the beacons key beside the search figures
+        path = write(
+            tmp_path,
+            '{"beacons": [[1, 1, 3], [4, 1, 3.5], [4, 4, 3], [1, 4, 3.5]], "vdop_avg": 1.1}',
+            name="placement.json",
+        )
+        layout = cfg_mod.resolve_layout(str(path))
+        assert layout.positions.tolist() == [[1, 1, 3], [4, 1, 3.5], [4, 4, 3], [1, 4, 3.5]]
+
+    def test_json_object_without_beacons_rejected(self, tmp_path):
+        path = write(tmp_path, '{"vdop_avg": 1.1}', name="placement.json")
+        with pytest.raises(ConfigError, match="placement.json': .* needs a 'beacons' key"):
+            cfg_mod.resolve_layout(str(path))
+
     def test_text_file(self, tmp_path):
         path = write(
             tmp_path,

@@ -331,6 +331,32 @@ class TestWorkspace:
         assert peak < 1_000_000
 
 
+class TestFastLength:
+    def test_equals_scipy_next_fast_len_up_to_2_17(self):
+        got = [rg._fast_length(n) for n in range(1, 2**17 + 1)]
+        want = [sp_fft.next_fast_len(n, real=True) for n in range(1, 2**17 + 1)]
+        assert got == want
+
+    def test_equals_scipy_next_fast_len_on_larger_lengths(self):
+        sample = np.random.default_rng(12).integers(2**17, 10**6, size=3000, endpoint=True)
+        for n in sample.tolist():
+            assert rg._fast_length(n) == sp_fft.next_fast_len(n, real=True), n
+
+    # received lengths whose fast length is a power of two, mixes all three
+    # radices, is odd (3^5 * 5^3) or mostly fives (2 * 5^6), and one past each
+    @pytest.mark.parametrize("n_rx", [32768, 30720, 30375, 31250, 30376, 31251])
+    def test_grown_workspace_correlates_at_scipy_length(self, n_rx):
+        received, refs = channel_composite(6, 15.0)
+        rx = np.zeros(n_rx)
+        rx[: min(n_rx, len(received))] = received.samples[:n_rx]
+        received = wf.SampledSignal(samples=rx, sample_rate=FS)
+        longer = wf.SampledSignal(samples=np.ones(40_000), sample_rate=FS)
+        rg.cross_correlate(longer, refs)
+        corr = rg.cross_correlate(received, refs)
+        assert corr.shape == (4, n_rx - len(refs) + 1)
+        assert np.array_equal(corr, scipy_correlation(received, refs))
+
+
 def estimate_one(received, config, plan, code_row):
     """Range one beacon, its burst a one-row reference: (distance, peak sample)."""
     reference = wf.generate_tx_signals(config, plan, code_row)
