@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import SingularGeometryError
 from .waveform import SampledSignal
 
 SPEED_OF_SOUND = 343.0
@@ -55,7 +56,7 @@ class BeaconLayout:
         pairs = np.argwhere(np.triu(close, k=1))
         if pairs.size:
             i, j = pairs[0]
-            raise ValueError(f"beacons {i} and {j} coincide")
+            raise SingularGeometryError(f"beacons {i} and {j} coincide")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 

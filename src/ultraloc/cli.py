@@ -100,6 +100,7 @@ def _cmd_simulate(args) -> int:
     harness.write_trials_csv(records, out / "trials.csv")
     summary = harness.aggregate_records(records, cfg.channel.snr_db)
     summary["layout"] = cfg.scene.layout_name
+    summary["beacons"] = cfg.scene.layout.positions.tolist()
     summary["seed"] = cfg.run.seed
     harness.write_summary_json(summary, out / "summary.json")
     _fail_if_all_failed(records)
@@ -140,6 +141,7 @@ def _cmd_trajectory(args) -> int:
     records, summary = harness.run_trajectory(cfg, traj)
     harness.write_trials_csv(records, out / "trajectory.csv")
     summary["layout"] = cfg.scene.layout_name
+    summary["beacons"] = cfg.scene.layout.positions.tolist()
     harness.write_summary_json(summary, out / "summary.json")
     _fail_if_all_failed(records)
     print(

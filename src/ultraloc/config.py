@@ -376,3 +376,9 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
             build()
         except ValueError as exc:
             fail(f"[{section}] {exc}")
+    # after the waveform build, which rejects a sample rate that is not positive
+    if ch.multipath and ch.excess_delay_min * wf.sample_rate < 1.0:
+        fail(
+            f"excess_delay_min must be at least one sample period "
+            f"({1.0 / wf.sample_rate:g} s), or a tap lands on its direct path's sample"
+        )

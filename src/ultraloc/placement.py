@@ -1,13 +1,14 @@
 """Evolutionary search for beacon placements that minimize average VDOP.
 
-Individuals are sets of four beacon positions drawn from a lattice over
-the ceiling and the top half of the walls. Fitness is the drone-domain
-average VDOP, with a large constant penalty whenever the average HDOP
-exceeds its tolerance so infeasible individuals always rank behind
-feasible ones. Selection keeps the best 40 of 50, adjacent parents are
-crossed per coordinate, and the worst 20 of the resulting 70 are culled.
-The whole search restarts from a fresh population when the final best
-individual misses either tolerance.
+A layout is a (4, 3) array of beacon positions drawn from a lattice over
+the ceiling and the top half of the walls, and a generation is one
+(P, 4, 3) array of layouts. Fitness is the drone-domain average VDOP,
+with a large constant penalty whenever the average HDOP exceeds its
+tolerance so infeasible layouts always rank behind feasible ones.
+Selection keeps the best 40 of 50, adjacent parents are crossed per
+coordinate, and the worst 20 of the resulting 70 are culled. The whole
+search restarts from a fresh population when the final best layout
+misses either tolerance.
 
 Children are snapped to the lattice through scipy's k-d tree. The tree,
 and scipy.spatial with it, loads on a domain's first snap rather than at
@@ -19,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -105,16 +105,6 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
-@dataclass
-class Individual:
-    """Candidate placement of four beacons with cached fitness terms."""
-
-    beacons: np.ndarray
-    fitness: float = math.inf
-    hdop_avg: float = math.nan
-    vdop_avg: float = math.nan
-
-
 @dataclass(frozen=True)
 class PlacementProblem:
     """Inputs of one placement search."""
@@ -189,8 +179,8 @@ def _draw_separated(
     )
 
 
-def seed_population(problem: PlacementProblem, rng: np.random.Generator) -> list[Individual]:
-    """Generate the initial population, stratified to escape local minima.
+def seed_population(problem: PlacementProblem, rng: np.random.Generator) -> np.ndarray:
+    """Generate the initial (P, 4, 3) population, stratified to escape local minima.
 
     Deterministic quotas split the population into all-ceiling, all-wall,
     and mixed groups so the search starts spread over the beacon domain.
@@ -205,47 +195,40 @@ def seed_population(problem: PlacementProblem, rng: np.random.Generator) -> list
     n_wall = (p + 1) // 3
     n_mixed = p - n_ceiling - n_wall
 
-    population: list[Individual] = []
-    for _ in range(n_ceiling):
-        population.append(Individual(beacons=_draw_separated(ceiling, rng, problem.min_separation)))
-    for _ in range(n_wall):
-        population.append(Individual(beacons=_draw_separated(wall, rng, problem.min_separation)))
+    population = [_draw_separated(ceiling, rng, problem.min_separation) for _ in range(n_ceiling)]
+    population += [_draw_separated(wall, rng, problem.min_separation) for _ in range(n_wall)]
     for _ in range(n_mixed):
         for _ in range(200):
             pts = _draw_separated(candidates, rng, problem.min_separation)
             on_ceil = problem.beacon_domain.on_ceiling(pts)
             if 0 < on_ceil.sum() < 4:
                 break
-        population.append(Individual(beacons=pts))
-    return population
+        population.append(pts)
+    return np.array(population)
 
 
-def fitness(individual: Individual, problem: PlacementProblem) -> float:
-    """Domain-averaged VDOP, penalized when average HDOP breaks tolerance.
+def fitness(beacons: np.ndarray, problem: PlacementProblem) -> tuple[float, float, float]:
+    """(fitness, hdop_avg, vdop_avg) of one (4, 3) layout.
 
-    Caches hdop_avg/vdop_avg on the individual. A degenerate layout gets
-    an infinite sentinel; that covers both DOP degeneracy over the drone
-    domain and coplanar beacon sets, which the downstream linearized
-    trilateration cannot use even when their DOP is finite.
+    Fitness is the domain-averaged VDOP, penalized when average HDOP
+    breaks tolerance. A degenerate layout scores (inf, nan, nan); that
+    covers DOP degeneracy over the drone domain and coincident or
+    coplanar beacon sets, which the downstream linearized trilateration
+    cannot use even when their DOP is finite.
     """
     try:
-        layout = BeaconLayout(positions=individual.beacons)
+        layout = BeaconLayout(positions=beacons)
         if not layout.spans_3d:
             raise SingularGeometryError("beacons are coplanar or collinear")
         hdop_avg, vdop_avg = dop_average(layout, problem.drone_domain)
-    except (DomainDegeneracyError, ValueError):
-        individual.fitness = math.inf
-        return individual.fitness
-    individual.hdop_avg = hdop_avg
-    individual.vdop_avg = vdop_avg
-    individual.fitness = vdop_avg + (HDOP_PENALTY if hdop_avg > problem.hdop_tolerance else 0.0)
-    return individual.fitness
+    except (DomainDegeneracyError, SingularGeometryError):
+        return math.inf, math.nan, math.nan
+    penalty = HDOP_PENALTY if hdop_avg > problem.hdop_tolerance else 0.0
+    return vdop_avg + penalty, hdop_avg, vdop_avg
 
 
-def breed(
-    parents: list[Individual], problem: PlacementProblem, rng: np.random.Generator
-) -> list[Individual]:
-    """Cross each adjacent pair of parents into one child, in array passes.
+def breed(parents: np.ndarray, problem: PlacementProblem, rng: np.random.Generator) -> np.ndarray:
+    """Cross each adjacent pair of (2k, 4, 3) parents into (k, 4, 3) children.
 
     Beacon k of a child takes each of x, y, z independently from either
     parent's beacon k with probability 1/2, then snaps to the nearest
@@ -262,111 +245,105 @@ def breed(
     draws, and the children and the generator's final state equal the
     per-child loop's.
     """
-    # reshape, not stack: np.stack rejects an empty parent list
-    a = np.reshape([p.beacons for p in parents[0::2]], (-1, 4, 3))
-    b = np.reshape([p.beacons for p in parents[1::2]], (-1, 4, 3))
-    children: list[Individual] = []
+    a, b = parents[0::2], parents[1::2]
+    children = np.empty_like(a)
     masks = np.empty((0, 4, 3), dtype=bool)
-    failed = 0
-    while len(children) < len(a):
-        c = len(children)
+    c = failed = 0
+    while c < len(a):
         if not len(masks):
             masks = rng.integers(0, 2, size=(len(a) - c, 4, 3)).astype(bool)
         k = len(masks)
         child_pts = problem.beacon_domain.snap(np.where(masks, a[c : c + k], b[c : c + k]))
         ok = _separated(child_pts, problem.min_separation)
         n_ok = k if ok.all() else int(ok.argmin())
-        children.extend(Individual(beacons=pts) for pts in child_pts[:n_ok])
+        children[c : c + n_ok] = child_pts[:n_ok]
+        c += n_ok
         masks = masks[n_ok + 1 :]
         if n_ok:
             failed = 0
         if n_ok < k:
             failed += 1
             if failed == MAX_DRAWS:
-                children.append(Individual(beacons=a[len(children)].copy()))
+                children[c] = a[c]
+                c += 1
                 failed = 0
     return children
 
 
-_by_fitness = attrgetter("fitness")
+def _best(layouts: np.ndarray, terms: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n fittest layouts and their (n, 3) terms rows, ties in creation order."""
+    keep = np.argsort(terms[:, 0], kind="stable")[:n]
+    return layouts[keep], terms[keep]
 
 
 def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
     """Run the full placement search, restarting until tolerances are met.
 
     Each run: seed a stratified population, then for the configured
-    iteration count sort by fitness, breed the best 40 pairwise into 20
-    offspring in one array pass per generation, and cull the worst 20 of
-    the pooled 70. If the run's best
-    individual misses either tolerance the search restarts with a fresh
+    iteration count breed the best 40 pairwise into 20 offspring in one
+    array pass per generation, and cull the worst 20 of the pooled 70.
+    A generation is one (P, 4, 3) layout array with one (P, 3) array of
+    (fitness, hdop_avg, vdop_avg) rows, ranked by a stable sort on
+    fitness alone, so ties stay in creation order. If the run's best
+    layout misses either tolerance the search restarts with a fresh
     seeded population, up to max_restarts times; the best layout found
     anywhere is then returned flagged infeasible.
 
     Each distinct layout is scored once per search: fitness terms are
-    memoized by the exact bytes of the beacon array (layouts are lattice
+    memoized by the exact bytes of the layout (layouts are lattice
     copies, so equal layouts are equal bytes), and surviving clones or
-    children that snap back onto a scored layout reuse them. Ranking is
-    a stable sort on fitness alone, so ties stay in creation order.
+    children that snap back onto a scored layout reuse them.
 
     observer, if given, is called as observer(run_idx, iteration,
-    population) after every cull, for instrumentation.
+    population) after every cull, for instrumentation; population is the
+    generation's (P, 4, 3) layout array, fittest first.
     """
     scores: dict[bytes, tuple[float, float, float]] = {}
 
-    def score(individual: Individual) -> None:
-        key = individual.beacons.tobytes()
-        terms = scores.get(key)
-        if terms is None:
-            fitness(individual, problem)
-            scores[key] = (individual.fitness, individual.hdop_avg, individual.vdop_avg)
-        else:
-            individual.fitness, individual.hdop_avg, individual.vdop_avg = terms
+    def score(layouts: np.ndarray) -> np.ndarray:
+        rows = []
+        for beacons in layouts:
+            key = beacons.tobytes()
+            terms = scores.get(key)
+            if terms is None:
+                terms = scores[key] = fitness(beacons, problem)
+            rows.append(terms)
+        return np.array(rows)
 
-    best_overall: Individual | None = None
-    best_history: list[float] = []
+    best = None  # (fitness, hdop_avg, vdop_avg, layout, history) of the fittest run yet
     for run_idx in range(problem.max_restarts + 1):
         rng = np.random.default_rng([problem.rng_seed, run_idx])
         population = seed_population(problem, rng)
-        for ind in population:
-            score(ind)
+        population, terms = _best(population, score(population), problem.population)
         history: list[float] = []
         for iteration in range(problem.iterations):
-            population.sort(key=_by_fitness)
             offspring = breed(population[: problem.parents], problem, rng)
-            for child in offspring:
-                score(child)
-            pool = population + offspring
-            pool.sort(key=_by_fitness)
-            population = pool[: problem.population]
-            history.append(population[0].fitness)
+            population, terms = _best(
+                np.concatenate([population, offspring]),
+                np.concatenate([terms, score(offspring)]),
+                problem.population,
+            )
+            history.append(float(terms[0, 0]))
             if observer is not None:
                 observer(run_idx, iteration, population)
 
-        population.sort(key=_by_fitness)
-        best = population[0]
-        if best_overall is None or best.fitness < best_overall.fitness:
-            best_overall = best
-            best_history = history
-        if (
-            math.isfinite(best.fitness)
-            and best.vdop_avg <= problem.vdop_tolerance
-            and best.hdop_avg <= problem.hdop_tolerance
-        ):
-            return PlacementResult(
-                layout=BeaconLayout(positions=best.beacons),
-                vdop_avg=best.vdop_avg,
-                hdop_avg=best.hdop_avg,
-                history=history,
-                restarts=run_idx,
-                feasible=True,
-            )
+        fit, hdop_avg, vdop_avg = terms[0].tolist()
+        feasible = (
+            math.isfinite(fit)
+            and vdop_avg <= problem.vdop_tolerance
+            and hdop_avg <= problem.hdop_tolerance
+        )
+        if feasible or best is None or fit < best[0]:
+            best = (fit, hdop_avg, vdop_avg, population[0], history)
+        if feasible:
+            break
 
-    assert best_overall is not None
+    _, hdop_avg, vdop_avg, layout, history = best
     return PlacementResult(
-        layout=BeaconLayout(positions=best_overall.beacons),
-        vdop_avg=best_overall.vdop_avg,
-        hdop_avg=best_overall.hdop_avg,
-        history=best_history,
-        restarts=problem.max_restarts,
-        feasible=False,
+        layout=BeaconLayout(positions=layout),
+        vdop_avg=vdop_avg,
+        hdop_avg=hdop_avg,
+        history=history,
+        restarts=run_idx,
+        feasible=feasible,
     )

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ultraloc.channel import ORIGINAL_LAYOUT, SPEED_OF_SOUND
+from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, SPEED_OF_SOUND
 from ultraloc.cli import _build_parser, main
 from ultraloc.waveform import SAMPLE_RATE
 
@@ -171,6 +171,28 @@ class TestFlags:
             from_original = np.linalg.norm(ORIGINAL_LAYOUT.positions - true, axis=1) * samples
             assert np.any(abs(peaks - from_original) > 1)
 
+    def test_summary_records_the_beacons_that_ran(self, fast_ini, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        argv = ("simulate", "--config", fast_ini, "--trials", "3")
+        assert run_cli(*argv, "--layout", "optimized", "--out", str(first)) == 0
+        summary = json.loads((first / "summary.json").read_text())
+        assert summary["layout"] == "optimized"
+        assert summary["beacons"] == OPTIMIZED_LAYOUT.positions.tolist()
+        # the summary is itself a layout file: the same placement runs again
+        assert run_cli(*argv, "--layout", str(first / "summary.json"), "--out", str(again)) == 0
+
+        def peaks(out):
+            with open(out / "trials.csv", newline="") as fh:
+                return [[row[f"peak_{b}"] for b in range(4)] for row in csv.DictReader(fh)]
+
+        assert peaks(again) == peaks(first)
+        assert json.loads((again / "summary.json").read_text())["beacons"] == summary["beacons"]
+
+    def test_trajectory_summary_records_the_beacons(self, fast_ini, tmp_path):
+        assert run_cli("trajectory", "--config", fast_ini, "--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["beacons"] == ORIGINAL_LAYOUT.positions.tolist()
+
     def test_trials_and_seed_override(self, fast_ini, tmp_path):
         out = tmp_path / "ov"
         code = run_cli(
@@ -278,6 +300,7 @@ class TestErrorPaths:
             "[placement]\nmutation_rate = -0.5\n",
             "[run]\ntrajectory_waypoints = 0\n",
             "[run]\nseed = -1\n",
+            "[channel]\nexcess_delay_min = 1e-20\nexcess_delay_max = 1e-19\ntaps_per_beacon = 1\n",
         ],
         ids=[
             "fix_spacing",
@@ -299,6 +322,7 @@ class TestErrorPaths:
             "mutation_rate",
             "trajectory_waypoints",
             "seed",
+            "excess_delay_below_one_sample",
         ],
     )
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, ini):

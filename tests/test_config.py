@@ -326,6 +326,15 @@ class TestFailLoud:
         with pytest.raises(ConfigError, match="40 taps .* excess delay range"):
             cfg_mod.load_config(path)
 
+    def test_sub_sample_excess_delay_rejected(self, tmp_path):
+        # a tap this close to its direct path lands on the direct path's sample
+        taps = "excess_delay_min = 1e-20\nexcess_delay_max = 1e-19\ntaps_per_beacon = 1\n"
+        with pytest.raises(ConfigError, match="excess_delay_min must be at least one sample"):
+            cfg_mod.load_config(write(tmp_path, "[channel]\n" + taps))
+        # without multipath no tap is drawn
+        cfg = cfg_mod.load_config(write(tmp_path, "[channel]\nmultipath = false\n" + taps))
+        assert cfg.channel.excess_delay_min == 1e-20
+
     def test_tap_count_ignored_without_multipath(self, tmp_path):
         path = write(tmp_path, "[channel]\nmultipath = false\ntaps_per_beacon = 40\n")
         assert cfg_mod.load_config(path).channel.taps_per_beacon == 40

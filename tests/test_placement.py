@@ -73,10 +73,10 @@ class TestSeedPopulation:
         assert len(pop) == problem.population
         candidates = {tuple(p) for p in problem.beacon_domain.candidates()}
         for ind in pop:
-            assert ind.beacons.shape == (4, 3)
-            for b in ind.beacons:
+            assert ind.shape == (4, 3)
+            for b in ind:
                 assert tuple(b) in candidates
-            assert placement._separated(ind.beacons, problem.min_separation)
+            assert placement._separated(ind, problem.min_separation)
 
     def test_stratified_groups(self):
         problem = placement.PlacementProblem(rng_seed=1)
@@ -86,18 +86,24 @@ class TestSeedPopulation:
         n_ceiling = (problem.population + 2) // 3
         n_wall = (problem.population + 1) // 3
         for ind in pop[:n_ceiling]:
-            assert np.all(np.isclose(ind.beacons[:, 2], h))
+            assert np.all(np.isclose(ind[:, 2], h))
         for ind in pop[n_ceiling : n_ceiling + n_wall]:
-            assert np.all(~np.isclose(ind.beacons[:, 2], h))
+            assert np.all(~np.isclose(ind[:, 2], h))
         for ind in pop[n_ceiling + n_wall :]:
-            on_ceil = np.isclose(ind.beacons[:, 2], h)
+            on_ceil = np.isclose(ind[:, 2], h)
             assert 0 < on_ceil.sum() < 4
 
     def test_deterministic(self):
         problem = placement.PlacementProblem(rng_seed=33)
         a = placement.seed_population(problem, np.random.default_rng(problem.rng_seed))
         b = placement.seed_population(problem, np.random.default_rng(problem.rng_seed))
-        assert all(np.array_equal(x.beacons, y.beacons) for x, y in zip(a, b))
+        np.testing.assert_array_equal(a, b)
+
+    def test_one_float_array(self):
+        problem = fast_problem()
+        pop = placement.seed_population(problem, np.random.default_rng(problem.rng_seed))
+        assert pop.shape == (problem.population, 4, 3)
+        assert pop.dtype == np.float64
 
     def test_infeasible_separation(self):
         problem = fast_problem(min_separation=50.0)
@@ -108,32 +114,55 @@ class TestSeedPopulation:
 class TestFitness:
     def test_reference_layouts_ordering(self):
         problem = placement.PlacementProblem(rng_seed=0)
-        orig = placement.Individual(beacons=np.asarray(ORIGINAL_LAYOUT.positions))
-        opt = placement.Individual(beacons=np.asarray(OPTIMIZED_LAYOUT.positions))
-        f_orig = placement.fitness(orig, problem)
-        f_opt = placement.fitness(opt, problem)
+        f_orig, _, _ = placement.fitness(ORIGINAL_LAYOUT.positions, problem)
+        f_opt, _, _ = placement.fitness(OPTIMIZED_LAYOUT.positions, problem)
         assert math.isfinite(f_orig) and math.isfinite(f_opt)
         assert f_opt < f_orig
 
     def test_no_penalty_when_hdop_within_tolerance(self):
         problem = placement.PlacementProblem(rng_seed=0)
-        ind = placement.Individual(beacons=np.asarray(OPTIMIZED_LAYOUT.positions))
-        placement.fitness(ind, problem)
-        assert ind.hdop_avg <= problem.hdop_tolerance
-        assert ind.fitness == ind.vdop_avg
+        fit, hdop_avg, vdop_avg = placement.fitness(OPTIMIZED_LAYOUT.positions, problem)
+        assert hdop_avg <= problem.hdop_tolerance
+        assert fit == vdop_avg
 
     def test_penalty_when_hdop_breaks_tolerance(self):
         problem = placement.PlacementProblem(rng_seed=0, hdop_tolerance=0.5)
-        ind = placement.Individual(beacons=np.asarray(OPTIMIZED_LAYOUT.positions))
-        placement.fitness(ind, problem)
-        assert ind.fitness >= placement.HDOP_PENALTY
+        fit, _, _ = placement.fitness(OPTIMIZED_LAYOUT.positions, problem)
+        assert fit >= placement.HDOP_PENALTY
 
     def test_coplanar_layout_gets_sentinel(self):
         problem = placement.PlacementProblem(rng_seed=0)
-        flat = placement.Individual(
-            beacons=np.array([[0, 0, 4], [5, 0, 4], [5, 5, 4], [0, 5, 4]], dtype=float)
-        )
-        assert placement.fitness(flat, problem) == math.inf
+        flat = np.array([[0, 0, 4], [5, 0, 4], [5, 5, 4], [0, 5, 4]], dtype=float)
+        assert placement.fitness(flat, problem)[0] == math.inf
+
+
+    def test_coincident_layout_gets_sentinel(self):
+        problem = placement.PlacementProblem(rng_seed=0)
+        layout = np.array(OPTIMIZED_LAYOUT.positions)
+        layout[1] = layout[0]
+        fit, hdop_avg, vdop_avg = placement.fitness(layout, problem)
+        assert fit == math.inf
+        assert math.isnan(hdop_avg) and math.isnan(vdop_avg)
+
+    def test_pure_and_repeatable(self):
+        problem = placement.PlacementProblem(rng_seed=0)
+        layout = np.array(OPTIMIZED_LAYOUT.positions)
+        before = layout.copy()
+        first = placement.fitness(layout, problem)
+        assert placement.fitness(layout, problem) == first
+        assert isinstance(first, tuple) and len(first) == 3
+        np.testing.assert_array_equal(layout, before)
+        assert layout.flags.writeable
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only a degenerate geometry scores inf; any other ValueError is a bug
+        def broken(layout, domain):
+            raise ValueError("broken DOP path")
+
+        monkeypatch.setattr(placement, "dop_average", broken)
+        problem = placement.PlacementProblem(rng_seed=0)
+        with pytest.raises(ValueError, match="broken DOP path"):
+            placement.fitness(np.array(OPTIMIZED_LAYOUT.positions), problem)
 
 
 class TestCrossover:
@@ -142,8 +171,8 @@ class TestCrossover:
         rng = np.random.default_rng(2)
         pop = placement.seed_population(problem, rng)
         parent = pop[0]
-        child = placement.breed([parent, parent], problem, np.random.default_rng(3))[0]
-        assert np.array_equal(child.beacons, parent.beacons)
+        child = placement.breed(pop[[0, 0]], problem, np.random.default_rng(3))[0]
+        assert np.array_equal(child, parent)
 
     def test_coordinates_come_from_parents_when_lattice_aligned(self):
         # two all-ceiling parents: every mixed coordinate is already a
@@ -153,12 +182,12 @@ class TestCrossover:
         h = problem.beacon_domain.room_dims[2]
         ceiling = problem.beacon_domain.candidates()
         ceiling = ceiling[np.isclose(ceiling[:, 2], h)]
-        a = placement.Individual(beacons=placement._draw_separated(ceiling, rng, 0.5))
-        b = placement.Individual(beacons=placement._draw_separated(ceiling, rng, 0.5))
-        child = placement.breed([a, b], problem, np.random.default_rng(5))[0]
+        a = placement._draw_separated(ceiling, rng, 0.5)
+        b = placement._draw_separated(ceiling, rng, 0.5)
+        child = placement.breed(np.stack([a, b]), problem, np.random.default_rng(5))[0]
         for k in range(4):
             for c in range(3):
-                assert child.beacons[k, c] in (a.beacons[k, c], b.beacons[k, c])
+                assert child[k, c] in (a[k, c], b[k, c])
 
     def test_thousand_children_stay_valid(self):
         problem = fast_problem()
@@ -167,10 +196,10 @@ class TestCrossover:
         candidates = {tuple(p) for p in problem.beacon_domain.candidates()}
         child_rng = np.random.default_rng(7)
         for i in range(1000):
-            a, b = pop[i % len(pop)], pop[(i * 7 + 3) % len(pop)]
-            child = placement.breed([a, b], problem, child_rng)[0]
-            assert placement._separated(child.beacons, problem.min_separation)
-            for bcn in child.beacons:
+            pair = pop[[i % len(pop), (i * 7 + 3) % len(pop)]]
+            child = placement.breed(pair, problem, child_rng)[0]
+            assert placement._separated(child, problem.min_separation)
+            for bcn in child:
                 assert tuple(bcn) in candidates
 
 
@@ -188,13 +217,13 @@ def per_child_breed(parents, problem, rng):
     for a, b in zip(parents[0::2], parents[1::2]):
         for _ in range(20):
             mask = rng.integers(0, 2, size=(4, 3)).astype(bool)
-            pts = problem.beacon_domain.snap(np.where(mask, a.beacons, b.beacons))
+            pts = problem.beacon_domain.snap(np.where(mask, a, b))
             if scalar_separated(pts, problem.min_separation):
                 children.append(pts)
                 break
             redraws += 1
         else:
-            children.append(a.beacons.copy())
+            children.append(a.copy())
             fallbacks += 1
     return children, redraws, fallbacks
 
@@ -218,8 +247,7 @@ class TestBreed:
             want, r, f = per_child_breed(parents, problem, oracle_rng)
             got = placement.breed(parents, problem, rng)
             assert len(got) == len(want) == problem.offspring
-            for child, pts in zip(got, want):
-                np.testing.assert_array_equal(child.beacons, pts)
+            np.testing.assert_array_equal(got, want)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
             redraws += r
             fallbacks += f
@@ -227,18 +255,27 @@ class TestBreed:
         if falls_back:
             assert fallbacks > 0
 
+    def test_one_float_array(self):
+        problem = fast_problem()
+        rng = np.random.default_rng(13)
+        parents = placement.seed_population(problem, rng)[: problem.parents]
+        children = placement.breed(parents, problem, rng)
+        assert children.shape == (problem.offspring, 4, 3)
+        assert children.dtype == np.float64
+
     def test_falls_back_after_max_draws(self):
         # equal parents mix only into themselves, so an unseparated pair fails
         # every draw, while a separated pair accepts its first mask
         problem = fast_problem()
         good = placement.seed_population(problem, np.random.default_rng(10))[0]
-        bad = placement.Individual(beacons=good.beacons.copy())
-        bad.beacons[1] = bad.beacons[0]
+        bad = good.copy()
+        bad[1] = bad[0]
+        parents = np.stack([bad, bad, good, good])
         rng = np.random.default_rng(11)
-        children = placement.breed([bad, bad, good, good], problem, rng)
-        np.testing.assert_array_equal(children[0].beacons, bad.beacons)
-        assert children[0].beacons is not bad.beacons
-        np.testing.assert_array_equal(children[1].beacons, good.beacons)
+        children = placement.breed(parents, problem, rng)
+        np.testing.assert_array_equal(children[0], bad)
+        assert not np.shares_memory(children, parents)
+        np.testing.assert_array_equal(children[1], good)
         spent = np.random.default_rng(11)
         spent.integers(0, 2, size=(placement.MAX_DRAWS + 1, 4, 3))
         assert rng.bit_generator.state == spent.bit_generator.state
@@ -247,15 +284,15 @@ class TestBreed:
         # a problem never has fewer than 2 parents, but breed stays total
         rng = np.random.default_rng(12)
         state = rng.bit_generator.state
-        assert placement.breed([], fast_problem(), rng) == []
+        assert placement.breed(np.empty((0, 4, 3)), fast_problem(), rng).shape == (0, 4, 3)
         assert rng.bit_generator.state == state
 
     def test_crossover_is_one_pair_breed(self):
         problem = fast_problem()
         pop = placement.seed_population(problem, np.random.default_rng(8))
-        child = placement.breed([pop[0], pop[5]], problem, np.random.default_rng(9))[0]
-        (want,), _, _ = per_child_breed([pop[0], pop[5]], problem, np.random.default_rng(9))
-        np.testing.assert_array_equal(child.beacons, want)
+        child = placement.breed(pop[[0, 5]], problem, np.random.default_rng(9))[0]
+        (want,), _, _ = per_child_breed(pop[[0, 5]], problem, np.random.default_rng(9))
+        np.testing.assert_array_equal(child, want)
 
 
 class TestSeparated:
@@ -326,32 +363,27 @@ class TestFitnessMemo:
         plain_fitness = placement.fitness
         scored = []
 
-        def counting_fitness(individual, problem):
-            scored.append(individual.beacons.tobytes())
-            return plain_fitness(individual, problem)
+        def counting_fitness(beacons, problem):
+            scored.append(beacons.tobytes())
+            return plain_fitness(beacons, problem)
 
         monkeypatch.setattr(placement, "fitness", counting_fitness)
         problem = fast_problem()
         seen = []
+        best = {}
 
         def observer(run_idx, iteration, population):
-            for ind in population:
-                fresh = placement.Individual(beacons=ind.beacons.copy())
-                plain_fitness(fresh, problem)
-                seen.append(
-                    (
-                        ind.beacons.tobytes(),
-                        (ind.fitness, ind.hdop_avg, ind.vdop_avg),
-                        (fresh.fitness, fresh.hdop_avg, fresh.vdop_avg),
-                    )
-                )
+            seen.extend(ind.tobytes() for ind in population)
+            best.setdefault(run_idx, []).append(plain_fitness(population[0], problem)[0])
 
-        placement.optimize(problem, observer=observer)
+        result = placement.optimize(problem, observer=observer)
         assert len(scored) == len(set(scored))
         assert seen
-        for key, got, want in seen:
-            assert key in scored
-            np.testing.assert_array_equal(got, want)
+        assert set(seen) <= set(scored)
+        # history[i] is the fresh fitness of the best layout observed at iteration i
+        assert result.history in best.values()
+        if result.feasible:
+            assert result.history == best[result.restarts]
 
     def test_repeat_search_in_one_process_is_identical(self):
         first = placement.optimize(fast_problem())
