@@ -132,13 +132,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_trajectory(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
-    traj = harness.make_trajectory(
-        cfg.drone_domain(),
-        seed=cfg.run.seed,
-        n_waypoints=cfg.run.trajectory_waypoints,
-        fix_spacing=cfg.run.fix_spacing,
-    )
-    records, summary = harness.run_trajectory(cfg, traj)
+    records, summary = harness.run_trajectory(cfg, harness.make_trajectory(cfg))
     harness.write_trials_csv(records, out / "trajectory.csv")
     summary["layout"] = cfg.scene.layout_name
     summary["beacons"] = cfg.scene.layout.positions.tolist()

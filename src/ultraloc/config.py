@@ -27,7 +27,7 @@ from . import waveform as waveform_mod
 from .channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout, ChannelModel, Scene
 from .dop import DroneDomain
 from .errors import ConfigError
-from .fusion import FusionWeights
+from .fusion import fuse_height
 from .waveform import WaveformConfig, generate_tx_signals, random_hop_plan, walsh_hadamard
 
 
@@ -43,7 +43,6 @@ class WaveformConfigSection:
     sample_rate: float = waveform_mod.SAMPLE_RATE
     symbol_duration: float = waveform_mod.SYMBOL_DURATION
     center_frequencies: tuple[float, ...] = waveform_mod.CENTER_FREQUENCIES
-    channel_bandwidth: float = waveform_mod.CHANNEL_BANDWIDTH
     burst_bits: int = waveform_mod.BURST_BITS
     carrier_phase: float = 0.0
     walsh_order: int = waveform_mod.WALSH_ORDER
@@ -67,7 +66,6 @@ class ChannelConfigSection:
 class FusionConfigSection:
     enabled: bool = False
     w1: float = fusion_mod.DEFAULT_W1
-    w2: float = fusion_mod.DEFAULT_W2
     echo_noise_std: float = fusion_mod.ECHO_NOISE_STD
     auto_weights: bool = False
     obstruction_prob: float = 0.0
@@ -250,9 +248,11 @@ def load_config(path: str | Path) -> SimConfig:
         raise ConfigError(f"config path is a directory, not a file: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}".replace("\n", " ")) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
@@ -289,8 +289,8 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
     """Reject a config unless every object a run builds from it can be built.
 
     The checks below are the rules no such object states; the objects
-    themselves are then built once, and a ValueError from any of them is
-    reported with the section it came from.
+    themselves, and one fusion blend, are then built once, and a ValueError
+    from any of them is reported with the section it came from.
     """
     def fail(msg: str):
         raise ConfigError(f"{source}: {msg}")
@@ -349,7 +349,6 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
             n_symbols=wf.burst_bits,
             seed=0,
             center_frequencies=wf.center_frequencies,
-            channel_bandwidth=wf.channel_bandwidth,
             carrier_phase=wf.carrier_phase,
             reuse_window=wf.hop_reuse_window,
         )
@@ -367,7 +366,7 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
     for section, build in (
         ("waveform", waveform),
         ("channel", lambda: ChannelModel(speed_of_sound=ch.speed_of_sound)),
-        ("fusion", lambda: FusionWeights(w1=fu.w1, w2=fu.w2)),
+        ("fusion", lambda: fuse_height(0.0, 0.0, fu.w1)),
         ("run", cfg.drone_domain),
         ("scene", scene),
         ("placement", cfg.placement_problem),

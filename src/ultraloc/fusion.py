@@ -2,8 +2,9 @@
 
 A transceiver on the drone pings the ceiling; half the round-trip time
 times the speed of sound is the gap to the ceiling, and the room height
-minus that gap is an independent height estimate. A static weighted sum
-blends it with the trilateration z coordinate.
+minus that gap is an independent height estimate. A convex blend with
+one weight w1 on the trilateration z coordinate and 1 - w1 on that
+height fuses the two.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 from .channel import SPEED_OF_SOUND
 
 DEFAULT_W1 = 0.2  # trilateration z weight; the ceiling channel is the cleaner one
-DEFAULT_W2 = 0.8
 ECHO_NOISE_STD = 10e-6  # seconds of round-trip timing jitter
 
 
@@ -32,26 +32,11 @@ class HeightMeasurement:
             raise ValueError("derived height must lie within [0, ceiling height]")
 
 
-@dataclass(frozen=True)
-class FusionWeights:
-    """Convex weights for blending the two height estimates."""
-
-    w1: float = DEFAULT_W1
-    w2: float = DEFAULT_W2
-
-    def __post_init__(self):
-        if not (0.0 <= self.w1 <= 1.0 and 0.0 <= self.w2 <= 1.0):
-            raise ValueError("weights must lie in [0, 1]")
-        if abs(self.w1 + self.w2 - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
-
-
-def inverse_variance_weights(var1: float, var2: float) -> FusionWeights:
-    """Weights proportional to 1/variance of each height estimate."""
+def inverse_variance_weights(var1: float, var2: float) -> float:
+    """The weight w1 of the first estimate, proportional to 1/variance of each."""
     if var1 <= 0 or var2 <= 0:
         raise ValueError("variances must be positive")
-    w1 = (1.0 / var1) / (1.0 / var1 + 1.0 / var2)
-    return FusionWeights(w1=w1, w2=1.0 - w1)
+    return (1.0 / var1) / (1.0 / var1 + 1.0 / var2)
 
 
 def simulate_ceiling_echo(
@@ -84,6 +69,8 @@ def simulate_ceiling_echo(
     )
 
 
-def fuse_height(z_stage1: float, h_drone: float, weights: FusionWeights) -> float:
-    """Weighted blend of the trilateration z and the rangefinder height."""
-    return weights.w1 * z_stage1 + weights.w2 * h_drone
+def fuse_height(z_stage1: float, h_drone: float, w1: float) -> float:
+    """Blend of the trilateration z, weighted w1, and the rangefinder height, 1 - w1."""
+    if not 0.0 <= w1 <= 1.0:
+        raise ValueError("weight w1 must lie in [0, 1]")
+    return w1 * z_stage1 + (1.0 - w1) * h_drone

@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .channel import (
 from .config import SimConfig
 from .dop import DroneDomain, dop_components
 from .errors import ConfigError, UltralocError
-from .fusion import FusionWeights, fuse_height, inverse_variance_weights, simulate_ceiling_echo
+from .fusion import fuse_height, inverse_variance_weights, simulate_ceiling_echo
 from .ranging import estimate_ranges
 from .solver import trilaterate
 from .waveform import (
@@ -113,26 +114,21 @@ def random_position(domain: DroneDomain, rng: np.random.Generator) -> np.ndarray
     )
 
 
-def make_trajectory(
-    domain: DroneDomain,
-    seed: int,
-    n_waypoints: int = 8,
-    fix_spacing: float = 0.25,
-) -> np.ndarray:
-    """Seeded piecewise-linear random path resampled at fix_spacing, as (n, 3) fix points."""
-    if n_waypoints < 1:
-        raise ValueError("need at least one waypoint")
-    rng = np.random.default_rng([seed, _STREAM_TRAJECTORY])
-    corners = np.array([random_position(domain, rng) for _ in range(n_waypoints)])
+def make_trajectory(config: SimConfig) -> np.ndarray:
+    """Seeded piecewise-linear random path through run.trajectory_waypoints
+    drone-domain corners, resampled at run.fix_spacing, as (n, 3) fix points."""
+    run, domain = config.run, config.drone_domain()
+    rng = np.random.default_rng([run.seed, _STREAM_TRAJECTORY])
+    corners = np.array([random_position(domain, rng) for _ in range(run.trajectory_waypoints)])
     fixes = [corners[0]]
     for a, b in zip(corners[:-1], corners[1:]):
         seg = b - a
         length = float(np.linalg.norm(seg))
         if length == 0.0:
             continue
-        n_steps = max(int(math.floor(length / fix_spacing)), 1)
+        n_steps = max(int(math.floor(length / run.fix_spacing)), 1)
         for k in range(1, n_steps + 1):
-            fixes.append(a + seg * min(k * fix_spacing / length, 1.0))
+            fixes.append(a + seg * min(k * run.fix_spacing / length, 1.0))
     return np.array(fixes)
 
 
@@ -173,7 +169,6 @@ def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> Tr
         n_symbols=wf.burst_bits,
         seed=int(rng.integers(2**31)),
         center_frequencies=wf.center_frequencies,
-        channel_bandwidth=wf.channel_bandwidth,
         carrier_phase=wf.carrier_phase,
         reuse_window=wf.hop_reuse_window,
     )
@@ -228,15 +223,14 @@ def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> Tr
             rng=rng,
             obstruction_prob=fu.obstruction_prob,
         )
+        w1 = fu.w1
         if fu.auto_weights:
             quant_std = ch.speed_of_sound / wf.sample_rate / math.sqrt(12.0)
             _, vdop, _ = dop_components(config.scene.layout, est[None, :])
             var_tri = (float(vdop[0]) * quant_std) ** 2 if np.isfinite(vdop[0]) else 1.0
             var_echo = (ch.speed_of_sound * fu.echo_noise_std / 2.0) ** 2
-            weights = inverse_variance_weights(var_tri, var_echo)
-        else:
-            weights = FusionWeights(w1=fu.w1, w2=fu.w2)
-        est[2] = fuse_height(est[2], echo.derived_height, weights)
+            w1 = inverse_variance_weights(var_tri, var_echo)
+        est[2] = fuse_height(est[2], echo.derived_height, w1)
 
     delta = est - true_position
     err_xy = float(np.hypot(delta[0], delta[1]))
@@ -281,21 +275,17 @@ def simulate(config: SimConfig) -> list[TrialRecord]:
     return _run_trials(config, config.run.trials, _STREAM_SIMULATE)
 
 
-def sweep_snr(
-    config: SimConfig,
-    snr_list: tuple[float, ...] | None = None,
-    trials_per_point: int | None = None,
-) -> tuple[list[TrialRecord], list[dict]]:
-    """Monte Carlo localization error versus SNR.
+def sweep_snr(config: SimConfig) -> tuple[list[TrialRecord], list[dict]]:
+    """Monte Carlo localization error versus SNR: run.trials fixes at each
+    SNR of run.snr_list.
 
     Returns all trial records plus one aggregate row per SNR with means
     and standard deviations of the per-axis and combined errors.
     """
-    snrs = snr_list if snr_list is not None else config.run.snr_list
-    n = trials_per_point if trials_per_point is not None else config.run.trials
+    n = config.run.trials
     all_records: list[TrialRecord] = []
     table: list[dict] = []
-    for s_idx, snr in enumerate(snrs):
+    for s_idx, snr in enumerate(config.run.snr_list):
         cfg_s = replace(config, channel=replace(config.channel, snr_db=snr))
         records = _run_trials(cfg_s, n, _STREAM_SWEEP, s_idx, first_id=s_idx * n)
         all_records.extend(records)
@@ -361,13 +351,24 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+@contextmanager
+def _output_file(path: str | Path, **open_kw) -> Iterator:
+    """Open an output file for writing; an OSError while opening or writing
+    it becomes one UltralocError naming the file."""
+    try:
+        with open(path, "w", **open_kw) as fh:
+            yield fh
+    except OSError as exc:
+        raise UltralocError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
     """Write one CSV table; every output table goes through here.
 
     Cell rule: None -> "", bool -> "1"/"0", float (numpy floats included)
     -> 12 significant digits, anything else -> str().
     """
-    with open(path, "w", newline="") as fh:
+    with _output_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([_csv_cell(v) for v in row] for row in rows)
@@ -400,6 +401,6 @@ def _strict_json(obj):
 
 def write_summary_json(summary: dict, path: str | Path) -> None:
     """Write summary as strict JSON: a mean with no sample is null, never NaN."""
-    with open(path, "w") as fh:
+    with _output_file(path) as fh:
         json.dump(_strict_json(summary), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

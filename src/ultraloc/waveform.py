@@ -72,13 +72,12 @@ class HopPlan:
     """Per-symbol frequency-hop schedule shared by transmitter and receiver.
 
     center_frequencies: channel centers in Hz, all inside the ultrasonic
-        band [20 kHz, 50 kHz], spaced at least channel_bandwidth apart.
+        band [20 kHz, 50 kHz], spaced at least CHANNEL_BANDWIDTH apart.
     hop_sequence: channel index used by each successive symbol.
     carrier_phase: phase offset of the sinusoidal carrier in radians.
     """
 
     center_frequencies: tuple[float, ...]
-    channel_bandwidth: float
     hop_sequence: np.ndarray
     carrier_phase: float = 0.0
 
@@ -89,8 +88,10 @@ class HopPlan:
         if np.any(freqs < 20_000.0) or np.any(freqs > 50_000.0):
             raise ValueError("channel centers must lie within [20 kHz, 50 kHz]")
         spacing = np.diff(np.sort(freqs))
-        if spacing.size and np.min(spacing) < self.channel_bandwidth - 1e-9:
-            raise ValueError("adjacent channels overlap at the given bandwidth")
+        if spacing.size and np.min(spacing) < CHANNEL_BANDWIDTH - 1e-9:
+            raise ValueError(
+                f"adjacent channels overlap: centers must be at least {CHANNEL_BANDWIDTH:g} Hz apart"
+            )
         seq = np.asarray(self.hop_sequence, dtype=np.int64)
         if seq.size and (seq.min() < 0 or seq.max() >= freqs.size):
             raise ValueError("hop sequence entries must index the channel list")
@@ -101,7 +102,6 @@ def random_hop_plan(
     n_symbols: int,
     seed: int,
     center_frequencies: tuple[float, ...] = CENTER_FREQUENCIES,
-    channel_bandwidth: float = CHANNEL_BANDWIDTH,
     carrier_phase: float = 0.0,
     reuse_window: int = 2,
 ) -> HopPlan:
@@ -129,7 +129,6 @@ def random_hop_plan(
         seq[k] = choices[rng.integers(0, len(choices))]
     return HopPlan(
         center_frequencies=tuple(center_frequencies),
-        channel_bandwidth=channel_bandwidth,
         hop_sequence=seq,
         carrier_phase=carrier_phase,
     )

@@ -21,7 +21,6 @@ def single_channel_plan(n_symbols, freq=22_500.0, phase=0.0):
     """Hop plan that parks every symbol on one channel."""
     return wf.HopPlan(
         center_frequencies=(freq,),
-        channel_bandwidth=wf.CHANNEL_BANDWIDTH,
         hop_sequence=np.zeros(n_symbols, dtype=np.int64),
         carrier_phase=phase,
     )

@@ -292,6 +292,9 @@ class TestErrorPaths:
             "[channel]\ndecay_time = nan\n",
             "[waveform]\nwalsh_order = 5\n",
             "[waveform]\nchannel_bandwidth = 6000\n",
+            "[waveform]\ncenter_frequencies = 22500, 25000\nhop_reuse_window = 0\n",
+            "[fusion]\nw2 = 0.8\n",
+            "[fusion]\nw1 = 1.5\n",
             "[waveform]\ncenter_frequencies =\n",
             "[waveform]\ncenter_frequencies = 22500\nhop_reuse_window = 2\n",
             "[scene]\nroom = 4.6, 4.6, 3.5\n",
@@ -314,6 +317,9 @@ class TestErrorPaths:
             "decay_time_nan",
             "walsh_order",
             "channel_bandwidth",
+            "overlapping_channels",
+            "w2",
+            "w1_above_one",
             "no_channels",
             "one_channel_reuse_window",
             "layout_outside_room",
@@ -425,6 +431,30 @@ class TestErrorPaths:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert afile.read_text() == "keep"
+
+    def test_non_utf8_config_is_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(b"\xff\xfe[run]\n")
+        code = run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {bad}: not UTF-8 text")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command,name", [("simulate", "trials.csv"), ("optimize", "placement.json")]
+    )
+    def test_output_file_naming_a_directory_is_one_error_line(
+        self, fast_ini, tmp_path, capsys, command, name
+    ):
+        (tmp_path / name).mkdir()
+        code = run_cli(command, "--config", fast_ini, "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: cannot write {tmp_path / name}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_config_naming_a_directory_is_one_error_line(self, tmp_path, capsys):
         code = run_cli("dopmap", "--config", str(tmp_path), "--out", str(tmp_path / "o"))

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,10 +97,22 @@ snr_list = 0, 10, 20
         with pytest.raises(ConfigError, match="inside the room"):
             cfg_mod.load_config(path)
 
-    def test_bad_fusion_weights_rejected(self, tmp_path):
-        path = write(tmp_path, "[fusion]\nw1 = 0.5\nw2 = 0.6\n")
-        with pytest.raises(ConfigError, match="sum to 1"):
+    def test_lone_w1_loads(self, tmp_path):
+        # the rangefinder height takes the rest of the weight, 1 - w1
+        path = write(tmp_path, "[fusion]\nw1 = 0.5\n")
+        assert cfg_mod.load_config(path).fusion.w1 == 0.5
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"\xff\xfe[run]\n")
+        with pytest.raises(ConfigError, match=r"bad\.ini: not UTF-8 text"):
             cfg_mod.load_config(path)
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        # every value the example spells out is the default
+        assert cfg_mod.load_config(write(tmp_path, block)) == cfg_mod.default_config()
 
     def test_max_doppler_is_an_unknown_key(self, tmp_path):
         # the channel has no Doppler model, so there is no such knob
@@ -115,7 +129,6 @@ KEYS = {
         "burst_bits",
         "carrier_phase",
         "center_frequencies",
-        "channel_bandwidth",
         "hop_reuse_window",
         "sample_rate",
         "symbol_duration",
@@ -132,7 +145,7 @@ KEYS = {
         "speed_of_sound",
         "taps_per_beacon",
     ],
-    "fusion": ["auto_weights", "echo_noise_std", "enabled", "obstruction_prob", "w1", "w2"],
+    "fusion": ["auto_weights", "echo_noise_std", "enabled", "obstruction_prob", "w1"],
     "placement": [
         "beacon_grid",
         "hdop_tolerance",
@@ -173,7 +186,6 @@ def _waveform(draw):
         "sample_rate": sample_rate,
         "symbol_duration": samples_per_symbol / sample_rate,
         "center_frequencies": channels,
-        "channel_bandwidth": draw(st.floats(100.0, 5_000.0)),
         "burst_bits": draw(st.integers(1, 64)),
         "carrier_phase": draw(st.floats(-math.pi, math.pi)),
         "walsh_order": walsh_order,
@@ -200,11 +212,9 @@ def _channel(draw):
 
 @st.composite
 def _fusion(draw):
-    w1 = draw(st.floats(0.0, 1.0))
     return {
         "enabled": draw(st.booleans()),
-        "w1": w1,
-        "w2": 1.0 - w1,
+        "w1": draw(st.floats(0.0, 1.0)),
         "echo_noise_std": draw(st.floats(1e-7, 1e-3)),
         "auto_weights": draw(st.booleans()),
         "obstruction_prob": draw(st.floats(0.0, 1.0)),
@@ -274,7 +284,7 @@ def _ini_value(value) -> str:
 class TestSchema:
     def test_keys_of_each_section(self):
         assert {s: sorted(keys) for s, keys in cfg_mod._SCHEMA.items()} == KEYS
-        assert sum(len(keys) for keys in KEYS.values()) == 42
+        assert sum(len(keys) for keys in KEYS.values()) == 40
 
     @settings(
         max_examples=60,
@@ -382,7 +392,13 @@ class TestFailLoud:
         [
             ("[waveform]\nwalsh_order = 5\n", r"\[waveform\] .*power of two"),
             ("[waveform]\nwalsh_order = 16\n", r"\[waveform\] .*code length 16"),
-            ("[waveform]\nchannel_bandwidth = 6000\n", r"\[waveform\] .*overlap"),
+            ("[waveform]\nchannel_bandwidth = 6000\n", "unknown key 'channel_bandwidth'"),
+            (
+                "[waveform]\ncenter_frequencies = 22500, 25000\nhop_reuse_window = 0\n",
+                r"\[waveform\] .*overlap",
+            ),
+            ("[fusion]\nw2 = 0.8\n", "unknown key 'w2'"),
+            ("[fusion]\nw1 = 1.5\n", r"\[fusion\] weight w1 must lie in \[0, 1\]"),
             ("[waveform]\ncenter_frequencies =\n", "at least one channel"),
             (
                 "[waveform]\ncenter_frequencies = 22500\nhop_reuse_window = 2\n",
@@ -404,6 +420,9 @@ class TestFailLoud:
             "walsh_order_not_power_of_two",
             "walsh_order_chips",
             "channel_bandwidth",
+            "overlapping_channels",
+            "w2",
+            "w1_above_one",
             "no_channels",
             "one_channel_reuse_window",
             "speed_of_sound",

@@ -48,50 +48,52 @@ class TestCeilingEcho:
 
 class TestFuseHeight:
     def test_weighted_mean(self):
-        w = fusion.FusionWeights(w1=0.2, w2=0.8)
-        assert fusion.fuse_height(1.0, 1.1, w) == pytest.approx(1.08, abs=1e-12)
+        assert fusion.fuse_height(1.0, 1.1, 0.2) == pytest.approx(1.08, abs=1e-12)
 
     def test_w1_identity(self):
-        w = fusion.FusionWeights(w1=1.0, w2=0.0)
-        assert fusion.fuse_height(1.23, 9.9, w) == 1.23
+        assert fusion.fuse_height(1.23, 9.9, 1.0) == 1.23
 
     def test_w2_identity(self):
-        w = fusion.FusionWeights(w1=0.0, w2=1.0)
-        assert fusion.fuse_height(1.23, 9.9, w) == 9.9
+        # w1 = 0 puts the whole weight, 1 - w1, on the rangefinder height
+        assert fusion.fuse_height(1.23, 9.9, 0.0) == 9.9
 
     def test_convex_combination_bounds(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             z, h = rng.uniform(0, 4, size=2)
             w1 = rng.uniform(0, 1)
-            fused = fusion.fuse_height(z, h, fusion.FusionWeights(w1=w1, w2=1 - w1))
+            fused = fusion.fuse_height(z, h, w1)
             assert min(z, h) - 1e-12 <= fused <= max(z, h) + 1e-12
 
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            fusion.FusionWeights(w1=0.5, w2=0.6)
+    def test_default_weight_blend_is_exact(self):
+        # the default rangefinder weight 1 - w1 is exactly 0.8, so the
+        # default blend is 0.2 z + 0.8 h to the last bit
+        assert 1.0 - fusion.DEFAULT_W1 == 0.8
+        z, h = 1.2345678901234, 1.3456789012345
+        assert fusion.fuse_height(z, h, fusion.DEFAULT_W1) == 0.2 * z + 0.8 * h
 
     def test_weights_must_be_probabilities(self):
-        with pytest.raises(ValueError):
-            fusion.FusionWeights(w1=-0.2, w2=1.2)
+        for w1 in (-0.2, 1.2):
+            with pytest.raises(ValueError, match=r"w1 must lie in \[0, 1\]"):
+                fusion.fuse_height(1.0, 2.0, w1)
 
 
 class TestInverseVarianceWeights:
     def test_values(self):
-        w = fusion.inverse_variance_weights(1.0, 3.0)
-        assert w.w1 == pytest.approx(0.75)
-        assert w.w2 == pytest.approx(0.25)
+        w1 = fusion.inverse_variance_weights(1.0, 3.0)
+        assert w1 == pytest.approx(0.75)
+        assert 1.0 - w1 == pytest.approx(0.25)
 
     def test_fused_variance_below_both_inputs(self):
         # with weights proportional to 1/variance, the fused estimate
         # beats either input over many trials
         rng = np.random.default_rng(9)
         v1, v2 = 4e-6, 1e-6
-        w = fusion.inverse_variance_weights(v1, v2)
+        w1 = fusion.inverse_variance_weights(v1, v2)
         n = 10_000
         z = rng.normal(0.0, np.sqrt(v1), n)
         h = rng.normal(0.0, np.sqrt(v2), n)
-        fused = w.w1 * z + w.w2 * h
+        fused = fusion.fuse_height(z, h, w1)
         assert np.var(fused) <= min(v1, v2)
 
     def test_rejects_nonpositive_variance(self):

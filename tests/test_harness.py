@@ -115,8 +115,8 @@ class TestSimulateAndSweep:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_sweep_aggregates(self):
-        cfg = fast_config()
-        records, table = harness.sweep_snr(cfg, snr_list=(0.0, 20.0), trials_per_point=2)
+        cfg = fast_config(trials=2, snr_list=(0.0, 20.0))
+        records, table = harness.sweep_snr(cfg)
         assert len(records) == 4
         assert len(table) == 2
         assert table[0]["snr_db"] == 0.0
@@ -125,9 +125,9 @@ class TestSimulateAndSweep:
         assert math.isfinite(table[0]["mean_err_3d"])
 
     def test_failed_trials_counted_not_dropped(self):
-        cfg = fast_config()
+        cfg = fast_config(snr_list=(10.0,))
         cfg = replace(cfg, scene=replace(cfg.scene, layout=COPLANAR, layout_name="file"))
-        records, table = harness.sweep_snr(cfg, snr_list=(10.0,), trials_per_point=3)
+        records, table = harness.sweep_snr(cfg)
         assert len(records) == 3
         assert table[0]["n_failed"] == 3
         assert all(r.failed for r in records)
@@ -136,11 +136,11 @@ class TestSimulateAndSweep:
         # the placement-optimized layout narrows the vertical-vs-horizontal
         # error ratio relative to the baseline layout
         cfg = default_config()
-        cfg = replace(cfg, run=replace(cfg.run, seed=5))
+        cfg = replace(cfg, run=replace(cfg.run, seed=5, snr_list=(15.0,), trials=60))
         ratios = {}
         for name, layout in (("original", cfg.scene.layout), ("optimized", OPTIMIZED_LAYOUT)):
             cfg_l = replace(cfg, scene=replace(cfg.scene, layout=layout, layout_name=name))
-            _, table = harness.sweep_snr(cfg_l, snr_list=(15.0,), trials_per_point=60)
+            _, table = harness.sweep_snr(cfg_l)
             ratios[name] = table[0]["mean_err_z"] / table[0]["mean_err_xy"]
         assert ratios["optimized"] < ratios["original"]
 
@@ -153,9 +153,7 @@ class TestLayoutComparison:
         base = replace(base, run=replace(base.run, fix_spacing=0.5, trajectory_waypoints=5))
         opt = replace(base, scene=replace(base.scene, layout=OPTIMIZED_LAYOUT, layout_name="optimized"))
         for k in range(7):
-            traj = harness.make_trajectory(
-                base.drone_domain(), seed=100 + k, n_waypoints=5, fix_spacing=0.5
-            )
+            traj = harness.make_trajectory(replace(base, run=replace(base.run, seed=100 + k)))
             _, s_orig = harness.run_trajectory(
                 replace(base, run=replace(base.run, seed=100 + k)), traj
             )
@@ -191,17 +189,17 @@ class TestLayoutComparison:
 
 class TestTrajectory:
     def test_waypoints_inside_domain_and_spacing(self):
-        cfg = fast_config()
+        cfg = fast_config(seed=3, trajectory_waypoints=5, fix_spacing=0.25)
         domain = cfg.drone_domain()
-        traj = harness.make_trajectory(domain, seed=3, n_waypoints=5, fix_spacing=0.25)
+        traj = harness.make_trajectory(cfg)
         for p in traj:
             assert domain.contains(p)
         steps = np.linalg.norm(np.diff(traj, axis=0), axis=1)
         assert np.all(steps <= 0.25 + 1e-9)
 
     def test_single_waypoint_equals_run_fix(self):
-        cfg = fast_config()
-        traj = harness.make_trajectory(cfg.drone_domain(), seed=cfg.run.seed, n_waypoints=1)
+        cfg = fast_config(trajectory_waypoints=1)
+        traj = harness.make_trajectory(cfg)
         records, summary = harness.run_trajectory(cfg, traj)
         assert len(records) == 1
         direct = harness.run_fix(cfg, traj[0], [cfg.run.seed, 2, 0])
@@ -212,14 +210,14 @@ class TestTrajectory:
     def test_random_trial_equals_run_fix(self, stream, s_idx):
         # trial t of a stream runs with seed [run.seed, stream, *indices, t]
         # at the drone-domain position drawn from [*seed, 999]
-        cfg = fast_config(snr_db=10.0, multipath=True)
+        cfg = fast_config(snr_db=10.0, multipath=True, snr_list=(0.0, 10.0))
         t = 1
         if s_idx is None:
             records = harness.simulate(cfg)
             seed = [cfg.run.seed, stream, t]
             trial_id = t
         else:
-            records, _ = harness.sweep_snr(cfg, snr_list=(0.0, 10.0), trials_per_point=3)
+            records, _ = harness.sweep_snr(cfg)
             seed = [cfg.run.seed, stream, s_idx, t]
             trial_id = s_idx * 3 + t
         rec = records[trial_id]
@@ -256,9 +254,9 @@ class TestTrajectory:
         assert np.array_equal(records[0].est_position, row.est_position)
 
     def test_trajectory_deterministic(self):
-        cfg = fast_config()
-        a = harness.make_trajectory(cfg.drone_domain(), seed=3, n_waypoints=4)
-        b = harness.make_trajectory(cfg.drone_domain(), seed=3, n_waypoints=4)
+        cfg = fast_config(seed=3, trajectory_waypoints=4)
+        a = harness.make_trajectory(cfg)
+        b = harness.make_trajectory(cfg)
         assert np.array_equal(a, b)
 
 

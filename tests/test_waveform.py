@@ -68,17 +68,17 @@ class TestEncodeSymbol:
 class TestHopPlan:
     def test_rejects_out_of_band_center(self):
         with pytest.raises(ValueError):
-            wf.HopPlan((19_000.0,), 5_000.0, np.zeros(1, dtype=int))
+            wf.HopPlan((19_000.0,), np.zeros(1, dtype=int))
         with pytest.raises(ValueError):
-            wf.HopPlan((51_000.0,), 5_000.0, np.zeros(1, dtype=int))
+            wf.HopPlan((51_000.0,), np.zeros(1, dtype=int))
 
     def test_rejects_overlapping_channels(self):
         with pytest.raises(ValueError):
-            wf.HopPlan((22_500.0, 26_000.0), 5_000.0, np.zeros(1, dtype=int))
+            wf.HopPlan((22_500.0, 26_000.0), np.zeros(1, dtype=int))
 
     def test_rejects_bad_hop_index(self):
         with pytest.raises(ValueError):
-            wf.HopPlan((22_500.0, 27_500.0), 5_000.0, np.array([0, 2]))
+            wf.HopPlan((22_500.0, 27_500.0), np.array([0, 2]))
 
     def test_random_plan_deterministic(self):
         a = wf.random_hop_plan(64, seed=9)
@@ -156,7 +156,7 @@ class TestGenerateTxSignal:
         # two symbols hopping 0 -> 3: each symbol's spectrum must put more
         # energy in its own channel than in any other channel
         plan = wf.HopPlan(
-            wf.CENTER_FREQUENCIES, wf.CHANNEL_BANDWIDTH, np.array([0, 3]), 0.0
+            wf.CENTER_FREQUENCIES, np.array([0, 3]), 0.0
         )
         config = make_burst_config([1, 1])
         sig = wf.generate_tx_signals(config, plan, walsh4.row(0))
