@@ -40,6 +40,23 @@ TAP_DECAY_TIME = 0.0015
 MAX_TAP_GAIN = 0.6
 MIN_TAP_SPACING = 0.0003
 
+# The six beacon pairs (i < j) of a four-beacon layout, in loop order.
+BEACON_PAIRS = np.triu_indices(4, 1)
+
+
+def coincident_pairs(layouts: np.ndarray) -> np.ndarray:
+    """Whether each beacon pair of (..., 4, 3) layouts coincides (np.isclose
+    on every coordinate), as (..., 6) in BEACON_PAIRS order."""
+    i, j = BEACON_PAIRS
+    return np.isclose(layouts[..., i, :], layouts[..., j, :]).all(axis=-1)
+
+
+def full_rank(layouts: np.ndarray) -> np.ndarray:
+    """Whether p_n - p_i of (..., n, 3) layouts have rank 3 (1e-9 m), as a
+    3-D fix needs."""
+    diffs = layouts[..., -1:, :] - layouts[..., :-1, :]
+    return np.linalg.matrix_rank(diffs, tol=1e-9) == 3
+
 
 @dataclass(frozen=True, eq=False)  # compared by identity, as arrays have no single truth value
 class BeaconLayout:
@@ -52,10 +69,9 @@ class BeaconLayout:
         pos = np.array(self.positions, dtype=float)
         if pos.shape != (4, 3):
             raise ValueError(f"expected 4 beacons with xyz coordinates, got shape {pos.shape}")
-        close = np.isclose(pos[:, None, :], pos[None, :, :]).all(axis=2)
-        pairs = np.argwhere(np.triu(close, k=1))
+        pairs = np.flatnonzero(coincident_pairs(pos))
         if pairs.size:
-            i, j = pairs[0]
+            i, j = np.transpose(BEACON_PAIRS)[pairs[0]]
             raise SingularGeometryError(f"beacons {i} and {j} coincide")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -66,8 +82,7 @@ class BeaconLayout:
     @functools.cached_property
     def spans_3d(self) -> bool:
         """Whether p_n - p_i have rank 3 (1e-9 m), as a 3-D fix needs; computed once."""
-        diffs = self.positions[-1] - self.positions[:-1]
-        return bool(np.linalg.matrix_rank(diffs, tol=1e-9) == 3)
+        return bool(full_rank(self.positions))
 
 
 # Baseline beacon coordinates used by the preliminary-stage experiments,

@@ -10,6 +10,11 @@ coordinate, and the worst 20 of the resulting 70 are culled. The whole
 search restarts from a fresh population when the final best layout
 misses either tolerance.
 
+A generation's layouts not yet scored in the search are scored together
+(score_layouts): the degeneracy rules run on the whole batch at once, and
+the DOP kernel takes the rest in calls of at most PAIR_BUDGET (layout,
+drone-lattice point) pairs, 16 layouts of the default 486-point lattice.
+
 Children are snapped to the lattice through scipy's k-d tree. The tree,
 and scipy.spatial with it, loads on a domain's first snap rather than at
 import, so commands that never search do not pay the ~0.25 s import.
@@ -24,9 +29,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import ROOM_DIMS, BeaconLayout
-from .dop import DroneDomain, dop_average
-from .errors import DomainDegeneracyError, InfeasibleDomainError, SingularGeometryError
+from .channel import BEACON_PAIRS, ROOM_DIMS, BeaconLayout, coincident_pairs, full_rank
+from .dop import DroneDomain, domain_mean, dop_components
+from .errors import DomainDegeneracyError, InfeasibleDomainError
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -39,9 +44,11 @@ ITERATIONS = 100
 MAX_RESTARTS = 10
 HDOP_PENALTY = 1e6
 MAX_DRAWS = 20
-
-# The six beacon pairs (i < j) of a four-beacon layout.
-_PAIRS = np.triu_indices(4, 1)
+# (layout, lattice point) pairs per DOP kernel call while scoring a batch:
+# 16 layouts of the default 486-point drone lattice. A lattice larger than
+# this goes one layout a call, so a fine drone lattice never holds more
+# than one layout's kernel temporaries at once.
+PAIR_BUDGET = 8192
 
 
 @dataclass(frozen=True)
@@ -76,23 +83,23 @@ class BeaconDomain:
 
     @functools.cached_property
     def _lattice(self) -> np.ndarray:
+        # Every point in loop order (the ceiling row by row, then per wall
+        # height the x = 0 / x = w pairs along y and the y = 0 / y = d pairs
+        # along x), rounded to 1e-9 m, with repeats dropped after their first.
         w, d, h = self.room_dims
         res = self.grid_resolution
-        xs = _grid(0.0, w, res)
-        ys = _grid(0.0, d, res)
-        zs_wall = _grid(h / 2.0, h, res)
-        seen: dict[tuple[float, float, float], None] = {}
-        for x in xs:
-            for y in ys:
-                seen[(round(x, 9), round(y, 9), round(h, 9))] = None
-        for z in zs_wall:
-            for y in ys:
-                seen[(0.0, round(y, 9), round(z, 9))] = None
-                seen[(round(w, 9), round(y, 9), round(z, 9))] = None
-            for x in xs:
-                seen[(round(x, 9), 0.0, round(z, 9))] = None
-                seen[(round(x, 9), round(d, 9), round(z, 9))] = None
-        pts = np.array(list(seen.keys()), dtype=float)
+        xs = np.round(_grid(0.0, w, res), 9)
+        ys = np.round(_grid(0.0, d, res), 9)
+        zs = np.round(_grid(h / 2.0, h, res), 9)[:, None, None]
+        ceiling = np.stack(np.broadcast_arrays(xs[:, None], ys, round(h, 9)), axis=-1)
+        x_walls = np.stack(np.broadcast_arrays([0.0, round(w, 9)], ys[:, None], zs), axis=-1)
+        y_walls = np.stack(np.broadcast_arrays(xs[:, None], [0.0, round(d, 9)], zs), axis=-1)
+        walls = np.concatenate(
+            [x_walls.reshape(len(zs), -1, 3), y_walls.reshape(len(zs), -1, 3)], axis=1
+        )
+        pts = np.concatenate([ceiling.reshape(-1, 3), walls.reshape(-1, 3)])
+        _, first = np.unique(pts, axis=0, return_index=True)
+        pts = pts[np.sort(first)]
         pts.flags.writeable = False
         return pts
 
@@ -154,7 +161,7 @@ def _separated(points: np.ndarray, min_sep: float) -> np.ndarray:
 
     The result has the layouts' leading shape, a numpy bool for one layout.
     """
-    i, j = _PAIRS
+    i, j = BEACON_PAIRS
     d = points[..., i, :] - points[..., j, :]
     # vecdot runs the same ddot kernel as the scalar np.linalg.norm(d), so
     # near-threshold lattice pairs compare alike. norm(d, axis=-1) rounds
@@ -207,24 +214,49 @@ def seed_population(problem: PlacementProblem, rng: np.random.Generator) -> np.n
     return np.array(population)
 
 
-def fitness(beacons: np.ndarray, problem: PlacementProblem) -> tuple[float, float, float]:
-    """(fitness, hdop_avg, vdop_avg) of one (4, 3) layout.
+def score_layouts(layouts: np.ndarray, problem: PlacementProblem) -> np.ndarray:
+    """(L, 3) rows of (fitness, hdop_avg, vdop_avg) for (L, 4, 3) layouts.
 
     Fitness is the domain-averaged VDOP, penalized when average HDOP
-    breaks tolerance. A degenerate layout scores (inf, nan, nan); that
-    covers DOP degeneracy over the drone domain and coincident or
-    coplanar beacon sets, which the downstream linearized trilateration
-    cannot use even when their DOP is finite.
+    breaks tolerance. A degenerate layout scores (inf, nan, nan): one
+    with a pair of coincident beacons or whose beacons are coplanar or
+    collinear, by BeaconLayout's own rules (the downstream linearized
+    trilateration cannot use these even when their DOP is finite), and
+    one whose DOP is degenerate at more than 1% of the drone domain's
+    lattice (domain_mean).
+
+    The first two rules run on the whole batch at once. The remaining
+    layouts go through the DOP kernel together, in calls of at most
+    PAIR_BUDGET (layout, lattice point) pairs, and never less than one
+    layout a call, so a fine drone lattice holds one layout's kernel
+    temporaries at a time. Every row equals the one that scoring its
+    layout alone gives.
     """
-    try:
-        layout = BeaconLayout(positions=beacons)
-        if not layout.spans_3d:
-            raise SingularGeometryError("beacons are coplanar or collinear")
-        hdop_avg, vdop_avg = dop_average(layout, problem.drone_domain)
-    except (DomainDegeneracyError, SingularGeometryError):
-        return math.inf, math.nan, math.nan
-    penalty = HDOP_PENALTY if hdop_avg > problem.hdop_tolerance else 0.0
-    return vdop_avg + penalty, hdop_avg, vdop_avg
+    layouts = np.asarray(layouts, dtype=float)
+    terms = np.full((len(layouts), 3), np.nan)
+    terms[:, 0] = np.inf
+    valid = np.flatnonzero(~coincident_pairs(layouts).any(axis=-1) & full_rank(layouts))
+    points = problem.drone_domain.points()
+    # an empty lattice still reaches domain_mean, which rejects it
+    per_call = max(1, PAIR_BUDGET // max(1, len(points)))
+    for start in range(0, len(valid), per_call):
+        rows = valid[start : start + per_call]
+        shape = (len(rows), len(points))
+        dops = [a.reshape(shape) for a in dop_components(layouts[rows], points)]
+        for row, hdop, vdop, degenerate in zip(rows, *dops):
+            try:
+                hdop_avg, vdop_avg = domain_mean(hdop, vdop, degenerate)
+            except DomainDegeneracyError:
+                continue
+            penalty = HDOP_PENALTY if hdop_avg > problem.hdop_tolerance else 0.0
+            terms[row] = vdop_avg + penalty, hdop_avg, vdop_avg
+    return terms
+
+
+def fitness(beacons: np.ndarray, problem: PlacementProblem) -> tuple[float, float, float]:
+    """(fitness, hdop_avg, vdop_avg) of one (4, 3) layout, as score_layouts
+    scores it."""
+    return tuple(score_layouts(np.asarray(beacons)[None], problem)[0].tolist())
 
 
 def breed(parents: np.ndarray, problem: PlacementProblem, rng: np.random.Generator) -> np.ndarray:
@@ -292,23 +324,27 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
     Each distinct layout is scored once per search: fitness terms are
     memoized by the exact bytes of the layout (layouts are lattice
     copies, so equal layouts are equal bytes), and surviving clones or
-    children that snap back onto a scored layout reuse them.
+    children that snap back onto a scored layout reuse them. The layouts
+    of a generation that miss the memo, repeats counted once, are scored
+    in one score_layouts batch, whose DOP kernel calls hold at most
+    PAIR_BUDGET (layout, lattice point) pairs each; every row equals the
+    layout's own fitness.
 
     observer, if given, is called as observer(run_idx, iteration,
     population) after every cull, for instrumentation; population is the
     generation's (P, 4, 3) layout array, fittest first.
     """
-    scores: dict[bytes, tuple[float, float, float]] = {}
+    scores: dict[bytes, np.ndarray] = {}
 
     def score(layouts: np.ndarray) -> np.ndarray:
-        rows = []
-        for beacons in layouts:
-            key = beacons.tobytes()
-            terms = scores.get(key)
-            if terms is None:
-                terms = scores[key] = fitness(beacons, problem)
-            rows.append(terms)
-        return np.array(rows)
+        keys = [beacons.tobytes() for beacons in layouts]
+        new: dict[bytes, int] = {}
+        for k, key in enumerate(keys):
+            if key not in scores:
+                new.setdefault(key, k)
+        if new:
+            scores.update(zip(new, score_layouts(layouts[list(new.values())], problem)))
+        return np.array([scores[key] for key in keys])
 
     best = None  # (fitness, hdop_avg, vdop_avg, layout, history) of the fittest run yet
     for run_idx in range(problem.max_restarts + 1):

@@ -248,6 +248,59 @@ class TestConditionScreen:
             assert_same_as_unscreened(OPTIMIZED_LAYOUT.positions, np.array([target]))
 
 
+CEILING = np.array([[1.0, 1.0, 4.0], [4.0, 1.5, 4.0], [3.5, 4.0, 4.0], [1.0, 4.5, 4.0]])
+
+
+class TestStackedLayouts:
+    """An (L, 4, 3) stack gives each layout's one-layout results, flat and
+    layout-major, bit for bit."""
+
+    @staticmethod
+    def stack_and_points(n_layouts):
+        rng = np.random.default_rng(n_layouts)
+        candidates = BeaconDomain().candidates()
+        layouts = [CEILING, ORIGINAL_LAYOUT.positions]
+        while len(layouts) < n_layouts:
+            layouts.append(candidates[rng.choice(candidates.shape[0], size=4, replace=False)])
+        gaps = np.geomspace(1e-1, 1e-7, 200)
+        near_ceiling = np.column_stack([np.full(gaps.size, 2.2), np.full(gaps.size, 2.7), 4.0 - gaps])
+        points = np.vstack(
+            [dop.DroneDomain().points()[::5], near_ceiling, ORIGINAL_LAYOUT.positions[:1]]
+        )
+        return np.array(layouts[:n_layouts]), points
+
+    @pytest.mark.parametrize("n_layouts", [1, 3, 17])
+    def test_matches_unscreened_oracle_per_layout(self, n_layouts, monkeypatch):
+        layouts, points = self.stack_and_points(n_layouts)
+        screened = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(m):
+            screened.append(len(m))
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        got = dop.dop_components(layouts, points)
+        assert screened and sum(screened) < got[0].size
+        monkeypatch.undo()
+        want = [unscreened_dop_components(layout, points) for layout in layouts]
+        for k in range(3):
+            assert got[k].shape == (n_layouts * len(points),)
+            np.testing.assert_array_equal(got[k], np.concatenate([w[k] for w in want]))
+        # the ceiling layout loses rank near its plane; the original layout
+        # has its first beacon on the last point
+        assert want[0][2][-201:-1].any() and not want[0][2][-201:-1].all()
+        if n_layouts > 1:
+            assert want[1][2][-1]
+
+    def test_one_layout_stack_equals_plain_layout(self):
+        points = dop.DroneDomain().points()
+        one = dop.dop_components(OPTIMIZED_LAYOUT.positions, points)
+        stacked = dop.dop_components(OPTIMIZED_LAYOUT.positions[None], points)
+        for a, b in zip(one, stacked):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestEmpiricalConsistency:
     @staticmethod
     def _gauss_newton_refine(layout, ranges, x0, iters=25):

@@ -1,15 +1,16 @@
 import copy
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 from ultraloc import placement
-from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT
-from ultraloc.dop import DroneDomain
-from ultraloc.errors import InfeasibleDomainError
+from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout
+from ultraloc.dop import DroneDomain, dop_average, dop_components
+from ultraloc.errors import DomainDegeneracyError, InfeasibleDomainError, SingularGeometryError
 
 
 def fast_problem(**overrides):
@@ -27,7 +28,39 @@ def fast_problem(**overrides):
     return placement.PlacementProblem(**defaults)
 
 
+def point_loop_lattice(dom):
+    """The per-point loop BeaconDomain's lattice replaced: each point in
+    loop order, rounded with round(), the first of any repeat kept."""
+    w, d, h = dom.room_dims
+    res = dom.grid_resolution
+    xs = placement._grid(0.0, w, res)
+    ys = placement._grid(0.0, d, res)
+    seen = {}
+    for x in xs:
+        for y in ys:
+            seen[(round(x, 9), round(y, 9), round(h, 9))] = None
+    for z in placement._grid(h / 2.0, h, res):
+        for y in ys:
+            seen[(0.0, round(y, 9), round(z, 9))] = None
+            seen[(round(w, 9), round(y, 9), round(z, 9))] = None
+        for x in xs:
+            seen[(round(x, 9), 0.0, round(z, 9))] = None
+            seen[(round(x, 9), round(d, 9), round(z, 9))] = None
+    return np.array(list(seen.keys()), dtype=float)
+
+
 class TestBeaconDomain:
+    @pytest.mark.parametrize(
+        "room, grid",
+        [((5, 5, 4), 0.25), ((5, 5, 4), 0.1), ((6.3, 4.1, 3.3), 0.3), ((5, 5, 4), 0.5)],
+    )
+    def test_lattice_matches_point_loop(self, room, grid):
+        dom = placement.BeaconDomain(room_dims=room, grid_resolution=grid)
+        got, want = dom.candidates(), point_loop_lattice(dom)
+        np.testing.assert_array_equal(got, want)
+        # same order and the same bits, sign of zero included
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_candidates_on_allowed_planes(self):
         dom = placement.BeaconDomain()
         pts = dom.candidates()
@@ -156,13 +189,105 @@ class TestFitness:
 
     def test_programming_error_propagates(self, monkeypatch):
         # only a degenerate geometry scores inf; any other ValueError is a bug
-        def broken(layout, domain):
+        def broken(layouts, points):
             raise ValueError("broken DOP path")
 
-        monkeypatch.setattr(placement, "dop_average", broken)
+        monkeypatch.setattr(placement, "dop_components", broken)
         problem = placement.PlacementProblem(rng_seed=0)
         with pytest.raises(ValueError, match="broken DOP path"):
             placement.fitness(np.array(OPTIMIZED_LAYOUT.positions), problem)
+        with pytest.raises(ValueError, match="broken DOP path"):
+            placement.optimize(fast_problem())
+
+
+def per_layout_fitness(beacons, problem):
+    """The one-layout scorer score_layouts replaced: a BeaconLayout, its
+    spans_3d rank test, then dop_average over the drone domain."""
+    try:
+        layout = BeaconLayout(positions=beacons)
+        if not layout.spans_3d:
+            raise SingularGeometryError("beacons are coplanar or collinear")
+        hdop_avg, vdop_avg = dop_average(layout, problem.drone_domain)
+    except (DomainDegeneracyError, SingularGeometryError):
+        return math.inf, math.nan, math.nan
+    penalty = placement.HDOP_PENALTY if hdop_avg > problem.hdop_tolerance else 0.0
+    return vdop_avg + penalty, hdop_avg, vdop_avg
+
+
+def spanning_population(problem, seed):
+    """A seeded population without its coplanar (all-ceiling) layouts."""
+    pop = placement.seed_population(problem, np.random.default_rng(seed))
+    return pop[[BeaconLayout(positions=layout).spans_3d for layout in pop]]
+
+
+def mixed_batch():
+    """40 layouts: seeded ones, and ones every degenerate rule rejects."""
+    pop = spanning_population(placement.PlacementProblem(), 3)
+    coincident = pop[1].copy()
+    coincident[2] = coincident[0]
+    coplanar = np.array([[0, 0, 4], [5, 0, 4], [5, 5, 4], [0, 5, 4]], dtype=float)
+    # rank 3 at 1e-9 m, but the whole z = 2 lattice layer (81 of 486
+    # points) sees the beacons edge on
+    edge_on = np.array([[0, 0, 2], [5, 0, 2], [5, 5, 2], [0, 5, 2 + 1e-6]], dtype=float)
+    layouts = [pop[0], coincident, pop[0], coplanar, edge_on, pop[1], coplanar, pop[2]]
+    layouts += list(pop[3:])
+    return np.array(layouts)
+
+
+class TestScoreLayouts:
+    @pytest.mark.parametrize("hdop_tolerance", [2.0, 1.0])
+    def test_batch_equals_per_layout_scores(self, hdop_tolerance):
+        problem = placement.PlacementProblem(hdop_tolerance=hdop_tolerance)
+        batch = mixed_batch()
+        got = placement.score_layouts(batch, problem)
+        assert got.shape == (len(batch), 3)
+        for layout, row in zip(batch, got):
+            np.testing.assert_array_equal(row, placement.fitness(layout, problem))
+            np.testing.assert_array_equal(row, per_layout_fitness(layout, problem))
+        assert np.isinf(got[[1, 3, 4, 6], 0]).all()
+        assert np.isfinite(got[[0, 2, 5, 7], 0]).all()
+        if hdop_tolerance == 1.0:
+            assert (got[:, 0] >= placement.HDOP_PENALTY).any()
+
+    def test_edge_on_layout_is_domain_degenerate(self):
+        edge_on = mixed_batch()[4]
+        assert BeaconLayout(positions=edge_on).spans_3d
+        with pytest.raises(DomainDegeneracyError):
+            dop_average(BeaconLayout(positions=edge_on), DroneDomain())
+
+    @pytest.mark.parametrize("grid, per_call", [(0.5, 16), (0.1, 1)])
+    def test_kernel_calls_stay_within_pair_budget(self, grid, per_call, monkeypatch):
+        problem = placement.PlacementProblem(drone_domain=DroneDomain(grid_resolution=grid))
+        n_points = len(problem.drone_domain.points())
+        calls = []
+
+        def recording(layouts, points):
+            calls.append(len(layouts))
+            n = len(layouts) * n_points
+            return np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+
+        monkeypatch.setattr(placement, "dop_components", recording)
+        pop = spanning_population(problem, 4)
+        placement.score_layouts(pop, problem)
+        assert sum(calls) == len(pop)
+        assert max(calls) == per_call
+        assert max(calls) * n_points <= max(placement.PAIR_BUDGET, n_points)
+
+    def test_fine_lattice_memory_stays_one_layout_deep(self):
+        problem = placement.PlacementProblem(drone_domain=DroneDomain(grid_resolution=0.1))
+        points = problem.drone_domain.points()
+        assert len(points) == 43706
+        pop = placement.seed_population(problem, np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            dop_components(pop[0], points)
+            one_call = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            placement.score_layouts(pop, problem)
+            batch = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch <= 1.5 * one_call
 
 
 class TestCrossover:
@@ -360,21 +485,21 @@ class TestOptimize:
 
 class TestFitnessMemo:
     def test_each_distinct_layout_scored_once(self, monkeypatch):
-        plain_fitness = placement.fitness
+        plain_score = placement.score_layouts
         scored = []
 
-        def counting_fitness(beacons, problem):
-            scored.append(beacons.tobytes())
-            return plain_fitness(beacons, problem)
+        def counting_score(layouts, problem):
+            scored.extend(beacons.tobytes() for beacons in layouts)
+            return plain_score(layouts, problem)
 
-        monkeypatch.setattr(placement, "fitness", counting_fitness)
+        monkeypatch.setattr(placement, "score_layouts", counting_score)
         problem = fast_problem()
         seen = []
         best = {}
 
         def observer(run_idx, iteration, population):
             seen.extend(ind.tobytes() for ind in population)
-            best.setdefault(run_idx, []).append(plain_fitness(population[0], problem)[0])
+            best.setdefault(run_idx, []).append(plain_score(population[:1], problem)[0, 0])
 
         result = placement.optimize(problem, observer=observer)
         assert len(scored) == len(set(scored))
