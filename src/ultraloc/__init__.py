@@ -33,7 +33,7 @@ from .dop import (
     dop_average,
 )
 from .fusion import fuse_height, simulate_ceiling_echo
-from .harness import TrialRecord, make_trajectory, run_fix, run_trajectory, sweep_snr
+from .harness import TrialRecord, make_trajectory, run_fix, run_trajectory, simulate, sweep_snr
 from .placement import BeaconDomain, PlacementProblem, PlacementResult, optimize
 from .ranging import (
     RangeEstimates,

@@ -84,27 +84,32 @@ def _outdir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _fail_if_all_failed(records: list[harness.TrialRecord]) -> None:
+def _fail_if_all_failed(trials: harness.TrialRecord) -> None:
     """Stop a trial command whose files are written if every trial failed."""
-    if all(r.failed for r in records):
-        error, count = Counter(r.error for r in records).most_common(1)[0]
+    if trials.failed.all():
+        error, count = Counter(trials.error.tolist()).most_common(1)[0]
         raise UltralocError(
-            f"all {len(records)} trials failed; most common cause ({count}x): {error}"
+            f"all {trials.failed.size} trials failed; most common cause ({count}x): {error}"
         )
+
+
+def _write_summary(cfg: SimConfig, summary: dict, out: Path) -> None:
+    """Write a trial command's aggregate row with what ran: layout, beacons and seed."""
+    summary.update(
+        layout=cfg.scene.layout_name, beacons=cfg.scene.layout.positions.tolist(), seed=cfg.run.seed
+    )
+    harness.write_summary_json(summary, out / "summary.json")
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
-    records = harness.simulate(cfg)
-    harness.write_trials_csv(records, out / "trials.csv")
-    summary = harness.aggregate_records(records, cfg.channel.snr_db)
-    summary["layout"] = cfg.scene.layout_name
-    summary["beacons"] = cfg.scene.layout.positions.tolist()
-    summary["seed"] = cfg.run.seed
-    harness.write_summary_json(summary, out / "summary.json")
-    _fail_if_all_failed(records)
-    print(f"simulate: {len(records)} fixes -> {out/'trials.csv'}")
+    trials = harness.simulate(cfg)
+    harness.write_trials_csv(trials, out / "trials.csv")
+    summary = harness.aggregate_records(trials, cfg.channel.snr_db)
+    _write_summary(cfg, summary, out)
+    _fail_if_all_failed(trials)
+    print(f"simulate: {summary['n_trials']} fixes -> {out/'trials.csv'}")
     print(
         f"mean err_3d = {summary['mean_err_3d']:.6f} m "
         f"({summary['n_failed']} failed trials)"
@@ -115,11 +120,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
-    records, table = harness.sweep_snr(cfg)
-    harness.write_trials_csv(records, out / "trials.csv")
+    trials, table = harness.sweep_snr(cfg)
+    harness.write_trials_csv(trials, out / "trials.csv")
     harness.write_sweep_csv(table, out / "sweep.csv")
     harness.write_summary_json({"rows": table, "seed": cfg.run.seed}, out / "summary.json")
-    _fail_if_all_failed(records)
+    _fail_if_all_failed(trials)
     print(f"sweep: {len(table)} SNR points x {cfg.run.trials} trials -> {out/'sweep.csv'}")
     for row in table:
         print(
@@ -132,14 +137,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_trajectory(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
-    records, summary = harness.run_trajectory(cfg, harness.make_trajectory(cfg))
-    harness.write_trials_csv(records, out / "trajectory.csv")
-    summary["layout"] = cfg.scene.layout_name
-    summary["beacons"] = cfg.scene.layout.positions.tolist()
-    harness.write_summary_json(summary, out / "summary.json")
-    _fail_if_all_failed(records)
+    trials, summary = harness.run_trajectory(cfg, harness.make_trajectory(cfg))
+    harness.write_trials_csv(trials, out / "trajectory.csv")
+    _write_summary(cfg, summary, out)
+    _fail_if_all_failed(trials)
     print(
-        f"trajectory: {summary['n_fixes']} fixes, mean err_z={summary['mean_err_z']:.6f} m, "
+        f"trajectory: {summary['n_trials']} fixes, mean err_z={summary['mean_err_z']:.6f} m, "
         f"mean err_3d={summary['mean_err_3d']:.6f} m"
     )
     return 0
@@ -189,18 +192,20 @@ def _cmd_dopmap(args) -> int:
 def _cmd_rangetest(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
-    records = harness.simulate(cfg)
+    trials = harness.simulate(cfg)
     harness.write_csv(
         out / "rangetest.csv",
         ["trial_id", "beacon", "range_error", "peak_sample", "failed"],
-        (
-            (rec.trial_id, b, rec.range_errors[b], rec.peak_samples[b], rec.failed)
-            for rec in records
-            for b in range(4)
+        zip(
+            np.repeat(trials.trial_id, 4).tolist(),
+            np.tile(np.arange(4), trials.failed.size).tolist(),
+            trials.range_errors.ravel().tolist(),
+            trials.peak_samples.ravel().tolist(),
+            np.repeat(trials.failed, 4).tolist(),
         ),
     )
-    _fail_if_all_failed(records)
-    errs = np.abs([r.range_errors for r in records if not r.failed])
+    _fail_if_all_failed(trials)
+    errs = np.abs(trials.range_errors[~trials.failed])
     print(
         f"rangetest: {len(errs)} fixes, mean |range error| per beacon = "
         + ", ".join(f"{e*1000:.3f} mm" for e in errs.mean(axis=0))

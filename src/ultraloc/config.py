@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -29,6 +30,11 @@ from .dop import DroneDomain
 from .errors import ConfigError
 from .fusion import fuse_height
 from .waveform import WaveformConfig, generate_tx_signals, random_hop_plan, walsh_hadamard
+
+# Most samples one fix may receive. A fix holds several (4, n) arrays of
+# that length: at up to 2**21 samples one default-config fix peaked at
+# 416 MB RSS (numpy 2.4, Python 3.11, Linux x86-64).
+MAX_FIX_SAMPLES = 2**21
 
 
 @dataclass(frozen=True)
@@ -342,6 +348,14 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
         for (lo, hi), side in zip((rn.domain_x, rn.domain_y, rn.domain_z), room)
     ):
         fail("drone domain must lie strictly inside the room")
+    # before any build: the received length, counting one hop draw per bit
+    flight = ch.multipath * ch.excess_delay_max
+    if ch.speed_of_sound > 0:  # else the channel build below rejects it
+        flight += math.hypot(*room) / ch.speed_of_sound
+    bits = min(wf.burst_bits, sys.float_info.max)  # not every int converts to a float
+    n_rx = max((flight + bits * wf.symbol_duration) * wf.sample_rate, bits)
+    if n_rx > MAX_FIX_SAMPLES:
+        fail(f"one fix would receive {n_rx:.4g} samples, more than the {MAX_FIX_SAMPLES} allowed")
 
     def waveform() -> None:
         walsh = walsh_hadamard(wf.walsh_order)

@@ -1,11 +1,14 @@
 """Monte Carlo experiment driver tying the whole pipeline together.
 
-One fix: synthesize the four beacon bursts, push them through the
-channel, estimate the four ranges by matched-filter correlation,
+One fix (run_fix): synthesize the four beacon bursts, push them through
+the channel, estimate the four ranges by matched-filter correlation,
 trilaterate, optionally fuse the ceiling-rangefinder height, and record
-the errors. Sweeps and trajectories repeat that over seeded trials; a
-trial's seed is derived from the master seed and the trial's indices so
-results are reproducible and stable under trial-count changes.
+the errors in a TrialRecord. Simulations, sweeps and trajectories repeat
+that over seeded trials and return one trials table: a TrialRecord whose
+fields are columns with row k for trial k, from which the trials CSV and
+the summary rows are read. A trial's seed is derived from the master
+seed and the trial's indices so results are reproducible and stable
+under trial-count changes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 import math
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,19 +52,22 @@ _STREAM_TRAJECTORY = 2
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of a single localization fix."""
+    """One localization fix (run_fix: scalars, (3,) and (4,) arrays, a
+    4-tuple of peaks) or a run's trials table (stack_records: the same
+    fields as (n,), (n, 3) and (n, 4) columns, row k for trial k). The
+    fields are in CSV order; CSV_FIELDS names their columns."""
 
-    trial_id: int
-    snr_db: float | None
+    trial_id: int | np.ndarray
+    snr_db: float | None | np.ndarray
     true_position: np.ndarray
     est_position: np.ndarray
-    err_xy: float
-    err_z: float
-    err_3d: float
+    err_xy: float | np.ndarray
+    err_z: float | np.ndarray
+    err_3d: float | np.ndarray
     range_errors: np.ndarray
-    peak_samples: tuple[int, int, int, int]
-    failed: bool
-    error: str
+    peak_samples: tuple[int, int, int, int] | np.ndarray
+    failed: bool | np.ndarray
+    error: str | np.ndarray
 
     CSV_FIELDS = (
         "trial_id",
@@ -86,22 +92,6 @@ class TrialRecord:
         "failed",
         "error",
     )
-
-    def csv_row(self) -> list:
-        """Raw cell values in CSV_FIELDS order; write_csv formats them."""
-        return [
-            self.trial_id,
-            self.snr_db,
-            *self.true_position,
-            *self.est_position,
-            self.err_xy,
-            self.err_z,
-            self.err_3d,
-            *self.range_errors,
-            *self.peak_samples,
-            self.failed,
-            self.error,
-        ]
 
 
 def random_position(domain: DroneDomain, rng: np.random.Generator) -> np.ndarray:
@@ -139,12 +129,11 @@ def run_fix(config: SimConfig, true_position: np.ndarray, rng_seed) -> TrialReco
     try:
         return _run_fix_inner(config, true_position, rng_seed)
     except UltralocError as exc:
-        nan3 = np.full(3, np.nan)
         return TrialRecord(
             trial_id=0,
             snr_db=config.channel.snr_db,
             true_position=true_position,
-            est_position=nan3,
+            est_position=np.full(3, np.nan),
             err_xy=math.nan,
             err_z=math.nan,
             err_3d=math.nan,
@@ -251,78 +240,75 @@ def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> Tr
 
 
 def _run_trials(
-    config: SimConfig,
-    n: int,
-    *stream: int,
-    positions: np.ndarray | None = None,
-    first_id: int = 0,
+    config: SimConfig, n: int, *stream: int, positions: np.ndarray | None = None
 ) -> list[TrialRecord]:
-    """Run n fixes in trial-id order: fix k has seed [run.seed, *stream, k]
-    and trial id first_id + k, and runs at positions[k] or, without
-    positions, at a drone-domain position drawn from [*seed, 999]."""
+    """Run n fixes in order: fix k has seed [run.seed, *stream, k] and runs
+    at positions[k] or, without positions, at a drone-domain position
+    drawn from [*seed, 999]."""
     seeds = [[config.run.seed, *stream, k] for k in range(n)]
     if positions is None:
         domain = config.drone_domain()
         positions = [random_position(domain, np.random.default_rng([*s, 999])) for s in seeds]
-    return [
-        replace(run_fix(config, p, s), trial_id=first_id + k)
-        for k, (p, s) in enumerate(zip(positions, seeds))
-    ]
+    return [run_fix(config, p, s) for p, s in zip(positions, seeds)]
 
 
-def simulate(config: SimConfig) -> list[TrialRecord]:
+def stack_records(records: list[TrialRecord]) -> TrialRecord:
+    """The trials table of one-fix records: row k is records[k], with trial id k."""
+    columns = {f.name: np.array([getattr(r, f.name) for r in records]) for f in fields(TrialRecord)}
+    return TrialRecord(**{**columns, "trial_id": np.arange(len(records))})
+
+
+def _rows(trials: TrialRecord, index) -> TrialRecord:
+    """The table's rows at index, as a table."""
+    return TrialRecord(**{f.name: getattr(trials, f.name)[index] for f in fields(TrialRecord)})
+
+
+def simulate(config: SimConfig) -> TrialRecord:
     """Run run.trials seeded fixes at random drone-domain positions at the config SNR."""
-    return _run_trials(config, config.run.trials, _STREAM_SIMULATE)
+    return stack_records(_run_trials(config, config.run.trials, _STREAM_SIMULATE))
 
 
-def sweep_snr(config: SimConfig) -> tuple[list[TrialRecord], list[dict]]:
+def sweep_snr(config: SimConfig) -> tuple[TrialRecord, list[dict]]:
     """Monte Carlo localization error versus SNR: run.trials fixes at each
     SNR of run.snr_list.
 
-    Returns all trial records plus one aggregate row per SNR with means
-    and standard deviations of the per-axis and combined errors.
+    Returns one trials table, SNR after SNR, plus one aggregate_records
+    row per SNR over that SNR's own rows.
     """
-    n = config.run.trials
-    all_records: list[TrialRecord] = []
-    table: list[dict] = []
-    for s_idx, snr in enumerate(config.run.snr_list):
+    n, snr_list = config.run.trials, config.run.snr_list
+    records: list[TrialRecord] = []
+    for s_idx, snr in enumerate(snr_list):
         cfg_s = replace(config, channel=replace(config.channel, snr_db=snr))
-        records = _run_trials(cfg_s, n, _STREAM_SWEEP, s_idx, first_id=s_idx * n)
-        all_records.extend(records)
-        table.append(aggregate_records(records, snr))
-    return all_records, table
+        records += _run_trials(cfg_s, n, _STREAM_SWEEP, s_idx)
+    trials = stack_records(records)
+    table = [
+        aggregate_records(_rows(trials, slice(s_idx * n, (s_idx + 1) * n)), snr)
+        for s_idx, snr in enumerate(snr_list)
+    ]
+    return trials, table
 
 
-def aggregate_records(records: list[TrialRecord], snr_db: float | None) -> dict:
-    ok = [r for r in records if not r.failed]
-    row: dict = {
-        "snr_db": snr_db,
-        "n_trials": len(records),
-        "n_failed": len(records) - len(ok),
-    }
-    if ok:
-        dx = np.array([abs(r.est_position[0] - r.true_position[0]) for r in ok])
-        dy = np.array([abs(r.est_position[1] - r.true_position[1]) for r in ok])
-        for name, vals in (
-            ("err_x", dx),
-            ("err_y", dy),
-            ("err_z", np.array([r.err_z for r in ok])),
-            ("err_xy", np.array([r.err_xy for r in ok])),
-            ("err_3d", np.array([r.err_3d for r in ok])),
-        ):
-            row[f"mean_{name}"] = float(vals.mean())
-            row[f"std_{name}"] = float(vals.std())
-    else:
-        for name in ("err_x", "err_y", "err_z", "err_xy", "err_3d"):
-            row[f"mean_{name}"] = math.nan
-            row[f"std_{name}"] = math.nan
+def aggregate_records(trials: TrialRecord, snr_db: float | None) -> dict:
+    """One summary row of a trials table: the trial and failure counts, and
+    the mean and standard deviation of each error over the trials that did
+    not fail (NaN when every trial failed)."""
+    ok = ~trials.failed
+    row: dict = {"snr_db": snr_db, "n_trials": ok.size, "n_failed": int(trials.failed.sum())}
+    for name, vals in (
+        ("err_x", np.abs(trials.est_position[ok, 0] - trials.true_position[ok, 0])),
+        ("err_y", np.abs(trials.est_position[ok, 1] - trials.true_position[ok, 1])),
+        ("err_z", trials.err_z[ok]),
+        ("err_xy", trials.err_xy[ok]),
+        ("err_3d", trials.err_3d[ok]),
+    ):
+        row[f"mean_{name}"] = float(vals.mean()) if vals.size else math.nan
+        row[f"std_{name}"] = float(vals.std()) if vals.size else math.nan
     return row
 
 
-def run_trajectory(
-    config: SimConfig, waypoints: np.ndarray
-) -> tuple[list[TrialRecord], dict]:
-    """One fix per trajectory point of the (n, 3) waypoints plus a mean-error summary."""
+def run_trajectory(config: SimConfig, waypoints: np.ndarray) -> tuple[TrialRecord, dict]:
+    """One fix per trajectory point of the (n, 3) waypoints: the trials
+    table plus its aggregate_records row at the config SNR."""
     waypoints = np.atleast_2d(np.asarray(waypoints, dtype=float))
     if waypoints.ndim != 2 or waypoints.shape[0] < 1 or waypoints.shape[1] != 3:
         raise ValueError("trajectory needs at least one 3-D waypoint")
@@ -331,14 +317,8 @@ def run_trajectory(
         if not domain.contains(p):
             raise ConfigError(f"trajectory waypoint {i} at {p} is outside the drone domain")
     records = _run_trials(config, len(waypoints), _STREAM_TRAJECTORY, positions=waypoints)
-    ok = [r for r in records if not r.failed]
-    summary = {
-        "n_fixes": len(records),
-        "n_failed": len(records) - len(ok),
-        "mean_err_z": float(np.mean([r.err_z for r in ok])) if ok else math.nan,
-        "mean_err_3d": float(np.mean([r.err_3d for r in ok])) if ok else math.nan,
-    }
-    return records, summary
+    trials = stack_records(records)
+    return trials, aggregate_records(trials, config.channel.snr_db)
 
 
 def _csv_cell(value) -> str:
@@ -374,8 +354,16 @@ def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable])
         writer.writerows([_csv_cell(v) for v in row] for row in rows)
 
 
-def write_trials_csv(records: list[TrialRecord], path: str | Path) -> None:
-    write_csv(path, TrialRecord.CSV_FIELDS, (rec.csv_row() for rec in records))
+def write_trials_csv(trials: TrialRecord, path: str | Path) -> None:
+    """Write a trials table under CSV_FIELDS: each field's columns, in field order."""
+    n = len(trials.trial_id)
+    # .tolist() hands write_csv Python scalars: a bool, not a numpy bool, prints 1 or 0
+    columns = [
+        column
+        for f in fields(TrialRecord)
+        for column in np.reshape(getattr(trials, f.name), (n, -1)).T.tolist()
+    ]
+    write_csv(path, TrialRecord.CSV_FIELDS, zip(*columns))
 
 
 def write_sweep_csv(table: list[dict], path: str | Path) -> None:

@@ -263,14 +263,14 @@ def test_criterion_8_end_to_end_accuracy_with_fusion():
         fusion=replace(cfg.fusion, enabled=True),
         run=replace(cfg.run, trials=200, seed=8),
     )
-    records = harness.simulate(cfg)
-    ok = [r for r in records if not r.failed]
-    mean_3d = float(np.mean([r.err_3d for r in ok]))
+    trials = harness.simulate(cfg)
+    ok = ~trials.failed
+    mean_3d = float(np.mean(trials.err_3d[ok]))
     _report(
         8,
         "optimized layout + fusion at 15 dB: mean 3-D error <= 1.5 cm over 200 fixes",
-        len(ok) == 200 and mean_3d <= 0.015,
-        f"mean_err_3d={mean_3d*1000:.2f} mm, failed={200-len(ok)}",
+        ok.sum() == 200 and mean_3d <= 0.015,
+        f"mean_err_3d={mean_3d*1000:.2f} mm, failed={200-ok.sum()}",
     )
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, SPEED_OF_SOUND
 from ultraloc.cli import _build_parser, main
+from ultraloc.config import MAX_FIX_SAMPLES
 from ultraloc.waveform import SAMPLE_RATE
 
 FAST_INI = """
@@ -76,7 +77,7 @@ class TestCommands:
         out = tmp_path / "traj"
         assert run_cli("trajectory", "--config", fast_ini, "--out", str(out)) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["n_fixes"] >= 1
+        assert summary["n_trials"] >= 1
 
     def test_optimize(self, fast_ini, tmp_path):
         out = tmp_path / "opt"
@@ -210,6 +211,13 @@ class TestFlags:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_trials"] == 4
         assert summary["seed"] == 11
+        # trajectory takes --seed (not --trials) and records it the same way
+        code = run_cli("trajectory", "--config", fast_ini, "--out", str(out), "--seed", "11")
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        with open(out / "trajectory.csv", newline="") as fh:
+            assert summary["n_trials"] == len(list(csv.DictReader(fh))) >= 1
+        assert summary["seed"] == 11
 
     def test_dense_multipath_taps_run(self, tmp_path):
         ini = tmp_path / "taps.ini"
@@ -341,6 +349,29 @@ class TestErrorPaths:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize(
+        "ini",
+        [
+            "[channel]\nexcess_delay_max = 1e6\n",
+            "[waveform]\nsymbol_duration = 1e4\n",
+            "[waveform]\nburst_bits = 100000000\n",
+        ],
+        ids=["excess_delay_max", "symbol_duration", "burst_bits"],
+    )
+    def test_oversized_fix_is_one_error_line(self, tmp_path, capsys, ini):
+        # rejected by its sample count before any array of that length is built
+        bad = tmp_path / "big.ini"
+        bad.write_text(ini)
+        code = run_cli("simulate", "--config", str(bad), "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {bad}: one fix would receive ")
+        assert f"samples, more than the {MAX_FIX_SAMPLES} allowed" in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "trials.csv").exists()
 
     def test_negative_seed_override_is_one_error_line(self, fast_ini, tmp_path, capsys):
         code = run_cli(

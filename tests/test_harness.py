@@ -1,5 +1,6 @@
+import csv
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -101,11 +102,10 @@ class TestSimulateAndSweep:
         cfg = fast_config()
         a = harness.simulate(cfg)
         b = harness.simulate(cfg)
-        assert len(a) == cfg.run.trials
-        assert [r.trial_id for r in a] == [0, 1, 2]
-        for x, y in zip(a, b):
-            assert np.array_equal(x.true_position, y.true_position)
-            assert np.array_equal(x.est_position, y.est_position)
+        assert len(a.trial_id) == cfg.run.trials
+        assert a.trial_id.tolist() == [0, 1, 2]
+        assert np.array_equal(a.true_position, b.true_position)
+        assert np.array_equal(a.est_position, b.est_position)
 
     def test_csv_bytes_deterministic(self, tmp_path):
         cfg = fast_config(snr_db=10.0, multipath=True)
@@ -116,8 +116,8 @@ class TestSimulateAndSweep:
 
     def test_sweep_aggregates(self):
         cfg = fast_config(trials=2, snr_list=(0.0, 20.0))
-        records, table = harness.sweep_snr(cfg)
-        assert len(records) == 4
+        trials, table = harness.sweep_snr(cfg)
+        assert len(trials.trial_id) == 4
         assert len(table) == 2
         assert table[0]["snr_db"] == 0.0
         assert table[1]["n_trials"] == 2
@@ -127,10 +127,10 @@ class TestSimulateAndSweep:
     def test_failed_trials_counted_not_dropped(self):
         cfg = fast_config(snr_list=(10.0,))
         cfg = replace(cfg, scene=replace(cfg.scene, layout=COPLANAR, layout_name="file"))
-        records, table = harness.sweep_snr(cfg)
-        assert len(records) == 3
+        trials, table = harness.sweep_snr(cfg)
+        assert len(trials.trial_id) == 3
         assert table[0]["n_failed"] == 3
-        assert all(r.failed for r in records)
+        assert trials.failed.all()
 
     def test_optimized_layout_shrinks_z_gap(self):
         # the placement-optimized layout narrows the vertical-vs-horizontal
@@ -143,6 +143,49 @@ class TestSimulateAndSweep:
             _, table = harness.sweep_snr(cfg_l)
             ratios[name] = table[0]["mean_err_z"] / table[0]["mean_err_xy"]
         assert ratios["optimized"] < ratios["original"]
+
+
+class TestTrialsTable:
+    def test_partly_failed_table(self, tmp_path):
+        # fixes from a working layout and from a coplanar one, interleaved
+        good = fast_config()
+        bad = replace(good, scene=replace(good.scene, layout=COPLANAR, layout_name="file"))
+        position = np.array([2.0, 2.5, 1.5])
+        records = [
+            harness.run_fix(cfg, position, k) for k, cfg in enumerate([good, bad, good, good, bad])
+        ]
+        assert [r.failed for r in records] == [False, True, False, False, True]
+        trials = harness.stack_records(records)
+        row = harness.aggregate_records(trials, None)
+        assert row["n_trials"] == 5
+        assert row["n_failed"] == int(trials.failed.sum()) == 2
+        # the means and deviations are those of the successful rows alone
+        ok = [r for r in records if not r.failed]
+        assert row == harness.aggregate_records(harness.stack_records(ok), None) | {
+            "n_trials": 5,
+            "n_failed": 2,
+        }
+        assert row["mean_err_3d"] == pytest.approx(np.mean([r.err_3d for r in ok]), rel=1e-12)
+        assert row["std_err_z"] == pytest.approx(np.std([r.err_z for r in ok]), rel=1e-12)
+
+        path = tmp_path / "trials.csv"
+        harness.write_trials_csv(trials, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["trial_id"] for r in rows] == ["0", "1", "2", "3", "4"]
+        assert [r["failed"] for r in rows] == ["0", "1", "0", "0", "1"]
+        assert {r["snr_db"] for r in rows} == {""}  # noiseless
+        for r in rows:
+            estimates = [r[k] for k in ("est_x", "est_y", "est_z", "err_xy", "err_z", "err_3d")]
+            peaks = [r[f"peak_{b}"] for b in range(4)]
+            if r["failed"] == "1":
+                assert peaks == ["-1"] * 4
+                assert estimates == ["nan"] * 6
+                assert r["error"].startswith("SingularGeometryError: ")
+            else:
+                assert all(int(p) > 0 for p in peaks)
+                assert "nan" not in estimates
+                assert r["error"] == ""
 
 
 class TestLayoutComparison:
@@ -200,11 +243,11 @@ class TestTrajectory:
     def test_single_waypoint_equals_run_fix(self):
         cfg = fast_config(trajectory_waypoints=1)
         traj = harness.make_trajectory(cfg)
-        records, summary = harness.run_trajectory(cfg, traj)
-        assert len(records) == 1
+        trials, summary = harness.run_trajectory(cfg, traj)
+        assert len(trials.trial_id) == 1
         direct = harness.run_fix(cfg, traj[0], [cfg.run.seed, 2, 0])
-        assert np.array_equal(records[0].est_position, direct.est_position)
-        assert summary["mean_err_3d"] == pytest.approx(records[0].err_3d)
+        assert np.array_equal(trials.est_position[0], direct.est_position)
+        assert summary["mean_err_3d"] == pytest.approx(trials.err_3d[0])
 
     @pytest.mark.parametrize("stream,s_idx", [(0, None), (1, 1)], ids=["simulate", "sweep"])
     def test_random_trial_equals_run_fix(self, stream, s_idx):
@@ -213,22 +256,24 @@ class TestTrajectory:
         cfg = fast_config(snr_db=10.0, multipath=True, snr_list=(0.0, 10.0))
         t = 1
         if s_idx is None:
-            records = harness.simulate(cfg)
+            trials = harness.simulate(cfg)
             seed = [cfg.run.seed, stream, t]
             trial_id = t
         else:
-            records, _ = harness.sweep_snr(cfg)
+            trials, _ = harness.sweep_snr(cfg)
             seed = [cfg.run.seed, stream, s_idx, t]
             trial_id = s_idx * 3 + t
-        rec = records[trial_id]
-        assert rec.trial_id == trial_id
+        assert trials.trial_id[trial_id] == trial_id
         position = harness.random_position(
             cfg.drone_domain(), np.random.default_rng([*seed, 999])
         )
         direct = harness.run_fix(cfg, position, seed)
-        assert np.array_equal(rec.true_position, position)
-        assert np.array_equal(rec.est_position, direct.est_position)
-        assert rec.peak_samples == direct.peak_samples
+        assert np.array_equal(trials.true_position[trial_id], position)
+        # row trial_id of the table is run_fix's record on every other column
+        for f in fields(harness.TrialRecord):
+            if f.name != "trial_id":
+                column = getattr(trials, f.name)
+                assert np.array_equal(column[trial_id], getattr(direct, f.name)), f.name
 
     def test_out_of_domain_waypoint_rejected(self):
         cfg = fast_config()
@@ -248,10 +293,10 @@ class TestTrajectory:
     def test_one_point_is_one_waypoint(self):
         cfg = fast_config()
         point = np.array([2.0, 2.5, 1.5])
-        records, _ = harness.run_trajectory(cfg, point)
-        (row,), _ = harness.run_trajectory(cfg, point[None, :])
-        assert len(records) == 1
-        assert np.array_equal(records[0].est_position, row.est_position)
+        trials, _ = harness.run_trajectory(cfg, point)
+        rows, _ = harness.run_trajectory(cfg, point[None, :])
+        assert len(trials.trial_id) == len(rows.trial_id) == 1
+        assert np.array_equal(trials.est_position, rows.est_position)
 
     def test_trajectory_deterministic(self):
         cfg = fast_config(seed=3, trajectory_waypoints=4)
@@ -263,23 +308,23 @@ class TestTrajectory:
 class TestWriters:
     def test_trials_csv_header_and_rows(self, tmp_path):
         cfg = fast_config()
-        records = harness.simulate(cfg)
+        trials = harness.simulate(cfg)
         path = tmp_path / "trials.csv"
-        harness.write_trials_csv(records, path)
+        harness.write_trials_csv(trials, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",".join(harness.TrialRecord.CSV_FIELDS)
-        assert len(lines) == 1 + len(records)
+        assert len(lines) == 1 + len(trials.trial_id)
 
     def test_summary_json_roundtrip(self, tmp_path):
         import json
 
         cfg = fast_config()
-        records = harness.simulate(cfg)
-        summary = harness.aggregate_records(records, None)
+        trials = harness.simulate(cfg)
+        summary = harness.aggregate_records(trials, None)
         path = tmp_path / "summary.json"
         harness.write_summary_json(summary, path)
         loaded = json.loads(path.read_text())
-        assert loaded["n_trials"] == len(records)
+        assert loaded["n_trials"] == len(trials.trial_id)
 
     def test_summary_json_writes_non_finite_as_null(self, tmp_path):
         import json
