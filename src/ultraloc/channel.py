@@ -40,6 +40,9 @@ TAP_DECAY_TIME = 0.0015
 MAX_TAP_GAIN = 0.6
 MIN_TAP_SPACING = 0.0003
 
+# Tap signs, indexed by a 0/1 draw as rng.choice((-1.0, 1.0)) indexes them.
+_SIGNS = np.array([-1.0, 1.0])
+
 # The six beacon pairs (i < j) of a four-beacon layout, in loop order.
 BEACON_PAIRS = np.triu_indices(4, 1)
 
@@ -206,7 +209,7 @@ def sample_multipath(
         # Rayleigh scale sigma gives E[g^2] = 2 sigma^2 = mean_power
         mags = rng.rayleigh(scale=np.sqrt(mean_power / 2.0))
         mags = np.minimum(mags, MAX_TAP_GAIN)
-        signs = rng.choice((-1.0, 1.0), size=n_taps)
+        signs = _SIGNS[rng.integers(0, 2, size=n_taps)]
         delays[i] = tau0[i] + excess
         gains[i] = signs * mags
     return delays, gains
@@ -242,6 +245,12 @@ def apply_channel(tx: SampledSignal, scene: Scene, model: ChannelModel) -> Sampl
     truncated. White Gaussian noise is scaled so that
     total-signal-power / noise-power equals 10^(snr_db/10).
 
+    The copies are summed through one reused term buffer, in place and in
+    the order above, and the noise is a standard-normal draw scaled in
+    place: the same bits as adding g * row and rng.normal(0, sigma) one
+    temporary at a time. tx's rows come from generate_tx_signals, whose
+    carrier is gathered from the cached carrier table (see waveform).
+
     Raises:
         ValueError: If tx does not have 4 rows, or a tap arrives no later
             than its beacon's direct path.
@@ -262,14 +271,19 @@ def apply_channel(tx: SampledSignal, scene: Scene, model: ChannelModel) -> Sampl
     gains = np.column_stack([np.ones(4), model.tap_gains])
     lags = np.rint(delays * fs).astype(np.int64)
     clean = np.zeros(int(lags.max()) + len(tx))
+    term = np.empty(len(tx))
     for row, row_lags, row_gains in zip(tx.samples, lags.tolist(), gains.tolist()):
         for n, g in zip(row_lags, row_gains):
-            clean[n : n + row.size] += g * row
+            np.multiply(g, row, out=term)
+            clean[n : n + row.size] += term
 
     noisy = clean
     if model.snr_db is not None and not math.isinf(model.snr_db):
         signal_power = float(np.mean(clean**2))
         noise_power = signal_power / 10.0 ** (model.snr_db / 10.0)
         rng = np.random.default_rng(model.rng_seed)
-        noisy = clean + rng.normal(0.0, math.sqrt(noise_power), size=clean.size)
+        # normal(0, sigma) draws the same standard normals and returns 0.0 + sigma * z
+        noisy = rng.standard_normal(clean.size)
+        noisy *= math.sqrt(noise_power)
+        noisy += clean
     return SampledSignal(samples=noisy, sample_rate=fs)

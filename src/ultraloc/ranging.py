@@ -179,7 +179,9 @@ def estimate_ranges(
     """
     if not np.any(received.samples):
         raise NoPeakError("received signal is all zeros; no correlation peak")
-    magnitude = np.abs(np.atleast_2d(cross_correlate(received, references)))
+    # cross_correlate returns a fresh array, so its magnitude is taken in place
+    magnitude = np.atleast_2d(cross_correlate(received, references))
+    np.abs(magnitude, out=magnitude)
     peaks = np.argmax(magnitude, axis=1)
     return RangeEstimates(
         distances=peaks / received.sample_rate * speed_of_sound,

@@ -4,10 +4,19 @@ Each beacon transmits BPSK data bits spread by a Walsh-Hadamard code row
 (four chips per bit) and carried on a sinusoid whose frequency hops once
 per symbol over a bank of ultrasonic channels. All four beacons share one
 hop sequence; the orthogonal codes keep them separable at the receiver.
+
+What every fix of a run shares is computed once and cached read-only:
+the Walsh rows of each order, and a carrier table holding every channel's
+sinusoid over the whole burst, (n_channels, n_symbols, samples/symbol),
+from which hop_carrier gathers each symbol's dwell. The table is built
+with the same elementwise expression as a per-fix carrier, so its bits
+are the same. It is cached only while it fits CARRIER_TABLE_BUDGET bytes
+(1 MB for the default bank); a larger bank computes its carrier per call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +31,10 @@ CHANNEL_BANDWIDTH = 5_000.0
 SYMBOL_DURATION = 0.002
 WALSH_ORDER = 4
 BURST_BITS = 32
+
+# Largest carrier table kept in the cache, in bytes; a bank and burst
+# whose table would exceed it compute their carrier per call instead.
+CARRIER_TABLE_BUDGET = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -50,11 +63,17 @@ def walsh_hadamard(order: int) -> WalshMatrix:
     """
     if order < 1 or order & (order - 1) != 0:
         raise ValueError(f"Walsh-Hadamard order must be a power of two, got {order}")
+    return WalshMatrix(order=order, rows=_walsh_rows(order))
+
+
+@functools.lru_cache(maxsize=8)
+def _walsh_rows(order: int) -> np.ndarray:
+    """The read-only Sylvester matrix of a power-of-two order, built once."""
     h = np.array([[1]], dtype=np.int64)
     while h.shape[0] < order:
         h = np.block([[h, h], [h, -h]])
     h.setflags(write=False)
-    return WalshMatrix(order=order, rows=h)
+    return h
 
 
 def encode_symbol(data_bit: int, code_row: np.ndarray) -> np.ndarray:
@@ -122,11 +141,14 @@ def random_hop_plan(
             f"reuse_window must be in [0, {max(n_ch - 2, 0)}] for {n_ch} channels"
         )
     rng = np.random.default_rng(seed)
+    # symbol k picks among n_ch minus its min(k, window) distinct blocked
+    # channels; one array draw consumes the stream as a draw per symbol does
+    picks = rng.integers(0, n_ch - np.minimum(np.arange(n_symbols), reuse_window))
     seq = np.empty(n_symbols, dtype=np.int64)
-    for k in range(n_symbols):
+    for k, pick in enumerate(picks.tolist()):
         blocked = set(seq[max(0, k - reuse_window) : k].tolist())
         choices = [c for c in range(n_ch) if c not in blocked]
-        seq[k] = choices[rng.integers(0, len(choices))]
+        seq[k] = choices[pick]
     return HopPlan(
         center_frequencies=tuple(center_frequencies),
         hop_sequence=seq,
@@ -151,7 +173,7 @@ class WaveformConfig:
         bits = np.asarray(self.data_bits, dtype=np.int64)
         if bits.ndim not in (1, 2) or bits.size == 0:
             raise ValueError("data_bits must be a nonempty (n_bits,) or (k, n_bits) array")
-        if not np.all(np.isin(bits, (-1, 1))):
+        if not np.all(np.abs(bits) == 1):
             raise ValueError("data_bits must be +1/-1 valued")
         object.__setattr__(self, "data_bits", bits)
 
@@ -162,6 +184,10 @@ class WaveformConfig:
         if abs(n - n_int) > 1e-6:
             raise ChipAlignmentError(
                 f"symbol_duration * sample_rate = {n} is not a whole number of samples"
+            )
+        if n_int < 1:
+            raise ChipAlignmentError(
+                f"symbol_duration * sample_rate = {n:g} is shorter than one sample"
             )
         return n_int
 
@@ -198,12 +224,65 @@ def hop_carrier(
     """Unit sinusoid at each symbol's hop channel, sin(2*pi*f_m*t + phase).
 
     The argument uses global time t = n / sample_rate, so the carrier is
-    continuous in time but may jump in phase at a hop boundary.
+    continuous in time but may jump in phase at a hop boundary. Each
+    symbol's dwell is gathered from the cached carrier table of the plan's
+    bank; a table over CARRIER_TABLE_BUDGET is not cached, and the carrier
+    is then computed here from the same expression. Either way the result
+    is a fresh array with the same bits.
+
+    Raises:
+        ValueError: If the hop sequence is shorter than n_symbols.
     """
+    if plan.hop_sequence.size < n_symbols:
+        raise ValueError(
+            f"hop sequence of {plan.hop_sequence.size} symbols is shorter than {n_symbols}"
+        )
+    table = _carrier_table(
+        tuple(plan.center_frequencies),
+        sample_rate,
+        samples_per_symbol,
+        n_symbols,
+        plan.carrier_phase,
+    )
+    hops = plan.hop_sequence[:n_symbols]
+    if table is not None:
+        return table[hops, np.arange(n_symbols)].reshape(-1)
     freqs = np.asarray(plan.center_frequencies, dtype=float)
-    f_per_sample = np.repeat(freqs[plan.hop_sequence[:n_symbols]], samples_per_symbol)
+    f_per_sample = np.repeat(freqs[hops], samples_per_symbol)
     t = np.arange(n_symbols * samples_per_symbol) / sample_rate
-    return np.sin(2.0 * np.pi * f_per_sample * t + plan.carrier_phase)
+    return _sinusoid(f_per_sample, t, plan.carrier_phase)
+
+
+def _sinusoid(f: np.ndarray, t: np.ndarray, phase: float) -> np.ndarray:
+    """sin(2*pi*f*t + phase), elementwise over broadcast f and t, so each
+    sample's bits depend only on its own f, t and phase. The phase and the
+    sine are applied in place, so a table build holds one table's worth of
+    temporaries, not three."""
+    arg = 2.0 * np.pi * f * t
+    arg += phase
+    return np.sin(arg, out=arg)
+
+
+@functools.lru_cache(maxsize=4)
+def _carrier_table(
+    center_frequencies: tuple[float, ...],
+    sample_rate: float,
+    samples_per_symbol: int,
+    n_symbols: int,
+    carrier_phase: float,
+) -> np.ndarray | None:
+    """Every channel's carrier over the burst, read-only, shaped (n_channels,
+    n_symbols, samples_per_symbol); None if it would exceed
+    CARRIER_TABLE_BUDGET bytes."""
+    n_samples = n_symbols * samples_per_symbol
+    if len(center_frequencies) * n_samples * 8 > CARRIER_TABLE_BUDGET:
+        return None
+    freqs = np.asarray(center_frequencies, dtype=float)
+    t = np.arange(n_samples) / sample_rate
+    table = _sinusoid(freqs[:, None], t, carrier_phase)
+    table = table.reshape(len(freqs), n_symbols, samples_per_symbol)
+    table.setflags(write=False)
+    return table
 
 
 def generate_tx_signals(config: WaveformConfig, plan: HopPlan, codes: np.ndarray) -> SampledSignal:
@@ -226,7 +305,7 @@ def generate_tx_signals(config: WaveformConfig, plan: HopPlan, codes: np.ndarray
     codes = np.asarray(codes, dtype=np.int64)
     if codes.shape[:-1] != bits.shape[:-1] or codes.shape[-1] == 0:
         raise ValueError("need one nonempty code row per row of data bits")
-    if not np.all(np.isin(codes, (-1, 1))):
+    if not np.all(np.abs(codes) == 1):
         raise ValueError("code rows must be +/-1 sequences")
     n_chips = codes.shape[-1]
     freqs = np.asarray(plan.center_frequencies, dtype=float)
@@ -245,9 +324,10 @@ def generate_tx_signals(config: WaveformConfig, plan: HopPlan, codes: np.ndarray
             f"{sps} samples/symbol not divisible by code length {n_chips}"
         )
     carrier = hop_carrier(plan, config.sample_rate, sps, n_bits)
-    # chips[..., k] per output sample k, built symbol by symbol
-    chips = np.repeat(bits[..., None] * codes[..., None, :], sps // n_chips, axis=-1)
-    samples = chips.reshape(*bits.shape[:-1], -1) * carrier
+    # each chip (+/-1, so the products are exact) gates its slice of the
+    # carrier, (..., n_bits, n_chips, 1) against (n_bits, n_chips, sps // n_chips)
+    chips = (bits[..., None] * codes[..., None, :]).astype(float)[..., None]
+    samples = (chips * carrier.reshape(n_bits, n_chips, -1)).reshape(*bits.shape[:-1], -1)
     return SampledSignal(samples=samples, sample_rate=config.sample_rate)
 
 

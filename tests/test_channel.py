@@ -377,3 +377,73 @@ class TestModelValidation:
         assert not model.tap_gains.flags.writeable
         delays[0, 0] = 0.009
         assert model.tap_delays[0, 0] == 0.005
+
+
+def old_sample_multipath(scene, rng, n_taps=ch.N_TAPS):
+    """sample_multipath's default draws with rng.choice for the tap signs."""
+    lo, hi = ch.EXCESS_DELAY_RANGE
+    p0 = 10.0 ** (ch.FIRST_TAP_DB / 10.0)
+    tau0 = ch.direct_delays(scene)
+    delays, gains = np.empty((4, n_taps)), np.empty((4, n_taps))
+    for i in range(4):
+        excess = ch._spaced_uniform(rng, lo, hi, n_taps, ch.MIN_TAP_SPACING)
+        mean_power = p0 * np.exp(-(excess - lo) / ch.TAP_DECAY_TIME)
+        mags = np.minimum(rng.rayleigh(scale=np.sqrt(mean_power / 2.0)), ch.MAX_TAP_GAIN)
+        signs = rng.choice((-1.0, 1.0), size=n_taps)
+        delays[i] = tau0[i] + excess
+        gains[i] = signs * mags
+    return delays, gains
+
+
+def old_apply_channel(tx, scene, model):
+    """apply_channel with a temporary per copy and rng.normal for the noise."""
+    fs = tx.sample_rate
+    tau0 = ch.direct_delays(scene, model.speed_of_sound)
+    delays = np.column_stack([tau0, model.tap_delays])
+    gains = np.column_stack([np.ones(4), model.tap_gains])
+    lags = np.rint(delays * fs).astype(np.int64)
+    clean = np.zeros(int(lags.max()) + len(tx))
+    for row, row_lags, row_gains in zip(tx.samples, lags.tolist(), gains.tolist()):
+        for n, g in zip(row_lags, row_gains):
+            clean[n : n + row.size] += g * row
+    if model.snr_db is None:
+        return clean
+    noise_power = float(np.mean(clean**2)) / 10.0 ** (model.snr_db / 10.0)
+    rng = np.random.default_rng(model.rng_seed)
+    return clean + rng.normal(0.0, np.sqrt(noise_power), size=clean.size)
+
+
+class TestChannelBitIdentity:
+    """The reused term buffer, in-place noise and indexed tap signs give the
+    bits of the expressions they replaced."""
+
+    @pytest.mark.parametrize("n_taps", [0, 1, 5, 13])
+    def test_tap_signs_match_rng_choice(self, n_taps):
+        scene = make_scene(receiver=(1.2, 3.3, 0.9))
+        for seed in range(20):
+            rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            new = ch.sample_multipath(scene, rng, n_taps=n_taps)
+            old = old_sample_multipath(scene, old_rng, n_taps=n_taps)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(new, old))
+            assert rng.integers(2**62) == old_rng.integers(2**62)
+
+    @pytest.mark.parametrize("snr_db", [None, 30.0, 15.0, 0.0, -15.0])
+    def test_channel_and_noise_match_old_expression(self, snr_db):
+        walsh = wf.walsh_hadamard(4)
+        scene = make_scene(receiver=(3.1, 1.4, 1.1))
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            plan = wf.random_hop_plan(8, seed=seed)
+            bits = wf.random_data_bits((4, 8), rng)
+            tx = wf.generate_tx_signals(make_burst_config(bits), plan, walsh.rows)
+            delays, gains = ch.sample_multipath(scene, rng)
+            model = ch.ChannelModel(delays, gains, snr_db=snr_db, rng_seed=seed + 40)
+            out = ch.apply_channel(tx, scene, model).samples
+            assert out.tobytes() == old_apply_channel(tx, scene, model).tobytes()
+
+    def test_silent_input_noise_matches_old_expression(self):
+        # zero signal power: a zero noise scale, where normal(0, 0) adds 0.0 + 0 * z
+        tx = wf.SampledSignal(samples=np.zeros((4, 300)), sample_rate=FS)
+        model = ch.ChannelModel(snr_db=10.0, rng_seed=9)
+        out = ch.apply_channel(tx, make_scene(), model).samples
+        assert out.tobytes() == old_apply_channel(tx, make_scene(), model).tobytes()

@@ -373,6 +373,19 @@ class TestErrorPaths:
         assert captured.out == ""
         assert not (tmp_path / "trials.csv").exists()
 
+    def test_symbol_shorter_than_one_sample_is_one_error_line(self, tmp_path, capsys):
+        # 1e-15 s * 340 kHz rounds to 0 samples: a config error, not an empty burst
+        bad = tmp_path / "short.ini"
+        bad.write_text("[waveform]\nsymbol_duration = 1e-15\n")
+        code = run_cli("simulate", "--config", str(bad), "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {bad}: [waveform] ")
+        assert "shorter than one sample" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "trials.csv").exists()
+
     def test_negative_seed_override_is_one_error_line(self, fast_ini, tmp_path, capsys):
         code = run_cli(
             "simulate", "--config", fast_ini, "--out", str(tmp_path), "--seed", "-1"

@@ -295,6 +295,12 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"\(n_bits,\) or \(k, n_bits\)"):
             wf.WaveformConfig(data_bits=np.ones(shape, dtype=np.int64))
 
+    @pytest.mark.parametrize("symbol_duration", [1e-15, 2e-12])
+    def test_config_rejects_symbol_shorter_than_one_sample(self, symbol_duration):
+        config = make_burst_config([1], symbol_duration=symbol_duration)
+        with pytest.raises(ChipAlignmentError, match="shorter than one sample"):
+            config.samples_per_symbol
+
     def test_stacked_signal_counts_samples_per_row(self):
         sig = wf.SampledSignal(samples=np.zeros((4, 680)), sample_rate=340_000.0)
         assert len(sig) == 680
@@ -307,3 +313,145 @@ class TestValidation:
     def test_signal_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             wf.SampledSignal(samples=np.zeros(4), sample_rate=0.0)
+
+
+def old_hop_carrier(plan, sample_rate, samples_per_symbol, n_symbols):
+    """The per-call carrier expression that the cached table replaced."""
+    freqs = np.asarray(plan.center_frequencies, dtype=float)
+    f_per_sample = np.repeat(freqs[plan.hop_sequence[:n_symbols]], samples_per_symbol)
+    t = np.arange(n_symbols * samples_per_symbol) / sample_rate
+    return np.sin(2.0 * np.pi * f_per_sample * t + plan.carrier_phase)
+
+
+def old_bursts(config, plan, codes):
+    """The np.repeat chip expansion that the broadcast chips replaced."""
+    bits, codes = config.data_bits, np.asarray(codes, dtype=np.int64)
+    sps = config.samples_per_symbol
+    carrier = old_hop_carrier(plan, config.sample_rate, sps, bits.shape[-1])
+    chips = np.repeat(bits[..., None] * codes[..., None, :], sps // codes.shape[-1], axis=-1)
+    return chips.reshape(*bits.shape[:-1], -1) * carrier
+
+
+def old_hop_sequence(n_symbols, seed, n_ch, reuse_window):
+    """One rng.integers call per symbol, as random_hop_plan drew before."""
+    rng = np.random.default_rng(seed)
+    seq = np.empty(n_symbols, dtype=np.int64)
+    for k in range(n_symbols):
+        blocked = set(seq[max(0, k - reuse_window) : k].tolist())
+        choices = [c for c in range(n_ch) if c not in blocked]
+        seq[k] = choices[rng.integers(0, len(choices))]
+    return seq
+
+
+def random_bits(shape, seed):
+    return wf.random_data_bits(shape, np.random.default_rng(seed))
+
+
+# channel banks inside [20, 50] kHz at least 5 kHz apart, one to seven channels
+BANKS = [
+    (41_000.0,),
+    (21_000.0, 33_000.0),
+    (25_000.0, 30_000.0, 45_000.0),
+    wf.CENTER_FREQUENCIES,
+    tuple(20_000.0 + 5_000.0 * k for k in range(7)),
+]
+
+
+class TestSharedWorkBitIdentity:
+    """The cached carrier table, cached Walsh rows, broadcast chips and one
+    hop-plan draw give the bits of the expressions they replaced."""
+
+    @pytest.mark.parametrize("bank", BANKS, ids=lambda b: f"{len(b)}ch")
+    @pytest.mark.parametrize("phase", [0.0, 0.7, -2.1])
+    @pytest.mark.parametrize("n_symbols", [1, 5, 32])
+    def test_carrier_and_bursts_match_old_expression(self, bank, phase, n_symbols):
+        plan = wf.random_hop_plan(
+            n_symbols, seed=n_symbols, center_frequencies=bank, carrier_phase=phase,
+            reuse_window=min(2, max(len(bank) - 2, 0)),
+        )
+        for sample_rate, symbol_duration in ((340_000.0, 0.002), (200_000.0, 0.0005)):
+            config = wf.WaveformConfig(
+                sample_rate=sample_rate,
+                symbol_duration=symbol_duration,
+                data_bits=random_bits((4, n_symbols), seed=n_symbols),
+            )
+            sps = config.samples_per_symbol
+            carrier = wf.hop_carrier(plan, sample_rate, sps, n_symbols)
+            assert carrier.tobytes() == old_hop_carrier(plan, sample_rate, sps, n_symbols).tobytes()
+            codes = wf.walsh_hadamard(4).rows
+            burst = wf.generate_tx_signals(config, plan, codes).samples
+            assert burst.tobytes() == old_bursts(config, plan, codes).tobytes()
+            one = wf.WaveformConfig(sample_rate, symbol_duration, config.data_bits[2])
+            row = wf.generate_tx_signals(one, plan, codes[2]).samples
+            assert row.tobytes() == old_bursts(one, plan, codes[2]).tobytes()
+
+    def test_decode_bits_carrier_matches_old_expression(self, walsh4):
+        # decode_bits asks for as many symbols as the received signal holds,
+        # fewer than the plan here, and demodulates against that carrier
+        from ultraloc import ranging as rg
+
+        plan = wf.random_hop_plan(12, seed=4, carrier_phase=0.3)
+        config = make_burst_config(random_bits(12, seed=4))
+        sps = config.samples_per_symbol
+        carrier = wf.hop_carrier(plan, config.sample_rate, sps, 9)
+        assert carrier.tobytes() == old_hop_carrier(plan, config.sample_rate, sps, 9).tobytes()
+        burst = wf.generate_tx_signals(config, plan, walsh4.row(1))
+        received = wf.SampledSignal(burst.samples[: 9 * sps + 100], config.sample_rate)
+        y = received.samples[: 9 * sps] * np.tile(np.repeat(walsh4.row(1), sps // 4), 9)
+        old = (y * old_hop_carrier(plan, config.sample_rate, sps, 9)).reshape(9, sps).sum(axis=1)
+        expected = np.where(old >= 0, 1, -1)
+        assert np.array_equal(rg.decode_bits(received, walsh4.row(1), plan, config), expected)
+
+    def test_over_budget_bank_bypasses_the_cache_with_the_same_bits(self):
+        bank = BANKS[-1]
+        sps = 680
+        n_symbols = wf.CARRIER_TABLE_BUDGET // (8 * len(bank) * sps) + 1
+        assert wf._carrier_table(bank, wf.SAMPLE_RATE, sps, n_symbols, 0.4) is None
+        plan = wf.random_hop_plan(n_symbols, seed=2, center_frequencies=bank, carrier_phase=0.4)
+        carrier = wf.hop_carrier(plan, wf.SAMPLE_RATE, sps, n_symbols)
+        expected = old_hop_carrier(plan, wf.SAMPLE_RATE, sps, n_symbols)
+        assert carrier.tobytes() == expected.tobytes()
+        # one symbol fewer fits the budget and is served from a table
+        assert wf._carrier_table(bank, wf.SAMPLE_RATE, sps, n_symbols - 2, 0.4) is not None
+
+    def test_cached_table_and_walsh_rows_are_read_only(self):
+        table = wf._carrier_table(wf.CENTER_FREQUENCIES, wf.SAMPLE_RATE, 680, 32, 0.0)
+        assert table.shape == (6, 32, 680)
+        assert not table.flags.writeable
+        assert wf._carrier_table(wf.CENTER_FREQUENCIES, wf.SAMPLE_RATE, 680, 32, 0.0) is table
+        rows = wf.walsh_hadamard(8).rows
+        assert not rows.flags.writeable
+        assert wf.walsh_hadamard(8).rows is rows
+        with pytest.raises(ValueError):
+            rows[0, 0] = -1
+
+    def test_carrier_is_a_fresh_writeable_array(self):
+        plan = wf.random_hop_plan(4, seed=1)
+        carrier = wf.hop_carrier(plan, wf.SAMPLE_RATE, 680, 4)
+        expected = carrier.copy()
+        carrier[:] = 0.0
+        assert wf.hop_carrier(plan, wf.SAMPLE_RATE, 680, 4).tobytes() == expected.tobytes()
+
+    def test_carrier_rejects_more_symbols_than_the_plan(self):
+        with pytest.raises(ValueError, match="shorter than"):
+            wf.hop_carrier(wf.random_hop_plan(3, seed=0), wf.SAMPLE_RATE, 680, 4)
+
+    @pytest.mark.parametrize("n_ch", [1, 2, 3, 6, 7])
+    def test_hop_plan_matches_one_draw_per_symbol(self, n_ch):
+        bank = BANKS[-1][:n_ch]
+        for window in range(max(n_ch - 2, 0) + 1):
+            for seed in range(12):
+                for n_symbols in (0, 1, 32, 100):
+                    plan = wf.random_hop_plan(
+                        n_symbols, seed, center_frequencies=bank, reuse_window=window
+                    )
+                    expected = old_hop_sequence(n_symbols, seed, n_ch, window)
+                    assert np.array_equal(plan.hop_sequence, expected)
+
+    @pytest.mark.parametrize("bad", [0, 2, -3, np.iinfo(np.int64).min])
+    def test_plus_minus_one_checks_reject_the_same_values(self, walsh4, bad):
+        with pytest.raises(ValueError, match=r"\+1/-1"):
+            wf.WaveformConfig(data_bits=np.array([1, bad]))
+        codes = np.array([1, -1, bad, 1])
+        with pytest.raises(ValueError, match=r"\+/-1"):
+            wf.generate_tx_signals(make_burst_config([1]), single_channel_plan(1), codes)
