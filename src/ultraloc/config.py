@@ -35,6 +35,11 @@ from .waveform import WaveformConfig, generate_tx_signals, random_hop_plan, wals
 # that length: at up to 2**21 samples one default-config fix peaked at
 # 416 MB RSS (numpy 2.4, Python 3.11, Linux x86-64).
 MAX_FIX_SAMPLES = 2**21
+# Most points the drone-domain lattice may hold. dopmap passes the whole
+# lattice to one DOP kernel call, about 600 bytes a point: over 1,508,304
+# points (domain_grid = 0.03) it peaked at 920 MB RSS in 16 s (numpy 2.4,
+# Python 3.11, Linux x86-64), so this limit holds it near 660 MB.
+MAX_LATTICE_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -389,6 +394,13 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
             build()
         except ValueError as exc:
             fail(f"[{section}] {exc}")
+    # counted, not built, after the run build, which rejects an inverted range
+    n_points = cfg.drone_domain().size
+    if n_points > MAX_LATTICE_POINTS:
+        fail(
+            f"the drone-domain lattice would hold {n_points} points, more than the "
+            f"{MAX_LATTICE_POINTS} allowed; raise [run] domain_grid"
+        )
     # after the waveform build, which rejects a sample rate that is not positive
     if ch.multipath and ch.excess_delay_min * wf.sample_rate < 1.0:
         fail(

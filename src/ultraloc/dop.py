@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -88,6 +89,14 @@ class DroneDomain:
         the first call and shared, read-only, by every later one."""
         return self._lattice
 
+    @property
+    def size(self) -> int:
+        """How many points points() holds, counted without building them."""
+        return math.prod(
+            _axis_size(lo, hi, self.grid_resolution)
+            for lo, hi in (self.x_range, self.y_range, self.z_range)
+        )
+
     @functools.cached_property
     def _lattice(self) -> np.ndarray:
         axes = [
@@ -109,9 +118,15 @@ class DroneDomain:
 
 
 def _inclusive_arange(lo: float, hi: float, step: float) -> np.ndarray:
-    n = int(round((hi - lo) / step))
-    pts = lo + step * np.arange(n + 1)
-    return pts[pts <= hi + 1e-9]
+    return lo + step * np.arange(_axis_size(lo, hi, step))
+
+
+def _axis_size(lo: float, hi: float, step: float) -> int:
+    """How many of lo, lo + step, lo + 2 * step, ... lie within hi + 1e-9:
+    up to the step count nearest (hi - lo) / step, whose last point may
+    overshoot. The cap keeps the count finite for any positive step."""
+    n = round(min((hi - lo) / step, 2.0**62))
+    return n + 1 if lo + step * n <= hi + 1e-9 else n
 
 
 def dop_at(beacons: BeaconLayout, target: np.ndarray) -> DopReport:
@@ -133,7 +148,9 @@ def dop_at(beacons: BeaconLayout, target: np.ndarray) -> DopReport:
 
 
 def dop_components(
-    beacons: BeaconLayout | np.ndarray, points: np.ndarray
+    beacons: BeaconLayout | np.ndarray,
+    points: np.ndarray,
+    invert: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized HDOP/VDOP of one or many layouts over many points.
 
@@ -154,6 +171,20 @@ def dop_components(
     det(M) * CONDITION_CAP <= 10 * trace(M)^3. Every other point is
     well-conditioned by a factor of 10 to spare, so the mask equals the
     one eigvalsh would give at every point.
+
+    invert, if given, chooses the layouts whose points go through the
+    inverse. It is called once, before any inverse, as
+    invert(hdop, vdop, degenerate) with (L, P) arrays, and returns an
+    (L,) bool mask. Its hdop/vdop are closed-form estimates from M's
+    entries and det(M) (hdop^2 = ((bc - f^2) + (ac - e^2)) / det,
+    vdop^2 = (ab - d^2) / det), and its mask is the one returned. An
+    estimate is NaN at a degenerate point and at every point the trace
+    screen above leaves to eigvalsh, so it is only given where
+    cond(M) < CONDITION_CAP / 10; there its relative error, like the
+    inverse's, is a small multiple of 1e-16 * cond(M). A layout the mask
+    leaves out keeps these estimates in the result, so they can differ
+    from the inverse's values in the last bits; the chosen layouts get
+    exactly the values a call without invert gives.
     """
     positions = np.asarray(
         beacons.positions if isinstance(beacons, BeaconLayout) else beacons, dtype=float
@@ -161,16 +192,17 @@ def dop_components(
     points = np.atleast_2d(np.asarray(points, dtype=float))
     layouts = positions.reshape(-1, *positions.shape[-2:])
     n_beacons = layouts.shape[1]
-    diff = (layouts[:, None, :, :] - points[:, None, :]).reshape(-1, n_beacons, 3)
-    # np.linalg.norm(diff, axis=2) is this same sum, behind a slower dispatch
-    r = np.sqrt(np.add.reduce(diff * diff, axis=2))
+    n_pairs = len(layouts) * len(points)
+    # The differences, unit vectors, their outer products and M are laid
+    # out point-last, (beacon, axis, layout-major point), so each step is
+    # one pass over contiguous rows of every point.
+    diff = layouts.transpose(1, 2, 0)[..., None] - points.T[:, None, :]
+    diff = diff.reshape(n_beacons, 3, n_pairs)
+    # (dx^2 + dy^2) + dz^2, the same sum as np.linalg.norm behind a slower dispatch
+    r = np.sqrt(np.add.reduce(diff * diff, axis=1))
     on_beacon = r < 1e-12
-    coincident = on_beacon.any(axis=1)
-    r_safe = np.where(on_beacon, 1.0, r)
-    # The unit vectors, their outer products and M are laid out point-last,
-    # so each step is one pass over contiguous rows of every point.
-    u = np.empty((n_beacons, 3, diff.shape[0]))
-    np.divide(diff.transpose(1, 2, 0), r_safe.T[:, None, :], out=u)
+    coincident = on_beacon.any(axis=0)
+    u = np.divide(diff, np.where(on_beacon, 1.0, r)[:, None, :], out=diff)
     rows, cols = u[:, :, None, :], u[:, None, :, :]
     mt = rows[0] * cols[0]
     # one reused term buffer: one product of every beacon at once, a
@@ -190,9 +222,18 @@ def dop_components(
             eigs[:, -1] / np.maximum(eigs[:, 0], 1e-300) > CONDITION_CAP
         )
 
-    hdop = np.full(m.shape[0], np.nan)
+    hdop = np.full(n_pairs, np.nan)
     vdop = hdop.copy()
     ok = ~degenerate
+    if invert is not None:
+        screened = ~(coincident | unsure)
+        np.divide((b * c - f * f) + (a * c - e * e), det, out=hdop, where=screened)
+        np.divide(a * b - d * d, det, out=vdop, where=screened)
+        np.sqrt(hdop, out=hdop)
+        np.sqrt(vdop, out=vdop)
+        shape = (len(layouts), len(points))
+        chosen = invert(hdop.reshape(shape), vdop.reshape(shape), degenerate.reshape(shape))
+        ok &= np.repeat(chosen, len(points))
     if ok.any():
         q = np.linalg.inv(m[ok])
         hdop[ok] = np.sqrt(q[:, 0, 0] + q[:, 1, 1])

@@ -201,11 +201,14 @@ def decode_bits(
     Despreads with the beacon's code, demodulates each symbol against the
     known hopped carrier, and slices the sign of the integral. Walsh
     orthogonality cancels the other beacons' contributions per symbol.
+    Only the plan's symbols are decoded: a received signal runs on past
+    the burst (a channel's delays and echoes lengthen it), and a short
+    one gives the whole symbols it holds.
     """
     result = despread(received, code_row, config)
     y = result.signal.samples
     sps = config.samples_per_symbol
-    n_symbols = y.size // sps
+    n_symbols = min(y.size // sps, plan.hop_sequence.size)
     carrier = hop_carrier(plan, config.sample_rate, sps, n_symbols)
     per_symbol = (y[: n_symbols * sps] * carrier).reshape(n_symbols, sps).sum(axis=1)
     bits = np.where(per_symbol >= 0, 1, -1).astype(np.int64)

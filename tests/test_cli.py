@@ -8,7 +8,7 @@ import pytest
 
 from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, SPEED_OF_SOUND
 from ultraloc.cli import _build_parser, main
-from ultraloc.config import MAX_FIX_SAMPLES
+from ultraloc.config import MAX_FIX_SAMPLES, MAX_LATTICE_POINTS
 from ultraloc.waveform import SAMPLE_RATE
 
 FAST_INI = """
@@ -372,6 +372,21 @@ class TestErrorPaths:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "trials.csv").exists()
+
+    @pytest.mark.parametrize("grid, n_points", [("0.001", 4001 * 4001 * 2501), ("0.03", 1508304)])
+    def test_oversized_drone_lattice_is_one_error_line(self, tmp_path, capsys, grid, n_points):
+        # counted, not built: a 0.001 m lattice would need a 298 GiB meshgrid
+        bad = tmp_path / "fine.ini"
+        bad.write_text(f"[run]\ndomain_grid = {grid}\n")
+        code = run_cli("dopmap", "--config", str(bad), "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {bad}: the drone-domain lattice would hold ")
+        assert f" {n_points} points, more than the {MAX_LATTICE_POINTS} allowed" in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "dopmap.csv").exists()
 
     def test_symbol_shorter_than_one_sample_is_one_error_line(self, tmp_path, capsys):
         # 1e-15 s * 340 kHz rounds to 0 samples: a config error, not an empty burst

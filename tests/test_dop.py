@@ -161,6 +161,26 @@ class TestDopAverage:
         domain = dop.DroneDomain()
         assert domain.points().shape == (9 * 9 * 6, 3)
 
+    @pytest.mark.parametrize(
+        "ranges, grid",
+        [
+            (((0.5, 4.5), (0.5, 4.5), (0.5, 3.0)), 0.5),
+            (((0.5, 4.5), (0.5, 4.5), (0.5, 3.0)), 0.1),
+            (((0.5, 4.5), (0.5, 4.5), (0.5, 3.0)), 0.3),
+            (((0.3, 4.1), (1.0, 1.0), (0.7, 2.9)), 0.35),
+            (((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), 0.7),
+        ],
+    )
+    def test_size_counts_the_lattice_without_building_it(self, ranges, grid):
+        domain = dop.DroneDomain(*ranges, grid_resolution=grid)
+        size = domain.size
+        assert "_lattice" not in vars(domain)
+        assert size == len(domain.points())
+
+    def test_size_of_an_unbuildable_lattice(self):
+        assert dop.DroneDomain(grid_resolution=0.001).size == 4001 * 4001 * 2501
+        assert dop.DroneDomain(grid_resolution=1e-320).size > 2**186
+
     def test_lattice_built_once_and_read_only(self):
         domain = dop.DroneDomain()
         points = domain.points()
@@ -299,6 +319,69 @@ class TestStackedLayouts:
         stacked = dop.dop_components(OPTIMIZED_LAYOUT.positions[None], points)
         for a, b in zip(one, stacked):
             np.testing.assert_array_equal(a, b)
+
+
+def adjugate_dops(layout, points):
+    """HDOP/VDOP from each point's adjugate and determinant, with numpy's
+    own matrix products: the closed form, computed independently."""
+    diff = np.asarray(layout)[None, :, :] - points[:, None, :]
+    u = diff / np.linalg.norm(diff, axis=2)[:, :, None]
+    q = np.array([adjugate_inverse_3x3(m) for m in np.einsum("pij,pik->pjk", u, u)])
+    return np.sqrt(q[:, 0, 0] + q[:, 1, 1]), np.sqrt(q[:, 2, 2])
+
+
+class TestInvertSelection:
+    """dop_components(..., invert=f): the layouts f picks get the plain
+    call's values bit for bit; the rest keep the closed-form estimates."""
+
+    @pytest.mark.parametrize("n_layouts", [1, 3, 17])
+    def test_chosen_layouts_equal_the_plain_call(self, n_layouts):
+        layouts, points = TestStackedLayouts.stack_and_points(n_layouts)
+        plain = dop.dop_components(layouts, points)
+        calls = []
+
+        def every_other(hdop, vdop, degenerate):
+            calls.append((hdop.copy(), vdop.copy(), degenerate.copy()))
+            return np.arange(len(hdop)) % 2 == 0
+
+        got = dop.dop_components(layouts, points, invert=every_other)
+        [(est_h, est_v, est_deg)] = calls
+        shape = (n_layouts, len(points))
+        assert est_h.shape == est_v.shape == est_deg.shape == shape
+        np.testing.assert_array_equal(got[2], plain[2])
+        np.testing.assert_array_equal(est_deg, plain[2].reshape(shape))
+        for k in (0, 1):
+            rows, want, est = got[k].reshape(shape), plain[k].reshape(shape), (est_h, est_v)[k]
+            np.testing.assert_array_equal(rows[0::2], want[0::2])
+            np.testing.assert_array_equal(rows[1::2], est[1::2])
+            # NaN exactly where degenerate, or left to eigvalsh by the screen
+            assert np.isnan(est[plain[2].reshape(shape)]).all()
+            given = ~np.isnan(est)
+            np.testing.assert_allclose(est[given], want[given], rtol=1e-8, atol=0)
+        # the ceiling layout's near-plane points reach eigvalsh yet stay usable
+        assert (np.isnan(est_h[0]) & ~est_deg[0]).any()
+
+    def test_estimates_match_an_adjugate_oracle(self):
+        points = dop.DroneDomain().points()
+        layouts = np.array([ORIGINAL_LAYOUT.positions, OPTIMIZED_LAYOUT.positions])
+        est = []
+        dop.dop_components(layouts, points, invert=lambda *a: est.extend(a) or np.zeros(2, bool))
+        for layout, hdop, vdop in zip(layouts, est[0], est[1]):
+            want_h, want_v = adjugate_dops(layout, points)
+            np.testing.assert_allclose(hdop, want_h, rtol=1e-12)
+            np.testing.assert_allclose(vdop, want_v, rtol=1e-12)
+
+    def test_nothing_chosen_inverts_nothing(self, monkeypatch):
+        layouts, points = TestStackedLayouts.stack_and_points(3)
+
+        def no_inverse(m):
+            raise AssertionError("inverted a layout invert left out")
+
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        hdop, vdop, degenerate = dop.dop_components(
+            layouts, points, invert=lambda h, v, d: np.zeros(len(h), bool)
+        )
+        assert np.isfinite(hdop).sum() > 0.5 * hdop.size
 
 
 class TestEmpiricalConsistency:

@@ -9,7 +9,7 @@ from scipy.spatial import cKDTree
 
 from ultraloc import placement
 from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout
-from ultraloc.dop import DroneDomain, dop_average, dop_components
+from ultraloc.dop import DroneDomain, domain_mean, dop_average, dop_components
 from ultraloc.errors import DomainDegeneracyError, InfeasibleDomainError, SingularGeometryError
 
 
@@ -189,7 +189,7 @@ class TestFitness:
 
     def test_programming_error_propagates(self, monkeypatch):
         # only a degenerate geometry scores inf; any other ValueError is a bug
-        def broken(layouts, points):
+        def broken(layouts, points, invert=None):
             raise ValueError("broken DOP path")
 
         monkeypatch.setattr(placement, "dop_components", broken)
@@ -261,7 +261,7 @@ class TestScoreLayouts:
         n_points = len(problem.drone_domain.points())
         calls = []
 
-        def recording(layouts, points):
+        def recording(layouts, points, invert=None):
             calls.append(len(layouts))
             n = len(layouts) * n_points
             return np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
@@ -288,6 +288,179 @@ class TestScoreLayouts:
         finally:
             tracemalloc.stop()
         assert batch <= 1.5 * one_call
+
+
+def estimated_and_exact_means(layouts, problem):
+    """Per layout, the domain means of the kernel's closed-form estimates
+    and of its exact values; domain-degenerate layouts are left out."""
+    points = problem.drone_domain.points()
+    shape = (len(layouts), len(points))
+    exact = [a.reshape(shape) for a in dop_components(layouts, points)]
+    est = [
+        a.reshape(shape)
+        for a in dop_components(layouts, points, invert=lambda h, v, d: np.zeros(len(h), bool))
+    ]
+    pairs = []
+    for k in range(len(layouts)):
+        try:
+            want = domain_mean(exact[0][k], exact[1][k], exact[2][k])
+        except DomainDegeneracyError:
+            continue
+        pairs.append((domain_mean(est[0][k], est[1][k], est[2][k]), want))
+    return pairs
+
+
+def near_coplanar_stack(rng, n, tilt):
+    """n layouts of 4 beacons in one horizontal plane but the last, which
+    sits tilt metres off it: rank 3, edge on to the lattice near the plane."""
+    layouts = rng.uniform([0.0, 0.0, 1.0], [5.0, 5.0, 4.0], size=(n, 4, 3))
+    layouts[:, :, 2] = layouts[:, :1, 2]
+    layouts[:, 3, 2] += tilt * rng.choice([-1.0, 1.0], size=n)
+    return layouts
+
+
+def every_offspring_exact(monkeypatch):
+    """Make optimize score every layout exactly: the reference search."""
+    plain_score = placement.score_layouts
+    monkeypatch.setattr(
+        placement,
+        "score_layouts",
+        lambda layouts, problem, cutoff=math.inf: plain_score(layouts, problem),
+    )
+
+
+def traced_search(problem, monkeypatch):
+    """optimize's result, every generation it observed, and how many bound
+    rows it was given."""
+    generations = []
+    bounds = []
+    scorer = placement.score_layouts
+
+    def counting(layouts, problem, cutoff=math.inf):
+        terms = scorer(layouts, problem, cutoff=cutoff)
+        bounds.extend(row for row in terms if placement._is_bound(row))
+        return terms
+
+    monkeypatch.setattr(placement, "score_layouts", counting)
+    result = placement.optimize(
+        problem, observer=lambda run, it, pop: generations.append((run, it, pop.tobytes()))
+    )
+    monkeypatch.setattr(placement, "score_layouts", scorer)
+    return result, generations, len(bounds)
+
+
+class TestCertifiedBound:
+    def assert_within(self, pairs, rtol):
+        assert pairs
+        for (h_est, v_est), (h, v) in pairs:
+            if math.isnan(h_est):  # a point the screen left to eigvalsh
+                assert math.isnan(v_est)
+                continue
+            assert abs(h_est - h) <= rtol * h and abs(v_est - v) <= rtol * v
+
+    def test_estimates_of_seed_populations(self):
+        # within 1e-9: ESTIMATE_SLACK has a 1000x margin
+        for seed in range(32):
+            problem = placement.PlacementProblem(rng_seed=seed)
+            pop = spanning_population(problem, [seed, 0])
+            pairs = estimated_and_exact_means(pop, problem)
+            self.assert_within(pairs, placement.ESTIMATE_SLACK / 1000)
+
+    @pytest.mark.parametrize("tilt", [1e-1, 1e-3, 1e-5])
+    def test_estimates_of_near_coplanar_stacks(self, tilt):
+        problem = placement.PlacementProblem()
+        pairs = estimated_and_exact_means(near_coplanar_stack(np.random.default_rng(8), 48, tilt), problem)
+        self.assert_within(pairs, placement.ESTIMATE_SLACK / 1000)
+        assert sum(not math.isnan(h) for (h, _), _ in pairs) >= len(pairs) // 2
+
+    @pytest.mark.parametrize("hdop_tolerance", [2.0, 1.0])
+    def test_bound_rows_only_above_the_cutoff(self, hdop_tolerance):
+        problem = placement.PlacementProblem(hdop_tolerance=hdop_tolerance)
+        batch = mixed_batch()
+        exact = placement.score_layouts(batch, problem)
+        finite = np.sort(exact[np.isfinite(exact[:, 0]), 0])
+        for cutoff in (finite[0], np.median(finite), finite[-1], -1.0):
+            got = placement.score_layouts(batch, problem, cutoff=cutoff)
+            bound = np.array([placement._is_bound(row) for row in got])
+            assert bound.any() or cutoff == finite[-1]
+            np.testing.assert_array_equal(got[~bound], exact[~bound])
+            # a bound row's layout loses to the cutoff, and its bound is below its fitness
+            assert (got[bound, 0] > cutoff).all()
+            assert (got[bound, 0] <= exact[bound, 0]).all()
+            assert (got[bound, 0] >= exact[bound, 0] * (1 - 2 * placement.ESTIMATE_SLACK)).all()
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_search_equals_one_that_scores_every_offspring_exactly(self, seed, monkeypatch):
+        problem = fast_problem(rng_seed=seed)
+        result, generations, n_bounds = traced_search(problem, monkeypatch)
+        assert n_bounds
+        every_offspring_exact(monkeypatch)
+        want, want_generations, _ = traced_search(problem, monkeypatch)
+        assert generations == want_generations
+        assert result.history == want.history
+        assert result.layout.positions.tobytes() == want.layout.positions.tobytes()
+        assert (result.vdop_avg, result.hdop_avg, result.restarts, result.feasible) == (
+            want.vdop_avg,
+            want.hdop_avg,
+            want.restarts,
+            want.feasible,
+        )
+
+    def test_infeasible_search_across_a_restart(self, monkeypatch):
+        # The restart's seed population scores with no cutoff. Seeded here with
+        # layouts the first run bounded, it must score them exactly.
+        problem = fast_problem(vdop_tolerance=0.01, iterations=8, max_restarts=1)
+        plain_seed, scorer = placement.seed_population, placement.score_layouts
+        bounded, injected, rescored, seeded = {}, [], [], []
+
+        def seeding(problem, rng):
+            pop = plain_seed(problem, rng)
+            seeded.append(len(seeded))
+            if len(seeded) % 2 == 0:  # each search's restart
+                if not injected:
+                    injected.extend(list(bounded.values())[: len(pop) // 2])
+                pop[: len(injected)] = injected
+            return pop
+
+        def recording(layouts, problem, cutoff=math.inf):
+            terms = scorer(layouts, problem, cutoff=cutoff)
+            for beacons, row in zip(layouts, terms):
+                if beacons.tobytes() in bounded:
+                    rescored.append((cutoff, row))
+                if placement._is_bound(row):
+                    bounded.setdefault(beacons.tobytes(), beacons.copy())
+            return terms
+
+        monkeypatch.setattr(placement, "seed_population", seeding)
+        monkeypatch.setattr(placement, "score_layouts", recording)
+        result, generations, n_bounds = traced_search(problem, monkeypatch)
+        assert not result.feasible and result.restarts == 1 and n_bounds and injected
+        assert [cutoff for cutoff, _ in rescored].count(math.inf) == len(injected)
+        assert not any(placement._is_bound(row) for cutoff, row in rescored if cutoff == math.inf)
+        every_offspring_exact(monkeypatch)
+        want, want_generations, _ = traced_search(problem, monkeypatch)
+        assert generations == want_generations
+        assert result.history == want.history
+        assert result.layout.positions.tobytes() == want.layout.positions.tobytes()
+        assert (result.vdop_avg, result.hdop_avg) == (want.vdop_avg, want.hdop_avg)
+
+    def test_default_search_skips_inverses(self, monkeypatch):
+        inverted = []
+        inv = np.linalg.inv
+
+        def counting_inv(m):
+            inverted.append(len(m))
+            return inv(m)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        problem = placement.PlacementProblem(rng_seed=3, iterations=30)
+        result, generations, _ = traced_search(problem, monkeypatch)
+        skipping = sum(inverted)
+        inverted.clear()
+        every_offspring_exact(monkeypatch)
+        want, want_generations, _ = traced_search(problem, monkeypatch)
+        assert generations == want_generations and result.history == want.history
+        assert skipping < 0.8 * sum(inverted)
 
 
 class TestCrossover:
@@ -487,10 +660,13 @@ class TestFitnessMemo:
     def test_each_distinct_layout_scored_once(self, monkeypatch):
         plain_score = placement.score_layouts
         scored = []
+        bounded = []
 
-        def counting_score(layouts, problem):
-            scored.extend(beacons.tobytes() for beacons in layouts)
-            return plain_score(layouts, problem)
+        def counting_score(layouts, problem, cutoff=math.inf):
+            terms = plain_score(layouts, problem, cutoff=cutoff)
+            for beacons, row in zip(layouts, terms):
+                (bounded if placement._is_bound(row) else scored).append(beacons.tobytes())
+            return terms
 
         monkeypatch.setattr(placement, "score_layouts", counting_score)
         problem = fast_problem()
@@ -502,7 +678,10 @@ class TestFitnessMemo:
             best.setdefault(run_idx, []).append(plain_score(population[:1], problem)[0, 0])
 
         result = placement.optimize(problem, observer=observer)
+        # scored exactly at most once, and every layout that survived a cull
+        # was scored exactly; a bound row is never scored again in its run
         assert len(scored) == len(set(scored))
+        assert bounded and len(bounded) == len(set(bounded))
         assert seen
         assert set(seen) <= set(scored)
         # history[i] is the fresh fitness of the best layout observed at iteration i

@@ -407,6 +407,13 @@ class TestDecodeBits:
         bits = rg.decode_bits(sig, walsh4.row(2), plan, config)
         assert np.array_equal(bits, config.data_bits)
 
+    def test_zero_tail_past_the_plan_is_ignored(self, walsh4):
+        # a channel's output runs on past the burst; only the plan's symbols decode
+        config, plan, sig = coded_burst(walsh4, row_index=1, n_bits=8, seed=4)
+        padded = shifted(sig, 0, tail=6 * config.samples_per_symbol + 17)
+        bits = rg.decode_bits(padded, walsh4.row(1), plan, config)
+        assert np.array_equal(bits, config.data_bits)
+
     def test_four_beacon_composite_zero_errors(self, walsh4):
         rng = np.random.default_rng(9)
         plan = wf.random_hop_plan(32, seed=42)
