@@ -36,9 +36,9 @@ from .waveform import WaveformConfig, generate_tx_signals, random_hop_plan, wals
 # 416 MB RSS (numpy 2.4, Python 3.11, Linux x86-64).
 MAX_FIX_SAMPLES = 2**21
 # Most points the drone-domain lattice may hold. dopmap passes the whole
-# lattice to one DOP kernel call, about 600 bytes a point: over 1,508,304
-# points (domain_grid = 0.03) it peaked at 920 MB RSS in 16 s (numpy 2.4,
-# Python 3.11, Linux x86-64), so this limit holds it near 660 MB.
+# lattice to one DOP kernel call, about 470 bytes a point: 1,030,376
+# points (domain_grid = 0.034, the finest default-domain grid allowed)
+# peaked at 515 MB RSS in 16 s (numpy 2.4, Python 3.11, Linux x86-64).
 MAX_LATTICE_POINTS = 2**20
 
 
