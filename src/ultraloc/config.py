@@ -35,10 +35,13 @@ from .waveform import WaveformConfig, generate_tx_signals, random_hop_plan, wals
 # that length: at up to 2**21 samples one default-config fix peaked at
 # 416 MB RSS (numpy 2.4, Python 3.11, Linux x86-64).
 MAX_FIX_SAMPLES = 2**21
-# Most points the drone-domain lattice may hold. dopmap passes the whole
-# lattice to one DOP kernel call, about 470 bytes a point: 1,030,376
-# points (domain_grid = 0.034, the finest default-domain grid allowed)
-# peaked at 515 MB RSS in 16 s (numpy 2.4, Python 3.11, Linux x86-64).
+# Most points the drone-domain lattice, or the beacon lattice before its
+# repeats are dropped, may hold. dopmap passes the whole drone lattice to
+# one DOP kernel call, about 470 bytes a point: 1,030,376 points
+# (domain_grid = 0.034, the finest default-domain grid allowed) peaked at
+# 515 MB RSS in 16 s. A default optimize on 1,043,817 beacon points
+# (beacon_grid = 0.0079, the finest default-room grid allowed) peaked at
+# 190 MB RSS in 2.6 s. Both on numpy 2.4, Python 3.11, Linux x86-64.
 MAX_LATTICE_POINTS = 2**20
 
 
@@ -63,7 +66,6 @@ class WaveformConfigSection:
 @dataclass(frozen=True)
 class ChannelConfigSection:
     snr_db: float | None = 15.0
-    multipath: bool = True
     taps_per_beacon: int = channel_mod.N_TAPS
     excess_delay_min: float = channel_mod.EXCESS_DELAY_RANGE[0]
     excess_delay_max: float = channel_mod.EXCESS_DELAY_RANGE[1]
@@ -317,7 +319,7 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
     if ch.taps_per_beacon < 0:
         fail("taps_per_beacon must be non-negative")
     tap_span = channel_mod.MIN_TAP_SPACING * (ch.taps_per_beacon - 1)
-    if ch.multipath and tap_span >= ch.excess_delay_max - ch.excess_delay_min:
+    if tap_span >= ch.excess_delay_max - ch.excess_delay_min:
         fail(
             f"{ch.taps_per_beacon} taps spaced {channel_mod.MIN_TAP_SPACING} s apart "
             f"do not fit the excess delay range "
@@ -354,7 +356,7 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
     ):
         fail("drone domain must lie strictly inside the room")
     # before any build: the received length, counting one hop draw per bit
-    flight = ch.multipath * ch.excess_delay_max
+    flight = (ch.taps_per_beacon > 0) * ch.excess_delay_max
     if ch.speed_of_sound > 0:  # else the channel build below rejects it
         flight += math.hypot(*room) / ch.speed_of_sound
     bits = min(wf.burst_bits, sys.float_info.max)  # not every int converts to a float
@@ -394,15 +396,18 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
             build()
         except ValueError as exc:
             fail(f"[{section}] {exc}")
-    # counted, not built, after the run build, which rejects an inverted range
-    n_points = cfg.drone_domain().size
-    if n_points > MAX_LATTICE_POINTS:
-        fail(
-            f"the drone-domain lattice would hold {n_points} points, more than the "
-            f"{MAX_LATTICE_POINTS} allowed; raise [run] domain_grid"
-        )
+    # counted, not built, after the builds that reject an inverted range or a bad grid
+    for name, n_points, key in (
+        ("drone-domain", cfg.drone_domain().size, "[run] domain_grid"),
+        ("beacon", cfg.placement_problem().beacon_domain.size, "[placement] beacon_grid"),
+    ):
+        if n_points > MAX_LATTICE_POINTS:
+            fail(
+                f"the {name} lattice would hold {n_points} points, more than the "
+                f"{MAX_LATTICE_POINTS} allowed; raise {key}"
+            )
     # after the waveform build, which rejects a sample rate that is not positive
-    if ch.multipath and ch.excess_delay_min * wf.sample_rate < 1.0:
+    if ch.taps_per_beacon > 0 and ch.excess_delay_min * wf.sample_rate < 1.0:
         fail(
             f"excess_delay_min must be at least one sample period "
             f"({1.0 / wf.sample_rate:g} s), or a tap lands on its direct path's sample"

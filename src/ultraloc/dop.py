@@ -22,6 +22,11 @@ from .channel import BeaconLayout
 from .errors import DegenerateGeometryError, DomainDegeneracyError
 
 CONDITION_CAP = 1e8
+# Relative slack under the closed-form DOP estimates that makes them lower
+# bounds (dop_components' invert). Over the 2367 layouts the default
+# searches of seeds 0-7 score, an estimated domain mean is within 2.2e-12
+# of the exact one, relative; the kernel's error bound is 1e-8.
+ESTIMATE_SLACK = 1e-6
 
 # Default flight volume for desk-scale experiments: half a meter away
 # from every wall, ceiling clearance of one meter, half-meter lattice.
@@ -172,19 +177,17 @@ def dop_components(
     well-conditioned by a factor of 10 to spare, so the mask equals the
     one eigvalsh would give at every point.
 
-    invert, if given, chooses the layouts whose points go through the
-    inverse. It is called once, before any inverse, as
-    invert(hdop, vdop, degenerate) with (L, P) arrays, and returns an
-    (L,) bool mask. Its hdop/vdop are closed-form estimates from M's
-    entries and det(M) (hdop^2 = ((bc - f^2) + (ac - e^2)) / det,
-    vdop^2 = (ab - d^2) / det), and its mask is the one returned. An
-    estimate is NaN at a degenerate point and at every point the trace
-    screen above leaves to eigvalsh, so it is only given where
-    cond(M) < CONDITION_CAP / 10; there its relative error, like the
-    inverse's, is a small multiple of 1e-16 * cond(M). A layout the mask
-    leaves out keeps these estimates in the result, so they can differ
-    from the inverse's values in the last bits; the chosen layouts get
-    exactly the values a call without invert gives.
+    invert, if given, is called once, before any inverse, as
+    invert(hdop, vdop, degenerate) with (L, P) views of the arrays
+    returned, and returns an (L,) bool mask of the layouts to invert; the
+    others come back NaN, so every number returned is the inverse's.
+    During the call hdop/vdop hold certified lower bounds: the closed form
+    from M's entries and det(M) (hdop^2 = ((bc - f^2) + (ac - e^2)) / det,
+    vdop^2 = (ab - d^2) / det) times 1 - ESTIMATE_SLACK, NaN at a
+    degenerate point and where the trace screen leaves a point to
+    eigvalsh. Elsewhere cond(M) < CONDITION_CAP / 10, so the closed
+    form's relative error, like the inverse's, is a small multiple of
+    1e-16 * cond(M) < 1e-8.
     """
     positions = np.asarray(
         beacons.positions if isinstance(beacons, BeaconLayout) else beacons, dtype=float
@@ -227,13 +230,15 @@ def dop_components(
     ok = ~degenerate
     if invert is not None:
         screened = ~(coincident | unsure)
+        # the bounds go where the results will, sparing the call a buffer
         np.divide((b * c - f * f) + (a * c - e * e), det, out=hdop, where=screened)
         np.divide(a * b - d * d, det, out=vdop, where=screened)
-        np.sqrt(hdop, out=hdop)
-        np.sqrt(vdop, out=vdop)
+        for lower in (hdop, vdop):
+            np.multiply(np.sqrt(lower, out=lower), 1.0 - ESTIMATE_SLACK, out=lower)
         shape = (len(layouts), len(points))
         chosen = invert(hdop.reshape(shape), vdop.reshape(shape), degenerate.reshape(shape))
         ok &= np.repeat(chosen, len(points))
+        hdop[~ok] = vdop[~ok] = np.nan
     if ok.any():
         q = np.linalg.inv(m[ok])
         hdop[ok] = np.sqrt(q[:, 0, 0] + q[:, 1, 1])

@@ -174,17 +174,15 @@ def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> Tr
         divisors = np.maximum(direct_delays(scene, c) * c, 1.0)
         tx = replace(references, samples=references.samples / divisors[:, None])
 
-    tap_delays = tap_gains = np.zeros((4, 0))
-    if ch.multipath:
-        tap_delays, tap_gains = sample_multipath(
-            scene,
-            rng,
-            n_taps=ch.taps_per_beacon,
-            excess_delay_range=(ch.excess_delay_min, ch.excess_delay_max),
-            first_tap_db=ch.first_tap_db,
-            decay_time=ch.decay_time,
-            c=ch.speed_of_sound,
-        )
+    tap_delays, tap_gains = sample_multipath(
+        scene,
+        rng,
+        n_taps=ch.taps_per_beacon,
+        excess_delay_range=(ch.excess_delay_min, ch.excess_delay_max),
+        first_tap_db=ch.first_tap_db,
+        decay_time=ch.decay_time,
+        c=ch.speed_of_sound,
+    )
     model = ChannelModel(
         tap_delays=tap_delays,
         tap_gains=tap_gains,

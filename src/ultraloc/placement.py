@@ -10,20 +10,15 @@ coordinate, and the worst 20 of the resulting 70 are culled. The whole
 search restarts from a fresh population when the final best layout
 misses either tolerance.
 
-A generation's layouts not yet scored in the search are scored together
+A generation's layouts not yet scored in the run are scored together
 (score_layouts): the degeneracy rules run on the whole batch at once, and
 the DOP kernel takes the rest in calls of at most PAIR_BUDGET (layout,
 drone-lattice point) pairs, 16 layouts of the default 486-point lattice.
 
 Offspring are scored against a cutoff, the worst fitness among the
-current population. The cull keeps the best 50 of the current 50 and
-their offspring, by a stable sort with the current ones first, so an
-offspring whose fitness exceeds the cutoff can never be kept. Such an
-offspring gets a bound row, a lower bound on its fitness from the DOP
-kernel's closed-form estimates with a relative slack of ESTIMATE_SLACK,
-and its lattice points skip the 3x3 inverse. Every other layout is
-scored exactly, so the search's every output bit is the same as if all
-were; in a default search about 40% of the lattice points skip it.
+current population. The cull's stable sort puts those 50 layouts first,
+so an offspring above the cutoff is never kept: one whose fitness the DOP
+kernel's lower bounds put above it scores inf and skips the 3x3 inverse.
 
 Children are snapped to the lattice through scipy's k-d tree. The tree,
 and scipy.spatial with it, loads on a domain's first snap rather than at
@@ -59,11 +54,6 @@ MAX_DRAWS = 20
 # this goes one layout a call, so a fine drone lattice never holds more
 # than one layout's kernel temporaries at once.
 PAIR_BUDGET = 8192
-# Relative slack under the closed-form DOP estimates when they bound a
-# layout's fitness from below (score_layouts). Over the 2367 layouts the
-# default searches of seeds 0-7 score, an estimated domain mean is within
-# 2.2e-12 of the exact one, relative; the kernel's error bound is 1e-8.
-ESTIMATE_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,6 +73,15 @@ class BeaconDomain:
         """Deduplicated lattice points on the ceiling and upper wall halves;
         built on the first call and shared, read-only, by every later one."""
         return self._lattice
+
+    @property
+    def size(self) -> int:
+        """Lattice points before repeats are dropped, counted without building them."""
+        w, d, h = self.room_dims
+        nx, ny, nz = (
+            _grid_size(lo, hi, self.grid_resolution) for lo, hi in ((0.0, w), (0.0, d), (h / 2.0, h))
+        )
+        return nx * ny + 2 * nz * (nx + ny)
 
     def snap(self, points: np.ndarray) -> np.ndarray:
         """The lattice candidate nearest to each point."""
@@ -123,8 +122,12 @@ class BeaconDomain:
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    n = int(math.floor((hi - lo) / step + 1e-9))
-    return lo + step * np.arange(n + 1)
+    return lo + step * np.arange(_grid_size(lo, hi, step))
+
+
+def _grid_size(lo: float, hi: float, step: float) -> int:
+    # the cap keeps the count finite for any positive step
+    return int(math.floor(min((hi - lo) / step, 2.0**62) + 1e-9)) + 1
 
 
 @dataclass(frozen=True)
@@ -248,20 +251,11 @@ def score_layouts(
     layout a call, so a fine drone lattice holds one layout's kernel
     temporaries at a time.
 
-    With a finite cutoff, a layout whose fitness certainly exceeds it
-    gets a bound row (lb, nan, nan) instead, and its points skip the
-    inverse. lb comes from the DOP kernel's closed-form estimates (see
-    dop_components' invert), averaged by domain_mean under the kernel's
-    own degeneracy mask, so the 1% rule decides as it does exactly:
-    lb = v * (1 - ESTIMATE_SLACK), plus HDOP_PENALTY if
-    h * (1 - ESTIMATE_SLACK) exceeds the HDOP tolerance, for estimated
-    averages h and v. The kernel gives an estimate only where
-    cond(M) < 1e7, and there it is within about 3e-16 * cond(M) < 1e-8
-    of the inverse's value, relative; an average is as close. So lb is
-    below the fitness with 100x to spare, and a layout whose estimates
-    are missing at any point (lb is NaN) is scored exactly. A layout gets
-    a bound row only when lb > cutoff. Every other row equals the one
-    that scoring its layout alone gives.
+    A layout whose fitness certainly exceeds the cutoff scores (inf, nan,
+    nan) too, and its points skip the inverse: fitness never falls when
+    either average rises, so _terms of the kernel's lower bounds (see
+    dop_components' invert) is a lower bound on it. Every other row
+    equals the one that scoring its layout alone gives.
     """
     layouts = np.asarray(layouts, dtype=float)
     terms = np.full((len(layouts), 3), np.nan)
@@ -270,35 +264,33 @@ def score_layouts(
     points = problem.drone_domain.points()
     # an empty lattice still reaches domain_mean, which rejects it
     per_call = max(1, PAIR_BUDGET // max(1, len(points)))
-    shrink = 1.0 - ESTIMATE_SLACK
     for start in range(0, len(valid), per_call):
         rows = valid[start : start + per_call]
-        shape = (len(rows), len(points))
-        lower = np.full(len(rows), -np.inf)
+        chosen = np.ones(len(rows), dtype=bool)
 
-        def may_survive(hdop, vdop, degenerate):
-            for k, estimates in enumerate(zip(hdop, vdop, degenerate)):
-                try:
-                    hdop_avg, vdop_avg = domain_mean(*estimates)
-                except DomainDegeneracyError:
-                    continue  # scores inf, which the exact pass states
-                penalty = HDOP_PENALTY if hdop_avg * shrink > problem.hdop_tolerance else 0.0
-                lower[k] = vdop_avg * shrink + penalty
-            return ~(lower > cutoff)
+        def may_survive(*bounds):
+            # a NaN bound (not certified at every point) is scored exactly
+            chosen[:] = [not _terms(*b, problem)[0] > cutoff for b in zip(*bounds)]
+            return chosen
 
         invert = None if cutoff == math.inf else may_survive
-        dops = [a.reshape(shape) for a in dop_components(layouts[rows], points, invert=invert)]
-        for row, lb, hdop, vdop, degenerate in zip(rows, lower, *dops):
-            if lb > cutoff:
-                terms[row] = lb, np.nan, np.nan
-                continue
-            try:
-                hdop_avg, vdop_avg = domain_mean(hdop, vdop, degenerate)
-            except DomainDegeneracyError:
-                continue
-            penalty = HDOP_PENALTY if hdop_avg > problem.hdop_tolerance else 0.0
-            terms[row] = vdop_avg + penalty, hdop_avg, vdop_avg
+        dops = dop_components(layouts[rows], points, invert=invert)
+        dops = [a.reshape(len(rows), len(points))[chosen] for a in dops]
+        for row, *dop_row in zip(rows[chosen], *dops):
+            terms[row] = _terms(*dop_row, problem)
     return terms
+
+
+def _terms(
+    hdop: np.ndarray, vdop: np.ndarray, degenerate: np.ndarray, problem: PlacementProblem
+) -> tuple[float, float, float]:
+    """(fitness, hdop_avg, vdop_avg) of one layout's DOP over the drone lattice."""
+    try:
+        hdop_avg, vdop_avg = domain_mean(hdop, vdop, degenerate)
+    except DomainDegeneracyError:
+        return math.inf, math.nan, math.nan
+    penalty = HDOP_PENALTY if hdop_avg > problem.hdop_tolerance else 0.0
+    return vdop_avg + penalty, hdop_avg, vdop_avg
 
 
 def fitness(beacons: np.ndarray, problem: PlacementProblem) -> tuple[float, float, float]:
@@ -350,12 +342,6 @@ def breed(parents: np.ndarray, problem: PlacementProblem, rng: np.random.Generat
     return children
 
 
-def _is_bound(row: np.ndarray) -> bool:
-    """Whether a score_layouts row is a bound row: a finite fitness with no
-    averages. An exact row with a finite fitness has both averages."""
-    return math.isfinite(row[0]) and math.isnan(row[1])
-
-
 def _best(layouts: np.ndarray, terms: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n fittest layouts and their (n, 3) terms rows, ties in creation order."""
     keep = np.argsort(terms[:, 0], kind="stable")[:n]
@@ -375,24 +361,16 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
     seeded population, up to max_restarts times; the best layout found
     anywhere is then returned flagged infeasible.
 
-    Each distinct layout is scored exactly at most once per search:
-    fitness terms are memoized by the exact bytes of the layout (layouts
-    are lattice copies, so equal layouts are equal bytes), and surviving
-    clones or children that snap back onto a scored layout reuse them.
-    The layouts of a generation that miss the memo, repeats counted once,
-    are scored in one score_layouts batch, whose DOP kernel calls hold at
-    most PAIR_BUDGET (layout, lattice point) pairs each.
-
-    A seed population is scored with no cutoff, so every row is the
-    layout's own fitness. Offspring are scored with cutoff terms[-1, 0],
-    the worst fitness of the current population. Those 50 rows precede
-    the offspring in the stable sort of the cull, so an offspring above
-    the cutoff is never kept, and score_layouts may give it a bound row
-    that is above the cutoff too: the cull, the history and the result
-    are the ones exact rows give. A memoized bound row is reused only
-    while it still exceeds the cutoff. Within a run that always holds,
-    since the worst survivor never rises; a restart's seed population
-    scores such a layout exactly.
+    Each distinct layout is scored at most once per run: fitness terms
+    are memoized by the exact bytes of the layout (layouts are lattice
+    copies, so equal layouts are equal bytes), and surviving clones or
+    children that snap back onto a scored layout reuse them. The layouts
+    of a generation that miss the memo, repeats counted once, are scored
+    in one score_layouts batch. Offspring are scored with cutoff
+    terms[-1, 0], the worst fitness of the current population, which
+    never rises within a run: an offspring scored inf for exceeding one
+    cutoff exceeds every later one, and the cull discards it as it would
+    its exact row.
 
     observer, if given, is called as observer(run_idx, iteration,
     population) after every cull, for instrumentation; population is the
@@ -402,11 +380,7 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
 
     def score(layouts: np.ndarray, cutoff: float = math.inf) -> np.ndarray:
         keys = [beacons.tobytes() for beacons in layouts]
-        new: dict[bytes, int] = {}
-        for k, key in enumerate(keys):
-            row = scores.get(key)
-            if row is None or (_is_bound(row) and row[0] <= cutoff):
-                new.setdefault(key, k)
+        new = {key: k for k, key in enumerate(keys) if key not in scores}
         if new:
             rows = score_layouts(layouts[list(new.values())], problem, cutoff=cutoff)
             scores.update(zip(new, rows))
@@ -415,6 +389,7 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
     best = None  # (fitness, hdop_avg, vdop_avg, layout, history) of the fittest run yet
     for run_idx in range(problem.max_restarts + 1):
         rng = np.random.default_rng([problem.rng_seed, run_idx])
+        scores.clear()
         population = seed_population(problem, rng)
         population, terms = _best(population, score(population), problem.population)
         history: list[float] = []

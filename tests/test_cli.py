@@ -17,7 +17,7 @@ burst_bits = 8
 
 [channel]
 snr_db = none
-multipath = false
+taps_per_beacon = 0
 
 [placement]
 population = 12
@@ -387,6 +387,21 @@ class TestErrorPaths:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "dopmap.csv").exists()
+
+    def test_oversized_beacon_lattice_is_one_error_line(self, tmp_path, capsys):
+        # counted, not built: a 0.0001 m beacon lattice would need a 55.9 GiB array
+        bad = tmp_path / "fine.ini"
+        bad.write_text("[placement]\nbeacon_grid = 0.0001\n")
+        code = run_cli("optimize", "--config", str(bad), "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        n_points = 50001 * 50001 + 2 * 20001 * (50001 + 50001)
+        assert captured.err == (
+            f"error: {bad}: the beacon lattice would hold {n_points} points, more than the "
+            f"{MAX_LATTICE_POINTS} allowed; raise [placement] beacon_grid\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "placement.json").exists()
 
     def test_symbol_shorter_than_one_sample_is_one_error_line(self, tmp_path, capsys):
         # 1e-15 s * 340 kHz rounds to 0 samples: a config error, not an empty burst

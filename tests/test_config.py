@@ -45,7 +45,7 @@ burst_bits = 8
 
 [channel]
 snr_db = none
-multipath = false
+taps_per_beacon = 0
 
 [run]
 trials = 3
@@ -59,7 +59,7 @@ snr_list = 0, 10, 20
         )
         assert cfg.waveform.burst_bits == 8
         assert cfg.channel.snr_db is None
-        assert not cfg.channel.multipath
+        assert cfg.channel.taps_per_beacon == 0
         assert cfg.run.trials == 3
         assert cfg.run.snr_list == (0.0, 10.0, 20.0)
 
@@ -140,7 +140,6 @@ KEYS = {
         "excess_delay_max",
         "excess_delay_min",
         "first_tap_db",
-        "multipath",
         "snr_db",
         "speed_of_sound",
         "taps_per_beacon",
@@ -199,7 +198,6 @@ def _channel(draw):
     delay_min = draw(st.floats(1e-4, 5e-3))
     return {
         "snr_db": draw(st.none() | st.floats(-20.0, 40.0)),
-        "multipath": draw(st.booleans()),
         "taps_per_beacon": taps,
         "excess_delay_min": delay_min,
         "excess_delay_max": delay_min + 3e-4 * taps + draw(st.floats(1e-4, 1e-2)),
@@ -284,7 +282,7 @@ def _ini_value(value) -> str:
 class TestSchema:
     def test_keys_of_each_section(self):
         assert {s: sorted(keys) for s, keys in cfg_mod._SCHEMA.items()} == KEYS
-        assert sum(len(keys) for keys in KEYS.values()) == 40
+        assert sum(len(keys) for keys in KEYS.values()) == 39
 
     @settings(
         max_examples=60,
@@ -338,16 +336,18 @@ class TestFailLoud:
 
     def test_sub_sample_excess_delay_rejected(self, tmp_path):
         # a tap this close to its direct path lands on the direct path's sample
-        taps = "excess_delay_min = 1e-20\nexcess_delay_max = 1e-19\ntaps_per_beacon = 1\n"
+        taps = "excess_delay_min = 1e-20\nexcess_delay_max = 1e-19\ntaps_per_beacon = "
         with pytest.raises(ConfigError, match="excess_delay_min must be at least one sample"):
-            cfg_mod.load_config(write(tmp_path, "[channel]\n" + taps))
-        # without multipath no tap is drawn
-        cfg = cfg_mod.load_config(write(tmp_path, "[channel]\nmultipath = false\n" + taps))
+            cfg_mod.load_config(write(tmp_path, "[channel]\n" + taps + "1\n"))
+        # with no taps no tap is drawn
+        cfg = cfg_mod.load_config(write(tmp_path, "[channel]\n" + taps + "0\n"))
         assert cfg.channel.excess_delay_min == 1e-20
 
-    def test_tap_count_ignored_without_multipath(self, tmp_path):
-        path = write(tmp_path, "[channel]\nmultipath = false\ntaps_per_beacon = 40\n")
-        assert cfg_mod.load_config(path).channel.taps_per_beacon == 40
+    def test_multipath_is_the_tap_count(self, tmp_path):
+        # a channel without multipath is taps_per_beacon = 0; no second key says so
+        path = write(tmp_path, "[channel]\nmultipath = false\n")
+        with pytest.raises(ConfigError, match=r"unknown key 'multipath' in section \[channel\]"):
+            cfg_mod.load_config(path)
 
     def test_negative_echo_noise_rejected(self, tmp_path):
         path = write(tmp_path, "[fusion]\necho_noise_std = -1e-5\n")

@@ -331,48 +331,57 @@ def adjugate_dops(layout, points):
 
 
 class TestInvertSelection:
-    """dop_components(..., invert=f): the layouts f picks get the plain
-    call's values bit for bit; the rest keep the closed-form estimates."""
+    """dop_components(..., invert=f): f sees certified lower bounds, the
+    layouts it picks get the plain call's values bit for bit, and the rest
+    come back NaN."""
 
     @pytest.mark.parametrize("n_layouts", [1, 3, 17])
     def test_chosen_layouts_equal_the_plain_call(self, n_layouts):
         layouts, points = TestStackedLayouts.stack_and_points(n_layouts)
         plain = dop.dop_components(layouts, points)
+        pick = np.random.default_rng(n_layouts).permutation(np.arange(n_layouts) % 2 == 0)
         calls = []
 
-        def every_other(hdop, vdop, degenerate):
+        def random_subset(hdop, vdop, degenerate):
             calls.append((hdop.copy(), vdop.copy(), degenerate.copy()))
-            return np.arange(len(hdop)) % 2 == 0
+            return pick
 
-        got = dop.dop_components(layouts, points, invert=every_other)
-        [(est_h, est_v, est_deg)] = calls
+        got = dop.dop_components(layouts, points, invert=random_subset)
+        [(low_h, low_v, low_deg)] = calls
         shape = (n_layouts, len(points))
-        assert est_h.shape == est_v.shape == est_deg.shape == shape
+        assert low_h.shape == low_v.shape == low_deg.shape == shape
         np.testing.assert_array_equal(got[2], plain[2])
-        np.testing.assert_array_equal(est_deg, plain[2].reshape(shape))
-        for k in (0, 1):
-            rows, want, est = got[k].reshape(shape), plain[k].reshape(shape), (est_h, est_v)[k]
-            np.testing.assert_array_equal(rows[0::2], want[0::2])
-            np.testing.assert_array_equal(rows[1::2], est[1::2])
+        np.testing.assert_array_equal(low_deg, plain[2].reshape(shape))
+        for k, low in ((0, low_h), (1, low_v)):
+            rows, want = got[k].reshape(shape), plain[k].reshape(shape)
+            np.testing.assert_array_equal(rows[pick], want[pick])
+            assert np.isnan(rows[~pick]).all()
             # NaN exactly where degenerate, or left to eigvalsh by the screen
-            assert np.isnan(est[plain[2].reshape(shape)]).all()
-            given = ~np.isnan(est)
-            np.testing.assert_allclose(est[given], want[given], rtol=1e-8, atol=0)
+            assert np.isnan(low[low_deg]).all()
+            given = ~np.isnan(low)
+            assert (low[given] <= want[given]).all()
+            assert (low[given] >= want[given] * (1 - 2 * dop.ESTIMATE_SLACK)).all()
         # the ceiling layout's near-plane points reach eigvalsh yet stay usable
-        assert (np.isnan(est_h[0]) & ~est_deg[0]).any()
+        assert (np.isnan(low_h[0]) & ~low_deg[0]).any()
 
     def test_estimates_match_an_adjugate_oracle(self):
         points = dop.DroneDomain().points()
         layouts = np.array([ORIGINAL_LAYOUT.positions, OPTIMIZED_LAYOUT.positions])
-        est = []
-        dop.dop_components(layouts, points, invert=lambda *a: est.extend(a) or np.zeros(2, bool))
-        for layout, hdop, vdop in zip(layouts, est[0], est[1]):
+        low = []
+
+        def keep_bounds(hdop, vdop, degenerate):
+            low.extend((hdop.copy(), vdop.copy()))
+            return np.zeros(len(hdop), dtype=bool)
+
+        dop.dop_components(layouts, points, invert=keep_bounds)
+        for layout, hdop, vdop in zip(layouts, low[0], low[1]):
             want_h, want_v = adjugate_dops(layout, points)
-            np.testing.assert_allclose(hdop, want_h, rtol=1e-12)
-            np.testing.assert_allclose(vdop, want_v, rtol=1e-12)
+            np.testing.assert_allclose(hdop / (1 - dop.ESTIMATE_SLACK), want_h, rtol=1e-12)
+            np.testing.assert_allclose(vdop / (1 - dop.ESTIMATE_SLACK), want_v, rtol=1e-12)
 
     def test_nothing_chosen_inverts_nothing(self, monkeypatch):
         layouts, points = TestStackedLayouts.stack_and_points(3)
+        plain = dop.dop_components(layouts, points)
 
         def no_inverse(m):
             raise AssertionError("inverted a layout invert left out")
@@ -381,7 +390,8 @@ class TestInvertSelection:
         hdop, vdop, degenerate = dop.dop_components(
             layouts, points, invert=lambda h, v, d: np.zeros(len(h), bool)
         )
-        assert np.isfinite(hdop).sum() > 0.5 * hdop.size
+        assert np.isnan(hdop).all() and np.isnan(vdop).all()
+        np.testing.assert_array_equal(degenerate, plain[2])
 
 
 class TestEmpiricalConsistency:

@@ -7,17 +7,17 @@ import pytest
 
 from ultraloc import harness
 from ultraloc import waveform as wf
-from ultraloc.channel import OPTIMIZED_LAYOUT, SPEED_OF_SOUND, BeaconLayout
+from ultraloc.channel import N_TAPS, OPTIMIZED_LAYOUT, SPEED_OF_SOUND, BeaconLayout
 from ultraloc.config import default_config
 from ultraloc.errors import ConfigError
 
 
-def fast_config(snr_db=None, multipath=False, burst_bits=8, trials=3, seed=9, **kw):
+def fast_config(snr_db=None, taps=0, burst_bits=8, trials=3, seed=9, **kw):
     cfg = default_config()
     cfg = replace(
         cfg,
         waveform=replace(cfg.waveform, burst_bits=burst_bits),
-        channel=replace(cfg.channel, snr_db=snr_db, multipath=multipath),
+        channel=replace(cfg.channel, snr_db=snr_db, taps_per_beacon=taps),
         run=replace(cfg.run, trials=trials, seed=seed, **kw),
     )
     return cfg
@@ -50,20 +50,30 @@ class TestRunFix:
         assert rec.peak_samples == plain.peak_samples
 
     def test_deterministic_per_seed(self):
-        cfg = fast_config(snr_db=10.0, multipath=True)
+        cfg = fast_config(snr_db=10.0, taps=N_TAPS)
         a = harness.run_fix(cfg, np.array([1.5, 2.5, 1.0]), [3, 14])
         b = harness.run_fix(cfg, np.array([1.5, 2.5, 1.0]), [3, 14])
         assert np.array_equal(a.est_position, b.est_position)
         assert a.range_errors.tolist() == b.range_errors.tolist()
         assert a.peak_samples == b.peak_samples
 
+    def test_zero_taps_is_a_channel_without_multipath(self, monkeypatch):
+        # taps_per_beacon = 0 draws no tap and nothing from the fix's stream
+        cfg, position = fast_config(snr_db=10.0), np.array([1.5, 2.5, 1.0])
+        rec = harness.run_fix(cfg, position, 7)
+        no_taps = np.zeros((4, 0))
+        monkeypatch.setattr(harness, "sample_multipath", lambda *a, **kw: (no_taps, no_taps))
+        skipped = harness.run_fix(cfg, position, 7)
+        for f in fields(rec):
+            np.testing.assert_array_equal(getattr(rec, f.name), getattr(skipped, f.name))
+
     def test_error_decomposition_identity(self):
-        cfg = fast_config(snr_db=5.0, multipath=True)
+        cfg = fast_config(snr_db=5.0, taps=N_TAPS)
         rec = harness.run_fix(cfg, np.array([3.0, 1.5, 2.0]), 8)
         assert rec.err_3d**2 == pytest.approx(rec.err_xy**2 + rec.err_z**2, rel=1e-9)
 
     def test_hostile_channel_still_completes(self):
-        cfg = fast_config(snr_db=-10.0, multipath=True)
+        cfg = fast_config(snr_db=-10.0, taps=N_TAPS)
         rec = harness.run_fix(cfg, np.array([2.0, 2.0, 1.5]), 1)
         assert rec.failed or math.isfinite(rec.err_3d)
 
@@ -108,7 +118,7 @@ class TestSimulateAndSweep:
         assert np.array_equal(a.est_position, b.est_position)
 
     def test_csv_bytes_deterministic(self, tmp_path):
-        cfg = fast_config(snr_db=10.0, multipath=True)
+        cfg = fast_config(snr_db=10.0, taps=N_TAPS)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         harness.write_trials_csv(harness.simulate(cfg), p1)
         harness.write_trials_csv(harness.simulate(cfg), p2)
@@ -253,7 +263,7 @@ class TestTrajectory:
     def test_random_trial_equals_run_fix(self, stream, s_idx):
         # trial t of a stream runs with seed [run.seed, stream, *indices, t]
         # at the drone-domain position drawn from [*seed, 999]
-        cfg = fast_config(snr_db=10.0, multipath=True, snr_list=(0.0, 10.0))
+        cfg = fast_config(snr_db=10.0, taps=N_TAPS, snr_list=(0.0, 10.0))
         t = 1
         if s_idx is None:
             trials = harness.simulate(cfg)

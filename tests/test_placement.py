@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from ultraloc import placement
+from ultraloc import dop, placement
 from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout
 from ultraloc.dop import DroneDomain, domain_mean, dop_average, dop_components
 from ultraloc.errors import DomainDegeneracyError, InfeasibleDomainError, SingularGeometryError
+
+
+# the scorer itself, for checks made while a test has patched it
+placement_score_layouts = placement.score_layouts
 
 
 def fast_problem(**overrides):
@@ -290,24 +294,20 @@ class TestScoreLayouts:
         assert batch <= 1.5 * one_call
 
 
-def estimated_and_exact_means(layouts, problem):
-    """Per layout, the domain means of the kernel's closed-form estimates
-    and of its exact values; domain-degenerate layouts are left out."""
+def bounds_and_exact(layouts, problem):
+    """The DOP kernel's (hdop, vdop) lower bounds and its exact (hdop, vdop,
+    degenerate), each (L, P), for a stack of layouts."""
     points = problem.drone_domain.points()
     shape = (len(layouts), len(points))
     exact = [a.reshape(shape) for a in dop_components(layouts, points)]
-    est = [
-        a.reshape(shape)
-        for a in dop_components(layouts, points, invert=lambda h, v, d: np.zeros(len(h), bool))
-    ]
-    pairs = []
-    for k in range(len(layouts)):
-        try:
-            want = domain_mean(exact[0][k], exact[1][k], exact[2][k])
-        except DomainDegeneracyError:
-            continue
-        pairs.append((domain_mean(est[0][k], est[1][k], est[2][k]), want))
-    return pairs
+    bounds = []
+
+    def keep_bounds(hdop, vdop, degenerate):
+        bounds.extend((hdop.copy(), vdop.copy()))
+        return np.zeros(len(hdop), dtype=bool)
+
+    dop_components(layouts, points, invert=keep_bounds)
+    return bounds, exact
 
 
 def near_coplanar_stack(rng, n, tilt):
@@ -330,119 +330,123 @@ def every_offspring_exact(monkeypatch):
 
 
 def traced_search(problem, monkeypatch):
-    """optimize's result, every generation it observed, and how many bound
-    rows it was given."""
+    """optimize's result, every generation it observed, and the layouts it
+    scored inf for exceeding a cutoff. Every row it is given is checked
+    against the layout's exact row: equal to it, or (inf, nan, nan) for a
+    layout whose exact fitness exceeds the cutoff."""
     generations = []
-    bounds = []
+    culled = []
     scorer = placement.score_layouts
 
-    def counting(layouts, problem, cutoff=math.inf):
+    def checking(layouts, problem, cutoff=math.inf):
         terms = scorer(layouts, problem, cutoff=cutoff)
-        bounds.extend(row for row in terms if placement._is_bound(row))
+        exact = placement_score_layouts(layouts, problem)
+        above = terms[:, 0] != exact[:, 0]
+        np.testing.assert_array_equal(terms[~above], exact[~above])
+        assert np.isinf(terms[above, 0]).all() and np.isnan(terms[above, 1:]).all()
+        assert (exact[above, 0] > cutoff).all()
+        culled.extend(beacons.copy() for beacons in layouts[above])
         return terms
 
-    monkeypatch.setattr(placement, "score_layouts", counting)
+    monkeypatch.setattr(placement, "score_layouts", checking)
     result = placement.optimize(
         problem, observer=lambda run, it, pop: generations.append((run, it, pop.tobytes()))
     )
     monkeypatch.setattr(placement, "score_layouts", scorer)
-    return result, generations, len(bounds)
+    return result, generations, culled
+
+
+def assert_same_search(got, want):
+    (result, generations, _), (ref, ref_generations, _) = got, want
+    assert generations == ref_generations
+    assert result.history == ref.history
+    assert result.layout.positions.tobytes() == ref.layout.positions.tobytes()
+    assert (result.vdop_avg, result.hdop_avg, result.restarts, result.feasible) == (
+        ref.vdop_avg,
+        ref.hdop_avg,
+        ref.restarts,
+        ref.feasible,
+    )
 
 
 class TestCertifiedBound:
-    def assert_within(self, pairs, rtol):
-        assert pairs
-        for (h_est, v_est), (h, v) in pairs:
-            if math.isnan(h_est):  # a point the screen left to eigvalsh
-                assert math.isnan(v_est)
-                continue
-            assert abs(h_est - h) <= rtol * h and abs(v_est - v) <= rtol * v
+    def assert_bounds(self, layouts, problem):
+        """Every bound is at most the exact value, and its closed form is
+        within ESTIMATE_SLACK / 1000 of it: the slack has a 1000x margin.
+        Returns how many layouts have a bound at every usable point."""
+        slack = dop.ESTIMATE_SLACK
+        bounds, (*exact, degenerate) = bounds_and_exact(layouts, problem)
+        for low, want in zip(bounds, exact):
+            # NaN where degenerate, or where the screen left a point to eigvalsh
+            assert np.isnan(low[degenerate]).all()
+            given = ~np.isnan(low)
+            low, want = low[given], want[given]
+            assert (low <= want).all()
+            assert (low >= want * (1 - 2 * slack)).all()
+            assert (np.abs(low / (1 - slack) - want) <= want * slack / 1000).all()
+        return int((~np.isnan(bounds[0]) | degenerate).all(axis=1).sum())
 
     def test_estimates_of_seed_populations(self):
-        # within 1e-9: ESTIMATE_SLACK has a 1000x margin
         for seed in range(32):
             problem = placement.PlacementProblem(rng_seed=seed)
             pop = spanning_population(problem, [seed, 0])
-            pairs = estimated_and_exact_means(pop, problem)
-            self.assert_within(pairs, placement.ESTIMATE_SLACK / 1000)
+            assert self.assert_bounds(pop, problem) >= len(pop) // 2
 
     @pytest.mark.parametrize("tilt", [1e-1, 1e-3, 1e-5])
     def test_estimates_of_near_coplanar_stacks(self, tilt):
-        problem = placement.PlacementProblem()
-        pairs = estimated_and_exact_means(near_coplanar_stack(np.random.default_rng(8), 48, tilt), problem)
-        self.assert_within(pairs, placement.ESTIMATE_SLACK / 1000)
-        assert sum(not math.isnan(h) for (h, _), _ in pairs) >= len(pairs) // 2
+        stack = near_coplanar_stack(np.random.default_rng(8), 48, tilt)
+        assert self.assert_bounds(stack, placement.PlacementProblem()) >= len(stack) // 2
 
     @pytest.mark.parametrize("hdop_tolerance", [2.0, 1.0])
-    def test_bound_rows_only_above_the_cutoff(self, hdop_tolerance):
+    def test_inf_rows_only_above_the_cutoff(self, hdop_tolerance):
         problem = placement.PlacementProblem(hdop_tolerance=hdop_tolerance)
         batch = mixed_batch()
         exact = placement.score_layouts(batch, problem)
         finite = np.sort(exact[np.isfinite(exact[:, 0]), 0])
         for cutoff in (finite[0], np.median(finite), finite[-1], -1.0):
             got = placement.score_layouts(batch, problem, cutoff=cutoff)
-            bound = np.array([placement._is_bound(row) for row in got])
-            assert bound.any() or cutoff == finite[-1]
-            np.testing.assert_array_equal(got[~bound], exact[~bound])
-            # a bound row's layout loses to the cutoff, and its bound is below its fitness
-            assert (got[bound, 0] > cutoff).all()
-            assert (got[bound, 0] <= exact[bound, 0]).all()
-            assert (got[bound, 0] >= exact[bound, 0] * (1 - 2 * placement.ESTIMATE_SLACK)).all()
+            above = exact[:, 0] > cutoff
+            assert (np.isinf(got[:, 0]) == above).all()
+            assert np.isnan(got[above, 1:]).all()
+            np.testing.assert_array_equal(got[~above], exact[~above])
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_search_equals_one_that_scores_every_offspring_exactly(self, seed, monkeypatch):
         problem = fast_problem(rng_seed=seed)
-        result, generations, n_bounds = traced_search(problem, monkeypatch)
-        assert n_bounds
+        got = traced_search(problem, monkeypatch)
+        assert got[2]
         every_offspring_exact(monkeypatch)
-        want, want_generations, _ = traced_search(problem, monkeypatch)
-        assert generations == want_generations
-        assert result.history == want.history
-        assert result.layout.positions.tobytes() == want.layout.positions.tobytes()
-        assert (result.vdop_avg, result.hdop_avg, result.restarts, result.feasible) == (
-            want.vdop_avg,
-            want.hdop_avg,
-            want.restarts,
-            want.feasible,
-        )
+        assert_same_search(got, traced_search(problem, monkeypatch))
 
     def test_infeasible_search_across_a_restart(self, monkeypatch):
-        # The restart's seed population scores with no cutoff. Seeded here with
-        # layouts the first run bounded, it must score them exactly.
-        problem = fast_problem(vdop_tolerance=0.01, iterations=8, max_restarts=1)
+        # Each run has its own memo. Seeded with layouts the first run culled,
+        # the restart must score them again, exactly.
+        problem = fast_problem(vdop_tolerance=0.01, max_restarts=1)
+        _, _, culled = traced_search(fast_problem(vdop_tolerance=0.01, max_restarts=0), monkeypatch)
+        injected = np.array(culled[: problem.population // 2])
+        keys = {beacons.tobytes() for beacons in injected}
         plain_seed, scorer = placement.seed_population, placement.score_layouts
-        bounded, injected, rescored, seeded = {}, [], [], []
+        runs, cutoffs = [], []
 
         def seeding(problem, rng):
             pop = plain_seed(problem, rng)
-            seeded.append(len(seeded))
-            if len(seeded) % 2 == 0:  # each search's restart
-                if not injected:
-                    injected.extend(list(bounded.values())[: len(pop) // 2])
+            runs.append(len(runs))
+            if len(runs) % 2 == 0:  # each search's restart
                 pop[: len(injected)] = injected
             return pop
 
         def recording(layouts, problem, cutoff=math.inf):
-            terms = scorer(layouts, problem, cutoff=cutoff)
-            for beacons, row in zip(layouts, terms):
-                if beacons.tobytes() in bounded:
-                    rescored.append((cutoff, row))
-                if placement._is_bound(row):
-                    bounded.setdefault(beacons.tobytes(), beacons.copy())
-            return terms
+            cutoffs.extend(cutoff for beacons in layouts if beacons.tobytes() in keys)
+            return scorer(layouts, problem, cutoff=cutoff)
 
         monkeypatch.setattr(placement, "seed_population", seeding)
         monkeypatch.setattr(placement, "score_layouts", recording)
-        result, generations, n_bounds = traced_search(problem, monkeypatch)
-        assert not result.feasible and result.restarts == 1 and n_bounds and injected
-        assert [cutoff for cutoff, _ in rescored].count(math.inf) == len(injected)
-        assert not any(placement._is_bound(row) for cutoff, row in rescored if cutoff == math.inf)
+        got = traced_search(problem, monkeypatch)
+        assert not got[0].feasible and got[0].restarts == 1 and len(injected)
+        # each once in the first run, against a cutoff, and once in the restart
+        assert len(cutoffs) - len(injected) == cutoffs.count(math.inf) == len(injected)
         every_offspring_exact(monkeypatch)
-        want, want_generations, _ = traced_search(problem, monkeypatch)
-        assert generations == want_generations
-        assert result.history == want.history
-        assert result.layout.positions.tobytes() == want.layout.positions.tobytes()
-        assert (result.vdop_avg, result.hdop_avg) == (want.vdop_avg, want.hdop_avg)
+        assert_same_search(got, traced_search(problem, monkeypatch))
 
     def test_default_search_skips_inverses(self, monkeypatch):
         inverted = []
@@ -454,12 +458,12 @@ class TestCertifiedBound:
 
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
         problem = placement.PlacementProblem(rng_seed=3, iterations=30)
-        result, generations, _ = traced_search(problem, monkeypatch)
+        result = placement.optimize(problem)
         skipping = sum(inverted)
         inverted.clear()
         every_offspring_exact(monkeypatch)
-        want, want_generations, _ = traced_search(problem, monkeypatch)
-        assert generations == want_generations and result.history == want.history
+        want = placement.optimize(problem)
+        assert result.history == want.history
         assert skipping < 0.8 * sum(inverted)
 
 
@@ -658,32 +662,38 @@ class TestOptimize:
 
 class TestFitnessMemo:
     def test_each_distinct_layout_scored_once(self, monkeypatch):
-        plain_score = placement.score_layouts
-        scored = []
-        bounded = []
+        plain_seed, plain_score = placement.seed_population, placement.score_layouts
+        runs, scored, exact = [], [], {}
+
+        def seeding(problem, rng):
+            runs.append(len(runs))
+            return plain_seed(problem, rng)
 
         def counting_score(layouts, problem, cutoff=math.inf):
             terms = plain_score(layouts, problem, cutoff=cutoff)
-            for beacons, row in zip(layouts, terms):
-                (bounded if placement._is_bound(row) else scored).append(beacons.tobytes())
+            for beacons, row, want in zip(layouts, terms, plain_score(layouts, problem)):
+                scored.append((runs[-1], beacons.tobytes()))
+                exact[scored[-1]] = np.array_equal(row, want, equal_nan=True)
             return terms
 
+        monkeypatch.setattr(placement, "seed_population", seeding)
         monkeypatch.setattr(placement, "score_layouts", counting_score)
-        problem = fast_problem()
-        seen = []
+        problem = fast_problem(vdop_tolerance=0.01)
+        seen = set()
         best = {}
 
         def observer(run_idx, iteration, population):
-            seen.extend(ind.tobytes() for ind in population)
+            seen.update((run_idx, ind.tobytes()) for ind in population)
             best.setdefault(run_idx, []).append(plain_score(population[:1], problem)[0, 0])
 
         result = placement.optimize(problem, observer=observer)
-        # scored exactly at most once, and every layout that survived a cull
-        # was scored exactly; a bound row is never scored again in its run
+        assert result.restarts == problem.max_restarts > 0
+        # scored at most once per run, some of them inf for exceeding the cutoff
         assert len(scored) == len(set(scored))
-        assert bounded and len(bounded) == len(set(bounded))
-        assert seen
-        assert set(seen) <= set(scored)
+        assert not all(exact.values())
+        # every layout that survived a cull was scored exactly, in its own run
+        assert seen and seen <= set(scored)
+        assert all(exact[key] for key in seen)
         # history[i] is the fresh fitness of the best layout observed at iteration i
         assert result.history in best.values()
         if result.feasible:
