@@ -9,19 +9,24 @@ burst array the transmitter made go through one batched real FFT, and
 one inverse transform yields every beacon's lags. Both are numpy's, at
 scipy's real-transform fast length for the received signal, which
 `_fast_length` computes so that the receiver loads no scipy. They run in
-a workspace of zero-padded signal, spectrum and lag buffers that each
-thread keeps per reference-row count and reuses from call to call,
-growing it only for a longer signal. A stream of fixes therefore
-allocates no signal-length temporaries, which the allocator would hand
-back to the kernel and fault in again on every fix. Callers get a copy
-of the valid lags, never a view of the workspace. The standalone
-despread operation serves data recovery and diagnostics, where the
-receiver clock defines the chip grid.
+a workspace of zero-padded signal, spectrum and lag buffers per
+reference-row count, grown only for a longer signal. Workspaces are lent
+from a free list, one to each correlation running at a time, and outlive
+the threads that use them: a command's pool threads end with the
+command, and buffers owned by a thread would be allocated again by every
+command. A stream of fixes therefore allocates no signal-length
+temporaries, which the allocator would hand back to the kernel and fault
+in again on every fix. Callers get a copy of the valid lags, never a
+view of the workspace. The standalone despread operation serves data
+recovery and diagnostics, where the receiver clock defines the chip
+grid.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,28 +103,39 @@ def _fast_length(n: int) -> int:
     return best
 
 
-class _Workspaces(threading.local):
-    """This thread's correlation buffers, one set per reference-row count k."""
+class _Workspaces:
+    """The correlation workspaces not lent out, each one set of buffers per
+    reference-row count k."""
 
     def __init__(self):
-        self.by_rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._free: list[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
+        self._lock = threading.Lock()
 
-    def get(self, k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(k+1, n) signal, (k+1, n//2+1) spectrum and (k, n) lag buffers.
+    @contextmanager
+    def lend(self, k: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(k+1, n) signal, (k+1, n//2+1) spectrum and (k, n) lag buffers,
+        the caller's alone until the block ends.
 
         Row 0 of the first two is the received signal, rows 1..k the
-        references. They are views of one set of buffers per k, replaced
-        only by a longer n, so a stream of varying lengths allocates once.
+        references. They are views of one set of buffers per k in a
+        workspace, replaced only by a longer n, so a stream of varying
+        lengths allocates once.
         """
-        buffers = self.by_rows.get(k)
-        if buffers is None or buffers[0].shape[1] < n:
-            buffers = self.by_rows[k] = (
-                np.empty((k + 1, n)),
-                np.empty((k + 1, n // 2 + 1), dtype=complex),
-                np.empty((k, n)),
-            )
-        signals, spectra, lags = buffers
-        return signals[:, :n], spectra[:, : n // 2 + 1], lags[:, :n]
+        with self._lock:
+            by_rows = self._free.pop() if self._free else {}
+        try:
+            buffers = by_rows.get(k)
+            if buffers is None or buffers[0].shape[1] < n:
+                buffers = by_rows[k] = (
+                    np.empty((k + 1, n)),
+                    np.empty((k + 1, n // 2 + 1), dtype=complex),
+                    np.empty((k, n)),
+                )
+            signals, spectra, lags = buffers
+            yield signals[:, :n], spectra[:, : n // 2 + 1], lags[:, :n]
+        finally:
+            with self._lock:
+                self._free.append(by_rows)
 
 
 _workspaces = _Workspaces()
@@ -134,8 +150,8 @@ def cross_correlate(received: SampledSignal, reference: SampledSignal) -> np.nda
     per beacon. The received signal and all reference rows are zero-padded
     to the fast length n >= len(received) and transformed in one batched
     real FFT; a circular correlation of that length does not wrap on these
-    lags. The work runs in this thread's reused workspace, and the result
-    is a fresh array.
+    lags. The work runs in a reused workspace lent to this call alone,
+    and the result is a fresh array.
     """
     m = len(reference)
     if len(received) == 0 or m == 0:
@@ -147,18 +163,18 @@ def cross_correlate(received: SampledSignal, reference: SampledSignal) -> np.nda
     refs = np.atleast_2d(reference.samples)
     k, n_rx = len(refs), len(received)
     n = _fast_length(n_rx)
-    signals, spectra, lags = _workspaces.get(k, n)
-    signals[0, :n_rx] = received.samples
-    signals[0, n_rx:] = 0.0
-    signals[1:, :m] = refs
-    signals[1:, m:] = 0.0
-    np.fft.rfft(signals, axis=-1, out=spectra)
-    products = np.conjugate(spectra[1:], out=spectra[1:])
-    # rx · conj(ref), as written; conj(ref) · rx moves the last bits
-    np.multiply(spectra[0], products, out=products)
-    np.fft.irfft(products, n, axis=-1, out=lags)
-    valid = lags[:, : n_rx - m + 1]
-    return valid[0].copy() if reference.samples.ndim == 1 else valid.copy()
+    with _workspaces.lend(k, n) as (signals, spectra, lags):
+        signals[0, :n_rx] = received.samples
+        signals[0, n_rx:] = 0.0
+        signals[1:, :m] = refs
+        signals[1:, m:] = 0.0
+        np.fft.rfft(signals, axis=-1, out=spectra)
+        products = np.conjugate(spectra[1:], out=spectra[1:])
+        # rx · conj(ref), as written; conj(ref) · rx moves the last bits
+        np.multiply(spectra[0], products, out=products)
+        np.fft.irfft(products, n, axis=-1, out=lags)
+        valid = lags[:, : n_rx - m + 1]
+        return valid[0].copy() if reference.samples.ndim == 1 else valid.copy()
 
 
 def estimate_ranges(

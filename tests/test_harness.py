@@ -1,5 +1,7 @@
 import csv
 import math
+import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -9,7 +11,7 @@ from ultraloc import harness
 from ultraloc import waveform as wf
 from ultraloc.channel import N_TAPS, OPTIMIZED_LAYOUT, SPEED_OF_SOUND, BeaconLayout
 from ultraloc.config import default_config
-from ultraloc.errors import ConfigError
+from ultraloc.errors import ConfigError, SingularGeometryError
 
 
 def fast_config(snr_db=None, taps=0, burst_bits=8, trials=3, seed=9, **kw):
@@ -313,6 +315,82 @@ class TestTrajectory:
         a = harness.make_trajectory(cfg)
         b = harness.make_trajectory(cfg)
         assert np.array_equal(a, b)
+
+
+class TestWorkerPool:
+    """A command's fixes run on a thread pool; nothing it writes depends on
+    how many threads there are, and no thread outlives the command."""
+
+    COMMANDS = {
+        "simulate": harness.simulate,
+        "sweep": lambda cfg: harness.sweep_snr(cfg)[0],
+        "trajectory": lambda cfg: harness.run_trajectory(cfg, harness.make_trajectory(cfg))[0],
+    }
+
+    @pytest.fixture
+    def fast_switching(self):
+        # threads trade the interpreter lock far more often than by default
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def trials_csv(command, cfg, workers, monkeypatch, tmp_path) -> bytes:
+        monkeypatch.setattr(harness, "_worker_count", lambda: workers)
+        path = tmp_path / f"{workers}.csv"
+        harness.write_trials_csv(TestWorkerPool.COMMANDS[command](cfg), path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_trials_csv_does_not_depend_on_worker_count(
+        self, command, monkeypatch, tmp_path, fast_switching
+    ):
+        cfg = fast_config(
+            snr_db=10.0, taps=N_TAPS, trials=7, snr_list=(0.0, 10.0, 20.0),
+            trajectory_waypoints=3, fix_spacing=0.5,
+        )
+        real = harness.Scene
+
+        def east_half_fails(**kw):
+            # a physical failure that only some fixes meet, whatever thread runs them
+            if kw["receiver_position"][0] > 2.5:
+                raise SingularGeometryError("stand-in for a degenerate fix")
+            return real(**kw)
+
+        monkeypatch.setattr(harness, "Scene", east_half_fails)
+        serial = self.trials_csv(command, cfg, 1, monkeypatch, tmp_path)
+        for workers in (2, 3):
+            assert self.trials_csv(command, cfg, workers, monkeypatch, tmp_path) == serial
+
+        # each fix's record, failed or not, is in its own row
+        rows = list(csv.DictReader(serial.decode().splitlines()))
+        failed = [r["failed"] == "1" for r in rows]
+        assert any(failed) and not all(failed)
+        assert failed == [float(r["true_x"]) > 2.5 for r in rows]
+        for r, f in zip(rows, failed):
+            assert r["error"] == ("SingularGeometryError: stand-in for a degenerate fix" if f else "")
+
+    def test_programming_error_stops_the_command(self, monkeypatch):
+        cfg = fast_config(trials=200)
+        monkeypatch.setattr(harness, "_worker_count", lambda: 2)
+        real, started = harness._run_fix_inner, []
+
+        def broken_first_fix(config, position, seed):
+            started.append(seed)
+            if seed[-1] == 0:
+                raise KeyError("a programming error in fix 0")
+            return real(config, position, seed)
+
+        monkeypatch.setattr(harness, "_run_fix_inner", broken_first_fix)
+        threads = threading.active_count()
+        with pytest.raises(KeyError, match="a programming error in fix 0"):
+            harness.simulate(cfg)
+        # the queued fixes were cancelled, not run, and the pool is gone
+        assert len(started) < cfg.run.trials // 4
+        assert threading.active_count() == threads
 
 
 class TestWriters:

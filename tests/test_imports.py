@@ -1,4 +1,5 @@
-"""Which scipy modules a command loads, seen from a fresh interpreter.
+"""Which scipy modules a command loads, seen from a fresh interpreter, and
+that importing the package loads no thread pool.
 
 The test modules import scipy themselves as an oracle, so the check runs
 in a subprocess that imports only ultraloc and drives its CLI.
@@ -22,7 +23,7 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 import ultraloc, ultraloc.cli
-loaded = {"import": scipy_modules()}
+loaded = {"import": scipy_modules(), "pool at import": "concurrent.futures" in sys.modules}
 out = Path(sys.argv[1])
 ini = out / "tiny.ini"
 ini.write_text(
@@ -57,6 +58,11 @@ def loaded(tmp_path_factory):
 
 def test_import_loads_no_scipy(loaded):
     assert loaded["import"] == []
+
+
+def test_import_loads_no_thread_pool(loaded):
+    # only the trial commands run one, and its import loads logging
+    assert loaded["pool at import"] is False
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "trajectory", "rangetest", "dopmap"])

@@ -317,11 +317,35 @@ class TestWorkspace:
         for i, peaks in enumerate(expected):
             assert all(np.array_equal(p, peaks) for p in got[i])
 
+    def test_lent_workspaces_are_disjoint_and_reused(self):
+        spaces = rg._Workspaces()
+        with spaces.lend(4, 64) as a, spaces.lend(4, 64) as b:
+            assert not any(np.shares_memory(x, y) for x, y in zip(a, b))
+        # both came back; the next two lends get their buffers, a shorter n included
+        sig_a, sig_b = a[0], b[0]
+        with spaces.lend(4, 32) as (sig_c, *_), spaces.lend(4, 64) as (sig_d, *_):
+            assert {id(sig_c.base), id(sig_d.base)} == {id(sig_a.base), id(sig_b.base)}
+
+    def test_a_finished_thread_leaves_its_workspace(self):
+        # a command's pool threads end with it; the next command's reuse their buffers
+        spaces, lent = rg._Workspaces(), []
+
+        def work():
+            with spaces.lend(4, 64) as (signals, *_):
+                lent.append(signals.base)
+
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        with spaces.lend(4, 64) as (signals, *_):
+            assert signals.base is lent[0]
+
     def test_steady_state_allocates_no_fft_temporaries(self):
         # correlating through scipy.fft, with its padding copies and fresh
         # spectra and products, peaks near 3 MB
         received, refs = channel_composite(0, 15.0)
-        rg.estimate_ranges(received, refs, C)  # sizes this thread's workspace
+        rg.estimate_ranges(received, refs, C)  # sizes the workspace it gets next
         tracemalloc.start()
         try:
             rg.estimate_ranges(received, refs, C)
