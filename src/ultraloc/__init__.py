@@ -42,7 +42,7 @@ from .ranging import (
     despread,
     estimate_ranges,
 )
-from .solver import PositionFix, trilaterate
+from .solver import trilaterate
 from .waveform import (
     HopPlan,
     SampledSignal,

@@ -79,9 +79,6 @@ class BeaconLayout:
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
-    def __iter__(self):
-        return iter(self.positions)
-
     @functools.cached_property
     def spans_3d(self) -> bool:
         """Whether p_n - p_i have rank 3 (1e-9 m), as a 3-D fix needs; computed once."""
@@ -133,15 +130,16 @@ class Scene:
 class ChannelModel:
     """Per-beacon multipath taps plus the AWGN level.
 
-    Row i of tap_delays and tap_gains holds beacon i's reflected paths:
-    absolute arrival delays (s, positive) and amplitude gains (|g| < 1),
-    both float (4, n_taps) arrays, stored as read-only copies. snr_db of
-    None (or +inf) disables noise. The seed makes the noise realization
+    Row i of excess_delays and tap_gains holds beacon i's reflected paths:
+    delays beyond beacon i's own direct path (s, positive, so no tap
+    arrives at or before it) and amplitude gains (|g| < 1), both float
+    (4, n_taps) arrays, stored as read-only copies. snr_db of None (or
+    +inf) disables noise. The seed makes the noise realization
     reproducible; the taps are carried explicitly so a trial's channel is
     fully pinned down by this object.
     """
 
-    tap_delays: np.ndarray = field(default_factory=lambda: np.zeros((4, 0)))
+    excess_delays: np.ndarray = field(default_factory=lambda: np.zeros((4, 0)))
     tap_gains: np.ndarray = field(default_factory=lambda: np.zeros((4, 0)))
     snr_db: float | None = None
     speed_of_sound: float = SPEED_OF_SOUND
@@ -150,19 +148,19 @@ class ChannelModel:
     def __post_init__(self):
         if self.speed_of_sound <= 0:
             raise ValueError("speed of sound must be positive")
-        delays = np.array(self.tap_delays, dtype=float)
+        delays = np.array(self.excess_delays, dtype=float)
         gains = np.array(self.tap_gains, dtype=float)
         if delays.ndim != 2 or delays.shape[0] != 4 or gains.shape != delays.shape:
             raise ValueError(
-                f"expected (4, n_taps) tap delays and gains, got {delays.shape} and {gains.shape}"
+                f"expected (4, n_taps) excess delays and gains, got {delays.shape} and {gains.shape}"
             )
         if not np.all(delays > 0):
-            raise ValueError("tap delays must be positive")
+            raise ValueError("excess delays must be positive")
         if not np.all(np.abs(gains) < 1.0):
             raise ValueError("tap gain magnitudes must be below 1")
         delays.setflags(write=False)
         gains.setflags(write=False)
-        object.__setattr__(self, "tap_delays", delays)
+        object.__setattr__(self, "excess_delays", delays)
         object.__setattr__(self, "tap_gains", gains)
 
 
@@ -175,18 +173,16 @@ def direct_delays(scene: Scene, c: float = SPEED_OF_SOUND) -> np.ndarray:
 
 
 def sample_multipath(
-    scene: Scene,
     rng: np.random.Generator,
     n_taps: int = N_TAPS,
     excess_delay_range: tuple[float, float] = EXCESS_DELAY_RANGE,
     first_tap_db: float = FIRST_TAP_DB,
     decay_time: float = TAP_DECAY_TIME,
-    c: float = SPEED_OF_SOUND,
     min_spacing: float = MIN_TAP_SPACING,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one Rayleigh-faded multipath realization for every beacon.
 
-    Returns (tap_delays, tap_gains), each (4, n_taps), as ChannelModel
+    Returns (excess_delays, tap_gains), each (4, n_taps), as ChannelModel
     takes them. Excess delays are uniform over excess_delay_range with
     pairwise spacing of at least min_spacing; the mean tap power starts
     first_tap_db below the direct path and decays exponentially with
@@ -199,7 +195,6 @@ def sample_multipath(
     if min_spacing * (n_taps - 1) >= (hi - lo):
         raise ValueError("excess delay range too narrow for the tap spacing")
     p0 = 10.0 ** (first_tap_db / 10.0)
-    tau0 = direct_delays(scene, c)
     delays = np.empty((4, n_taps))
     gains = np.empty((4, n_taps))
     # one beacon after another: delays, magnitudes, signs; that order fixes the stream
@@ -210,7 +205,7 @@ def sample_multipath(
         mags = rng.rayleigh(scale=np.sqrt(mean_power / 2.0))
         mags = np.minimum(mags, MAX_TAP_GAIN)
         signs = _SIGNS[rng.integers(0, 2, size=n_taps)]
-        delays[i] = tau0[i] + excess
+        delays[i] = excess
         gains[i] = signs * mags
     return delays, gains
 
@@ -240,10 +235,11 @@ def apply_channel(tx: SampledSignal, scene: Scene, model: ChannelModel) -> Sampl
 
     tx holds one burst row per beacon, shape (4, n). Each beacon
     contributes its row delayed by the direct-path delay plus one
-    attenuated copy per multipath tap; all delays are rounded to the
-    nearest sample. The output is long enough that no delayed copy is
-    truncated. White Gaussian noise is scaled so that
-    total-signal-power / noise-power equals 10^(snr_db/10).
+    attenuated copy per multipath tap, delayed by the direct-path delay
+    plus the tap's excess delay; all delays are rounded to the nearest
+    sample. The output is long enough that no delayed copy is truncated.
+    White Gaussian noise is scaled so that total-signal-power /
+    noise-power equals 10^(snr_db/10).
 
     The copies are summed through one reused term buffer, in place and in
     the order above, and the noise is a standard-normal draw scaled in
@@ -252,22 +248,14 @@ def apply_channel(tx: SampledSignal, scene: Scene, model: ChannelModel) -> Sampl
     carrier is gathered from the cached carrier table (see waveform).
 
     Raises:
-        ValueError: If tx does not have 4 rows, or a tap arrives no later
-            than its beacon's direct path.
+        ValueError: If tx does not have 4 rows.
     """
     if tx.samples.shape[:-1] != (4,):
         raise ValueError(f"expected one burst row per beacon (4, n), got {tx.samples.shape}")
     fs = tx.sample_rate
     tau0 = direct_delays(scene, model.speed_of_sound)
-    early = model.tap_delays <= tau0[:, None]
-    if early.any():
-        i, k = np.argwhere(early)[0]
-        raise ValueError(
-            f"beacon {i} tap delay {model.tap_delays[i, k]}s not beyond direct path {tau0[i]}s"
-        )
-
     # per beacon row: the direct path first, then its taps in order
-    delays = np.column_stack([tau0, model.tap_delays])
+    delays = np.column_stack([tau0, tau0[:, None] + model.excess_delays])
     gains = np.column_stack([np.ones(4), model.tap_gains])
     lags = np.rint(delays * fs).astype(np.int64)
     clean = np.zeros(int(lags.max()) + len(tx))

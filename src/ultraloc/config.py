@@ -27,7 +27,7 @@ from . import placement as placement_mod
 from . import waveform as waveform_mod
 from .channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout, ChannelModel, Scene
 from .dop import DroneDomain
-from .errors import ConfigError
+from .errors import ChipAlignmentError, ConfigError
 from .fusion import fuse_height
 from .waveform import WaveformConfig, generate_tx_signals, random_hop_plan, walsh_hadamard
 
@@ -61,6 +61,31 @@ class WaveformConfigSection:
     carrier_phase: float = 0.0
     walsh_order: int = waveform_mod.WALSH_ORDER
     hop_reuse_window: int = 2
+
+    def bursts(self, plan_seed: int, data_bits: np.ndarray) -> waveform_mod.SampledSignal:
+        """The (k, n) bursts of (k, n_bits) data_bits, coded by the first k
+        Walsh rows, under a hop plan of burst_bits symbols drawn from
+        plan_seed. Chip alignment is checked before the Walsh matrix is
+        built, so a huge walsh_order fails without allocating it."""
+        plan = random_hop_plan(
+            n_symbols=self.burst_bits,
+            seed=plan_seed,
+            center_frequencies=self.center_frequencies,
+            carrier_phase=self.carrier_phase,
+            reuse_window=self.hop_reuse_window,
+        )
+        config = WaveformConfig(
+            sample_rate=self.sample_rate,
+            symbol_duration=self.symbol_duration,
+            data_bits=data_bits,
+        )
+        sps = config.samples_per_symbol
+        if sps % self.walsh_order != 0:
+            raise ChipAlignmentError(
+                f"{sps} samples/symbol not divisible by code length {self.walsh_order}"
+            )
+        codes = walsh_hadamard(self.walsh_order).rows[: len(data_bits)]
+        return generate_tx_signals(config, plan, codes)
 
 
 @dataclass(frozen=True)
@@ -364,28 +389,12 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
     if n_rx > MAX_FIX_SAMPLES:
         fail(f"one fix would receive {n_rx:.4g} samples, more than the {MAX_FIX_SAMPLES} allowed")
 
-    def waveform() -> None:
-        walsh = walsh_hadamard(wf.walsh_order)
-        plan = random_hop_plan(
-            n_symbols=wf.burst_bits,
-            seed=0,
-            center_frequencies=wf.center_frequencies,
-            carrier_phase=wf.carrier_phase,
-            reuse_window=wf.hop_reuse_window,
-        )
-        unit = WaveformConfig(
-            sample_rate=wf.sample_rate,
-            symbol_duration=wf.symbol_duration,
-            data_bits=np.ones(1, dtype=np.int64),
-        )
-        generate_tx_signals(unit, plan, walsh.row(0))
-
     def scene() -> None:
         centre = [(lo + hi) / 2.0 for lo, hi in (rn.domain_x, rn.domain_y, rn.domain_z)]
         Scene(room_dims=room, beacons=cfg.scene.layout, receiver_position=np.array(centre))
 
     for section, build in (
-        ("waveform", waveform),
+        ("waveform", lambda: wf.bursts(0, np.ones((1, 1), dtype=np.int64))),
         ("channel", lambda: ChannelModel(speed_of_sound=ch.speed_of_sound)),
         ("fusion", lambda: fuse_height(0.0, 0.0, fu.w1)),
         ("run", cfg.drone_domain),

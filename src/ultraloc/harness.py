@@ -45,13 +45,7 @@ from .errors import ConfigError, UltralocError
 from .fusion import fuse_height, inverse_variance_weights, simulate_ceiling_echo
 from .ranging import estimate_ranges
 from .solver import trilaterate
-from .waveform import (
-    WaveformConfig,
-    generate_tx_signals,
-    random_data_bits,
-    random_hop_plan,
-    walsh_hadamard,
-)
+from .waveform import random_data_bits
 
 # Stream labels keeping seed derivations of different experiment kinds apart.
 _STREAM_SIMULATE = 0
@@ -162,38 +156,24 @@ def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> Tr
         beacons=config.scene.layout,
         receiver_position=true_position,
     )
-    walsh = walsh_hadamard(wf.walsh_order)
-    plan = random_hop_plan(
-        n_symbols=wf.burst_bits,
-        seed=int(rng.integers(2**31)),
-        center_frequencies=wf.center_frequencies,
-        carrier_phase=wf.carrier_phase,
-        reuse_window=wf.hop_reuse_window,
-    )
-    wconfig = WaveformConfig(
-        sample_rate=wf.sample_rate,
-        symbol_duration=wf.symbol_duration,
-        data_bits=random_data_bits((4, wf.burst_bits), rng),
-    )
-    # the unscaled bursts double as the receiver's matched-filter references
-    references = generate_tx_signals(wconfig, plan, walsh.rows[:4])
+    # the plan seed is drawn before the data bits; the unscaled bursts
+    # double as the receiver's matched-filter references
+    references = wf.bursts(int(rng.integers(2**31)), random_data_bits((4, wf.burst_bits), rng))
     tx = references
     if ch.distance_attenuation:
         c = ch.speed_of_sound
         divisors = np.maximum(direct_delays(scene, c) * c, 1.0)
         tx = replace(references, samples=references.samples / divisors[:, None])
 
-    tap_delays, tap_gains = sample_multipath(
-        scene,
+    excess_delays, tap_gains = sample_multipath(
         rng,
         n_taps=ch.taps_per_beacon,
         excess_delay_range=(ch.excess_delay_min, ch.excess_delay_max),
         first_tap_db=ch.first_tap_db,
         decay_time=ch.decay_time,
-        c=ch.speed_of_sound,
     )
     model = ChannelModel(
-        tap_delays=tap_delays,
+        excess_delays=excess_delays,
         tap_gains=tap_gains,
         snr_db=ch.snr_db,
         speed_of_sound=ch.speed_of_sound,
@@ -206,8 +186,7 @@ def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> Tr
     true_dists = np.linalg.norm(
         np.asarray(config.scene.layout.positions) - true_position[None, :], axis=1
     )
-    fix = trilaterate(config.scene.layout, ranges)
-    est = fix.position.copy()
+    est = trilaterate(config.scene.layout, ranges)
 
     fu = config.fusion
     if fu.enabled:

@@ -8,24 +8,14 @@ routine rather than explicit normal equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import BeaconLayout
 from .errors import SingularGeometryError
 
 
-@dataclass(frozen=True)
-class PositionFix:
-    """Solved receiver position and the linear-system residual norm."""
-
-    position: np.ndarray
-    residual_norm: float
-
-
-def trilaterate(beacons: BeaconLayout, ranges: np.ndarray) -> PositionFix:
-    """Solve for the receiver position from beacon distances.
+def trilaterate(beacons: BeaconLayout, ranges: np.ndarray) -> np.ndarray:
+    """Solve for the (3,) receiver position from beacon distances.
 
     Uses the last beacon as the reference row. For beacon i with position
     p_i and measured range d_i, the rows are
@@ -35,9 +25,8 @@ def trilaterate(beacons: BeaconLayout, ranges: np.ndarray) -> PositionFix:
 
     and the returned position is the least-squares solution of A x = b.
     With four beacons A is 3x3 and the system is exactly determined, so
-    residual_norm is rounding noise (at most 4.9e-13 over 1000 uniform
-    0.5-7 m range sets on the original layout); how well the ranges agree
-    shows in the range residuals d_i - |x - p_i|, not here.
+    how well the ranges agree shows only in the range residuals
+    d_i - |x - p_i|.
 
     Raises:
         SingularGeometryError: If the beacons are collinear/coplanar so A
@@ -67,5 +56,4 @@ def trilaterate(beacons: BeaconLayout, ranges: np.ndarray) -> PositionFix:
         + np.sum(ref**2)
     )
     x, _, _, _ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    residual = float(np.linalg.norm(a_mat @ x - b_vec))
-    return PositionFix(position=x, residual_norm=residual)
+    return x

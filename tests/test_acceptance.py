@@ -150,13 +150,13 @@ def test_criterion_4_trilateration_exactness_and_nonlinear_agreement():
         target = rng.uniform([0.5, 0.5, 0.5], [4.5, 4.5, 3.5])
         ranges = np.linalg.norm(positions - target, axis=1)
         fix = trilaterate(layout, ranges)
-        worst_exact = max(worst_exact, float(np.max(np.abs(fix.position - target))))
+        worst_exact = max(worst_exact, float(np.max(np.abs(fix - target))))
 
     target = np.array([2.0, 2.0, 1.0])
     ranges = np.linalg.norm(np.asarray(ORIGINAL_LAYOUT.positions) - target, axis=1) + 1e-3
     fix = trilaterate(ORIGINAL_LAYOUT, ranges)
     gn = _gauss_newton(ORIGINAL_LAYOUT, ranges, x0=target)
-    err_module = np.linalg.norm(fix.position - target)
+    err_module = np.linalg.norm(fix - target)
     err_oracle = np.linalg.norm(gn - target)
     agreement = err_module <= 1.1 * err_oracle and err_module < 0.01
     _report(

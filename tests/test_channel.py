@@ -189,9 +189,8 @@ class TestApplyChannel:
         scene = self._delay_scene(400)
         tau0 = ch.direct_delays(scene)[0]
         # every beacon has one tap 3 ms late; only beacon 0's is audible
-        delays = ch.direct_delays(scene)[:, None] + 0.003
         gains = np.array([[0.5], [0.0], [0.0], [0.0]])
-        model = ch.ChannelModel(tap_delays=delays, tap_gains=gains, snr_db=None)
+        model = ch.ChannelModel(excess_delays=np.full((4, 1), 0.003), tap_gains=gains, snr_db=None)
         out = ch.apply_channel(beacon0_only(sig), scene, model)
         n0 = int(round(tau0 * FS))
         n_tap = int(round((tau0 + 0.003) * FS))
@@ -207,8 +206,8 @@ class TestApplyChannel:
         b = wf.SampledSignal(samples=rng.normal(0, 1, 2000), sample_rate=FS)
         ab = wf.SampledSignal(samples=a.samples + b.samples, sample_rate=FS)
         scene = make_scene()
-        delays, gains = ch.sample_multipath(scene, np.random.default_rng(1))
-        model = ch.ChannelModel(tap_delays=delays, tap_gains=gains, snr_db=None)
+        delays, gains = ch.sample_multipath(np.random.default_rng(1))
+        model = ch.ChannelModel(excess_delays=delays, tap_gains=gains, snr_db=None)
         out_a = ch.apply_channel(beacon0_only(a), scene, model)
         out_b = ch.apply_channel(beacon0_only(b), scene, model)
         out_ab = ch.apply_channel(beacon0_only(ab), scene, model)
@@ -219,8 +218,8 @@ class TestApplyChannel:
     def test_determinism_same_seed(self):
         sig = tone_burst(4)
         scene = make_scene()
-        delays, gains = ch.sample_multipath(scene, np.random.default_rng(8))
-        model = ch.ChannelModel(tap_delays=delays, tap_gains=gains, snr_db=5.0, rng_seed=123)
+        delays, gains = ch.sample_multipath(np.random.default_rng(8))
+        model = ch.ChannelModel(excess_delays=delays, tap_gains=gains, snr_db=5.0, rng_seed=123)
         sigs = beacon0_only(sig)
         out1 = ch.apply_channel(sigs, scene, model)
         out2 = ch.apply_channel(sigs, scene, model)
@@ -252,60 +251,40 @@ class TestApplyChannel:
         with pytest.raises(ValueError, match=r"\(4, n\), got \(680,\)"):
             ch.apply_channel(tone_burst(), make_scene(), ch.ChannelModel())
 
-    def test_rejects_tap_before_direct_path(self):
-        scene = make_scene()
-        delays = ch.direct_delays(scene)[:, None] + 0.003
-        delays[0, 0] = 1e-6
-        model = ch.ChannelModel(tap_delays=delays, tap_gains=np.full((4, 1), 0.3), snr_db=None)
-        with pytest.raises(ValueError):
-            ch.apply_channel(beacon0_only(tone_burst()), scene, model)
-
-    def test_early_tap_error_names_first_beacon(self):
-        # beacons 2 and 3 each have a tap at their direct path; 2 is named
-        scene = make_scene()
-        delays = ch.direct_delays(scene)[:, None] + [0.003, 0.004]
-        delays[3, 0] = ch.direct_delays(scene)[3]
-        delays[2, 1] = ch.direct_delays(scene)[2]
-        model = ch.ChannelModel(tap_delays=delays, tap_gains=np.full((4, 2), 0.3))
-        with pytest.raises(ValueError, match="beacon 2 tap delay"):
-            ch.apply_channel(beacon0_only(tone_burst()), scene, model)
-
     def test_half_sample_lags_round_half_to_even(self):
         # beacon 0's taps arrive 100.5 and 101.5 samples in; like round(),
         # the channel puts them on the even samples 100 and 102
         scene = self._delay_scene(50)
+        tau0 = ch.direct_delays(scene)
         halves = [k + 0.5 for k in (100, 101)]
-        assert all(h / FS * FS == h for h in halves)
-        delays = ch.direct_delays(scene)[:, None] + [0.001, 0.002]
-        delays[0] = [h / FS for h in halves]
+        excess = np.tile([0.001, 0.002], (4, 1))
+        excess[0] = [h / FS - tau0[0] for h in halves]
+        # the sum apply_channel forms lands exactly on each half sample
+        assert ((tau0[0] + excess[0]) * FS).tolist() == halves
         impulse = np.zeros((4, 1))
         impulse[0, 0] = 1.0
-        model = ch.ChannelModel(tap_delays=delays, tap_gains=np.full((4, 2), 0.5))
+        model = ch.ChannelModel(excess_delays=excess, tap_gains=np.full((4, 2), 0.5))
         out = ch.apply_channel(wf.SampledSignal(samples=impulse, sample_rate=FS), scene, model)
         assert [out.samples[n] for n in (50, 100, 101, 102)] == [1.0, 0.5, 0.0, 0.5]
 
 
 class TestSampleMultipath:
     def test_tap_properties(self):
-        scene = make_scene()
-        delays, gains = ch.sample_multipath(scene, np.random.default_rng(2))
-        assert delays.shape == gains.shape == (4, ch.N_TAPS)
-        excess = delays - ch.direct_delays(scene)[:, None]
+        excess, gains = ch.sample_multipath(np.random.default_rng(2))
+        assert excess.shape == gains.shape == (4, ch.N_TAPS)
         assert np.all(excess >= ch.EXCESS_DELAY_RANGE[0])
         assert np.all(excess <= ch.EXCESS_DELAY_RANGE[1])
         assert np.all(np.abs(gains) < 1.0)
 
     def test_deterministic_given_rng(self):
-        scene = make_scene()
-        t1 = ch.sample_multipath(scene, np.random.default_rng(7))
-        t2 = ch.sample_multipath(scene, np.random.default_rng(7))
+        t1 = ch.sample_multipath(np.random.default_rng(7))
+        t2 = ch.sample_multipath(np.random.default_rng(7))
         assert all(np.array_equal(a, b) for a, b in zip(t1, t2))
 
     def test_mean_tap_power_below_direct(self):
-        scene = make_scene()
         gains = []
         for seed in range(200):
-            _, tap_gains = ch.sample_multipath(scene, np.random.default_rng(seed))
+            _, tap_gains = ch.sample_multipath(np.random.default_rng(seed))
             gains.extend(tap_gains.ravel())
         mean_power = np.mean(np.square(gains))
         assert mean_power < 10.0 ** (ch.FIRST_TAP_DB / 10.0)
@@ -317,10 +296,9 @@ class TestSampleMultipath:
         # range; rejection alone gives up from about 13 taps on. Shifted
         # sums carry rounding of a few ulps, hence the 1e-12 s slack.
         lo, hi = ch.EXCESS_DELAY_RANGE
-        scene = make_scene()
         for seed in range(3):
-            delays, _ = ch.sample_multipath(scene, np.random.default_rng(seed), n_taps=n_taps)
-            for excess in delays - ch.direct_delays(scene)[:, None]:
+            delays, _ = ch.sample_multipath(np.random.default_rng(seed), n_taps=n_taps)
+            for excess in delays:
                 assert excess.size == n_taps
                 assert np.all(excess >= lo - 1e-12) and np.all(excess <= hi + 1e-12)
                 assert np.all(np.diff(excess) >= ch.MIN_TAP_SPACING - 1e-12)
@@ -331,20 +309,20 @@ class TestModelValidation:
         gains = np.full((4, 2), 0.5)
         gains[2, 1] = -1.0
         with pytest.raises(ValueError, match="gain"):
-            ch.ChannelModel(tap_delays=np.full((4, 2), 0.005), tap_gains=gains)
+            ch.ChannelModel(excess_delays=np.full((4, 2), 0.005), tap_gains=gains)
 
     def test_tap_rejects_nonpositive_delay(self):
         delays = np.full((4, 2), 0.005)
         delays[1, 0] = 0.0
         with pytest.raises(ValueError, match="delay"):
-            ch.ChannelModel(tap_delays=delays, tap_gains=np.full((4, 2), 0.5))
+            ch.ChannelModel(excess_delays=delays, tap_gains=np.full((4, 2), 0.5))
 
     def test_tap_rejects_nan(self):
         nan = np.full((4, 1), np.nan)
         with pytest.raises(ValueError, match="delay"):
-            ch.ChannelModel(tap_delays=nan, tap_gains=np.zeros((4, 1)))
+            ch.ChannelModel(excess_delays=nan, tap_gains=np.zeros((4, 1)))
         with pytest.raises(ValueError, match="gain"):
-            ch.ChannelModel(tap_delays=np.ones((4, 1)), tap_gains=nan)
+            ch.ChannelModel(excess_delays=np.ones((4, 1)), tap_gains=nan)
 
     def test_model_rejects_bad_speed(self):
         with pytest.raises(ValueError):
@@ -352,7 +330,7 @@ class TestModelValidation:
 
     def test_model_rejects_wrong_beacon_count(self):
         with pytest.raises(ValueError):
-            ch.ChannelModel(tap_delays=np.zeros((2, 0)), tap_gains=np.zeros((2, 0)))
+            ch.ChannelModel(excess_delays=np.zeros((2, 0)), tap_gains=np.zeros((2, 0)))
 
     @pytest.mark.parametrize(
         "delays,gains",
@@ -361,7 +339,7 @@ class TestModelValidation:
     )
     def test_model_rejects_bad_tap_shapes(self, delays, gains):
         with pytest.raises(ValueError, match=r"\(4, n_taps\)"):
-            ch.ChannelModel(tap_delays=np.full(delays, 0.005), tap_gains=np.full(gains, 0.1))
+            ch.ChannelModel(excess_delays=np.full(delays, 0.005), tap_gains=np.full(gains, 0.1))
 
     def test_model_compares_by_identity(self):
         model = ch.ChannelModel()
@@ -371,16 +349,17 @@ class TestModelValidation:
 
     def test_model_freezes_its_own_copies(self):
         delays, gains = np.full((4, 1), 0.005), np.full((4, 1), 0.1)
-        model = ch.ChannelModel(tap_delays=delays, tap_gains=gains)
+        model = ch.ChannelModel(excess_delays=delays, tap_gains=gains)
         assert delays.flags.writeable and gains.flags.writeable
-        assert not model.tap_delays.flags.writeable
+        assert not model.excess_delays.flags.writeable
         assert not model.tap_gains.flags.writeable
         delays[0, 0] = 0.009
-        assert model.tap_delays[0, 0] == 0.005
+        assert model.excess_delays[0, 0] == 0.005
 
 
 def old_sample_multipath(scene, rng, n_taps=ch.N_TAPS):
-    """sample_multipath's default draws with rng.choice for the tap signs."""
+    """sample_multipath's default draws with rng.choice for the tap signs,
+    as absolute tap delays tau0[i] + excess."""
     lo, hi = ch.EXCESS_DELAY_RANGE
     p0 = 10.0 ** (ch.FIRST_TAP_DB / 10.0)
     tau0 = ch.direct_delays(scene)
@@ -399,7 +378,7 @@ def old_apply_channel(tx, scene, model):
     """apply_channel with a temporary per copy and rng.normal for the noise."""
     fs = tx.sample_rate
     tau0 = ch.direct_delays(scene, model.speed_of_sound)
-    delays = np.column_stack([tau0, model.tap_delays])
+    delays = np.column_stack([tau0, tau0[:, None] + model.excess_delays])
     gains = np.column_stack([np.ones(4), model.tap_gains])
     lags = np.rint(delays * fs).astype(np.int64)
     clean = np.zeros(int(lags.max()) + len(tx))
@@ -422,9 +401,11 @@ class TestChannelBitIdentity:
         scene = make_scene(receiver=(1.2, 3.3, 0.9))
         for seed in range(20):
             rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            new = ch.sample_multipath(scene, rng, n_taps=n_taps)
-            old = old_sample_multipath(scene, old_rng, n_taps=n_taps)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(new, old))
+            excess, gains = ch.sample_multipath(rng, n_taps=n_taps)
+            old_delays, old_gains = old_sample_multipath(scene, old_rng, n_taps=n_taps)
+            # the absolute delays apply_channel forms are the old ones, bit for bit
+            assert (ch.direct_delays(scene)[:, None] + excess).tobytes() == old_delays.tobytes()
+            assert gains.tobytes() == old_gains.tobytes()
             assert rng.integers(2**62) == old_rng.integers(2**62)
 
     @pytest.mark.parametrize("snr_db", [None, 30.0, 15.0, 0.0, -15.0])
@@ -436,7 +417,7 @@ class TestChannelBitIdentity:
             plan = wf.random_hop_plan(8, seed=seed)
             bits = wf.random_data_bits((4, 8), rng)
             tx = wf.generate_tx_signals(make_burst_config(bits), plan, walsh.rows)
-            delays, gains = ch.sample_multipath(scene, rng)
+            delays, gains = ch.sample_multipath(rng)
             model = ch.ChannelModel(delays, gains, snr_db=snr_db, rng_seed=seed + 40)
             out = ch.apply_channel(tx, scene, model).samples
             assert out.tobytes() == old_apply_channel(tx, scene, model).tobytes()

@@ -299,6 +299,7 @@ class TestErrorPaths:
             "[channel]\ndecay_time = -1e-3\n",
             "[channel]\ndecay_time = nan\n",
             "[waveform]\nwalsh_order = 5\n",
+            "[waveform]\nwalsh_order = 1048576\n",
             "[waveform]\nchannel_bandwidth = 6000\n",
             "[waveform]\ncenter_frequencies = 22500, 25000\nhop_reuse_window = 0\n",
             "[fusion]\nw2 = 0.8\n",
@@ -324,6 +325,7 @@ class TestErrorPaths:
             "decay_time_negative",
             "decay_time_nan",
             "walsh_order",
+            "walsh_order_huge",
             "channel_bandwidth",
             "overlapping_channels",
             "w2",
@@ -415,6 +417,22 @@ class TestErrorPaths:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not (tmp_path / "trials.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command", ["simulate", "sweep", "trajectory", "optimize", "dopmap", "rangetest"]
+    )
+    def test_huge_walsh_order_is_one_error_line(self, tmp_path, capsys, command):
+        # rejected by its code length before a 2**20-square Walsh matrix (8 TiB) is built
+        bad = tmp_path / "walsh.ini"
+        bad.write_text("[waveform]\nwalsh_order = 1048576\n")
+        code = run_cli(command, "--config", str(bad), "--out", str(tmp_path / "out"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"error: {bad}: [waveform] 680 samples/symbol not divisible by code length 1048576\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_override_is_one_error_line(self, fast_ini, tmp_path, capsys):
         code = run_cli(

@@ -416,7 +416,7 @@ class TestEmpiricalConsistency:
         z_errors = []
         for _ in range(n_trials):
             noisy = true_d + rng.normal(0.0, sigma_r, 4)
-            x = trilaterate(ORIGINAL_LAYOUT, noisy).position
+            x = trilaterate(ORIGINAL_LAYOUT, noisy)
             if refine:
                 x = self._gauss_newton_refine(ORIGINAL_LAYOUT, noisy, x)
             z_errors.append(x[2] - target[2])

@@ -193,9 +193,9 @@ def channel_composite(seed, snr_db):
     plan = wf.random_hop_plan(wf.BURST_BITS, seed=int(rng.integers(2**31)))
     config = make_burst_config(wf.random_data_bits((4, wf.BURST_BITS), rng))
     refs = wf.generate_tx_signals(config, plan, walsh.rows[:4])
-    delays, gains = ch.sample_multipath(scene, rng)
+    delays, gains = ch.sample_multipath(rng)
     model = ch.ChannelModel(
-        tap_delays=delays,
+        excess_delays=delays,
         tap_gains=gains,
         snr_db=snr_db,
         rng_seed=int(rng.integers(2**31)),

@@ -43,15 +43,15 @@ class TestExactRecovery:
     def test_reference_layout_exact(self):
         target = np.array([2.0, 2.0, 1.0])
         fix = trilaterate(ORIGINAL_LAYOUT, true_ranges(ORIGINAL_LAYOUT, target))
-        np.testing.assert_allclose(fix.position, target, atol=1e-9)
-        assert fix.residual_norm < 1e-9
+        assert fix.shape == (3,)
+        np.testing.assert_allclose(fix, target, atol=1e-9)
 
     def test_random_layouts_exact(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             layout, target = random_layout_and_target(rng)
             fix = trilaterate(layout, true_ranges(layout, target))
-            assert np.max(np.abs(fix.position - target)) <= 1e-9
+            assert np.max(np.abs(fix - target)) <= 1e-9
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(3)
@@ -61,17 +61,17 @@ class TestExactRecovery:
         moved = BeaconLayout(positions=np.asarray(layout.positions) + shift)
         fix0 = trilaterate(layout, ranges)
         fix1 = trilaterate(moved, ranges)
-        np.testing.assert_allclose(fix1.position, fix0.position + shift, atol=1e-8)
+        np.testing.assert_allclose(fix1, fix0 + shift, atol=1e-8)
 
     def test_beacon_permutation_invariance_noiseless(self):
         rng = np.random.default_rng(5)
         layout, target = random_layout_and_target(rng)
         ranges = true_ranges(layout, target)
-        base = trilaterate(layout, ranges).position
+        base = trilaterate(layout, ranges)
         for perm in ([1, 0, 2, 3], [3, 2, 1, 0], [2, 3, 0, 1]):
             permuted = BeaconLayout(positions=np.asarray(layout.positions)[perm])
             fix = trilaterate(permuted, ranges[perm])
-            np.testing.assert_allclose(fix.position, base, atol=1e-9)
+            np.testing.assert_allclose(fix, base, atol=1e-9)
 
     def test_beacon_permutation_with_noise_bounded(self):
         # permuting the reference beacon changes the linear system; the
@@ -85,9 +85,9 @@ class TestExactRecovery:
         for perm in ([0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]):
             permuted = BeaconLayout(positions=np.asarray(ORIGINAL_LAYOUT.positions)[perm])
             fix = trilaterate(permuted, ranges[perm])
-            gn = gauss_newton(permuted, ranges[perm], x0=fix.position)
-            solutions.append(fix.position)
-            oracle_gaps.append(np.linalg.norm(fix.position - gn))
+            gn = gauss_newton(permuted, ranges[perm], x0=fix)
+            solutions.append(fix)
+            oracle_gaps.append(np.linalg.norm(fix - gn))
         spread = max(
             np.linalg.norm(a - b) for a in solutions for b in solutions
         )
@@ -102,9 +102,9 @@ class TestPerturbedRanges:
         target = np.array([2.0, 2.0, 1.0])
         ranges = true_ranges(ORIGINAL_LAYOUT, target) + 1e-3
         fix = trilaterate(ORIGINAL_LAYOUT, ranges)
-        assert np.linalg.norm(fix.position - target) < 0.01
+        assert np.linalg.norm(fix - target) < 0.01
         gn = gauss_newton(ORIGINAL_LAYOUT, ranges, x0=target)
-        assert np.linalg.norm(fix.position - target) <= 1.1 * np.linalg.norm(gn - target)
+        assert np.linalg.norm(fix - target) <= 1.1 * np.linalg.norm(gn - target)
 
 
 class TestDegenerateGeometry:
@@ -144,7 +144,7 @@ class TestRigidMotionProperty:
     ):
         rot = Rotation.from_euler("zyx", angles).as_matrix()
         ranges = true_ranges(layout, target)
-        fix = trilaterate(layout, ranges).position
+        fix = trilaterate(layout, ranges)
         moved = BeaconLayout(positions=layout.positions[list(perm)] @ rot.T + shift)
-        moved_fix = trilaterate(moved, ranges[list(perm)]).position
+        moved_fix = trilaterate(moved, ranges[list(perm)])
         np.testing.assert_allclose(moved_fix, rot @ fix + shift, rtol=0, atol=1e-6)
