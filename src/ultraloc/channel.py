@@ -196,18 +196,18 @@ def sample_multipath(
         raise ValueError("excess delay range too narrow for the tap spacing")
     p0 = 10.0 ** (first_tap_db / 10.0)
     delays = np.empty((4, n_taps))
-    gains = np.empty((4, n_taps))
+    unit = np.empty((4, n_taps))
+    picks = np.empty((4, n_taps), dtype=np.int64)
     # one beacon after another: delays, magnitudes, signs; that order fixes the stream
     for i in range(4):
-        excess = _spaced_uniform(rng, lo, hi, n_taps, min_spacing)
-        mean_power = p0 * np.exp(-(excess - lo) / decay_time)
-        # Rayleigh scale sigma gives E[g^2] = 2 sigma^2 = mean_power
-        mags = rng.rayleigh(scale=np.sqrt(mean_power / 2.0))
-        mags = np.minimum(mags, MAX_TAP_GAIN)
-        signs = _SIGNS[rng.integers(0, 2, size=n_taps)]
-        delays[i] = excess
-        gains[i] = signs * mags
-    return delays, gains
+        delays[i] = _spaced_uniform(rng, lo, hi, n_taps, min_spacing)
+        unit[i] = rng.rayleigh(size=n_taps)
+        picks[i] = rng.integers(0, 2, n_taps)
+    mean_power = p0 * np.exp(-(delays - lo) / decay_time)
+    # Rayleigh scale sigma gives E[g^2] = 2 sigma^2 = mean_power; numpy draws
+    # rayleigh(sigma) as sigma * sqrt(2 E), so sigma * rayleigh(1.0) has its bits
+    mags = np.minimum(np.sqrt(mean_power / 2.0) * unit, MAX_TAP_GAIN)
+    return delays, _SIGNS[picks] * mags
 
 
 def _spaced_uniform(
@@ -223,9 +223,10 @@ def _spaced_uniform(
     The caller guarantees (n-1)*min_spacing < hi - lo.
     """
     for _ in range(1000):
-        draws = np.sort(rng.uniform(lo, hi, size=n))
-        if n < 2 or np.min(np.diff(draws)) >= min_spacing:
-            return draws
+        # a few taps: Python floats test the gaps faster than numpy calls do
+        draws = sorted(rng.uniform(lo, hi, size=n).tolist())
+        if all(b - a >= min_spacing for a, b in zip(draws, draws[1:])):
+            return np.array(draws)
     span = min_spacing * (n - 1)
     return np.sort(rng.uniform(lo, hi - span, size=n)) + min_spacing * np.arange(n)
 
@@ -241,11 +242,13 @@ def apply_channel(tx: SampledSignal, scene: Scene, model: ChannelModel) -> Sampl
     White Gaussian noise is scaled so that total-signal-power /
     noise-power equals 10^(snr_db/10).
 
-    The copies are summed through one reused term buffer, in place and in
-    the order above, and the noise is a standard-normal draw scaled in
-    place: the same bits as adding g * row and rng.normal(0, sigma) one
-    temporary at a time. tx's rows come from generate_tx_signals, whose
-    carrier is gathered from the cached carrier table (see waveform).
+    The copies are summed in place and in the order above: the direct row
+    as it is, each beacon's taps through one reused (n_taps, n) term
+    buffer scaled in one call. The noise is a standard-normal draw scaled
+    in place. These are the same bits as adding 1.0 * row, g * row and
+    rng.normal(0, sigma) one temporary at a time. tx's rows come from
+    generate_tx_signals, whose carrier is gathered from the cached carrier
+    table (see waveform).
 
     Raises:
         ValueError: If tx does not have 4 rows.
@@ -256,13 +259,14 @@ def apply_channel(tx: SampledSignal, scene: Scene, model: ChannelModel) -> Sampl
     tau0 = direct_delays(scene, model.speed_of_sound)
     # per beacon row: the direct path first, then its taps in order
     delays = np.column_stack([tau0, tau0[:, None] + model.excess_delays])
-    gains = np.column_stack([np.ones(4), model.tap_gains])
     lags = np.rint(delays * fs).astype(np.int64)
     clean = np.zeros(int(lags.max()) + len(tx))
-    term = np.empty(len(tx))
-    for row, row_lags, row_gains in zip(tx.samples, lags.tolist(), gains.tolist()):
-        for n, g in zip(row_lags, row_gains):
-            np.multiply(g, row, out=term)
+    terms = np.empty((model.tap_gains.shape[1], len(tx)))
+    tap_gains = model.tap_gains[:, :, None]
+    for row, (n0, *tap_lags), gains in zip(tx.samples, lags.tolist(), tap_gains):
+        clean[n0 : n0 + row.size] += row
+        np.multiply(gains, row, out=terms)
+        for n, term in zip(tap_lags, terms):
             clean[n : n + row.size] += term
 
     noisy = clean

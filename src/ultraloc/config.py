@@ -29,7 +29,7 @@ from .channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout, ChannelMod
 from .dop import DroneDomain
 from .errors import ChipAlignmentError, ConfigError
 from .fusion import fuse_height
-from .waveform import WaveformConfig, generate_tx_signals, random_hop_plan, walsh_hadamard
+from .waveform import WaveformConfig, generate_tx_signals, random_hop_plan, walsh_rows
 
 # Most samples one fix may receive. A fix holds several (4, n) arrays of
 # that length: at up to 2**21 samples one default-config fix peaked at
@@ -65,8 +65,9 @@ class WaveformConfigSection:
     def bursts(self, plan_seed: int, data_bits: np.ndarray) -> waveform_mod.SampledSignal:
         """The (k, n) bursts of (k, n_bits) data_bits, coded by the first k
         Walsh rows, under a hop plan of burst_bits symbols drawn from
-        plan_seed. Chip alignment is checked before the Walsh matrix is
-        built, so a huge walsh_order fails without allocating it."""
+        plan_seed. Chip alignment is checked before the Walsh rows are
+        built, so a walsh_order that cannot code a symbol fails without
+        allocating them."""
         plan = random_hop_plan(
             n_symbols=self.burst_bits,
             seed=plan_seed,
@@ -84,7 +85,7 @@ class WaveformConfigSection:
             raise ChipAlignmentError(
                 f"{sps} samples/symbol not divisible by code length {self.walsh_order}"
             )
-        codes = walsh_hadamard(self.walsh_order).rows[: len(data_bits)]
+        codes = walsh_rows(self.walsh_order, len(data_bits))
         return generate_tx_signals(config, plan, codes)
 
 

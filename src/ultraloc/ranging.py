@@ -14,12 +14,14 @@ reference-row count, grown only for a longer signal. Workspaces are lent
 from a free list, one to each correlation running at a time, and outlive
 the threads that use them: a command's pool threads end with the
 command, and buffers owned by a thread would be allocated again by every
-command. A stream of fixes therefore allocates no signal-length
-temporaries, which the allocator would hand back to the kernel and fault
-in again on every fix. Callers get a copy of the valid lags, never a
-view of the workspace. The standalone despread operation serves data
-recovery and diagnostics, where the receiver clock defines the chip
-grid.
+command. So a stream of fixes allocates the correlation's padded
+buffers once, where the allocator would otherwise hand them back to the
+kernel and fault them in again on every fix. Only those buffers are
+reused: a fix's other signal-length arrays (its bursts, the channel sum
+and noise, and the copy of the valid lags that callers get, never a view
+of the workspace) are allocated afresh each time. The standalone
+despread operation serves data recovery and diagnostics, where the
+receiver clock defines the chip grid.
 """
 
 from __future__ import annotations

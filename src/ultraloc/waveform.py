@@ -6,12 +6,13 @@ per symbol over a bank of ultrasonic channels. All four beacons share one
 hop sequence; the orthogonal codes keep them separable at the receiver.
 
 What every fix of a run shares is computed once and cached read-only:
-the Walsh rows of each order, and a carrier table holding every channel's
-sinusoid over the whole burst, (n_channels, n_symbols, samples/symbol),
-from which hop_carrier gathers each symbol's dwell. The table is built
-with the same elementwise expression as a per-fix carrier, so its bits
-are the same. It is cached only while it fits CARRIER_TABLE_BUDGET bytes
-(1 MB for the default bank); a larger bank computes its carrier per call.
+the Walsh rows a burst codes with, the check of its channel bank, and a
+carrier table holding every channel's sinusoid over the whole burst,
+(n_channels, n_symbols, samples/symbol), from which hop_carrier gathers
+each symbol's dwell. The table is built with the same elementwise
+expression as a per-fix carrier, so its bits are the same. It is cached
+only while it fits CARRIER_TABLE_BUDGET bytes (1 MB for the default
+bank); a larger bank computes its carrier per call.
 """
 
 from __future__ import annotations
@@ -61,19 +62,28 @@ def walsh_hadamard(order: int) -> WalshMatrix:
     Raises:
         ValueError: If order is not a positive power of two.
     """
-    if order < 1 or order & (order - 1) != 0:
-        raise ValueError(f"Walsh-Hadamard order must be a power of two, got {order}")
-    return WalshMatrix(order=order, rows=_walsh_rows(order))
+    return WalshMatrix(order=order, rows=walsh_rows(order, order))
 
 
 @functools.lru_cache(maxsize=8)
-def _walsh_rows(order: int) -> np.ndarray:
-    """The read-only Sylvester matrix of a power-of-two order, built once."""
-    h = np.array([[1]], dtype=np.int64)
-    while h.shape[0] < order:
-        h = np.block([[h, h], [h, -h]])
-    h.setflags(write=False)
-    return h
+def walsh_rows(order: int, n_rows: int) -> np.ndarray:
+    """The first n_rows rows of the Sylvester matrix of a power-of-two
+    order, read-only and built once: row i, column j is
+    (-1)^popcount(i & j), so a burst's few codes of a long order cost
+    n_rows * order entries, not order**2.
+
+    Raises:
+        ValueError: If order is not a positive power of two or n_rows is
+            not in [1, order].
+    """
+    if order < 1 or order & (order - 1) != 0:
+        raise ValueError(f"Walsh-Hadamard order must be a power of two, got {order}")
+    if not 1 <= n_rows <= order:
+        raise ValueError(f"cannot take {n_rows} rows of a Walsh-Hadamard matrix of order {order}")
+    parity = np.bitwise_count(np.arange(n_rows)[:, None] & np.arange(order)) & 1
+    rows = 1 - 2 * parity.astype(np.int64)
+    rows.setflags(write=False)
+    return rows
 
 
 def encode_symbol(data_bit: int, code_row: np.ndarray) -> np.ndarray:
@@ -101,20 +111,29 @@ class HopPlan:
     carrier_phase: float = 0.0
 
     def __post_init__(self):
-        freqs = np.asarray(self.center_frequencies, dtype=float)
-        if freqs.size == 0:
-            raise ValueError("hop plan needs at least one channel")
-        if np.any(freqs < 20_000.0) or np.any(freqs > 50_000.0):
-            raise ValueError("channel centers must lie within [20 kHz, 50 kHz]")
-        spacing = np.diff(np.sort(freqs))
-        if spacing.size and np.min(spacing) < CHANNEL_BANDWIDTH - 1e-9:
-            raise ValueError(
-                f"adjacent channels overlap: centers must be at least {CHANNEL_BANDWIDTH:g} Hz apart"
-            )
+        bank = tuple(self.center_frequencies)
+        _check_bank(bank)
         seq = np.asarray(self.hop_sequence, dtype=np.int64)
-        if seq.size and (seq.min() < 0 or seq.max() >= freqs.size):
+        if seq.size and (seq.min() < 0 or seq.max() >= len(bank)):
             raise ValueError("hop sequence entries must index the channel list")
+        object.__setattr__(self, "center_frequencies", bank)
         object.__setattr__(self, "hop_sequence", seq)
+
+
+@functools.lru_cache(maxsize=8)
+def _check_bank(center_frequencies: tuple[float, ...]) -> None:
+    """Check a channel bank once: a bank that passes is cached, so the
+    plans of a run check it once; one that fails raises on every call."""
+    freqs = np.asarray(center_frequencies, dtype=float)
+    if freqs.size == 0:
+        raise ValueError("hop plan needs at least one channel")
+    if not np.all((20_000.0 <= freqs) & (freqs <= 50_000.0)):  # NaN fails too
+        raise ValueError("channel centers must lie within [20 kHz, 50 kHz]")
+    spacing = np.diff(np.sort(freqs))
+    if spacing.size and np.min(spacing) < CHANNEL_BANDWIDTH - 1e-9:
+        raise ValueError(
+            f"adjacent channels overlap: centers must be at least {CHANNEL_BANDWIDTH:g} Hz apart"
+        )
 
 
 def random_hop_plan(
@@ -144,14 +163,17 @@ def random_hop_plan(
     # symbol k picks among n_ch minus its min(k, window) distinct blocked
     # channels; one array draw consumes the stream as a draw per symbol does
     picks = rng.integers(0, n_ch - np.minimum(np.arange(n_symbols), reuse_window))
-    seq = np.empty(n_symbols, dtype=np.int64)
+    seq: list[int] = []
     for k, pick in enumerate(picks.tolist()):
-        blocked = set(seq[max(0, k - reuse_window) : k].tolist())
-        choices = [c for c in range(n_ch) if c not in blocked]
-        seq[k] = choices[pick]
+        # the pick-th channel not blocked: step past each blocked channel at
+        # or below it, lowest first (the blocked channels are distinct)
+        for blocked in sorted(seq[max(0, k - reuse_window) : k]):
+            if blocked <= pick:
+                pick += 1
+        seq.append(pick)
     return HopPlan(
         center_frequencies=tuple(center_frequencies),
-        hop_sequence=seq,
+        hop_sequence=np.array(seq, dtype=np.int64),
         carrier_phase=carrier_phase,
     )
 
@@ -238,7 +260,7 @@ def hop_carrier(
             f"hop sequence of {plan.hop_sequence.size} symbols is shorter than {n_symbols}"
         )
     table = _carrier_table(
-        tuple(plan.center_frequencies),
+        plan.center_frequencies,
         sample_rate,
         samples_per_symbol,
         n_symbols,
@@ -308,12 +330,9 @@ def generate_tx_signals(config: WaveformConfig, plan: HopPlan, codes: np.ndarray
     if not np.all(np.abs(codes) == 1):
         raise ValueError("code rows must be +/-1 sequences")
     n_chips = codes.shape[-1]
-    freqs = np.asarray(plan.center_frequencies, dtype=float)
-    if config.sample_rate < 2.0 * freqs.max():
-        raise ValueError(
-            f"sample rate {config.sample_rate} Hz below Nyquist for "
-            f"{freqs.max()} Hz carrier"
-        )
+    f_max = float(max(plan.center_frequencies))  # a checked bank: finite, nonempty
+    if config.sample_rate < 2.0 * f_max:
+        raise ValueError(f"sample rate {config.sample_rate} Hz below Nyquist for {f_max} Hz carrier")
     n_bits = bits.shape[-1]
     if plan.hop_sequence.size < n_bits:
         raise ValueError("hop sequence shorter than the data burst")

@@ -357,15 +357,26 @@ class TestModelValidation:
         assert model.excess_delays[0, 0] == 0.005
 
 
-def old_sample_multipath(scene, rng, n_taps=ch.N_TAPS):
-    """sample_multipath's default draws with rng.choice for the tap signs,
-    as absolute tap delays tau0[i] + excess."""
-    lo, hi = ch.EXCESS_DELAY_RANGE
+def old_spaced_uniform(rng, lo, hi, n, min_spacing):
+    """_spaced_uniform as it was: numpy sort and gap test on every try."""
+    for _ in range(1000):
+        draws = np.sort(rng.uniform(lo, hi, size=n))
+        if n < 2 or np.min(np.diff(draws)) >= min_spacing:
+            return draws
+    span = min_spacing * (n - 1)
+    return np.sort(rng.uniform(lo, hi - span, size=n)) + min_spacing * np.arange(n)
+
+
+def old_sample_multipath(scene, rng, n_taps=ch.N_TAPS, excess_delay_range=ch.EXCESS_DELAY_RANGE):
+    """sample_multipath's draws with rng.choice for the tap signs and the
+    magnitudes scaled inside rng.rayleigh, one beacon at a time, as
+    absolute tap delays tau0[i] + excess."""
+    lo, hi = excess_delay_range
     p0 = 10.0 ** (ch.FIRST_TAP_DB / 10.0)
     tau0 = ch.direct_delays(scene)
     delays, gains = np.empty((4, n_taps)), np.empty((4, n_taps))
     for i in range(4):
-        excess = ch._spaced_uniform(rng, lo, hi, n_taps, ch.MIN_TAP_SPACING)
+        excess = old_spaced_uniform(rng, lo, hi, n_taps, ch.MIN_TAP_SPACING)
         mean_power = p0 * np.exp(-(excess - lo) / ch.TAP_DECAY_TIME)
         mags = np.minimum(rng.rayleigh(scale=np.sqrt(mean_power / 2.0)), ch.MAX_TAP_GAIN)
         signs = rng.choice((-1.0, 1.0), size=n_taps)
@@ -407,6 +418,38 @@ class TestChannelBitIdentity:
             assert (ch.direct_delays(scene)[:, None] + excess).tobytes() == old_delays.tobytes()
             assert gains.tobytes() == old_gains.tobytes()
             assert rng.integers(2**62) == old_rng.integers(2**62)
+
+    @pytest.mark.parametrize("n_taps", [0, 1, 5, 12])
+    def test_draws_match_old_sample_multipath(self, n_taps):
+        # the (4, n_taps) magnitude math after all draws, and the gap test on
+        # Python floats, keep the stream, the delays and the gains; twelve
+        # taps take hundreds of rejections a beacon, so fewer seeds there
+        scene = make_scene(receiver=(3.7, 0.8, 2.6))
+        tau0 = ch.direct_delays(scene)[:, None]
+        for seed in range(2000 if n_taps < 12 else 250):
+            rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            excess, gains = ch.sample_multipath(rng, n_taps=n_taps)
+            old_delays, old_gains = old_sample_multipath(scene, old_rng, n_taps=n_taps)
+            assert (tau0 + excess).tobytes() == old_delays.tobytes()
+            assert gains.tobytes() == old_gains.tobytes()
+            assert rng.bit_generator.state == old_rng.bit_generator.state
+
+    def test_fallback_draws_match_old_sample_multipath(self):
+        # five taps 0.3 ms apart in a 1.21 ms range: a uniform try is spaced
+        # with probability 5! (0.01 / 1.21)**5, about 5e-9, so every beacon
+        # takes the shifted fallback after 1000 rejections
+        scene = make_scene(receiver=(3.7, 0.8, 2.6))
+        tight = (0.003, 0.003 + 4 * ch.MIN_TAP_SPACING + 1e-5)
+        for seed in range(20):
+            rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            excess, gains = ch.sample_multipath(rng, excess_delay_range=tight)
+            old_delays, old_gains = old_sample_multipath(
+                scene, old_rng, excess_delay_range=tight
+            )
+            assert (ch.direct_delays(scene)[:, None] + excess).tobytes() == old_delays.tobytes()
+            assert gains.tobytes() == old_gains.tobytes()
+            assert rng.bit_generator.state == old_rng.bit_generator.state
+            assert np.all(np.diff(excess) >= ch.MIN_TAP_SPACING - 1e-12)
 
     @pytest.mark.parametrize("snr_db", [None, 30.0, 15.0, 0.0, -15.0])
     def test_channel_and_noise_match_old_expression(self, snr_db):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,24 @@ snr_list = 0, 10, 20
         path = write(tmp_path, "[waveform]\nsymbol_duration = 0.0020001\n")
         with pytest.raises(ConfigError, match="whole number of samples"):
             cfg_mod.load_config(path)
+
+    def test_long_walsh_order_validates_without_the_full_matrix(self, tmp_path):
+        # 524288 samples a symbol, coded by the order-524288 matrix: its 2**38
+        # entries would need 2 TiB; the one row validation codes with needs
+        # 4 MiB, and the whole build peaked at 16.5 MiB on numpy 2.4
+        path = write(
+            tmp_path,
+            "[waveform]\nsample_rate = 30000000\nsymbol_duration = 0.017476266666666667\n"
+            "walsh_order = 524288\nburst_bits = 1\n",
+        )
+        wf.walsh_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            cfg_mod.load_config(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     def test_domain_outside_room_rejected(self, tmp_path):
         path = write(tmp_path, "[run]\ndomain_z = 0.5, 4.5\n")

@@ -42,6 +42,23 @@ class TestWalshHadamard:
     def test_rejects_non_power_of_two(self, order):
         with pytest.raises(ValueError):
             wf.walsh_hadamard(order)
+        with pytest.raises(ValueError, match="power of two"):
+            wf.walsh_rows(order, 1)
+
+    def test_rows_match_sylvester_recursion(self):
+        h = np.array([[1]], dtype=np.int64)
+        for order in (2**e for e in range(11)):  # 1 .. 1024
+            while h.shape[0] < order:
+                h = np.block([[h, h], [h, -h]])
+            rows = wf.walsh_hadamard(order).rows
+            assert rows.dtype == np.int64 and np.array_equal(rows, h)
+            for n_rows in {1, min(4, order), order}:
+                assert np.array_equal(wf.walsh_rows(order, n_rows), h[:n_rows])
+
+    @pytest.mark.parametrize("n_rows", [0, -1, 9])
+    def test_rows_rejects_count_outside_the_order(self, n_rows):
+        with pytest.raises(ValueError, match=f"cannot take {n_rows} rows"):
+            wf.walsh_rows(8, n_rows)
 
 
 class TestEncodeSymbol:
@@ -75,6 +92,17 @@ class TestHopPlan:
     def test_rejects_overlapping_channels(self):
         with pytest.raises(ValueError):
             wf.HopPlan((22_500.0, 26_000.0), np.zeros(1, dtype=int))
+
+    @pytest.mark.parametrize("bank", [(np.nan,), (22_500.0, np.nan)])
+    def test_rejects_nan_center(self, bank):
+        with pytest.raises(ValueError, match=r"within \[20 kHz, 50 kHz\]"):
+            wf.HopPlan(bank, np.zeros(1, dtype=int))
+
+    def test_rejected_bank_is_checked_again(self):
+        # a bank that passes is checked once; one that fails fails every time
+        for _ in range(2):
+            with pytest.raises(ValueError, match="overlap"):
+                wf.HopPlan((22_500.0, 26_000.0), np.zeros(1, dtype=int))
 
     def test_rejects_bad_hop_index(self):
         with pytest.raises(ValueError):
@@ -436,11 +464,11 @@ class TestSharedWorkBitIdentity:
         with pytest.raises(ValueError, match="shorter than"):
             wf.hop_carrier(wf.random_hop_plan(3, seed=0), wf.SAMPLE_RATE, 680, 4)
 
-    @pytest.mark.parametrize("n_ch", [1, 2, 3, 6, 7])
+    @pytest.mark.parametrize("n_ch", [1, 2, 3, 4, 5, 6, 7])
     def test_hop_plan_matches_one_draw_per_symbol(self, n_ch):
         bank = BANKS[-1][:n_ch]
         for window in range(max(n_ch - 2, 0) + 1):
-            for seed in range(12):
+            for seed in range(100):
                 for n_symbols in (0, 1, 32, 100):
                     plan = wf.random_hop_plan(
                         n_symbols, seed, center_frequencies=bank, reuse_window=window
