@@ -243,12 +243,11 @@ def apply_channel(tx: SampledSignal, scene: Scene, model: ChannelModel) -> Sampl
     noise-power equals 10^(snr_db/10).
 
     The copies are summed in place and in the order above: the direct row
-    as it is, each beacon's taps through one reused (n_taps, n) term
-    buffer scaled in one call. The noise is a standard-normal draw scaled
-    in place. These are the same bits as adding 1.0 * row, g * row and
-    rng.normal(0, sigma) one temporary at a time. tx's rows come from
-    generate_tx_signals, whose carrier is gathered from the cached carrier
-    table (see waveform).
+    as it is, each tap through one reused term buffer. The noise is a
+    standard-normal draw scaled in place. These are the same bits as
+    adding 1.0 * row, g * row and rng.normal(0, sigma) one temporary at a
+    time. tx's rows come from generate_tx_signals, whose carrier is
+    gathered from the cached carrier table (see waveform).
 
     Raises:
         ValueError: If tx does not have 4 rows.
@@ -261,12 +260,11 @@ def apply_channel(tx: SampledSignal, scene: Scene, model: ChannelModel) -> Sampl
     delays = np.column_stack([tau0, tau0[:, None] + model.excess_delays])
     lags = np.rint(delays * fs).astype(np.int64)
     clean = np.zeros(int(lags.max()) + len(tx))
-    terms = np.empty((model.tap_gains.shape[1], len(tx)))
-    tap_gains = model.tap_gains[:, :, None]
-    for row, (n0, *tap_lags), gains in zip(tx.samples, lags.tolist(), tap_gains):
+    term = np.empty(len(tx))
+    for row, (n0, *tap_lags), tap_gains in zip(tx.samples, lags.tolist(), model.tap_gains.tolist()):
         clean[n0 : n0 + row.size] += row
-        np.multiply(gains, row, out=terms)
-        for n, term in zip(tap_lags, terms):
+        for n, g in zip(tap_lags, tap_gains):
+            np.multiply(g, row, out=term)
             clean[n : n + row.size] += term
 
     noisy = clean
