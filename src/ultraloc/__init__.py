@@ -44,14 +44,12 @@ from .ranging import (
 )
 from .solver import trilaterate
 from .waveform import (
-    HopPlan,
     SampledSignal,
     WaveformConfig,
-    WalshMatrix,
     encode_symbol,
     generate_tx_signals,
     random_hop_plan,
-    walsh_hadamard,
+    walsh_rows,
 )
 
 __version__ = "0.1.0"

@@ -40,6 +40,11 @@ TAP_DECAY_TIME = 0.0015
 MAX_TAP_GAIN = 0.6
 MIN_TAP_SPACING = 0.0003
 
+# Largest magnitude of a level in dB that the channel takes (an SNR, the
+# first tap's mean power): far outside any physical level and far inside
+# where 10**(db / 10) overflows or underflows a float.
+MAX_DB = 1000.0
+
 # Tap signs, indexed by a 0/1 draw as rng.choice((-1.0, 1.0)) indexes them.
 _SIGNS = np.array([-1.0, 1.0])
 
@@ -115,10 +120,10 @@ class Scene:
         rx = np.asarray(self.receiver_position, dtype=float)
         if rx.shape != (3,):
             raise ValueError("receiver position must be a 3-vector")
-        if not np.all((0.0 < rx) & (rx < dims)):
+        if not ((0.0 < rx) & (rx < dims)).all():
             raise ValueError(f"receiver {rx} is not strictly inside the room {dims}")
         beacons = self.beacons.positions
-        outside = ~np.all((0.0 <= beacons) & (beacons <= dims), axis=1)
+        outside = ~((0.0 <= beacons) & (beacons <= dims)).all(axis=1)
         if outside.any():
             i = int(outside.argmax())
             raise ValueError(f"beacon {i} at {beacons[i]} lies outside the room {dims}")
@@ -134,7 +139,7 @@ class ChannelModel:
     delays beyond beacon i's own direct path (s, positive, so no tap
     arrives at or before it) and amplitude gains (|g| < 1), both float
     (4, n_taps) arrays, stored as read-only copies. snr_db of None (or
-    +inf) disables noise. The seed makes the noise realization
+    +inf) disables noise; any other value must lie within MAX_DB of 0 dB. The seed makes the noise realization
     reproducible; the taps are carried explicitly so a trial's channel is
     fully pinned down by this object.
     """
@@ -148,15 +153,17 @@ class ChannelModel:
     def __post_init__(self):
         if self.speed_of_sound <= 0:
             raise ValueError("speed of sound must be positive")
+        if self.snr_db is not None and self.snr_db != math.inf:
+            _check_db("snr_db", self.snr_db)
         delays = np.array(self.excess_delays, dtype=float)
         gains = np.array(self.tap_gains, dtype=float)
         if delays.ndim != 2 or delays.shape[0] != 4 or gains.shape != delays.shape:
             raise ValueError(
                 f"expected (4, n_taps) excess delays and gains, got {delays.shape} and {gains.shape}"
             )
-        if not np.all(delays > 0):
+        if not (delays > 0).all():
             raise ValueError("excess delays must be positive")
-        if not np.all(np.abs(gains) < 1.0):
+        if not (np.abs(gains) < 1.0).all():
             raise ValueError("tap gain magnitudes must be below 1")
         delays.setflags(write=False)
         gains.setflags(write=False)
@@ -193,7 +200,11 @@ def sample_multipath(
     if not 0 < lo < hi:
         raise ValueError("excess delay range must satisfy 0 < min < max")
     if min_spacing * (n_taps - 1) >= (hi - lo):
-        raise ValueError("excess delay range too narrow for the tap spacing")
+        raise ValueError(
+            f"{n_taps} taps spaced {min_spacing} s apart do not fit the excess delay range "
+            f"[{lo}, {hi}] s"
+        )
+    _check_db("first_tap_db", first_tap_db)
     p0 = 10.0 ** (first_tap_db / 10.0)
     delays = np.empty((4, n_taps))
     unit = np.empty((4, n_taps))
@@ -208,6 +219,11 @@ def sample_multipath(
     # rayleigh(sigma) as sigma * sqrt(2 E), so sigma * rayleigh(1.0) has its bits
     mags = np.minimum(np.sqrt(mean_power / 2.0) * unit, MAX_TAP_GAIN)
     return delays, _SIGNS[picks] * mags
+
+
+def _check_db(name: str, level: float) -> None:
+    if not -MAX_DB <= level <= MAX_DB:  # NaN fails too
+        raise ValueError(f"{name} must lie in [{-MAX_DB:g}, {MAX_DB:g}] dB, got {level:g}")
 
 
 def _spaced_uniform(

@@ -2,10 +2,12 @@
 
 Config files use sections [scene], [waveform], [channel], [fusion],
 [placement], [run]. A section's keys are the fields of its dataclass
-below (the scene's room_dims and layout_name are spelled room and
-layout), each parsed by its annotation. Every key is optional and falls
-back to the field's default; unknown sections or keys fail loading
-immediately with the offending name in the message.
+(the scene's room_dims and layout_name are spelled room and layout),
+each parsed by its annotation. The [waveform] dataclass is
+waveform.WaveformConfig, the waveform module's own parameter object; the
+others are below. Every key is optional and falls back to the field's
+default; unknown sections or keys fail loading immediately with the
+offending name in the message.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from . import channel as channel_mod
 from . import dop as dop_mod
 from . import fusion as fusion_mod
 from . import placement as placement_mod
-from . import waveform as waveform_mod
 from .channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout, ChannelModel, Scene
 from .dop import DroneDomain
-from .errors import ChipAlignmentError, ConfigError
+from .errors import ConfigError
 from .fusion import fuse_height
-from .waveform import WaveformConfig, generate_tx_signals, random_hop_plan, walsh_rows
+from .waveform import WaveformConfig
 
 # Most samples one fix may receive. A fix holds several (4, n) arrays of
 # that length: at up to 2**21 samples one default-config fix peaked at
@@ -50,43 +51,6 @@ class SceneConfig:
     room_dims: tuple[float, float, float] = channel_mod.ROOM_DIMS
     layout_name: str = "original"
     layout: BeaconLayout = ORIGINAL_LAYOUT
-
-
-@dataclass(frozen=True)
-class WaveformConfigSection:
-    sample_rate: float = waveform_mod.SAMPLE_RATE
-    symbol_duration: float = waveform_mod.SYMBOL_DURATION
-    center_frequencies: tuple[float, ...] = waveform_mod.CENTER_FREQUENCIES
-    burst_bits: int = waveform_mod.BURST_BITS
-    carrier_phase: float = 0.0
-    walsh_order: int = waveform_mod.WALSH_ORDER
-    hop_reuse_window: int = 2
-
-    def bursts(self, plan_seed: int, data_bits: np.ndarray) -> waveform_mod.SampledSignal:
-        """The (k, n) bursts of (k, n_bits) data_bits, coded by the first k
-        Walsh rows, under a hop plan of burst_bits symbols drawn from
-        plan_seed. Chip alignment is checked before the Walsh rows are
-        built, so a walsh_order that cannot code a symbol fails without
-        allocating them."""
-        plan = random_hop_plan(
-            n_symbols=self.burst_bits,
-            seed=plan_seed,
-            center_frequencies=self.center_frequencies,
-            carrier_phase=self.carrier_phase,
-            reuse_window=self.hop_reuse_window,
-        )
-        config = WaveformConfig(
-            sample_rate=self.sample_rate,
-            symbol_duration=self.symbol_duration,
-            data_bits=data_bits,
-        )
-        sps = config.samples_per_symbol
-        if sps % self.walsh_order != 0:
-            raise ChipAlignmentError(
-                f"{sps} samples/symbol not divisible by code length {self.walsh_order}"
-            )
-        codes = walsh_rows(self.walsh_order, len(data_bits))
-        return generate_tx_signals(config, plan, codes)
 
 
 @dataclass(frozen=True)
@@ -138,7 +102,7 @@ class RunConfigSection:
 @dataclass(frozen=True)
 class SimConfig:
     scene: SceneConfig = field(default_factory=SceneConfig)
-    waveform: WaveformConfigSection = field(default_factory=WaveformConfigSection)
+    waveform: WaveformConfig = field(default_factory=WaveformConfig)
     channel: ChannelConfigSection = field(default_factory=ChannelConfigSection)
     fusion: FusionConfigSection = field(default_factory=FusionConfigSection)
     placement: PlacementConfigSection = field(default_factory=PlacementConfigSection)
@@ -319,7 +283,13 @@ def load_config(path: str | Path) -> SimConfig:
     scene = values["scene"]
     if "layout_name" in scene:
         scene["layout"] = resolve_layout(str(scene["layout_name"]))
-    cfg = SimConfig(**{section: cls(**values[section]) for section, cls in _SECTIONS.items()})
+    sections = {}
+    for section, cls in _SECTIONS.items():
+        try:
+            sections[section] = cls(**values[section])
+        except ValueError as exc:  # a section that checks its own values
+            raise ConfigError(f"{path}: [{section}] {exc}") from exc
+    cfg = SimConfig(**sections)
     validate_config(cfg, source=str(path))
     return cfg
 
@@ -329,7 +299,7 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
 
     The checks below are the rules no such object states; the objects
     themselves, and one fusion blend, are then built once, and a ValueError
-    from any of them is reported with the section it came from.
+    from any of them is reported with the section (or key) it came from.
     """
     def fail(msg: str):
         raise ConfigError(f"{source}: {msg}")
@@ -340,17 +310,8 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
     if wf.burst_bits < 1:
         fail("burst_bits must be positive")
     ch = cfg.channel
-    if not 0 < ch.excess_delay_min < ch.excess_delay_max:
-        fail("excess delay range must satisfy 0 < min < max")
     if ch.taps_per_beacon < 0:
         fail("taps_per_beacon must be non-negative")
-    tap_span = channel_mod.MIN_TAP_SPACING * (ch.taps_per_beacon - 1)
-    if tap_span >= ch.excess_delay_max - ch.excess_delay_min:
-        fail(
-            f"{ch.taps_per_beacon} taps spaced {channel_mod.MIN_TAP_SPACING} s apart "
-            f"do not fit the excess delay range "
-            f"[{ch.excess_delay_min}, {ch.excess_delay_max}] s"
-        )
     if ch.decay_time <= 0:
         fail("decay_time must be positive")
     if ch.snr_db is not None and not math.isfinite(ch.snr_db):
@@ -390,22 +351,31 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
     if n_rx > MAX_FIX_SAMPLES:
         fail(f"one fix would receive {n_rx:.4g} samples, more than the {MAX_FIX_SAMPLES} allowed")
 
+    def channel() -> None:
+        delay_range = (ch.excess_delay_min, ch.excess_delay_max)
+        taps = channel_mod.sample_multipath(
+            np.random.default_rng(0), ch.taps_per_beacon, delay_range, ch.first_tap_db, ch.decay_time
+        )
+        ChannelModel(*taps, snr_db=ch.snr_db, speed_of_sound=ch.speed_of_sound)
+
     def scene() -> None:
         centre = [(lo + hi) / 2.0 for lo, hi in (rn.domain_x, rn.domain_y, rn.domain_z)]
         Scene(room_dims=room, beacons=cfg.scene.layout, receiver_position=np.array(centre))
 
-    for section, build in (
-        ("waveform", lambda: wf.bursts(0, np.ones((1, 1), dtype=np.int64))),
-        ("channel", lambda: ChannelModel(speed_of_sound=ch.speed_of_sound)),
-        ("fusion", lambda: fuse_height(0.0, 0.0, fu.w1)),
-        ("run", cfg.drone_domain),
-        ("scene", scene),
-        ("placement", cfg.placement_problem),
+    for where, build in (
+        ("[waveform]", lambda: wf.bursts(0, np.ones((1, 1), dtype=np.int64))),
+        ("[channel]", channel),
+        # a sweep runs the channel at each listed SNR in turn
+        ("[run] snr_list:", lambda: [ChannelModel(snr_db=snr) for snr in rn.snr_list]),
+        ("[fusion]", lambda: fuse_height(0.0, 0.0, fu.w1)),
+        ("[run]", cfg.drone_domain),
+        ("[scene]", scene),
+        ("[placement]", cfg.placement_problem),
     ):
         try:
             build()
         except ValueError as exc:
-            fail(f"[{section}] {exc}")
+            fail(f"{where} {exc}")
     # counted, not built, after the builds that reject an inverted range or a bad grid
     for name, n_points, key in (
         ("drone-domain", cfg.drone_domain().size, "[run] domain_grid"),
@@ -416,7 +386,6 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
                 f"the {name} lattice would hold {n_points} points, more than the "
                 f"{MAX_LATTICE_POINTS} allowed; raise {key}"
             )
-    # after the waveform build, which rejects a sample rate that is not positive
     if ch.taps_per_beacon > 0 and ch.excess_delay_min * wf.sample_rate < 1.0:
         fail(
             f"excess_delay_min must be at least one sample period "

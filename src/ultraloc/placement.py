@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channel import BEACON_PAIRS, ROOM_DIMS, BeaconLayout, coincident_pairs, full_rank
-from .dop import DroneDomain, domain_mean, dop_components
+from .dop import DroneDomain, _axis_size, _inclusive_arange, domain_mean, dop_components
 from .errors import DomainDegeneracyError, InfeasibleDomainError
 
 if TYPE_CHECKING:
@@ -79,7 +79,7 @@ class BeaconDomain:
         """Lattice points before repeats are dropped, counted without building them."""
         w, d, h = self.room_dims
         nx, ny, nz = (
-            _grid_size(lo, hi, self.grid_resolution) for lo, hi in ((0.0, w), (0.0, d), (h / 2.0, h))
+            _axis_size(lo, hi, self.grid_resolution) for lo, hi in ((0.0, w), (0.0, d), (h / 2.0, h))
         )
         return nx * ny + 2 * nz * (nx + ny)
 
@@ -102,9 +102,9 @@ class BeaconDomain:
         # along x), rounded to 1e-9 m, with repeats dropped after their first.
         w, d, h = self.room_dims
         res = self.grid_resolution
-        xs = np.round(_grid(0.0, w, res), 9)
-        ys = np.round(_grid(0.0, d, res), 9)
-        zs = np.round(_grid(h / 2.0, h, res), 9)[:, None, None]
+        xs = np.round(_inclusive_arange(0.0, w, res), 9)
+        ys = np.round(_inclusive_arange(0.0, d, res), 9)
+        zs = np.round(_inclusive_arange(h / 2.0, h, res), 9)[:, None, None]
         ceiling = np.stack(np.broadcast_arrays(xs[:, None], ys, round(h, 9)), axis=-1)
         x_walls = np.stack(np.broadcast_arrays([0.0, round(w, 9)], ys[:, None], zs), axis=-1)
         y_walls = np.stack(np.broadcast_arrays(xs[:, None], [0.0, round(d, 9)], zs), axis=-1)
@@ -120,14 +120,6 @@ class BeaconDomain:
     def on_ceiling(self, points: np.ndarray) -> np.ndarray:
         return np.isclose(np.atleast_2d(points)[:, 2], self.room_dims[2])
 
-
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    return lo + step * np.arange(_grid_size(lo, hi, step))
-
-
-def _grid_size(lo: float, hi: float, step: float) -> int:
-    # the cap keeps the count finite for any positive step
-    return int(math.floor(min((hi - lo) / step, 2.0**62) + 1e-9)) + 1
 
 
 @dataclass(frozen=True)

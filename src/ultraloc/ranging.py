@@ -35,7 +35,7 @@ import numpy as np
 
 from .channel import SPEED_OF_SOUND
 from .errors import NoPeakError
-from .waveform import HopPlan, SampledSignal, WaveformConfig, hop_carrier
+from .waveform import SampledSignal, WaveformConfig, hop_carrier
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity, as arrays have no single truth value
@@ -65,15 +65,13 @@ def despread(
     """Multiply each chip interval of the received signal by its code chip.
 
     The chip grid starts at sample 0 of the received signal (the shared
-    receiver clock). A trailing partial symbol is dropped and flagged.
+    receiver clock). A trailing partial symbol is dropped and flagged. A
+    code whose chips do not split a symbol into whole samples raises
+    ChipAlignmentError.
     """
     code_row = np.asarray(code_row, dtype=np.int64)
+    chip_len = config.samples_per_chip(code_row.size)
     sps = config.samples_per_symbol
-    if sps % code_row.size != 0:
-        raise ValueError(
-            f"code length {code_row.size} does not divide {sps} samples/symbol"
-        )
-    chip_len = sps // code_row.size
     samples = received.samples
     n_whole = (samples.size // sps) * sps
     truncated = n_whole != samples.size
@@ -195,7 +193,7 @@ def estimate_ranges(
     Raises:
         NoPeakError: If the received signal is identically zero.
     """
-    if not np.any(received.samples):
+    if not received.samples.any():
         raise NoPeakError("received signal is all zeros; no correlation peak")
     # cross_correlate returns a fresh array, so its magnitude is taken in place
     magnitude = np.atleast_2d(cross_correlate(received, references))
@@ -211,23 +209,24 @@ def estimate_ranges(
 def decode_bits(
     received: SampledSignal,
     code_row: np.ndarray,
-    plan: HopPlan,
+    hops: np.ndarray,
     config: WaveformConfig,
 ) -> np.ndarray:
     """Recover one beacon's data bits from a time-aligned composite signal.
 
     Despreads with the beacon's code, demodulates each symbol against the
-    known hopped carrier, and slices the sign of the integral. Walsh
-    orthogonality cancels the other beacons' contributions per symbol.
-    Only the plan's symbols are decoded: a received signal runs on past
-    the burst (a channel's delays and echoes lengthen it), and a short
-    one gives the whole symbols it holds.
+    known hopped carrier (hop indices hops over the config's bank), and
+    slices the sign of the integral. Walsh orthogonality cancels the other
+    beacons' contributions per symbol. Only the hopped symbols are
+    decoded: a received signal runs on past the burst (a channel's delays
+    and echoes lengthen it), and a short one gives the whole symbols it
+    holds.
     """
     result = despread(received, code_row, config)
     y = result.signal.samples
     sps = config.samples_per_symbol
-    n_symbols = min(y.size // sps, plan.hop_sequence.size)
-    carrier = hop_carrier(plan, config.sample_rate, sps, n_symbols)
+    n_symbols = min(y.size // sps, len(hops))
+    carrier = hop_carrier(config, hops, n_symbols)
     per_symbol = (y[: n_symbols * sps] * carrier).reshape(n_symbols, sps).sum(axis=1)
     bits = np.where(per_symbol >= 0, 1, -1).astype(np.int64)
     return bits

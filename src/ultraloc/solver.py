@@ -39,7 +39,7 @@ def trilaterate(beacons: BeaconLayout, ranges: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected {positions.shape[0]} ranges, got shape {d.shape}"
         )
-    if np.any(d < 0):
+    if (d < 0).any():
         raise ValueError("ranges must be nonnegative")
     if not beacons.spans_3d:
         raise SingularGeometryError(

@@ -61,19 +61,20 @@ def _gauss_newton(layout, ranges, x0, iters=50):
 
 def test_criterion_1_walsh_orthogonality_and_despreading():
     t0 = time.perf_counter()
-    walsh = wf.walsh_hadamard(4)
-    gram = walsh.rows @ walsh.rows.T
+    walsh = wf.walsh_rows(4, 4)
+    gram = walsh @ walsh.T
     orthogonal = np.array_equal(gram, 4 * np.eye(4, dtype=np.int64))
 
     rng = np.random.default_rng(20)
-    plan = wf.random_hop_plan(32, seed=77)
-    config = wf.WaveformConfig(data_bits=wf.random_data_bits((4, 32), rng))
-    signals = wf.generate_tx_signals(config, plan, walsh.rows[:4])
+    hops = wf.random_hop_plan(32, seed=77)
+    config = wf.WaveformConfig()
+    bits = wf.random_data_bits((4, 32), rng)
+    signals = wf.generate_tx_signals(config, hops, walsh[:4], bits)
     composite = wf.SampledSignal(samples=signals.samples.sum(axis=0), sample_rate=FS)
     bit_errors = 0
     for i in range(4):
-        decoded = rg.decode_bits(composite, walsh.row(i), plan, config)
-        bit_errors += int(np.sum(decoded != config.data_bits[i]))
+        decoded = rg.decode_bits(composite, walsh[i], hops, config)
+        bit_errors += int(np.sum(decoded != bits[i]))
     elapsed = time.perf_counter() - t0
     _report(
         1,
@@ -86,7 +87,8 @@ def test_criterion_1_walsh_orthogonality_and_despreading():
 def test_criterion_2_ranging_quantization_floor():
     t0 = time.perf_counter()
     tol = 2.0 * C / FS  # about 2.02 mm
-    walsh = wf.walsh_hadamard(4)
+    walsh = wf.walsh_rows(4, 4)
+    config = wf.WaveformConfig()
     beacon0 = np.array([0.05, 0.05, 0.05])
     direction = np.array([4.4, 4.4, 3.35])
     direction /= np.linalg.norm(direction)
@@ -98,9 +100,8 @@ def test_criterion_2_ranging_quantization_floor():
     worst = 0.0
     for k, dist in enumerate(distances):
         scene = Scene(ROOM, layout, beacon0 + dist * direction)
-        plan = wf.random_hop_plan(32, seed=1000 + k)
-        config = wf.WaveformConfig(data_bits=wf.random_data_bits(32, rng))
-        tx0 = wf.generate_tx_signals(config, plan, walsh.row(0))
+        hops = wf.random_hop_plan(32, seed=1000 + k)
+        tx0 = wf.generate_tx_signals(config, hops, walsh[0], wf.random_data_bits(32, rng))
         tx = wf.SampledSignal(
             samples=np.vstack([tx0.samples, np.zeros((3, len(tx0)))]), sample_rate=FS
         )

@@ -26,11 +26,9 @@ def beacon0_only(sig):
 
 
 def tone_burst(n_bits=1, seed=0):
-    walsh = wf.walsh_hadamard(4)
+    config, hops = single_channel_plan(n_bits)
     bits = np.ones(n_bits, dtype=np.int64)
-    return wf.generate_tx_signals(
-        make_burst_config(bits), single_channel_plan(n_bits), walsh.row(0)
-    )
+    return wf.generate_tx_signals(config, hops, wf.walsh_rows(4, 4)[0], bits)
 
 
 class TestSceneAndLayout:
@@ -226,10 +224,9 @@ class TestApplyChannel:
         assert np.array_equal(out1.samples, out2.samples)
 
     def test_energy_conserved_without_taps_or_noise(self):
-        walsh = wf.walsh_hadamard(4)
-        plan = wf.random_hop_plan(8, seed=11)
+        hops = wf.random_hop_plan(8, seed=11)
         sigs = wf.generate_tx_signals(
-            make_burst_config(np.ones((4, 8), dtype=np.int64)), plan, walsh.rows[:4]
+            make_burst_config(), hops, wf.walsh_rows(4, 4), np.ones((4, 8), dtype=np.int64)
         )
         scene = make_scene(receiver=(1.7, 3.1, 1.2))
         out = ch.apply_channel(sigs, scene, ch.ChannelModel(snr_db=None))
@@ -323,6 +320,37 @@ class TestModelValidation:
             ch.ChannelModel(excess_delays=nan, tap_gains=np.zeros((4, 1)))
         with pytest.raises(ValueError, match="gain"):
             ch.ChannelModel(excess_delays=np.ones((4, 1)), tap_gains=nan)
+
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, -3100.0, 1000.5, -np.inf, np.nan])
+    def test_model_rejects_snr_outside_the_bound(self, snr_db):
+        with pytest.raises(ValueError, match=r"snr_db must lie in \[-1000, 1000\] dB"):
+            ch.ChannelModel(snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", [-ch.MAX_DB, ch.MAX_DB])
+    def test_snr_at_the_bound_gives_finite_noise(self, snr_db):
+        # 10**(snr_db / 10) neither overflows nor underflows at the bound
+        tx = beacon0_only(tone_burst(n_bits=2))
+        model = ch.ChannelModel(snr_db=snr_db, rng_seed=3)
+        out = ch.apply_channel(tx, make_scene(), model)
+        assert np.isfinite(out.samples).all() and out.samples.any()
+
+    def test_model_takes_none_and_inf_as_noiseless(self):
+        tx = beacon0_only(tone_burst())
+        quiet = ch.apply_channel(tx, make_scene(), ch.ChannelModel(snr_db=None))
+        inf = ch.apply_channel(tx, make_scene(), ch.ChannelModel(snr_db=np.inf))
+        assert np.array_equal(quiet.samples, inf.samples)
+
+    @pytest.mark.parametrize("first_tap_db", [4000.0, -1000.5, np.nan])
+    def test_multipath_rejects_first_tap_level_outside_the_bound(self, first_tap_db):
+        with pytest.raises(ValueError, match=r"first_tap_db must lie in \[-1000, 1000\] dB"):
+            ch.sample_multipath(np.random.default_rng(0), first_tap_db=first_tap_db)
+
+    def test_multipath_rejects_taps_that_do_not_fit(self):
+        with pytest.raises(
+            ValueError,
+            match=r"40 taps spaced 0\.0003 s apart do not fit the excess delay range \[0\.003, 0\.012\] s",
+        ):
+            ch.sample_multipath(np.random.default_rng(0), n_taps=40)
 
     def test_model_rejects_bad_speed(self):
         with pytest.raises(ValueError):
@@ -443,13 +471,13 @@ class TestChannelBitIdentity:
 
     @pytest.mark.parametrize("snr_db", [None, 30.0, 15.0, 0.0, -15.0])
     def test_channel_and_noise_match_old_expression(self, snr_db):
-        walsh = wf.walsh_hadamard(4)
+        walsh = wf.walsh_rows(4, 4)
         scene = make_scene(receiver=(3.1, 1.4, 1.1))
         for seed in range(4):
             rng = np.random.default_rng(seed)
-            plan = wf.random_hop_plan(8, seed=seed)
+            hops = wf.random_hop_plan(8, seed=seed)
             bits = wf.random_data_bits((4, 8), rng)
-            tx = wf.generate_tx_signals(make_burst_config(bits), plan, walsh.rows)
+            tx = wf.generate_tx_signals(make_burst_config(), hops, walsh, bits)
             delays, gains = ch.sample_multipath(rng)
             model = ch.ChannelModel(delays, gains, snr_db=snr_db, rng_seed=seed + 40)
             out = ch.apply_channel(tx, scene, model).samples

@@ -313,6 +313,11 @@ class TestErrorPaths:
             "[run]\ntrajectory_waypoints = 0\n",
             "[run]\nseed = -1\n",
             "[channel]\nexcess_delay_min = 1e-20\nexcess_delay_max = 1e-19\ntaps_per_beacon = 1\n",
+            "[channel]\nsnr_db = 4000\n",
+            "[channel]\nsnr_db = -4000\n",
+            "[channel]\nsnr_db = -3100\n",
+            "[run]\nsnr_list = 0, -4000\n",
+            "[channel]\nfirst_tap_db = 4000\n",
         ],
         ids=[
             "fix_spacing",
@@ -339,6 +344,11 @@ class TestErrorPaths:
             "trajectory_waypoints",
             "seed",
             "excess_delay_below_one_sample",
+            "snr_db_overflows",
+            "snr_db_underflows",
+            "snr_db_infinite_noise",
+            "snr_list_entry",
+            "first_tap_db_overflows",
         ],
     )
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, ini):
@@ -351,6 +361,32 @@ class TestErrorPaths:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, ini, message",
+        [
+            ("simulate", "[channel]\nsnr_db = 4000\n", "[channel] snr_db must lie in [-1000, 1000] dB, got 4000"),
+            ("simulate", "[channel]\nsnr_db = -4000\n", "[channel] snr_db must lie in [-1000, 1000] dB, got -4000"),
+            ("simulate", "[channel]\nsnr_db = -3100\n", "[channel] snr_db must lie in [-1000, 1000] dB, got -3100"),
+            (
+                "sweep",
+                "[run]\nsnr_list = 0, -4000\n",
+                "[run] snr_list: snr_db must lie in [-1000, 1000] dB, got -4000",
+            ),
+        ],
+        ids=["overflow", "underflow", "infinite_noise", "sweep_entry"],
+    )
+    def test_extreme_snr_is_one_error_line_naming_its_key(self, tmp_path, capsys, command, ini, message):
+        # noise powers of 10**(snr_db / 10) that overflow or reach zero are
+        # config errors, not a traceback from the first trial
+        bad = tmp_path / "s.ini"
+        bad.write_text(ini)
+        code = run_cli(command, "--config", str(bad), "--trials", "2", "--out", str(tmp_path / "out"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {bad}: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "ini",

@@ -32,18 +32,28 @@ def fast_problem(**overrides):
     return placement.PlacementProblem(**defaults)
 
 
+def old_grid_size(lo, hi, step):
+    """The floor rule BeaconDomain counted an axis with before it shared
+    the drone domain's rule."""
+    return int(math.floor(min((hi - lo) / step, 2.0**62) + 1e-9)) + 1
+
+
+def old_grid(lo, hi, step):
+    return lo + step * np.arange(old_grid_size(lo, hi, step))
+
+
 def point_loop_lattice(dom):
     """The per-point loop BeaconDomain's lattice replaced: each point in
     loop order, rounded with round(), the first of any repeat kept."""
     w, d, h = dom.room_dims
     res = dom.grid_resolution
-    xs = placement._grid(0.0, w, res)
-    ys = placement._grid(0.0, d, res)
+    xs = old_grid(0.0, w, res)
+    ys = old_grid(0.0, d, res)
     seen = {}
     for x in xs:
         for y in ys:
             seen[(round(x, 9), round(y, 9), round(h, 9))] = None
-    for z in placement._grid(h / 2.0, h, res):
+    for z in old_grid(h / 2.0, h, res):
         for y in ys:
             seen[(0.0, round(y, 9), round(z, 9))] = None
             seen[(round(w, 9), round(y, 9), round(z, 9))] = None
@@ -64,6 +74,17 @@ class TestBeaconDomain:
         np.testing.assert_array_equal(got, want)
         # same order and the same bits, sign of zero included
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("room", [(5.0, 5.0, 4.0), (6.3, 4.1, 3.3), (7.7, 2.9, 5.1)])
+    def test_size_and_candidates_match_the_old_grid_rule(self, room):
+        w, d, h = room
+        for step in np.linspace(0.001, 2.0, 2000):
+            dom = placement.BeaconDomain(room_dims=room, grid_resolution=step)
+            nx, ny, nz = (old_grid_size(lo, hi, step) for lo, hi in ((0.0, w), (0.0, d), (h / 2.0, h)))
+            assert dom.size == nx * ny + 2 * nz * (nx + ny)
+        for step in np.linspace(0.1, 2.0, 40):  # coarse enough to build point by point
+            dom = placement.BeaconDomain(room_dims=room, grid_resolution=step)
+            assert dom.candidates().tobytes() == point_loop_lattice(dom).tobytes()
 
     def test_candidates_on_allowed_planes(self):
         dom = placement.BeaconDomain()

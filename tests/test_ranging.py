@@ -10,7 +10,7 @@ from scipy import signal as sp_signal
 from ultraloc import channel as ch
 from ultraloc import ranging as rg
 from ultraloc import waveform as wf
-from ultraloc.errors import NoPeakError
+from ultraloc.errors import ChipAlignmentError, NoPeakError
 
 from conftest import make_burst_config
 
@@ -18,13 +18,16 @@ FS = wf.SAMPLE_RATE
 C = 343.0
 
 
+CONFIG = make_burst_config()
+
+
 def coded_burst(walsh, row_index, bits=None, n_bits=16, seed=0, plan_seed=10):
+    """(bits, hops, burst) of one beacon under the default config."""
     rng = np.random.default_rng(seed)
     if bits is None:
         bits = wf.random_data_bits(n_bits, rng)
-    plan = wf.random_hop_plan(len(bits), seed=plan_seed)
-    config = make_burst_config(bits)
-    return config, plan, wf.generate_tx_signals(config, plan, walsh.row(row_index))
+    hops = wf.random_hop_plan(len(bits), seed=plan_seed)
+    return bits, hops, wf.generate_tx_signals(CONFIG, hops, walsh[row_index], bits)
 
 
 def shifted(sig, n, tail=0):
@@ -38,27 +41,33 @@ class TestDespread:
     def test_recovers_uncoded_waveform(self, walsh4):
         # despreading a beacon's own signal with its own code equals the
         # same bits spread with the all-ones row
-        config, plan, sig = coded_burst(walsh4, row_index=2)
-        uncoded = wf.generate_tx_signals(config, plan, walsh4.row(0))
-        result = rg.despread(sig, walsh4.row(2), config)
+        bits, hops, sig = coded_burst(walsh4, row_index=2)
+        uncoded = wf.generate_tx_signals(CONFIG, hops, walsh4[0], bits)
+        result = rg.despread(sig, walsh4[2], CONFIG)
         assert not result.truncated
         assert np.array_equal(result.signal.samples, uncoded.samples)
 
     def test_twice_is_identity(self, walsh4):
-        config, plan, sig = coded_burst(walsh4, row_index=1)
-        once = rg.despread(sig, walsh4.row(1), config).signal
-        twice = rg.despread(once, walsh4.row(1), config).signal
+        bits, hops, sig = coded_burst(walsh4, row_index=1)
+        once = rg.despread(sig, walsh4[1], CONFIG).signal
+        twice = rg.despread(once, walsh4[1], CONFIG).signal
         assert np.array_equal(twice.samples, sig.samples)
 
     def test_flags_trailing_partial_symbol(self, walsh4):
-        config, plan, sig = coded_burst(walsh4, row_index=0, n_bits=3)
+        bits, hops, sig = coded_burst(walsh4, row_index=0, n_bits=3)
         padded = wf.SampledSignal(
             samples=np.concatenate([sig.samples, np.zeros(100)]),
             sample_rate=sig.sample_rate,
         )
-        result = rg.despread(padded, walsh4.row(0), config)
+        result = rg.despread(padded, walsh4[0], CONFIG)
         assert result.truncated
         assert len(result.signal) == len(sig)
+
+    def test_misaligned_code_is_a_chip_alignment_error(self):
+        # 680 samples a symbol do not split into three chips
+        sig = wf.SampledSignal(samples=np.ones(680), sample_rate=FS)
+        with pytest.raises(ChipAlignmentError, match="680 samples/symbol not divisible by code length 3"):
+            rg.despread(sig, np.array([1, -1, 1]), CONFIG)
 
     def test_cross_beacon_chip_sums_vanish(self, walsh4):
         # per symbol, a foreign beacon's chips despread to exact zero sum
@@ -66,8 +75,8 @@ class TestDespread:
             for j in range(4):
                 if i == j:
                     continue
-                chips_j = wf.encode_symbol(1, walsh4.row(j))
-                despread_chips = chips_j * walsh4.row(i)
+                chips_j = wf.encode_symbol(1, walsh4[j])
+                despread_chips = chips_j * walsh4[i]
                 assert despread_chips.sum() == 0
 
     def test_wrong_code_correlation_suppressed(self, walsh4):
@@ -76,14 +85,14 @@ class TestDespread:
         # matters, which is why ranging correlates against the coded
         # reference instead of despreading at a guessed grid
         rng = np.random.default_rng(11)
-        plan = wf.random_hop_plan(32, seed=5)
+        hops = wf.random_hop_plan(32, seed=5)
         for i in range(4):
-            config = make_burst_config(wf.random_data_bits(32, rng))
-            sig = wf.generate_tx_signals(config, plan, walsh4.row(i))
-            uncoded = wf.generate_tx_signals(config, plan, walsh4.row(0))
+            bits = wf.random_data_bits(32, rng)
+            sig = wf.generate_tx_signals(CONFIG, hops, walsh4[i], bits)
+            uncoded = wf.generate_tx_signals(CONFIG, hops, walsh4[0], bits)
             matched = np.abs(
                 rg.cross_correlate(
-                    rg.despread(sig, walsh4.row(i), config).signal, uncoded
+                    rg.despread(sig, walsh4[i], CONFIG).signal, uncoded
                 )
             ).max()
             for j in range(4):
@@ -91,7 +100,7 @@ class TestDespread:
                     continue
                 wrong = np.abs(
                     rg.cross_correlate(
-                        rg.despread(sig, walsh4.row(j), config).signal, uncoded
+                        rg.despread(sig, walsh4[j], CONFIG).signal, uncoded
                     )
                 ).max()
                 assert wrong < 0.3 * matched
@@ -187,12 +196,12 @@ class TestStackedCrossCorrelate:
 def channel_composite(seed, snr_db):
     """Four default bursts through multipath and AWGN at a random position."""
     rng = np.random.default_rng([seed, 77])
-    walsh = wf.walsh_hadamard(4)
+    walsh = wf.walsh_rows(4, 4)
     position = rng.uniform([0.5, 0.5, 0.5], [4.5, 4.5, 3.0])
     scene = ch.Scene(ch.ROOM_DIMS, ch.ORIGINAL_LAYOUT, position)
-    plan = wf.random_hop_plan(wf.BURST_BITS, seed=int(rng.integers(2**31)))
-    config = make_burst_config(wf.random_data_bits((4, wf.BURST_BITS), rng))
-    refs = wf.generate_tx_signals(config, plan, walsh.rows[:4])
+    hops = wf.random_hop_plan(wf.BURST_BITS, seed=int(rng.integers(2**31)))
+    bits = wf.random_data_bits((4, wf.BURST_BITS), rng)
+    refs = wf.generate_tx_signals(CONFIG, hops, walsh[:4], bits)
     delays, gains = ch.sample_multipath(rng)
     model = ch.ChannelModel(
         excess_delays=delays,
@@ -220,9 +229,9 @@ class TestEstimateRanges:
 
     def test_agrees_with_single_beacon_estimate(self, walsh4):
         rng = np.random.default_rng(8)
-        plan = wf.random_hop_plan(16, seed=3)
-        config = make_burst_config(wf.random_data_bits((4, 16), rng))
-        refs = wf.generate_tx_signals(config, plan, walsh4.rows[:4])
+        hops = wf.random_hop_plan(16, seed=3)
+        bits = wf.random_data_bits((4, 16), rng)
+        refs = wf.generate_tx_signals(CONFIG, hops, walsh4[:4], bits)
         received = wf.SampledSignal(
             samples=np.sum(
                 [
@@ -381,69 +390,69 @@ class TestFastLength:
         assert np.array_equal(corr, scipy_correlation(received, refs))
 
 
-def estimate_one(received, config, plan, code_row):
+def estimate_one(received, bits, hops, code_row):
     """Range one beacon, its burst a one-row reference: (distance, peak sample)."""
-    reference = wf.generate_tx_signals(config, plan, code_row)
+    reference = wf.generate_tx_signals(CONFIG, hops, code_row, bits)
     estimates = rg.estimate_ranges(received, reference, C)
     return estimates.distances[0], estimates.peak_samples[0]
 
 
 class TestEstimateRange:
     def test_known_distance_within_one_sample(self, walsh4):
-        config, plan, sig = coded_burst(walsh4, row_index=1)
+        bits, hops, sig = coded_burst(walsh4, row_index=1)
         true_distance = 3.43
         delay = int(round(true_distance / C * FS))
         received = shifted(sig, delay, tail=100)
-        distance, peak = estimate_one(received, config, plan, walsh4.row(1))
+        distance, peak = estimate_one(received, bits, hops, walsh4[1])
         assert abs(distance - true_distance) <= C / FS
         assert peak == delay
 
     def test_zero_delay_loopback(self, walsh4):
-        config, plan, sig = coded_burst(walsh4, row_index=0)
-        distance, peak = estimate_one(sig, config, plan, walsh4.row(0))
+        bits, hops, sig = coded_burst(walsh4, row_index=0)
+        distance, peak = estimate_one(sig, bits, hops, walsh4[0])
         assert distance == 0.0
         assert peak == 0
 
     def test_peak_sample_tracks_delay_exactly(self, walsh4):
-        config, plan, sig = coded_burst(walsh4, row_index=3)
-        _, base = estimate_one(shifted(sig, 300, tail=800), config, plan, walsh4.row(3))
+        bits, hops, sig = coded_burst(walsh4, row_index=3)
+        _, base = estimate_one(shifted(sig, 300, tail=800), bits, hops, walsh4[3])
         for extra in (1, 17, 500):
             _, more = estimate_one(
-                shifted(sig, 300 + extra, tail=800 - extra), config, plan, walsh4.row(3)
+                shifted(sig, 300 + extra, tail=800 - extra), bits, hops, walsh4[3]
             )
             assert more == base + extra
 
     def test_distance_identity(self, walsh4):
-        config, plan, sig = coded_burst(walsh4, row_index=2)
-        distance, peak = estimate_one(shifted(sig, 777), config, plan, walsh4.row(2))
+        bits, hops, sig = coded_burst(walsh4, row_index=2)
+        distance, peak = estimate_one(shifted(sig, 777), bits, hops, walsh4[2])
         assert distance == pytest.approx(peak / FS * C, rel=1e-15)
 
     def test_all_zero_signal_raises(self, walsh4):
-        config, plan, sig = coded_burst(walsh4, 0, n_bits=2)
+        bits, hops, sig = coded_burst(walsh4, 0, n_bits=2)
         zeros = wf.SampledSignal(samples=np.zeros(len(sig) + 10), sample_rate=FS)
         with pytest.raises(NoPeakError):
-            estimate_one(zeros, config, plan, walsh4.row(0))
+            estimate_one(zeros, bits, hops, walsh4[0])
 
 
 class TestDecodeBits:
     def test_single_beacon_loopback(self, walsh4):
-        config, plan, sig = coded_burst(walsh4, row_index=2, seed=3)
-        bits = rg.decode_bits(sig, walsh4.row(2), plan, config)
-        assert np.array_equal(bits, config.data_bits)
+        bits, hops, sig = coded_burst(walsh4, row_index=2, seed=3)
+        decoded = rg.decode_bits(sig, walsh4[2], hops, CONFIG)
+        assert np.array_equal(decoded, bits)
 
     def test_zero_tail_past_the_plan_is_ignored(self, walsh4):
         # a channel's output runs on past the burst; only the plan's symbols decode
-        config, plan, sig = coded_burst(walsh4, row_index=1, n_bits=8, seed=4)
-        padded = shifted(sig, 0, tail=6 * config.samples_per_symbol + 17)
-        bits = rg.decode_bits(padded, walsh4.row(1), plan, config)
-        assert np.array_equal(bits, config.data_bits)
+        bits, hops, sig = coded_burst(walsh4, row_index=1, n_bits=8, seed=4)
+        padded = shifted(sig, 0, tail=6 * CONFIG.samples_per_symbol + 17)
+        decoded = rg.decode_bits(padded, walsh4[1], hops, CONFIG)
+        assert np.array_equal(decoded, bits)
 
     def test_four_beacon_composite_zero_errors(self, walsh4):
         rng = np.random.default_rng(9)
-        plan = wf.random_hop_plan(32, seed=42)
-        config = make_burst_config(wf.random_data_bits((4, 32), rng))
-        sigs = wf.generate_tx_signals(config, plan, walsh4.rows[:4])
+        hops = wf.random_hop_plan(32, seed=42)
+        bits = wf.random_data_bits((4, 32), rng)
+        sigs = wf.generate_tx_signals(CONFIG, hops, walsh4[:4], bits)
         composite = wf.SampledSignal(samples=sigs.samples.sum(axis=0), sample_rate=FS)
         for i in range(4):
-            decoded = rg.decode_bits(composite, walsh4.row(i), plan, config)
-            assert np.array_equal(decoded, config.data_bits[i])
+            decoded = rg.decode_bits(composite, walsh4[i], hops, CONFIG)
+            assert np.array_equal(decoded, bits[i])
