@@ -16,6 +16,7 @@ from .channel import (
     ORIGINAL_LAYOUT,
     SPEED_OF_SOUND,
     BeaconLayout,
+    ChannelConfig,
     ChannelModel,
     Scene,
     apply_channel,

@@ -2,8 +2,10 @@
 
 Sums the four beacon signals at the receiver with their direct-path
 delays, adds Rayleigh-faded multipath taps per beacon, and injects white
-Gaussian noise at a prescribed SNR. Everything is deterministic given the
-model's RNG seed.
+Gaussian noise at a prescribed SNR. ChannelConfig, the [channel] config
+section, describes the channel; a fix's ChannelModel carries it with the
+taps sample_multipath draws from it and a noise seed. Everything is
+deterministic given the model's RNG seed.
 """
 
 from __future__ import annotations
@@ -131,30 +133,71 @@ class Scene:
         object.__setattr__(self, "receiver_position", rx)
 
 
-@dataclass(frozen=True, eq=False)  # compared by identity, as arrays have no single truth value
-class ChannelModel:
-    """Per-beacon multipath taps plus the AWGN level.
+@dataclass(frozen=True)
+class ChannelConfig:
+    """The [channel] section: the SNR in dB (None is noiseless, and +inf
+    is stored as None), multipath taps per beacon with their excess-delay
+    range (s), the first tap's mean power (dB) and its decay time (s), the
+    speed of sound (m/s) and whether each beacon's row is divided by its
+    path length (at least 1 m). Every rule on these values is stated
+    here, once."""
 
-    Row i of excess_delays and tap_gains holds beacon i's reflected paths:
-    delays beyond beacon i's own direct path (s, positive, so no tap
-    arrives at or before it) and amplitude gains (|g| < 1), both float
-    (4, n_taps) arrays, stored as read-only copies. snr_db of None (or
-    +inf) disables noise; any other value must lie within MAX_DB of 0 dB. The seed makes the noise realization
-    reproducible; the taps are carried explicitly so a trial's channel is
-    fully pinned down by this object.
-    """
-
-    excess_delays: np.ndarray = field(default_factory=lambda: np.zeros((4, 0)))
-    tap_gains: np.ndarray = field(default_factory=lambda: np.zeros((4, 0)))
-    snr_db: float | None = None
+    snr_db: float | None = 15.0
+    taps_per_beacon: int = N_TAPS
+    excess_delay_min: float = EXCESS_DELAY_RANGE[0]
+    excess_delay_max: float = EXCESS_DELAY_RANGE[1]
+    first_tap_db: float = FIRST_TAP_DB
+    decay_time: float = TAP_DECAY_TIME
     speed_of_sound: float = SPEED_OF_SOUND
-    rng_seed: int = 0
+    distance_attenuation: bool = False
 
     def __post_init__(self):
         if self.speed_of_sound <= 0:
             raise ValueError("speed of sound must be positive")
-        if self.snr_db is not None and self.snr_db != math.inf:
+        if self.snr_db == math.inf:
+            object.__setattr__(self, "snr_db", None)  # one spelling of noiseless
+        if self.snr_db is not None:
             _check_db("snr_db", self.snr_db)
+        if self.taps_per_beacon < 0:
+            raise ValueError("taps_per_beacon must be non-negative")
+        if self.decay_time <= 0:
+            raise ValueError("decay_time must be positive")
+        lo, hi, n = self.excess_delay_min, self.excess_delay_max, self.taps_per_beacon
+        if not 0 < lo < hi:
+            raise ValueError("excess delay range must satisfy 0 < min < max")
+        if MIN_TAP_SPACING * (n - 1) >= hi - lo:
+            raise ValueError(
+                f"{n} taps spaced {MIN_TAP_SPACING} s apart do not fit the excess delay range "
+                f"[{lo}, {hi}] s"
+            )
+        _check_db("first_tap_db", self.first_tap_db)
+
+
+def _check_db(name: str, level: float) -> None:
+    if not -MAX_DB <= level <= MAX_DB:  # NaN fails too
+        raise ValueError(f"{name} must lie in [{-MAX_DB:g}, {MAX_DB:g}] dB, got {level:g}")
+
+
+@dataclass(frozen=True, eq=False)  # compared by identity, as arrays have no single truth value
+class ChannelModel:
+    """One fix's channel: its [channel] config and the realization drawn
+    from it.
+
+    Row i of excess_delays and tap_gains holds beacon i's reflected paths:
+    delays beyond beacon i's own direct path (s, positive, so no tap
+    arrives at or before it) and amplitude gains (|g| < 1), both float
+    (4, n_taps) arrays, stored as read-only copies. The seed makes the
+    noise realization reproducible; the taps are carried explicitly so a
+    trial's channel is fully pinned down by this object. The default is a
+    noiseless channel without taps.
+    """
+
+    config: ChannelConfig = ChannelConfig(snr_db=None)
+    excess_delays: np.ndarray = field(default_factory=lambda: np.zeros((4, 0)))
+    tap_gains: np.ndarray = field(default_factory=lambda: np.zeros((4, 0)))
+    rng_seed: int = 0
+
+    def __post_init__(self):
         delays = np.array(self.excess_delays, dtype=float)
         gains = np.array(self.tap_gains, dtype=float)
         if delays.ndim != 2 or delays.shape[0] != 4 or gains.shape != delays.shape:
@@ -180,50 +223,33 @@ def direct_delays(scene: Scene, c: float = SPEED_OF_SOUND) -> np.ndarray:
 
 
 def sample_multipath(
-    rng: np.random.Generator,
-    n_taps: int = N_TAPS,
-    excess_delay_range: tuple[float, float] = EXCESS_DELAY_RANGE,
-    first_tap_db: float = FIRST_TAP_DB,
-    decay_time: float = TAP_DECAY_TIME,
-    min_spacing: float = MIN_TAP_SPACING,
+    rng: np.random.Generator, config: ChannelConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one Rayleigh-faded multipath realization for every beacon.
 
-    Returns (excess_delays, tap_gains), each (4, n_taps), as ChannelModel
-    takes them. Excess delays are uniform over excess_delay_range with
-    pairwise spacing of at least min_spacing; the mean tap power starts
-    first_tap_db below the direct path and decays exponentially with
-    excess delay (time constant decay_time). Gain magnitudes are Rayleigh
-    draws around that profile, clipped at MAX_TAP_GAIN, with random sign.
+    Returns (excess_delays, tap_gains), each (4, config.taps_per_beacon),
+    as ChannelModel takes them. Excess delays are uniform over the
+    config's excess-delay range with pairwise spacing of at least
+    MIN_TAP_SPACING; the mean tap power starts first_tap_db below the
+    direct path and decays exponentially with excess delay (time constant
+    decay_time). Gain magnitudes are Rayleigh draws around that profile,
+    clipped at MAX_TAP_GAIN, with random sign.
     """
-    lo, hi = excess_delay_range
-    if not 0 < lo < hi:
-        raise ValueError("excess delay range must satisfy 0 < min < max")
-    if min_spacing * (n_taps - 1) >= (hi - lo):
-        raise ValueError(
-            f"{n_taps} taps spaced {min_spacing} s apart do not fit the excess delay range "
-            f"[{lo}, {hi}] s"
-        )
-    _check_db("first_tap_db", first_tap_db)
-    p0 = 10.0 ** (first_tap_db / 10.0)
+    lo, hi, n_taps = config.excess_delay_min, config.excess_delay_max, config.taps_per_beacon
+    p0 = 10.0 ** (config.first_tap_db / 10.0)
     delays = np.empty((4, n_taps))
     unit = np.empty((4, n_taps))
     picks = np.empty((4, n_taps), dtype=np.int64)
     # one beacon after another: delays, magnitudes, signs; that order fixes the stream
     for i in range(4):
-        delays[i] = _spaced_uniform(rng, lo, hi, n_taps, min_spacing)
+        delays[i] = _spaced_uniform(rng, lo, hi, n_taps, MIN_TAP_SPACING)
         unit[i] = rng.rayleigh(size=n_taps)
         picks[i] = rng.integers(0, 2, n_taps)
-    mean_power = p0 * np.exp(-(delays - lo) / decay_time)
+    mean_power = p0 * np.exp(-(delays - lo) / config.decay_time)
     # Rayleigh scale sigma gives E[g^2] = 2 sigma^2 = mean_power; numpy draws
     # rayleigh(sigma) as sigma * sqrt(2 E), so sigma * rayleigh(1.0) has its bits
     mags = np.minimum(np.sqrt(mean_power / 2.0) * unit, MAX_TAP_GAIN)
     return delays, _SIGNS[picks] * mags
-
-
-def _check_db(name: str, level: float) -> None:
-    if not -MAX_DB <= level <= MAX_DB:  # NaN fails too
-        raise ValueError(f"{name} must lie in [{-MAX_DB:g}, {MAX_DB:g}] dB, got {level:g}")
 
 
 def _spaced_uniform(
@@ -236,7 +262,7 @@ def _spaced_uniform(
     range [lo, hi - (n-1)*min_spacing] and shift the k-th by
     k*min_spacing: that translation maps the shrunk ordered simplex onto
     the spaced set, so it samples the same distribution as rejection.
-    The caller guarantees (n-1)*min_spacing < hi - lo.
+    ChannelConfig guarantees (n-1)*min_spacing < hi - lo.
     """
     for _ in range(1000):
         # a few taps: Python floats test the gaps faster than numpy calls do
@@ -254,9 +280,12 @@ def apply_channel(tx: SampledSignal, scene: Scene, model: ChannelModel) -> Sampl
     contributes its row delayed by the direct-path delay plus one
     attenuated copy per multipath tap, delayed by the direct-path delay
     plus the tap's excess delay; all delays are rounded to the nearest
-    sample. The output is long enough that no delayed copy is truncated.
-    White Gaussian noise is scaled so that total-signal-power /
-    noise-power equals 10^(snr_db/10).
+    sample. With the config's distance_attenuation, each row is first
+    divided by its direct path length, at least 1 m. The output is long
+    enough that no delayed copy is truncated. White Gaussian noise is
+    scaled so that total-signal-power / noise-power equals
+    10^(snr_db/10). The SNR, the speed of sound and the attenuation are
+    read from model.config.
 
     The copies are summed in place and in the order above: the direct row
     as it is, each tap through one reused term buffer. The noise is a
@@ -270,23 +299,25 @@ def apply_channel(tx: SampledSignal, scene: Scene, model: ChannelModel) -> Sampl
     """
     if tx.samples.shape[:-1] != (4,):
         raise ValueError(f"expected one burst row per beacon (4, n), got {tx.samples.shape}")
-    fs = tx.sample_rate
-    tau0 = direct_delays(scene, model.speed_of_sound)
+    cfg, fs, rows = model.config, tx.sample_rate, tx.samples
+    tau0 = direct_delays(scene, cfg.speed_of_sound)
+    if cfg.distance_attenuation:
+        rows = rows / np.maximum(tau0 * cfg.speed_of_sound, 1.0)[:, None]
     # per beacon row: the direct path first, then its taps in order
     delays = np.column_stack([tau0, tau0[:, None] + model.excess_delays])
     lags = np.rint(delays * fs).astype(np.int64)
     clean = np.zeros(int(lags.max()) + len(tx))
     term = np.empty(len(tx))
-    for row, (n0, *tap_lags), tap_gains in zip(tx.samples, lags.tolist(), model.tap_gains.tolist()):
+    for row, (n0, *tap_lags), tap_gains in zip(rows, lags.tolist(), model.tap_gains.tolist()):
         clean[n0 : n0 + row.size] += row
         for n, g in zip(tap_lags, tap_gains):
             np.multiply(g, row, out=term)
             clean[n : n + row.size] += term
 
     noisy = clean
-    if model.snr_db is not None and not math.isinf(model.snr_db):
+    if cfg.snr_db is not None:
         signal_power = float(np.mean(clean**2))
-        noise_power = signal_power / 10.0 ** (model.snr_db / 10.0)
+        noise_power = signal_power / 10.0 ** (cfg.snr_db / 10.0)
         rng = np.random.default_rng(model.rng_seed)
         # normal(0, sigma) draws the same standard normals and returns 0.0 + sigma * z
         noisy = rng.standard_normal(clean.size)

@@ -3,11 +3,12 @@
 Config files use sections [scene], [waveform], [channel], [fusion],
 [placement], [run]. A section's keys are the fields of its dataclass
 (the scene's room_dims and layout_name are spelled room and layout),
-each parsed by its annotation. The [waveform] dataclass is
-waveform.WaveformConfig, the waveform module's own parameter object; the
-others are below. Every key is optional and falls back to the field's
-default; unknown sections or keys fail loading immediately with the
-offending name in the message.
+each parsed by its annotation. The [waveform] and [channel] dataclasses
+are waveform.WaveformConfig and channel.ChannelConfig, their modules' own
+parameter objects, which state their sections' rules; the others are
+below. Every key is optional and falls back to the field's default;
+unknown sections or keys fail loading immediately with the offending
+name in the message.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -26,7 +27,7 @@ from . import channel as channel_mod
 from . import dop as dop_mod
 from . import fusion as fusion_mod
 from . import placement as placement_mod
-from .channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout, ChannelModel, Scene
+from .channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout, ChannelConfig, Scene
 from .dop import DroneDomain
 from .errors import ConfigError
 from .fusion import fuse_height
@@ -51,18 +52,6 @@ class SceneConfig:
     room_dims: tuple[float, float, float] = channel_mod.ROOM_DIMS
     layout_name: str = "original"
     layout: BeaconLayout = ORIGINAL_LAYOUT
-
-
-@dataclass(frozen=True)
-class ChannelConfigSection:
-    snr_db: float | None = 15.0
-    taps_per_beacon: int = channel_mod.N_TAPS
-    excess_delay_min: float = channel_mod.EXCESS_DELAY_RANGE[0]
-    excess_delay_max: float = channel_mod.EXCESS_DELAY_RANGE[1]
-    first_tap_db: float = channel_mod.FIRST_TAP_DB
-    decay_time: float = channel_mod.TAP_DECAY_TIME
-    speed_of_sound: float = channel_mod.SPEED_OF_SOUND
-    distance_attenuation: bool = False
 
 
 @dataclass(frozen=True)
@@ -103,7 +92,7 @@ class RunConfigSection:
 class SimConfig:
     scene: SceneConfig = field(default_factory=SceneConfig)
     waveform: WaveformConfig = field(default_factory=WaveformConfig)
-    channel: ChannelConfigSection = field(default_factory=ChannelConfigSection)
+    channel: ChannelConfig = field(default_factory=ChannelConfig)
     fusion: FusionConfigSection = field(default_factory=FusionConfigSection)
     placement: PlacementConfigSection = field(default_factory=PlacementConfigSection)
     run: RunConfigSection = field(default_factory=RunConfigSection)
@@ -309,13 +298,6 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
         fail("walsh_order must be at least 4 to separate four beacons")
     if wf.burst_bits < 1:
         fail("burst_bits must be positive")
-    ch = cfg.channel
-    if ch.taps_per_beacon < 0:
-        fail("taps_per_beacon must be non-negative")
-    if ch.decay_time <= 0:
-        fail("decay_time must be positive")
-    if ch.snr_db is not None and not math.isfinite(ch.snr_db):
-        fail("snr_db must be finite or 'none'")
     fu = cfg.fusion
     if not 0.0 <= fu.obstruction_prob <= 1.0:
         fail("obstruction_prob must be a probability")
@@ -343,20 +325,12 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
     ):
         fail("drone domain must lie strictly inside the room")
     # before any build: the received length, counting one hop draw per bit
-    flight = (ch.taps_per_beacon > 0) * ch.excess_delay_max
-    if ch.speed_of_sound > 0:  # else the channel build below rejects it
-        flight += math.hypot(*room) / ch.speed_of_sound
+    ch = cfg.channel
+    flight = (ch.taps_per_beacon > 0) * ch.excess_delay_max + math.hypot(*room) / ch.speed_of_sound
     bits = min(wf.burst_bits, sys.float_info.max)  # not every int converts to a float
     n_rx = max((flight + bits * wf.symbol_duration) * wf.sample_rate, bits)
     if n_rx > MAX_FIX_SAMPLES:
         fail(f"one fix would receive {n_rx:.4g} samples, more than the {MAX_FIX_SAMPLES} allowed")
-
-    def channel() -> None:
-        delay_range = (ch.excess_delay_min, ch.excess_delay_max)
-        taps = channel_mod.sample_multipath(
-            np.random.default_rng(0), ch.taps_per_beacon, delay_range, ch.first_tap_db, ch.decay_time
-        )
-        ChannelModel(*taps, snr_db=ch.snr_db, speed_of_sound=ch.speed_of_sound)
 
     def scene() -> None:
         centre = [(lo + hi) / 2.0 for lo, hi in (rn.domain_x, rn.domain_y, rn.domain_z)]
@@ -364,9 +338,8 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
 
     for where, build in (
         ("[waveform]", lambda: wf.bursts(0, np.ones((1, 1), dtype=np.int64))),
-        ("[channel]", channel),
         # a sweep runs the channel at each listed SNR in turn
-        ("[run] snr_list:", lambda: [ChannelModel(snr_db=snr) for snr in rn.snr_list]),
+        ("[run] snr_list:", lambda: [replace(ch, snr_db=snr) for snr in rn.snr_list]),
         ("[fusion]", lambda: fuse_height(0.0, 0.0, fu.w1)),
         ("[run]", cfg.drone_domain),
         ("[scene]", scene),

@@ -32,13 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (
-    ChannelModel,
-    Scene,
-    apply_channel,
-    direct_delays,
-    sample_multipath,
-)
+from .channel import ChannelModel, Scene, apply_channel, sample_multipath
 from .config import SimConfig
 from .dop import DroneDomain, dop_components
 from .errors import ConfigError, UltralocError
@@ -156,30 +150,11 @@ def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> Tr
         beacons=config.scene.layout,
         receiver_position=true_position,
     )
-    # the plan seed is drawn before the data bits; the unscaled bursts
-    # double as the receiver's matched-filter references
+    # the plan seed is drawn before the data bits, the taps before the noise
+    # seed; the bursts, unscaled, double as the matched-filter references
     references = wf.bursts(int(rng.integers(2**31)), random_data_bits((4, wf.burst_bits), rng))
-    tx = references
-    if ch.distance_attenuation:
-        c = ch.speed_of_sound
-        divisors = np.maximum(direct_delays(scene, c) * c, 1.0)
-        tx = replace(references, samples=references.samples / divisors[:, None])
-
-    excess_delays, tap_gains = sample_multipath(
-        rng,
-        n_taps=ch.taps_per_beacon,
-        excess_delay_range=(ch.excess_delay_min, ch.excess_delay_max),
-        first_tap_db=ch.first_tap_db,
-        decay_time=ch.decay_time,
-    )
-    model = ChannelModel(
-        excess_delays=excess_delays,
-        tap_gains=tap_gains,
-        snr_db=ch.snr_db,
-        speed_of_sound=ch.speed_of_sound,
-        rng_seed=int(rng.integers(2**31)),
-    )
-    received = apply_channel(tx, scene, model)
+    model = ChannelModel(ch, *sample_multipath(rng, ch), rng_seed=int(rng.integers(2**31)))
+    received = apply_channel(references, scene, model)
 
     estimates = estimate_ranges(received, references, ch.speed_of_sound)
     ranges = estimates.distances

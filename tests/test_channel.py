@@ -8,6 +8,8 @@ from conftest import make_burst_config, single_channel_plan
 
 FS = wf.SAMPLE_RATE
 C = ch.SPEED_OF_SOUND
+NOISELESS = ch.ChannelConfig(snr_db=None)
+DEFAULT = ch.ChannelConfig()
 
 
 def make_scene(receiver=(2.5, 2.5, 1.5), layout=None):
@@ -163,7 +165,7 @@ class TestApplyChannel:
     def test_pure_delay_shifts_and_zero_pads(self):
         sig = tone_burst()
         scene = self._delay_scene(500)
-        model = ch.ChannelModel(snr_db=None)
+        model = ch.ChannelModel(NOISELESS)
         out = ch.apply_channel(beacon0_only(sig), scene, model)
         assert np.array_equal(out.samples[:500], np.zeros(500))
         np.testing.assert_allclose(out.samples[500 : 500 + len(sig)], sig.samples, atol=1e-12)
@@ -172,10 +174,9 @@ class TestApplyChannel:
         rng = np.random.default_rng(0)
         long_sig = wf.SampledSignal(samples=rng.normal(0, 1, 200_000), sample_rate=FS)
         scene = self._delay_scene(100)
-        clean = ch.apply_channel(beacon0_only(long_sig), scene, ch.ChannelModel(snr_db=None))
-        noisy = ch.apply_channel(
-            beacon0_only(long_sig), scene, ch.ChannelModel(snr_db=10.0, rng_seed=5)
-        )
+        clean = ch.apply_channel(beacon0_only(long_sig), scene, ch.ChannelModel(NOISELESS))
+        model = ch.ChannelModel(ch.ChannelConfig(snr_db=10.0), rng_seed=5)
+        noisy = ch.apply_channel(beacon0_only(long_sig), scene, model)
         noise = noisy.samples - clean.samples
         signal_power = np.mean(clean.samples**2)
         assert np.mean(noise**2) == pytest.approx(signal_power / 10.0, rel=0.05)
@@ -188,7 +189,7 @@ class TestApplyChannel:
         tau0 = ch.direct_delays(scene)[0]
         # every beacon has one tap 3 ms late; only beacon 0's is audible
         gains = np.array([[0.5], [0.0], [0.0], [0.0]])
-        model = ch.ChannelModel(excess_delays=np.full((4, 1), 0.003), tap_gains=gains, snr_db=None)
+        model = ch.ChannelModel(NOISELESS, excess_delays=np.full((4, 1), 0.003), tap_gains=gains)
         out = ch.apply_channel(beacon0_only(sig), scene, model)
         n0 = int(round(tau0 * FS))
         n_tap = int(round((tau0 + 0.003) * FS))
@@ -204,8 +205,8 @@ class TestApplyChannel:
         b = wf.SampledSignal(samples=rng.normal(0, 1, 2000), sample_rate=FS)
         ab = wf.SampledSignal(samples=a.samples + b.samples, sample_rate=FS)
         scene = make_scene()
-        delays, gains = ch.sample_multipath(np.random.default_rng(1))
-        model = ch.ChannelModel(excess_delays=delays, tap_gains=gains, snr_db=None)
+        delays, gains = ch.sample_multipath(np.random.default_rng(1), DEFAULT)
+        model = ch.ChannelModel(NOISELESS, excess_delays=delays, tap_gains=gains)
         out_a = ch.apply_channel(beacon0_only(a), scene, model)
         out_b = ch.apply_channel(beacon0_only(b), scene, model)
         out_ab = ch.apply_channel(beacon0_only(ab), scene, model)
@@ -216,8 +217,9 @@ class TestApplyChannel:
     def test_determinism_same_seed(self):
         sig = tone_burst(4)
         scene = make_scene()
-        delays, gains = ch.sample_multipath(np.random.default_rng(8))
-        model = ch.ChannelModel(excess_delays=delays, tap_gains=gains, snr_db=5.0, rng_seed=123)
+        delays, gains = ch.sample_multipath(np.random.default_rng(8), DEFAULT)
+        config = ch.ChannelConfig(snr_db=5.0)
+        model = ch.ChannelModel(config, excess_delays=delays, tap_gains=gains, rng_seed=123)
         sigs = beacon0_only(sig)
         out1 = ch.apply_channel(sigs, scene, model)
         out2 = ch.apply_channel(sigs, scene, model)
@@ -229,7 +231,7 @@ class TestApplyChannel:
             make_burst_config(), hops, wf.walsh_rows(4, 4), np.ones((4, 8), dtype=np.int64)
         )
         scene = make_scene(receiver=(1.7, 3.1, 1.2))
-        out = ch.apply_channel(sigs, scene, ch.ChannelModel(snr_db=None))
+        out = ch.apply_channel(sigs, scene, ch.ChannelModel(NOISELESS))
         # distinct delays prevent cross terms from cancelling exactly, so
         # compare total output energy against the energy of each shifted
         # copy summed coherently
@@ -267,21 +269,21 @@ class TestApplyChannel:
 
 class TestSampleMultipath:
     def test_tap_properties(self):
-        excess, gains = ch.sample_multipath(np.random.default_rng(2))
+        excess, gains = ch.sample_multipath(np.random.default_rng(2), DEFAULT)
         assert excess.shape == gains.shape == (4, ch.N_TAPS)
         assert np.all(excess >= ch.EXCESS_DELAY_RANGE[0])
         assert np.all(excess <= ch.EXCESS_DELAY_RANGE[1])
         assert np.all(np.abs(gains) < 1.0)
 
     def test_deterministic_given_rng(self):
-        t1 = ch.sample_multipath(np.random.default_rng(7))
-        t2 = ch.sample_multipath(np.random.default_rng(7))
+        t1 = ch.sample_multipath(np.random.default_rng(7), DEFAULT)
+        t2 = ch.sample_multipath(np.random.default_rng(7), DEFAULT)
         assert all(np.array_equal(a, b) for a, b in zip(t1, t2))
 
     def test_mean_tap_power_below_direct(self):
         gains = []
         for seed in range(200):
-            _, tap_gains = ch.sample_multipath(np.random.default_rng(seed))
+            _, tap_gains = ch.sample_multipath(np.random.default_rng(seed), DEFAULT)
             gains.extend(tap_gains.ravel())
         mean_power = np.mean(np.square(gains))
         assert mean_power < 10.0 ** (ch.FIRST_TAP_DB / 10.0)
@@ -294,14 +296,33 @@ class TestSampleMultipath:
         # sums carry rounding of a few ulps, hence the 1e-12 s slack.
         lo, hi = ch.EXCESS_DELAY_RANGE
         for seed in range(3):
-            delays, _ = ch.sample_multipath(np.random.default_rng(seed), n_taps=n_taps)
+            config = ch.ChannelConfig(taps_per_beacon=n_taps)
+            delays, _ = ch.sample_multipath(np.random.default_rng(seed), config)
             for excess in delays:
                 assert excess.size == n_taps
                 assert np.all(excess >= lo - 1e-12) and np.all(excess <= hi + 1e-12)
                 assert np.all(np.diff(excess) >= ch.MIN_TAP_SPACING - 1e-12)
 
 
+class TestChannelConfig:
+    """The noiseless default a bare ChannelModel carries, and the
+    excess-delay range rule, checked where the section is built."""
+
+    def test_default_model_is_noiseless_without_taps(self):
+        model = ch.ChannelModel()
+        assert model.config == NOISELESS
+        assert model.excess_delays.shape == model.tap_gains.shape == (4, 0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 0.01), (-0.001, 0.01), (0.02, 0.012), (0.01, 0.01)])
+    def test_rejects_an_empty_or_nonpositive_delay_range(self, lo, hi):
+        with pytest.raises(ValueError, match="excess delay range must satisfy 0 < min < max"):
+            ch.ChannelConfig(excess_delay_min=lo, excess_delay_max=hi)
+
+
 class TestModelValidation:
+    """A model's taps are checked by ChannelModel; the SNR, first-tap level,
+    tap count and speed of sound by the ChannelConfig it carries."""
+
     def test_tap_rejects_gain_at_one(self):
         gains = np.full((4, 2), 0.5)
         gains[2, 1] = -1.0
@@ -324,37 +345,38 @@ class TestModelValidation:
     @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, -3100.0, 1000.5, -np.inf, np.nan])
     def test_model_rejects_snr_outside_the_bound(self, snr_db):
         with pytest.raises(ValueError, match=r"snr_db must lie in \[-1000, 1000\] dB"):
-            ch.ChannelModel(snr_db=snr_db)
+            ch.ChannelConfig(snr_db=snr_db)
 
     @pytest.mark.parametrize("snr_db", [-ch.MAX_DB, ch.MAX_DB])
     def test_snr_at_the_bound_gives_finite_noise(self, snr_db):
         # 10**(snr_db / 10) neither overflows nor underflows at the bound
         tx = beacon0_only(tone_burst(n_bits=2))
-        model = ch.ChannelModel(snr_db=snr_db, rng_seed=3)
+        model = ch.ChannelModel(ch.ChannelConfig(snr_db=snr_db), rng_seed=3)
         out = ch.apply_channel(tx, make_scene(), model)
         assert np.isfinite(out.samples).all() and out.samples.any()
 
     def test_model_takes_none_and_inf_as_noiseless(self):
         tx = beacon0_only(tone_burst())
-        quiet = ch.apply_channel(tx, make_scene(), ch.ChannelModel(snr_db=None))
-        inf = ch.apply_channel(tx, make_scene(), ch.ChannelModel(snr_db=np.inf))
+        assert ch.ChannelConfig(snr_db=np.inf) == NOISELESS
+        quiet = ch.apply_channel(tx, make_scene(), ch.ChannelModel(NOISELESS))
+        inf = ch.apply_channel(tx, make_scene(), ch.ChannelModel(ch.ChannelConfig(snr_db=np.inf)))
         assert np.array_equal(quiet.samples, inf.samples)
 
     @pytest.mark.parametrize("first_tap_db", [4000.0, -1000.5, np.nan])
     def test_multipath_rejects_first_tap_level_outside_the_bound(self, first_tap_db):
         with pytest.raises(ValueError, match=r"first_tap_db must lie in \[-1000, 1000\] dB"):
-            ch.sample_multipath(np.random.default_rng(0), first_tap_db=first_tap_db)
+            ch.ChannelConfig(first_tap_db=first_tap_db)
 
     def test_multipath_rejects_taps_that_do_not_fit(self):
         with pytest.raises(
             ValueError,
             match=r"40 taps spaced 0\.0003 s apart do not fit the excess delay range \[0\.003, 0\.012\] s",
         ):
-            ch.sample_multipath(np.random.default_rng(0), n_taps=40)
+            ch.ChannelConfig(taps_per_beacon=40)
 
     def test_model_rejects_bad_speed(self):
-        with pytest.raises(ValueError):
-            ch.ChannelModel(speed_of_sound=-1.0)
+        with pytest.raises(ValueError, match="speed of sound must be positive"):
+            ch.ChannelConfig(speed_of_sound=-1.0)
 
     def test_model_rejects_wrong_beacon_count(self):
         with pytest.raises(ValueError):
@@ -414,9 +436,10 @@ def old_sample_multipath(scene, rng, n_taps=ch.N_TAPS, excess_delay_range=ch.EXC
 
 
 def old_apply_channel(tx, scene, model):
-    """apply_channel with a temporary per copy and rng.normal for the noise."""
+    """apply_channel with a temporary per copy and rng.normal for the noise,
+    without distance attenuation (the harness divided the rows before)."""
     fs = tx.sample_rate
-    tau0 = ch.direct_delays(scene, model.speed_of_sound)
+    tau0 = ch.direct_delays(scene, model.config.speed_of_sound)
     delays = np.column_stack([tau0, tau0[:, None] + model.excess_delays])
     gains = np.column_stack([np.ones(4), model.tap_gains])
     lags = np.rint(delays * fs).astype(np.int64)
@@ -424,9 +447,9 @@ def old_apply_channel(tx, scene, model):
     for row, row_lags, row_gains in zip(tx.samples, lags.tolist(), gains.tolist()):
         for n, g in zip(row_lags, row_gains):
             clean[n : n + row.size] += g * row
-    if model.snr_db is None:
+    if model.config.snr_db is None:
         return clean
-    noise_power = float(np.mean(clean**2)) / 10.0 ** (model.snr_db / 10.0)
+    noise_power = float(np.mean(clean**2)) / 10.0 ** (model.config.snr_db / 10.0)
     rng = np.random.default_rng(model.rng_seed)
     return clean + rng.normal(0.0, np.sqrt(noise_power), size=clean.size)
 
@@ -443,9 +466,10 @@ class TestChannelBitIdentity:
         # in the fallback), so they run fewer seeds
         scene = make_scene(receiver=(1.2, 3.3, 0.9))
         tau0 = ch.direct_delays(scene)[:, None]
+        config = ch.ChannelConfig(taps_per_beacon=n_taps)
         for seed in range(2000 if n_taps <= 5 else 100):
             rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            excess, gains = ch.sample_multipath(rng, n_taps=n_taps)
+            excess, gains = ch.sample_multipath(rng, config)
             old_delays, old_gains = old_sample_multipath(scene, old_rng, n_taps=n_taps)
             # the absolute delays apply_channel forms are the old ones, bit for bit
             assert (tau0 + excess).tobytes() == old_delays.tobytes()
@@ -460,7 +484,8 @@ class TestChannelBitIdentity:
         tight = (0.003, 0.003 + 4 * ch.MIN_TAP_SPACING + 1e-5)
         for seed in range(20):
             rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            excess, gains = ch.sample_multipath(rng, excess_delay_range=tight)
+            config = ch.ChannelConfig(excess_delay_min=tight[0], excess_delay_max=tight[1])
+            excess, gains = ch.sample_multipath(rng, config)
             old_delays, old_gains = old_sample_multipath(
                 scene, old_rng, excess_delay_range=tight
             )
@@ -478,14 +503,34 @@ class TestChannelBitIdentity:
             hops = wf.random_hop_plan(8, seed=seed)
             bits = wf.random_data_bits((4, 8), rng)
             tx = wf.generate_tx_signals(make_burst_config(), hops, walsh, bits)
-            delays, gains = ch.sample_multipath(rng)
-            model = ch.ChannelModel(delays, gains, snr_db=snr_db, rng_seed=seed + 40)
+            config = ch.ChannelConfig(snr_db=snr_db)
+            model = ch.ChannelModel(config, *ch.sample_multipath(rng, config), rng_seed=seed + 40)
             out = ch.apply_channel(tx, scene, model).samples
             assert out.tobytes() == old_apply_channel(tx, scene, model).tobytes()
+
+    @pytest.mark.parametrize("snr_db", [None, 15.0])
+    def test_distance_attenuation_matches_old_harness_expression(self, snr_db):
+        # the harness divided the rows by max(path length, 1 m) before the
+        # channel; receivers within 1 m of a beacon take the 1 m floor
+        config = ch.ChannelConfig(snr_db=snr_db, distance_attenuation=True)
+        walsh = wf.walsh_rows(4, 4)
+        near = ch.ORIGINAL_LAYOUT.positions[0] + [0.1, 0.4, 0.2]  # 0.46 m from beacon 0
+        for seed in range(6):
+            rng = np.random.default_rng([seed, 5])
+            rx = near if seed == 0 else rng.uniform([0.2, 0.2, 0.2], [4.8, 4.8, 3.8])
+            scene = make_scene(receiver=rx)
+            hops, bits = wf.random_hop_plan(8, seed), wf.random_data_bits((4, 8), rng)
+            tx = wf.generate_tx_signals(make_burst_config(), hops, walsh, bits)
+            model = ch.ChannelModel(config, *ch.sample_multipath(rng, config), rng_seed=seed + 7)
+            divisors = np.maximum(ch.direct_delays(scene, C) * C, 1.0)
+            assert (divisors[0] == 1.0) == (seed == 0)
+            scaled = wf.SampledSignal(samples=tx.samples / divisors[:, None], sample_rate=FS)
+            out = ch.apply_channel(tx, scene, model).samples
+            assert out.tobytes() == old_apply_channel(scaled, scene, model).tobytes()
 
     def test_silent_input_noise_matches_old_expression(self):
         # zero signal power: a zero noise scale, where normal(0, 0) adds 0.0 + 0 * z
         tx = wf.SampledSignal(samples=np.zeros((4, 300)), sample_rate=FS)
-        model = ch.ChannelModel(snr_db=10.0, rng_seed=9)
+        model = ch.ChannelModel(ch.ChannelConfig(snr_db=10.0), rng_seed=9)
         out = ch.apply_channel(tx, make_scene(), model).samples
         assert out.tobytes() == old_apply_channel(tx, make_scene(), model).tobytes()

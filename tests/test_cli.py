@@ -138,6 +138,49 @@ class TestGoldenBytes:
         )
 
 
+# FAST_INI runs no taps and no noise; this run takes the default taps, noise
+# at 15 dB and distance attenuation, so their bytes are pinned too.
+CHANNEL_INI = """
+[waveform]
+burst_bits = 8
+
+[channel]
+snr_db = 15
+distance_attenuation = true
+
+[run]
+trials = 4
+seed = 3
+"""
+
+CHANNEL_GOLDEN = {
+    "trials.csv": "666f005c327ba80f4f9a67898d6a28501024bd03133016290ca9f1d0048a66ef",
+    "summary.json": "f1607f04da74c078ce023b87aeabf31477043176f22da5b95b07c9df1fa78e53",
+}
+
+
+class TestChannelGoldenBytes:
+    def test_simulate_bytes_with_taps_noise_and_attenuation(self, tmp_path):
+        ini = tmp_path / "channel.ini"
+        ini.write_text(CHANNEL_INI)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(ini), "--out", str(out)) == 0
+        for name, digest in CHANNEL_GOLDEN.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    def test_plus_inf_snr_is_noiseless(self, tmp_path):
+        # +inf and none name one noiseless channel: the same bytes, down to
+        # the empty snr_db cells
+        outputs = []
+        for snr in ("none", "+inf"):
+            ini = tmp_path / f"{snr}.ini"
+            ini.write_text(FAST_INI.replace("snr_db = none", f"snr_db = {snr}"))
+            out = tmp_path / snr
+            assert run_cli("simulate", "--config", str(ini), "--out", str(out)) == 0
+            outputs.append([(out / name).read_bytes() for name in ("trials.csv", "summary.json")])
+        assert outputs[0] == outputs[1]
+
+
 class TestFlags:
     def test_layout_override(self, fast_ini, tmp_path):
         out = tmp_path / "opt_layout"
@@ -318,6 +361,9 @@ class TestErrorPaths:
             "[channel]\nsnr_db = -3100\n",
             "[run]\nsnr_list = 0, -4000\n",
             "[channel]\nfirst_tap_db = 4000\n",
+            "[channel]\nspeed_of_sound = -1\n",
+            "[channel]\nexcess_delay_min = 0.02\n",
+            "[channel]\ntaps_per_beacon = -1\n",
         ],
         ids=[
             "fix_spacing",
@@ -349,6 +395,9 @@ class TestErrorPaths:
             "snr_db_infinite_noise",
             "snr_list_entry",
             "first_tap_db_overflows",
+            "speed_of_sound_negative",
+            "excess_delay_min_above_max",
+            "taps_per_beacon_negative",
         ],
     )
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, ini):

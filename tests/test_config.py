@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ultraloc import channel as channel_mod
 from ultraloc import config as cfg_mod
 from ultraloc import waveform as wf
 from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT
@@ -361,6 +362,18 @@ class TestFailLoud:
         # with no taps no tap is drawn
         cfg = cfg_mod.load_config(write(tmp_path, "[channel]\n" + taps + "0\n"))
         assert cfg.channel.excess_delay_min == 1e-20
+
+    def test_validation_draws_no_taps(self, tmp_path, monkeypatch):
+        # the section states its own rules, so accepting dense taps costs no
+        # draw (rejection would give up 1000 tries a beacon on these)
+        def no_draw(*args):
+            raise AssertionError("validation drew a multipath realization")
+
+        monkeypatch.setattr(channel_mod, "sample_multipath", no_draw)
+        path = write(tmp_path, "[channel]\ntaps_per_beacon = 15000\nexcess_delay_max = 4.6\n")
+        cfg = cfg_mod.load_config(path)
+        cfg_mod.validate_config(cfg)
+        assert cfg.channel.taps_per_beacon == 15000
 
     def test_multipath_is_the_tap_count(self, tmp_path):
         # a channel without multipath is taps_per_beacon = 0; no second key says so

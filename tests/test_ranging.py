@@ -202,13 +202,9 @@ def channel_composite(seed, snr_db):
     hops = wf.random_hop_plan(wf.BURST_BITS, seed=int(rng.integers(2**31)))
     bits = wf.random_data_bits((4, wf.BURST_BITS), rng)
     refs = wf.generate_tx_signals(CONFIG, hops, walsh[:4], bits)
-    delays, gains = ch.sample_multipath(rng)
-    model = ch.ChannelModel(
-        excess_delays=delays,
-        tap_gains=gains,
-        snr_db=snr_db,
-        rng_seed=int(rng.integers(2**31)),
-    )
+    config = ch.ChannelConfig(snr_db=snr_db)
+    taps = ch.sample_multipath(rng, config)
+    model = ch.ChannelModel(config, *taps, rng_seed=int(rng.integers(2**31)))
     return ch.apply_channel(refs, scene, model), refs
 
 
