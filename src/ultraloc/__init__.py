@@ -33,9 +33,9 @@ from .dop import (
     dop_at,
     dop_average,
 )
-from .fusion import fuse_height, simulate_ceiling_echo
+from .fusion import FusionConfig, fuse_height, simulate_ceiling_echo
 from .harness import TrialRecord, make_trajectory, run_fix, run_trajectory, simulate, sweep_snr
-from .placement import BeaconDomain, PlacementProblem, PlacementResult, optimize
+from .placement import BeaconDomain, PlacementConfig, PlacementProblem, PlacementResult, optimize
 from .ranging import (
     RangeEstimates,
     cross_correlate,

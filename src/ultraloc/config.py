@@ -3,12 +3,13 @@
 Config files use sections [scene], [waveform], [channel], [fusion],
 [placement], [run]. A section's keys are the fields of its dataclass
 (the scene's room_dims and layout_name are spelled room and layout),
-each parsed by its annotation. The [waveform] and [channel] dataclasses
-are waveform.WaveformConfig and channel.ChannelConfig, their modules' own
-parameter objects, which state their sections' rules; the others are
-below. Every key is optional and falls back to the field's default;
-unknown sections or keys fail loading immediately with the offending
-name in the message.
+each parsed by its annotation. The four module sections are their
+modules' own parameter objects, which state their sections' rules:
+waveform.WaveformConfig, channel.ChannelConfig, fusion.FusionConfig and
+placement.PlacementConfig. validate_config states only the rules of
+[run] and those that join sections. Every key is optional and falls
+back to the field's default; unknown sections or keys fail loading
+immediately with the offending name in the message.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ import numpy as np
 
 from . import channel as channel_mod
 from . import dop as dop_mod
-from . import fusion as fusion_mod
-from . import placement as placement_mod
 from .channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout, ChannelConfig, Scene
 from .dop import DroneDomain
 from .errors import ConfigError
-from .fusion import fuse_height
+from .fusion import FusionConfig
+from .placement import PlacementConfig, PlacementProblem
 from .waveform import WaveformConfig
 
 # Most samples one fix may receive. A fix holds several (4, n) arrays of
@@ -55,27 +55,6 @@ class SceneConfig:
 
 
 @dataclass(frozen=True)
-class FusionConfigSection:
-    enabled: bool = False
-    w1: float = fusion_mod.DEFAULT_W1
-    echo_noise_std: float = fusion_mod.ECHO_NOISE_STD
-    auto_weights: bool = False
-    obstruction_prob: float = 0.0
-
-
-@dataclass(frozen=True)
-class PlacementConfigSection:
-    hdop_tolerance: float = 2.0
-    vdop_tolerance: float = 2.0
-    population: int = placement_mod.POPULATION
-    parents: int = placement_mod.PARENTS
-    iterations: int = placement_mod.ITERATIONS
-    beacon_grid: float = placement_mod.BEACON_GRID
-    min_separation: float = placement_mod.MIN_SEPARATION
-    max_restarts: int = placement_mod.MAX_RESTARTS
-
-
-@dataclass(frozen=True)
 class RunConfigSection:
     trials: int = 200
     seed: int = 1
@@ -93,34 +72,17 @@ class SimConfig:
     scene: SceneConfig = field(default_factory=SceneConfig)
     waveform: WaveformConfig = field(default_factory=WaveformConfig)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
-    fusion: FusionConfigSection = field(default_factory=FusionConfigSection)
-    placement: PlacementConfigSection = field(default_factory=PlacementConfigSection)
+    fusion: FusionConfig = field(default_factory=FusionConfig)
+    placement: PlacementConfig = field(default_factory=PlacementConfig)
     run: RunConfigSection = field(default_factory=RunConfigSection)
 
     def drone_domain(self) -> DroneDomain:
-        return DroneDomain(
-            x_range=self.run.domain_x,
-            y_range=self.run.domain_y,
-            z_range=self.run.domain_z,
-            grid_resolution=self.run.domain_grid,
-        )
+        rn = self.run
+        return DroneDomain(rn.domain_x, rn.domain_y, rn.domain_z, rn.domain_grid)
 
-    def placement_problem(self) -> placement_mod.PlacementProblem:
-        return placement_mod.PlacementProblem(
-            drone_domain=self.drone_domain(),
-            beacon_domain=placement_mod.BeaconDomain(
-                room_dims=self.scene.room_dims,
-                grid_resolution=self.placement.beacon_grid,
-            ),
-            hdop_tolerance=self.placement.hdop_tolerance,
-            vdop_tolerance=self.placement.vdop_tolerance,
-            population=self.placement.population,
-            parents=self.placement.parents,
-            iterations=self.placement.iterations,
-            rng_seed=self.run.seed,
-            min_separation=self.placement.min_separation,
-            max_restarts=self.placement.max_restarts,
-        )
+    def placement_problem(self) -> PlacementProblem:
+        room, seed = self.scene.room_dims, self.run.seed
+        return PlacementProblem(self.placement, self.drone_domain(), room, seed)
 
 
 def default_config() -> SimConfig:
@@ -147,13 +109,9 @@ def resolve_layout(name: str) -> BeaconLayout:
         try:
             data = json.loads(text)
         except json.JSONDecodeError:
-            rows = []
-            for line in text.splitlines():
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                rows.append([float(v) for v in line.replace(",", " ").split()])
-            data = rows
+            lines = [line.strip() for line in text.splitlines()]
+            rows = [line.replace(",", " ").split() for line in lines if line and line[0] != "#"]
+            data = [[float(v) for v in row] for row in rows]
         if isinstance(data, dict):
             if "beacons" not in data:
                 raise ValueError("a JSON object needs a 'beacons' key")
@@ -184,18 +142,14 @@ def _parse_floats(s: str) -> tuple[float, ...]:
     return tuple(_parse_float(v) for v in s.replace(",", " ").split())
 
 
-def _parse_pair(s: str) -> tuple[float, float]:
-    vals = _parse_floats(s)
-    if len(vals) != 2:
-        raise ValueError(f"expected two numbers, got {len(vals)}")
-    return (vals[0], vals[1])
+def _parse_n_floats(n: int):
+    def parse(s: str) -> tuple[float, ...]:
+        vals = _parse_floats(s)
+        if len(vals) != n:
+            raise ValueError(f"expected {n} numbers, got {len(vals)}")
+        return vals
 
-
-def _parse_triple(s: str) -> tuple[float, float, float]:
-    vals = _parse_floats(s)
-    if len(vals) != 3:
-        raise ValueError(f"expected three numbers, got {len(vals)}")
-    return (vals[0], vals[1], vals[2])
+    return parse
 
 
 def _parse_snr(s: str) -> float | None:
@@ -213,8 +167,8 @@ _PARSERS = {
     "str": str,
     "float | None": _parse_snr,
     "tuple[float, ...]": _parse_floats,
-    "tuple[float, float]": _parse_pair,
-    "tuple[float, float, float]": _parse_triple,
+    "tuple[float, float]": _parse_n_floats(2),
+    "tuple[float, float, float]": _parse_n_floats(3),
 }
 
 # field -> key where the two names differ
@@ -286,70 +240,51 @@ def load_config(path: str | Path) -> SimConfig:
 def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
     """Reject a config unless every object a run builds from it can be built.
 
-    The checks below are the rules no such object states; the objects
-    themselves, and one fusion blend, are then built once, and a ValueError
-    from any of them is reported with the section (or key) it came from.
+    Each module section states its own rules when it is made; the rules
+    here are [run]'s and those that join sections. Then what a run builds
+    is built once, so a rule that shows only in a build (chip alignment,
+    the hop window, the scene) is reported with its section or key.
     """
     def fail(msg: str):
         raise ConfigError(f"{source}: {msg}")
 
-    wf = cfg.waveform
-    if wf.walsh_order < 4:
-        fail("walsh_order must be at least 4 to separate four beacons")
-    if wf.burst_bits < 1:
-        fail("burst_bits must be positive")
-    fu = cfg.fusion
-    if not 0.0 <= fu.obstruction_prob <= 1.0:
-        fail("obstruction_prob must be a probability")
-    if fu.echo_noise_std < 0:
-        fail("echo_noise_std must be non-negative")
-    if fu.auto_weights and fu.echo_noise_std == 0:
-        fail("auto_weights needs a positive echo_noise_std to weight the echo by")
-    rn = cfg.run
-    if rn.trials < 1:
-        fail("trials must be positive")
-    if not rn.snr_list:
-        fail("snr_list needs at least one SNR")
-    if rn.seed < 0:
-        fail("seed must be non-negative")
-    if rn.trajectory_waypoints < 1:
-        fail("trajectory_waypoints must be at least 1")
-    if rn.domain_grid <= 0:
-        fail("domain_grid must be positive")
-    if rn.fix_spacing <= 0:
-        fail("fix_spacing must be positive")
-    room = cfg.scene.room_dims
-    if not all(
-        0 < lo and hi < side
-        for (lo, hi), side in zip((rn.domain_x, rn.domain_y, rn.domain_z), room)
+    rn, room = cfg.run, cfg.scene.room_dims
+    ranges = (rn.domain_x, rn.domain_y, rn.domain_z)
+    for broken, msg in (
+        (rn.trials < 1, "trials must be positive"),
+        (not rn.snr_list, "snr_list needs at least one SNR"),
+        (rn.seed < 0, "seed must be non-negative"),
+        (rn.trajectory_waypoints < 1, "trajectory_waypoints must be at least 1"),
+        (rn.domain_grid <= 0, "domain_grid must be positive"),
+        (rn.fix_spacing <= 0, "fix_spacing must be positive"),
+        (
+            not all(0 < lo and hi < side for (lo, hi), side in zip(ranges, room)),
+            "drone domain must lie strictly inside the room",
+        ),
     ):
-        fail("drone domain must lie strictly inside the room")
+        if broken:
+            fail(msg)
     # before any build: the received length, counting one hop draw per bit
-    ch = cfg.channel
+    wf, ch = cfg.waveform, cfg.channel
     flight = (ch.taps_per_beacon > 0) * ch.excess_delay_max + math.hypot(*room) / ch.speed_of_sound
     bits = min(wf.burst_bits, sys.float_info.max)  # not every int converts to a float
     n_rx = max((flight + bits * wf.symbol_duration) * wf.sample_rate, bits)
     if n_rx > MAX_FIX_SAMPLES:
         fail(f"one fix would receive {n_rx:.4g} samples, more than the {MAX_FIX_SAMPLES} allowed")
 
-    def scene() -> None:
-        centre = [(lo + hi) / 2.0 for lo, hi in (rn.domain_x, rn.domain_y, rn.domain_z)]
-        Scene(room_dims=room, beacons=cfg.scene.layout, receiver_position=np.array(centre))
-
+    centre = np.mean(ranges, axis=1)
     for where, build in (
         ("[waveform]", lambda: wf.bursts(0, np.ones((1, 1), dtype=np.int64))),
         # a sweep runs the channel at each listed SNR in turn
         ("[run] snr_list:", lambda: [replace(ch, snr_db=snr) for snr in rn.snr_list]),
-        ("[fusion]", lambda: fuse_height(0.0, 0.0, fu.w1)),
         ("[run]", cfg.drone_domain),
-        ("[scene]", scene),
-        ("[placement]", cfg.placement_problem),
+        ("[scene]", lambda: Scene(room, cfg.scene.layout, centre)),
     ):
         try:
             build()
         except ValueError as exc:
             fail(f"{where} {exc}")
-    # counted, not built, after the builds that reject an inverted range or a bad grid
+    # counted, not built, after the sections and builds that reject an inverted range or a bad grid
     for name, n_points, key in (
         ("drone-domain", cfg.drone_domain().size, "[run] domain_grid"),
         ("beacon", cfg.placement_problem().beacon_domain.size, "[placement] beacon_grid"),
@@ -364,3 +299,14 @@ def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
             f"excess_delay_min must be at least one sample period "
             f"({1.0 / wf.sample_rate:g} s), or a tap lands on its direct path's sample"
         )
+    # auto weights square both range errors (FusionConfig.fused_z): neither may over- or underflow
+    c, fu = ch.speed_of_sound, cfg.fusion
+    for keys, std in (
+        ("[channel] speed_of_sound", c / wf.sample_rate / math.sqrt(12.0)),
+        ("[channel] speed_of_sound or [fusion] echo_noise_std", c * fu.echo_noise_std / 2.0),
+    ):
+        if fu.auto_weights and not 0.0 < std * std < math.inf:
+            fail(
+                f"[fusion] auto_weights squares a {std:g} m range error to {std * std:g}, "
+                f"not a positive finite variance; change {keys}"
+            )

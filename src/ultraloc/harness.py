@@ -34,12 +34,15 @@ import numpy as np
 
 from .channel import ChannelModel, Scene, apply_channel, sample_multipath
 from .config import SimConfig
-from .dop import DroneDomain, dop_components
+from .dop import DroneDomain
 from .errors import ConfigError, UltralocError
-from .fusion import fuse_height, inverse_variance_weights, simulate_ceiling_echo
 from .ranging import estimate_ranges
 from .solver import trilaterate
 from .waveform import random_data_bits
+
+# Most fixes one trajectory may hold. At about 5 ms a fix (BENCH_22.json's
+# fix-stream) 2**16 fixes take over five minutes of one CPU.
+MAX_TRAJECTORY_FIXES = 2**16
 
 # Stream labels keeping seed derivations of different experiment kinds apart.
 _STREAM_SIMULATE = 0
@@ -92,28 +95,30 @@ class TrialRecord:
 
 
 def random_position(domain: DroneDomain, rng: np.random.Generator) -> np.ndarray:
-    return np.array(
-        [
-            rng.uniform(*domain.x_range),
-            rng.uniform(*domain.y_range),
-            rng.uniform(*domain.z_range),
-        ]
-    )
+    """One uniform draw per axis, x then y then z, as three scalar draws give."""
+    return rng.uniform(*zip(domain.x_range, domain.y_range, domain.z_range))
 
 
 def make_trajectory(config: SimConfig) -> np.ndarray:
     """Seeded piecewise-linear random path through run.trajectory_waypoints
-    drone-domain corners, resampled at run.fix_spacing, as (n, 3) fix points."""
+    drone-domain corners, resampled at run.fix_spacing, as (n, 3) fix points.
+    More than MAX_TRAJECTORY_FIXES points is a ConfigError, counted first."""
     run, domain = config.run, config.drone_domain()
     rng = np.random.default_rng([run.seed, _STREAM_TRAJECTORY])
     corners = np.array([random_position(domain, rng) for _ in range(run.trajectory_waypoints)])
-    fixes = [corners[0]]
+    legs = []  # (start, vector, length, steps), the step count capped at the limit
     for a, b in zip(corners[:-1], corners[1:]):
-        seg = b - a
-        length = float(np.linalg.norm(seg))
-        if length == 0.0:
-            continue
-        n_steps = max(int(math.floor(length / run.fix_spacing)), 1)
+        length = float(np.linalg.norm(b - a))
+        if length > 0.0:
+            steps = max(int(min(length / run.fix_spacing, MAX_TRAJECTORY_FIXES)), 1)
+            legs.append((a, b - a, length, steps))
+    if 1 + sum(leg[3] for leg in legs) > MAX_TRAJECTORY_FIXES:
+        raise ConfigError(
+            f"the trajectory would hold more than the {MAX_TRAJECTORY_FIXES} fixes allowed; "
+            "raise [run] fix_spacing"
+        )
+    fixes = [corners[0]]
+    for a, seg, length, n_steps in legs:
         for k in range(1, n_steps + 1):
             fixes.append(a + seg * min(k * run.fix_spacing / length, 1.0))
     return np.array(fixes)
@@ -163,24 +168,8 @@ def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> Tr
     )
     est = trilaterate(config.scene.layout, ranges)
 
-    fu = config.fusion
-    if fu.enabled:
-        echo = simulate_ceiling_echo(
-            true_height=float(true_position[2]),
-            ceiling_height=config.scene.room_dims[2],
-            c=ch.speed_of_sound,
-            noise_std=fu.echo_noise_std,
-            rng=rng,
-            obstruction_prob=fu.obstruction_prob,
-        )
-        w1 = fu.w1
-        if fu.auto_weights:
-            quant_std = ch.speed_of_sound / wf.sample_rate / math.sqrt(12.0)
-            _, vdop, _ = dop_components(config.scene.layout, est[None, :])
-            var_tri = (float(vdop[0]) * quant_std) ** 2 if np.isfinite(vdop[0]) else 1.0
-            var_echo = (ch.speed_of_sound * fu.echo_noise_std / 2.0) ** 2
-            w1 = inverse_variance_weights(var_tri, var_echo)
-        est[2] = fuse_height(est[2], echo.derived_height, w1)
+    # the echo, with fusion on, is drawn after the noise seed
+    est[2] = config.fusion.fused_z(est, scene, ch.speed_of_sound, wf.sample_rate, rng)
 
     delta = est - true_position
     err_xy = float(np.hypot(delta[0], delta[1]))

@@ -121,24 +121,23 @@ class BeaconDomain:
         return np.isclose(np.atleast_2d(points)[:, 2], self.room_dims[2])
 
 
-
 @dataclass(frozen=True)
-class PlacementProblem:
-    """Inputs of one placement search."""
+class PlacementConfig:
+    """The [placement] section: the average HDOP and VDOP a layout must meet,
+    the EA's population, parents and generations, the beacon lattice spacing
+    and least beacon distance (m), and the restarts after a missed tolerance."""
 
-    drone_domain: DroneDomain = field(default_factory=DroneDomain)
-    beacon_domain: BeaconDomain = field(default_factory=BeaconDomain)
     hdop_tolerance: float = 2.0
     vdop_tolerance: float = 2.0
     population: int = POPULATION
     parents: int = PARENTS
     iterations: int = ITERATIONS
-    rng_seed: int = 0
+    beacon_grid: float = BEACON_GRID
     min_separation: float = MIN_SEPARATION
     max_restarts: int = MAX_RESTARTS
 
     def __post_init__(self):
-        if self.hdop_tolerance <= 0 or self.vdop_tolerance <= 0:
+        if not (self.hdop_tolerance > 0 and self.vdop_tolerance > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
         if self.parents < 2:
             raise ValueError("need at least 2 parents to breed")
@@ -148,12 +147,30 @@ class PlacementProblem:
             raise ValueError("parents must pair up, so their count must be even")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
+        if not self.beacon_grid > 0:
+            raise ValueError("beacon_grid must be positive")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be non-negative")
 
     @property
     def offspring(self) -> int:
         return self.parents // 2
+
+
+@dataclass(frozen=True)
+class PlacementProblem:
+    """One search: its [placement] config, the drone domain it scores layouts
+    over, the room whose ceiling and upper walls hold the beacons, the seed."""
+
+    config: PlacementConfig = field(default_factory=PlacementConfig)
+    drone_domain: DroneDomain = field(default_factory=DroneDomain)
+    room_dims: tuple[float, float, float] = ROOM_DIMS
+    rng_seed: int = 0
+
+    @functools.cached_property
+    def beacon_domain(self) -> BeaconDomain:
+        """The room's beacon lattice at config.beacon_grid, built once."""
+        return BeaconDomain(self.room_dims, self.config.beacon_grid)
 
 
 @dataclass(frozen=True)
@@ -207,16 +224,16 @@ def seed_population(problem: PlacementProblem, rng: np.random.Generator) -> np.n
     ceiling = candidates[ceiling_mask]
     wall = candidates[~ceiling_mask]
 
-    p = problem.population
+    p, min_sep = problem.config.population, problem.config.min_separation
     n_ceiling = (p + 2) // 3
     n_wall = (p + 1) // 3
     n_mixed = p - n_ceiling - n_wall
 
-    population = [_draw_separated(ceiling, rng, problem.min_separation) for _ in range(n_ceiling)]
-    population += [_draw_separated(wall, rng, problem.min_separation) for _ in range(n_wall)]
+    population = [_draw_separated(ceiling, rng, min_sep) for _ in range(n_ceiling)]
+    population += [_draw_separated(wall, rng, min_sep) for _ in range(n_wall)]
     for _ in range(n_mixed):
         for _ in range(200):
-            pts = _draw_separated(candidates, rng, problem.min_separation)
+            pts = _draw_separated(candidates, rng, min_sep)
             on_ceil = problem.beacon_domain.on_ceiling(pts)
             if 0 < on_ceil.sum() < 4:
                 break
@@ -281,7 +298,7 @@ def _terms(
         hdop_avg, vdop_avg = domain_mean(hdop, vdop, degenerate)
     except DomainDegeneracyError:
         return math.inf, math.nan, math.nan
-    penalty = HDOP_PENALTY if hdop_avg > problem.hdop_tolerance else 0.0
+    penalty = HDOP_PENALTY if hdop_avg > problem.config.hdop_tolerance else 0.0
     return vdop_avg + penalty, hdop_avg, vdop_avg
 
 
@@ -318,7 +335,7 @@ def breed(parents: np.ndarray, problem: PlacementProblem, rng: np.random.Generat
             masks = rng.integers(0, 2, size=(len(a) - c, 4, 3)).astype(bool)
         k = len(masks)
         child_pts = problem.beacon_domain.snap(np.where(masks, a[c : c + k], b[c : c + k]))
-        ok = _separated(child_pts, problem.min_separation)
+        ok = _separated(child_pts, problem.config.min_separation)
         n_ok = k if ok.all() else int(ok.argmin())
         children[c : c + n_ok] = child_pts[:n_ok]
         c += n_ok
@@ -378,30 +395,28 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
             scores.update(zip(new, rows))
         return np.array([scores[key] for key in keys])
 
+    cfg = problem.config
     best = None  # (fitness, hdop_avg, vdop_avg, layout, history) of the fittest run yet
-    for run_idx in range(problem.max_restarts + 1):
+    for run_idx in range(cfg.max_restarts + 1):
         rng = np.random.default_rng([problem.rng_seed, run_idx])
         scores.clear()
         population = seed_population(problem, rng)
-        population, terms = _best(population, score(population), problem.population)
+        population, terms = _best(population, score(population), cfg.population)
         history: list[float] = []
-        for iteration in range(problem.iterations):
-            offspring = breed(population[: problem.parents], problem, rng)
+        for iteration in range(cfg.iterations):
+            offspring = breed(population[: cfg.parents], problem, rng)
             population, terms = _best(
                 np.concatenate([population, offspring]),
                 np.concatenate([terms, score(offspring, cutoff=terms[-1, 0])]),
-                problem.population,
+                cfg.population,
             )
             history.append(float(terms[0, 0]))
             if observer is not None:
                 observer(run_idx, iteration, population)
 
         fit, hdop_avg, vdop_avg = terms[0].tolist()
-        feasible = (
-            math.isfinite(fit)
-            and vdop_avg <= problem.vdop_tolerance
-            and hdop_avg <= problem.hdop_tolerance
-        )
+        met = vdop_avg <= cfg.vdop_tolerance and hdop_avg <= cfg.hdop_tolerance
+        feasible = math.isfinite(fit) and met
         if feasible or best is None or fit < best[0]:
             best = (fit, hdop_avg, vdop_avg, population[0], history)
         if feasible:

@@ -133,6 +133,10 @@ class WaveformConfig:
             raise ValueError("sample_rate must be positive")
         if self.symbol_duration <= 0:
             raise ValueError("symbol_duration must be positive")
+        if self.walsh_order < 4:
+            raise ValueError("walsh_order must be at least 4 to separate four beacons")
+        if self.burst_bits < 1:
+            raise ValueError("burst_bits must be positive")
         bank = tuple(self.center_frequencies)
         freqs = np.asarray(bank, dtype=float)
         if freqs.size == 0:

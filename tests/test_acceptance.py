@@ -26,7 +26,7 @@ from ultraloc.channel import (
 )
 from ultraloc.config import default_config
 from ultraloc.dop import DroneDomain, crb_2d, dop_at, dop_average
-from ultraloc.placement import PlacementProblem, optimize
+from ultraloc.placement import PlacementConfig, PlacementProblem, optimize
 from ultraloc.solver import trilaterate
 
 C = SPEED_OF_SOUND
@@ -278,19 +278,16 @@ def test_criterion_8_end_to_end_accuracy_with_fusion():
 def test_criterion_9_ea_invariants():
     t0 = time.perf_counter()
     problem = PlacementProblem(
+        PlacementConfig(population=20, parents=12, iterations=15, max_restarts=1),
         drone_domain=DroneDomain(grid_resolution=1.0),
-        population=20,
-        parents=12,
-        iterations=15,
         rng_seed=12,
-        max_restarts=1,
     )
     sizes = []
     result_a = optimize(problem, observer=lambda run, it, pop: sizes.append(len(pop)))
     result_b = optimize(problem)
     hist = result_a.history
     monotone = all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
-    constant_pop = set(sizes) == {problem.population}
+    constant_pop = set(sizes) == {problem.config.population}
     deterministic = (
         np.array_equal(result_a.layout.positions, result_b.layout.positions)
         and result_a.history == result_b.history

@@ -9,6 +9,7 @@ import pytest
 from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, SPEED_OF_SOUND
 from ultraloc.cli import _build_parser, main
 from ultraloc.config import MAX_FIX_SAMPLES, MAX_LATTICE_POINTS
+from ultraloc.harness import MAX_TRAJECTORY_FIXES
 from ultraloc.waveform import SAMPLE_RATE
 
 FAST_INI = """
@@ -179,6 +180,66 @@ class TestChannelGoldenBytes:
             assert run_cli("simulate", "--config", str(ini), "--out", str(out)) == 0
             outputs.append([(out / name).read_bytes() for name in ("trials.csv", "summary.json")])
         assert outputs[0] == outputs[1]
+
+
+# Fused runs: the echo draw, the obstruction draw and both weight rules.
+# A simulate with the fixed weight w1 and obstructed echoes, and a sweep
+# with inverse-variance weights on the optimized layout.
+FUSED_FIXED_INI = """
+[waveform]
+burst_bits = 8
+
+[fusion]
+enabled = true
+obstruction_prob = 0.3
+
+[run]
+trials = 6
+seed = 3
+"""
+
+FUSED_AUTO_INI = """
+[waveform]
+burst_bits = 8
+
+[scene]
+layout = optimized
+
+[fusion]
+enabled = true
+auto_weights = true
+
+[run]
+trials = 3
+seed = 3
+snr_list = 0, 20
+"""
+
+FUSION_GOLDEN = {
+    ("simulate", "trials.csv"): "cccacdeee83e2b0b08442d12da025fd53500de404789a680322968e62db2e14f",
+    ("simulate", "summary.json"): "6e2bef2037c0a025e1a7d40404970ec94b1c40b31e4a2fe44d562a5405e13f8b",
+    ("sweep", "trials.csv"): "9d8e3e61736b98427a507b23741bf107b4a8e025ee2ffe85f3e2e2084ed261e9",
+    ("sweep", "sweep.csv"): "6c652cd644c231164648c3c30fa9fa3a4c24fa2ae905cf004b62f0aa0816c681",
+}
+
+
+class TestFusionGoldenBytes:
+    @pytest.mark.parametrize(
+        "command,ini", [("simulate", FUSED_FIXED_INI), ("sweep", FUSED_AUTO_INI)]
+    )
+    def test_fused_bytes(self, tmp_path, command, ini):
+        path = tmp_path / "fused.ini"
+        path.write_text(ini)
+        assert run_cli(command, "--config", str(path), "--out", str(tmp_path)) == 0
+        for (cmd, name), digest in FUSION_GOLDEN.items():
+            if cmd == command:
+                assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_placement_json_bytes(self, fast_ini, tmp_path):
+        assert run_cli("optimize", "--config", fast_ini, "--out", str(tmp_path)) == 0
+        assert hashlib.sha256((tmp_path / "placement.json").read_bytes()).hexdigest() == (
+            "de1d54103409d95c0864f1328ebbc0ffd6517d6a706b1cc2441c27963ea50747"
+        )
 
 
 class TestFlags:
@@ -364,6 +425,8 @@ class TestErrorPaths:
             "[channel]\nspeed_of_sound = -1\n",
             "[channel]\nexcess_delay_min = 0.02\n",
             "[channel]\ntaps_per_beacon = -1\n",
+            "[fusion]\nenabled = true\nauto_weights = true\necho_noise_std = 1e-200\n",
+            "[fusion]\nenabled = true\nauto_weights = true\n\n[channel]\nspeed_of_sound = 1e300\n",
         ],
         ids=[
             "fix_spacing",
@@ -398,6 +461,8 @@ class TestErrorPaths:
             "speed_of_sound_negative",
             "excess_delay_min_above_max",
             "taps_per_beacon_negative",
+            "auto_weights_echo_variance_underflows",
+            "auto_weights_range_variance_overflows",
         ],
     )
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, ini):
@@ -436,6 +501,51 @@ class TestErrorPaths:
         assert captured.err == f"error: {bad}: {message}\n"
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "ini, std, square, keys",
+        [
+            (
+                "[fusion]\nenabled = true\nauto_weights = true\necho_noise_std = 1e-200\n",
+                "1.715e-198", "0", "[channel] speed_of_sound or [fusion] echo_noise_std",
+            ),
+            (
+                "[fusion]\nenabled = true\nauto_weights = true\n\n[channel]\nspeed_of_sound = 1e300\n",
+                "8.49045e+293", "inf", "[channel] speed_of_sound",
+            ),
+        ],
+        ids=["echo_noise_std", "speed_of_sound"],
+    )
+    def test_auto_weight_variance_out_of_range_is_one_error_line(
+        self, tmp_path, capsys, ini, std, square, keys
+    ):
+        # each square was a traceback from the first fused fix: a ValueError
+        # from inverse_variance_weights, or an OverflowError
+        bad = tmp_path / "fused.ini"
+        bad.write_text(ini)
+        code = run_cli("simulate", "--config", str(bad), "--trials", "2", "--out", str(tmp_path / "out"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"error: {bad}: [fusion] auto_weights squares a {std} m range error to {square}, "
+            f"not a positive finite variance; change {keys}\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_tiny_fix_spacing_is_one_error_line(self, tmp_path, capsys):
+        # counted, not built: 1e-300 m steps used to append points until memory ran out
+        bad = tmp_path / "dense.ini"
+        bad.write_text("[run]\nfix_spacing = 1e-300\n")
+        code = run_cli("trajectory", "--config", str(bad), "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"error: the trajectory would hold more than the {MAX_TRAJECTORY_FIXES} fixes "
+            "allowed; raise [run] fix_spacing\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "trajectory.csv").exists()
 
     @pytest.mark.parametrize(
         "ini",

@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from ultraloc import channel as channel_mod
 from ultraloc import config as cfg_mod
+from ultraloc import fusion, placement
 from ultraloc import waveform as wf
 from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT
 from ultraloc.errors import ConfigError
@@ -32,6 +34,29 @@ class TestDefaults:
     def test_drone_domain_from_config(self):
         domain = cfg_mod.default_config().drone_domain()
         assert domain.points().shape[0] == 486
+
+    def test_module_sections_are_the_modules_own_objects(self):
+        sections = get_type_hints(cfg_mod.SimConfig)
+        assert sections["waveform"] is wf.WaveformConfig
+        assert sections["channel"] is channel_mod.ChannelConfig
+        assert sections["fusion"] is fusion.FusionConfig
+        assert sections["placement"] is placement.PlacementConfig
+
+    @pytest.mark.parametrize(
+        "ini, match",
+        [
+            ("[waveform]\nwalsh_order = 2\n", "[waveform] walsh_order must be at least 4 to separate"),
+            ("[waveform]\nburst_bits = 0\n", "[waveform] burst_bits must be positive"),
+            ("[fusion]\nobstruction_prob = 1.5\n", "[fusion] obstruction_prob must be a probability"),
+            ("[placement]\niterations = 0\n", "[placement] need at least one iteration"),
+            ("[placement]\nbeacon_grid = 0\n", "[placement] beacon_grid must be positive"),
+            ("[placement]\nvdop_tolerance = -1\n", "[placement] tolerances must be positive"),
+        ],
+        ids=["walsh_order", "burst_bits", "obstruction_prob", "iterations", "beacon_grid", "vdop"],
+    )
+    def test_section_rule_is_reported_with_its_section(self, tmp_path, ini, match):
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            cfg_mod.load_config(write(tmp_path, ini))
 
 
 class TestLoadConfig:

@@ -1,7 +1,14 @@
+import copy
+import math
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from ultraloc import fusion
+from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, Scene
+from ultraloc.config import default_config
+from ultraloc.dop import dop_components
 
 
 class TestCeilingEcho:
@@ -99,3 +106,102 @@ class TestInverseVarianceWeights:
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(ValueError):
             fusion.inverse_variance_weights(0.0, 1.0)
+
+
+class TestFusionConfig:
+    def test_defaults_are_the_section_defaults(self):
+        assert [f.name for f in fields(fusion.FusionConfig)] == [
+            "enabled", "w1", "echo_noise_std", "auto_weights", "obstruction_prob"
+        ]
+        config = fusion.FusionConfig()
+        assert (config.enabled, config.auto_weights) == (False, False)
+        assert (config.w1, config.echo_noise_std) == (fusion.DEFAULT_W1, fusion.ECHO_NOISE_STD)
+        assert config.obstruction_prob == 0.0
+
+    @pytest.mark.parametrize("w1", [-0.2, 1.2, math.nan])
+    def test_rejects_weight_outside_unit_interval(self, w1):
+        with pytest.raises(ValueError, match=r"^weight w1 must lie in \[0, 1\]$"):
+            fusion.FusionConfig(w1=w1)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_rejects_obstruction_prob_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match="obstruction_prob must be a probability"):
+            fusion.FusionConfig(obstruction_prob=p)
+
+    @pytest.mark.parametrize("std", [-1e-5, math.nan])
+    def test_rejects_negative_or_nan_echo_noise(self, std):
+        with pytest.raises(ValueError, match="echo_noise_std must be non-negative"):
+            fusion.FusionConfig(echo_noise_std=std)
+
+    def test_auto_weights_need_echo_noise(self):
+        with pytest.raises(ValueError, match="auto_weights needs a positive echo_noise_std"):
+            fusion.FusionConfig(auto_weights=True, echo_noise_std=0.0)
+        # a fixed weight blends a noiseless echo, and so do the unit weights
+        assert fusion.FusionConfig(echo_noise_std=0.0).echo_noise_std == 0.0
+        assert fusion.FusionConfig(w1=0.0).w1 == 0.0
+        assert fusion.FusionConfig(w1=1.0, obstruction_prob=1.0).w1 == 1.0
+
+
+def parent_fusion_block(config, est, true_position, rng):
+    """The fusion block run_fix held inline before FusionConfig.fused_z, kept
+    word for word as the oracle of the moved step."""
+    wf, ch = config.waveform, config.channel
+    fu = config.fusion
+    if fu.enabled:
+        echo = fusion.simulate_ceiling_echo(
+            true_height=float(true_position[2]),
+            ceiling_height=config.scene.room_dims[2],
+            c=ch.speed_of_sound,
+            noise_std=fu.echo_noise_std,
+            rng=rng,
+            obstruction_prob=fu.obstruction_prob,
+        )
+        w1 = fu.w1
+        if fu.auto_weights:
+            quant_std = ch.speed_of_sound / wf.sample_rate / math.sqrt(12.0)
+            _, vdop, _ = dop_components(config.scene.layout, est[None, :])
+            var_tri = (float(vdop[0]) * quant_std) ** 2 if np.isfinite(vdop[0]) else 1.0
+            var_echo = (ch.speed_of_sound * fu.echo_noise_std / 2.0) ** 2
+            w1 = fusion.inverse_variance_weights(var_tri, var_echo)
+        est[2] = fusion.fuse_height(est[2], echo.derived_height, w1)
+
+
+class TestFusedZ:
+    @pytest.mark.parametrize("layout", [ORIGINAL_LAYOUT, OPTIMIZED_LAYOUT], ids=["original", "optimized"])
+    @pytest.mark.parametrize("obstruction_prob", [0.0, 0.5])
+    @pytest.mark.parametrize("auto_weights", [False, True], ids=["fixed_w1", "auto"])
+    def test_matches_the_parent_harness_block(self, layout, obstruction_prob, auto_weights):
+        cfg = default_config()
+        cfg = replace(
+            cfg,
+            scene=replace(cfg.scene, layout=layout),
+            fusion=replace(
+                cfg.fusion, enabled=True, auto_weights=auto_weights, obstruction_prob=obstruction_prob
+            ),
+        )
+        ch, wf = cfg.channel, cfg.waveform
+        draw = np.random.default_rng(17)
+        domain = cfg.drone_domain()
+        lo = np.array([domain.x_range[0], domain.y_range[0], domain.z_range[0]])
+        hi = np.array([domain.x_range[1], domain.y_range[1], domain.z_range[1]])
+        for k in range(6):
+            position = draw.uniform(lo, hi)
+            est = position + draw.normal(0.0, 1e-3, 3)
+            if k == 5:  # degenerate geometry at est: the trilateration variance is 1
+                est = layout.positions[0].copy()
+            scene = Scene(room_dims=cfg.scene.room_dims, beacons=layout, receiver_position=position)
+            rng = np.random.default_rng([3, k])
+            oracle_rng, want = copy.deepcopy(rng), est.copy()
+            parent_fusion_block(cfg, want, position, oracle_rng)
+            got = cfg.fusion.fused_z(est, scene, ch.speed_of_sound, wf.sample_rate, rng)
+            assert np.float64(got).tobytes() == want[2].tobytes()
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_disabled_is_the_trilateration_z_and_draws_nothing(self):
+        cfg = default_config()
+        est = np.array([2.0, 2.0, 1.234567])
+        scene = Scene(room_dims=cfg.scene.room_dims, beacons=ORIGINAL_LAYOUT, receiver_position=est)
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        assert cfg.fusion.fused_z(est, scene, 343.0, 340_000.0, rng) == est[2]
+        assert rng.bit_generator.state == state

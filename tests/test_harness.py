@@ -310,6 +310,21 @@ class TestTrajectory:
         assert len(trials.trial_id) == len(rows.trial_id) == 1
         assert np.array_equal(trials.est_position, rows.est_position)
 
+    def test_fix_limit_counts_the_path_exactly(self, monkeypatch):
+        cfg = fast_config(seed=3, trajectory_waypoints=4)
+        n = len(harness.make_trajectory(cfg))
+        monkeypatch.setattr(harness, "MAX_TRAJECTORY_FIXES", n)
+        assert len(harness.make_trajectory(cfg)) == n
+        monkeypatch.setattr(harness, "MAX_TRAJECTORY_FIXES", n - 1)
+        message = rf"more than the {n - 1} fixes allowed; raise \[run\] fix_spacing"
+        with pytest.raises(ConfigError, match=message):
+            harness.make_trajectory(cfg)
+        # a spacing so small that length / fix_spacing overflows to inf
+        monkeypatch.undo()
+        tiny = fast_config(seed=3, trajectory_waypoints=4, fix_spacing=5e-324)
+        with pytest.raises(ConfigError, match=r"raise \[run\] fix_spacing"):
+            harness.make_trajectory(tiny)
+
     def test_trajectory_deterministic(self):
         cfg = fast_config(seed=3, trajectory_waypoints=4)
         a = harness.make_trajectory(cfg)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ from scipy.spatial import cKDTree
 
 from ultraloc import dop, placement
 from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout
+from ultraloc.config import default_config
 from ultraloc.dop import DroneDomain, domain_mean, dop_average, dop_components
 from ultraloc.errors import DomainDegeneracyError, InfeasibleDomainError, SingularGeometryError
 
@@ -17,19 +19,18 @@ from ultraloc.errors import DomainDegeneracyError, InfeasibleDomainError, Singul
 placement_score_layouts = placement.score_layouts
 
 
-def fast_problem(**overrides):
+def fast_problem(rng_seed=5, **overrides):
     """Small search that still exercises every mechanism."""
     defaults = dict(
-        drone_domain=DroneDomain(grid_resolution=1.0),
-        beacon_domain=placement.BeaconDomain(grid_resolution=0.5),
+        beacon_grid=0.5,
         population=12,
         parents=8,
         iterations=8,
-        rng_seed=5,
         max_restarts=2,
     )
     defaults.update(overrides)
-    return placement.PlacementProblem(**defaults)
+    config = placement.PlacementConfig(**defaults)
+    return placement.PlacementProblem(config, DroneDomain(grid_resolution=1.0), rng_seed=rng_seed)
 
 
 def old_grid_size(lo, hi, step):
@@ -128,21 +129,21 @@ class TestSeedPopulation:
     def test_size_and_membership(self):
         problem = placement.PlacementProblem(rng_seed=1)
         pop = placement.seed_population(problem, np.random.default_rng(problem.rng_seed))
-        assert len(pop) == problem.population
+        assert len(pop) == problem.config.population
         candidates = {tuple(p) for p in problem.beacon_domain.candidates()}
         for ind in pop:
             assert ind.shape == (4, 3)
             for b in ind:
                 assert tuple(b) in candidates
-            assert placement._separated(ind, problem.min_separation)
+            assert placement._separated(ind, problem.config.min_separation)
 
     def test_stratified_groups(self):
         problem = placement.PlacementProblem(rng_seed=1)
         pop = placement.seed_population(problem, np.random.default_rng(problem.rng_seed))
         dom = problem.beacon_domain
         h = dom.room_dims[2]
-        n_ceiling = (problem.population + 2) // 3
-        n_wall = (problem.population + 1) // 3
+        n_ceiling = (problem.config.population + 2) // 3
+        n_wall = (problem.config.population + 1) // 3
         for ind in pop[:n_ceiling]:
             assert np.all(np.isclose(ind[:, 2], h))
         for ind in pop[n_ceiling : n_ceiling + n_wall]:
@@ -160,7 +161,7 @@ class TestSeedPopulation:
     def test_one_float_array(self):
         problem = fast_problem()
         pop = placement.seed_population(problem, np.random.default_rng(problem.rng_seed))
-        assert pop.shape == (problem.population, 4, 3)
+        assert pop.shape == (problem.config.population, 4, 3)
         assert pop.dtype == np.float64
 
     def test_infeasible_separation(self):
@@ -180,11 +181,11 @@ class TestFitness:
     def test_no_penalty_when_hdop_within_tolerance(self):
         problem = placement.PlacementProblem(rng_seed=0)
         fit, hdop_avg, vdop_avg = placement.fitness(OPTIMIZED_LAYOUT.positions, problem)
-        assert hdop_avg <= problem.hdop_tolerance
+        assert hdop_avg <= problem.config.hdop_tolerance
         assert fit == vdop_avg
 
     def test_penalty_when_hdop_breaks_tolerance(self):
-        problem = placement.PlacementProblem(rng_seed=0, hdop_tolerance=0.5)
+        problem = placement.PlacementProblem(placement.PlacementConfig(hdop_tolerance=0.5), rng_seed=0)
         fit, _, _ = placement.fitness(OPTIMIZED_LAYOUT.positions, problem)
         assert fit >= placement.HDOP_PENALTY
 
@@ -235,7 +236,7 @@ def per_layout_fitness(beacons, problem):
         hdop_avg, vdop_avg = dop_average(layout, problem.drone_domain)
     except (DomainDegeneracyError, SingularGeometryError):
         return math.inf, math.nan, math.nan
-    penalty = placement.HDOP_PENALTY if hdop_avg > problem.hdop_tolerance else 0.0
+    penalty = placement.HDOP_PENALTY if hdop_avg > problem.config.hdop_tolerance else 0.0
     return vdop_avg + penalty, hdop_avg, vdop_avg
 
 
@@ -262,7 +263,7 @@ def mixed_batch():
 class TestScoreLayouts:
     @pytest.mark.parametrize("hdop_tolerance", [2.0, 1.0])
     def test_batch_equals_per_layout_scores(self, hdop_tolerance):
-        problem = placement.PlacementProblem(hdop_tolerance=hdop_tolerance)
+        problem = placement.PlacementProblem(placement.PlacementConfig(hdop_tolerance=hdop_tolerance))
         batch = mixed_batch()
         got = placement.score_layouts(batch, problem)
         assert got.shape == (len(batch), 3)
@@ -420,7 +421,7 @@ class TestCertifiedBound:
 
     @pytest.mark.parametrize("hdop_tolerance", [2.0, 1.0])
     def test_inf_rows_only_above_the_cutoff(self, hdop_tolerance):
-        problem = placement.PlacementProblem(hdop_tolerance=hdop_tolerance)
+        problem = placement.PlacementProblem(placement.PlacementConfig(hdop_tolerance=hdop_tolerance))
         batch = mixed_batch()
         exact = placement.score_layouts(batch, problem)
         finite = np.sort(exact[np.isfinite(exact[:, 0]), 0])
@@ -444,7 +445,7 @@ class TestCertifiedBound:
         # the restart must score them again, exactly.
         problem = fast_problem(vdop_tolerance=0.01, max_restarts=1)
         _, _, culled = traced_search(fast_problem(vdop_tolerance=0.01, max_restarts=0), monkeypatch)
-        injected = np.array(culled[: problem.population // 2])
+        injected = np.array(culled[: problem.config.population // 2])
         keys = {beacons.tobytes() for beacons in injected}
         plain_seed, scorer = placement.seed_population, placement.score_layouts
         runs, cutoffs = [], []
@@ -478,7 +479,7 @@ class TestCertifiedBound:
             return inv(m)
 
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
-        problem = placement.PlacementProblem(rng_seed=3, iterations=30)
+        problem = placement.PlacementProblem(placement.PlacementConfig(iterations=30), rng_seed=3)
         result = placement.optimize(problem)
         skipping = sum(inverted)
         inverted.clear()
@@ -521,7 +522,7 @@ class TestCrossover:
         for i in range(1000):
             pair = pop[[i % len(pop), (i * 7 + 3) % len(pop)]]
             child = placement.breed(pair, problem, child_rng)[0]
-            assert placement._separated(child, problem.min_separation)
+            assert placement._separated(child, problem.config.min_separation)
             for bcn in child:
                 assert tuple(bcn) in candidates
 
@@ -541,7 +542,7 @@ def per_child_breed(parents, problem, rng):
         for _ in range(20):
             mask = rng.integers(0, 2, size=(4, 3)).astype(bool)
             pts = problem.beacon_domain.snap(np.where(mask, a, b))
-            if scalar_separated(pts, problem.min_separation):
+            if scalar_separated(pts, problem.config.min_separation):
                 children.append(pts)
                 break
             redraws += 1
@@ -558,18 +559,17 @@ class TestBreed:
     )
     def test_matches_per_child_loop(self, grid, min_sep, falls_back):
         problem = placement.PlacementProblem(
-            beacon_domain=placement.BeaconDomain(grid_resolution=grid),
-            min_separation=min_sep,
+            placement.PlacementConfig(beacon_grid=grid, min_separation=min_sep)
         )
         redraws = fallbacks = 0
         for seed in range(8):
             # seed_population's choice() calls leave the generator mid-word
             rng = np.random.default_rng(seed)
-            parents = placement.seed_population(problem, rng)[: problem.parents]
+            parents = placement.seed_population(problem, rng)[: problem.config.parents]
             oracle_rng = copy.deepcopy(rng)
             want, r, f = per_child_breed(parents, problem, oracle_rng)
             got = placement.breed(parents, problem, rng)
-            assert len(got) == len(want) == problem.offspring
+            assert len(got) == len(want) == problem.config.offspring
             np.testing.assert_array_equal(got, want)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
             redraws += r
@@ -581,9 +581,9 @@ class TestBreed:
     def test_one_float_array(self):
         problem = fast_problem()
         rng = np.random.default_rng(13)
-        parents = placement.seed_population(problem, rng)[: problem.parents]
+        parents = placement.seed_population(problem, rng)[: problem.config.parents]
         children = placement.breed(parents, problem, rng)
-        assert children.shape == (problem.offspring, 4, 3)
+        assert children.shape == (problem.config.offspring, 4, 3)
         assert children.dtype == np.float64
 
     def test_falls_back_after_max_draws(self):
@@ -650,7 +650,7 @@ class TestOptimize:
         )
         hist = placement_result.history
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
-        assert set(sizes) == {problem.population}
+        assert set(sizes) == {problem.config.population}
 
     def test_deterministic(self):
         a = placement.optimize(fast_problem())
@@ -675,7 +675,7 @@ class TestOptimize:
     def test_result_layout_valid(self):
         problem = fast_problem()
         result = placement.optimize(problem)
-        assert placement._separated(result.layout.positions, problem.min_separation)
+        assert placement._separated(result.layout.positions, problem.config.min_separation)
         candidates = {tuple(p) for p in problem.beacon_domain.candidates()}
         for b in result.layout.positions:
             assert tuple(b) in candidates
@@ -708,7 +708,7 @@ class TestFitnessMemo:
             best.setdefault(run_idx, []).append(plain_score(population[:1], problem)[0, 0])
 
         result = placement.optimize(problem, observer=observer)
-        assert result.restarts == problem.max_restarts > 0
+        assert result.restarts == problem.config.max_restarts > 0
         # scored at most once per run, some of them inf for exceeding the cutoff
         assert len(scored) == len(set(scored))
         assert not all(exact.values())
@@ -735,25 +735,25 @@ class TestFitnessMemo:
 class TestProblemValidation:
     def test_rejects_more_parents_than_population(self):
         with pytest.raises(ValueError):
-            placement.PlacementProblem(population=10, parents=12)
+            placement.PlacementConfig(population=10, parents=12)
 
     @pytest.mark.parametrize("parents", [0, -2])
     def test_rejects_fewer_than_two_parents(self, parents):
         with pytest.raises(ValueError, match="at least 2 parents"):
-            placement.PlacementProblem(population=10, parents=parents)
+            placement.PlacementConfig(population=10, parents=parents)
 
     def test_rejects_odd_parent_count(self):
         with pytest.raises(ValueError):
-            placement.PlacementProblem(population=10, parents=7)
+            placement.PlacementConfig(population=10, parents=7)
 
     def test_rejects_nonpositive_tolerances(self):
         with pytest.raises(ValueError):
-            placement.PlacementProblem(hdop_tolerance=0.0)
+            placement.PlacementConfig(hdop_tolerance=0.0)
 
     def test_rejects_negative_max_restarts(self):
         # with no run at all there would be no best layout to return
         with pytest.raises(ValueError, match="max_restarts must be non-negative"):
-            placement.PlacementProblem(max_restarts=-1)
+            placement.PlacementConfig(max_restarts=-1)
 
     def test_zero_restarts_runs_one_search(self):
         result = placement.optimize(fast_problem(max_restarts=0))
@@ -761,4 +761,58 @@ class TestProblemValidation:
         assert len(result.history) == 8
 
     def test_offspring_is_half_of_parents(self):
-        assert placement.PlacementProblem(parents=40).offspring == 20
+        assert placement.PlacementConfig(parents=40).offspring == 20
+
+    @pytest.mark.parametrize("key", ["hdop_tolerance", "vdop_tolerance"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_rejects_each_nonpositive_or_nan_tolerance(self, key, value):
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            placement.PlacementConfig(**{key: value})
+
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_rejects_fewer_than_one_iteration(self, iterations):
+        with pytest.raises(ValueError, match="need at least one iteration"):
+            placement.PlacementConfig(iterations=iterations)
+
+    @pytest.mark.parametrize("grid", [0.0, -0.25, math.nan])
+    def test_rejects_nonpositive_or_nan_beacon_grid(self, grid):
+        with pytest.raises(ValueError, match="beacon_grid must be positive"):
+            placement.PlacementConfig(beacon_grid=grid)
+
+    def test_limits_are_accepted(self):
+        config = placement.PlacementConfig(
+            population=2, parents=2, iterations=1, max_restarts=0, min_separation=0.0
+        )
+        assert config.offspring == 1
+
+
+class TestPlacementProblem:
+    def test_is_config_domain_room_and_seed(self):
+        assert [f.name for f in dataclasses.fields(placement.PlacementProblem)] == [
+            "config", "drone_domain", "room_dims", "rng_seed"
+        ]
+        problem = placement.PlacementProblem()
+        assert problem.config == placement.PlacementConfig()
+        assert problem.drone_domain == DroneDomain()
+        assert problem.rng_seed == 0
+
+    def test_beacon_domain_is_derived_once_from_room_and_grid(self):
+        config = placement.PlacementConfig(beacon_grid=0.5)
+        problem = placement.PlacementProblem(config, room_dims=(6.0, 5.0, 3.5))
+        assert problem.beacon_domain == placement.BeaconDomain((6.0, 5.0, 3.5), 0.5)
+        assert problem.beacon_domain is problem.beacon_domain
+
+    def test_sim_config_builds_its_problem_in_one_call(self):
+        cfg = default_config()
+        cfg = dataclasses.replace(
+            cfg,
+            scene=dataclasses.replace(cfg.scene, room_dims=(6.0, 5.0, 4.0)),
+            placement=dataclasses.replace(cfg.placement, beacon_grid=0.5, iterations=3),
+            run=dataclasses.replace(cfg.run, seed=21, domain_grid=1.0),
+        )
+        problem = cfg.placement_problem()
+        assert problem == placement.PlacementProblem(
+            cfg.placement, DroneDomain(grid_resolution=1.0), (6.0, 5.0, 4.0), 21
+        )
+        assert problem.config is cfg.placement
+        assert problem.beacon_domain.grid_resolution == 0.5

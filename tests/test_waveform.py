@@ -158,6 +158,17 @@ class TestHopPlan:
         with pytest.raises(ValueError, match="sample_rate must be positive"):
             wf.WaveformConfig(sample_rate=0.0)
 
+    @pytest.mark.parametrize("order", [2, 1, 0])
+    def test_rejects_walsh_order_below_four_at_construction(self, order):
+        with pytest.raises(ValueError, match="walsh_order must be at least 4 to separate four beacons"):
+            wf.WaveformConfig(walsh_order=order)
+
+    @pytest.mark.parametrize("bits", [0, -1])
+    def test_rejects_burst_without_bits_at_construction(self, bits):
+        with pytest.raises(ValueError, match="burst_bits must be positive"):
+            wf.WaveformConfig(burst_bits=bits)
+        assert wf.WaveformConfig(burst_bits=1, walsh_order=4).burst_bits == 1
+
 
 class TestGenerateTxSignal:
     def test_single_tone_matches_sample_oracle(self, walsh4):
