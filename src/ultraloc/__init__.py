@@ -27,8 +27,6 @@ from .config import SimConfig, default_config, load_config
 from .dop import (
     DopReport,
     DroneDomain,
-    GdopClass,
-    classify_gdop,
     crb_2d,
     dop_at,
     dop_average,
@@ -47,7 +45,6 @@ from .solver import trilaterate
 from .waveform import (
     SampledSignal,
     WaveformConfig,
-    encode_symbol,
     generate_tx_signals,
     random_hop_plan,
     walsh_rows,

@@ -45,6 +45,10 @@ MAX_FIX_SAMPLES = 2**21
 # (beacon_grid = 0.0079, the finest default-room grid allowed) peaked at
 # 190 MB RSS in 2.6 s. Both on numpy 2.4, Python 3.11, Linux x86-64.
 MAX_LATTICE_POINTS = 2**20
+# Most fixes one simulate, rangetest, sweep or trajectory may run. At about
+# 5 ms a fix (BENCH_22.json's fix-stream) 2**16 fixes take over five
+# minutes of one CPU.
+MAX_FIXES = 2**16
 
 
 @dataclass(frozen=True)

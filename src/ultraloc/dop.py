@@ -3,13 +3,11 @@
 The unit vectors from the receiver to each beacon form a matrix whose
 normal-matrix inverse maps unit range noise onto position covariance;
 its diagonal yields HDOP (x-y), VDOP (z), and GDOP. A closed-form 2-D
-Cramer-Rao expression is provided for cross-checks, plus a qualitative
-banding of GDOP values.
+Cramer-Rao expression is provided for cross-checks.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from collections.abc import Callable
@@ -35,42 +33,11 @@ DOMAIN_Z = (0.5, 3.0)
 DOMAIN_GRID = 0.5
 
 
-class GdopClass(enum.Enum):
-    MEASUREMENT_ERROR_OR_REDUNDANCY = "measurement error or redundancy"
-    IDEAL = "ideal"
-    VERY_GOOD = "very good"
-    GOOD = "good"
-    MEDIUM = "medium"
-    SUFFICIENT = "sufficient"
-    BAD = "bad"
-
-
-def classify_gdop(gdop: float) -> GdopClass:
-    """Band a GDOP value: <1 flags error/redundancy, 1 is ideal, then
-    half-open bands [1,2), [2,5), [5,10), [10,20), [20,inf)."""
-    if gdop < 0:
-        raise ValueError("GDOP cannot be negative")
-    if gdop == 1.0:
-        return GdopClass.IDEAL
-    if gdop < 1.0:
-        return GdopClass.MEASUREMENT_ERROR_OR_REDUNDANCY
-    if gdop < 2.0:
-        return GdopClass.VERY_GOOD
-    if gdop < 5.0:
-        return GdopClass.GOOD
-    if gdop < 10.0:
-        return GdopClass.MEDIUM
-    if gdop < 20.0:
-        return GdopClass.SUFFICIENT
-    return GdopClass.BAD
-
-
 @dataclass(frozen=True)
 class DopReport:
     hdop: float
     vdop: float
     gdop: float
-    classification: GdopClass
 
 
 @dataclass(frozen=True)
@@ -148,8 +115,7 @@ def dop_at(beacons: BeaconLayout, target: np.ndarray) -> DopReport:
             f"geometry at {np.asarray(target)} is degenerate (on a beacon or cond too high)"
         )
     h, v = float(hdop[0]), float(vdop[0])
-    gdop = math.hypot(h, v)
-    return DopReport(hdop=h, vdop=v, gdop=gdop, classification=classify_gdop(gdop))
+    return DopReport(hdop=h, vdop=v, gdop=math.hypot(h, v))
 
 
 def dop_components(

@@ -51,27 +51,14 @@ class FusionConfig:
         if not self.enabled:
             return est[2]
         h, ceiling = float(scene.receiver_position[2]), scene.room_dims[2]
-        echo = simulate_ceiling_echo(h, ceiling, c, self.echo_noise_std, rng, self.obstruction_prob)
+        h_echo = simulate_ceiling_echo(h, ceiling, c, self.echo_noise_std, rng, self.obstruction_prob)
         w1 = self.w1
         if self.auto_weights:
             _, vdop, _ = dop_components(scene.beacons, est[None, :])
             range_std = float(vdop[0]) * (c / fs / math.sqrt(12.0))
             var_tri = range_std**2 if np.isfinite(vdop[0]) else 1.0
             w1 = inverse_variance_weights(var_tri, (c * self.echo_noise_std / 2.0) ** 2)
-        return fuse_height(est[2], echo.derived_height, w1)
-
-
-@dataclass(frozen=True)
-class HeightMeasurement:
-    """One ceiling-echo reading and the height derived from it."""
-
-    round_trip_time: float
-    ceiling_height: float
-    derived_height: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.derived_height <= self.ceiling_height:
-            raise ValueError("derived height must lie within [0, ceiling height]")
+        return fuse_height(est[2], h_echo, w1)
 
 
 def inverse_variance_weights(var1: float, var2: float) -> float:
@@ -88,8 +75,8 @@ def simulate_ceiling_echo(
     noise_std: float = ECHO_NOISE_STD,
     rng: np.random.Generator | None = None,
     obstruction_prob: float = 0.0,
-) -> HeightMeasurement:
-    """Simulate one round trip of the upward-facing rangefinder.
+) -> float:
+    """The height derived from one round trip of the upward-facing rangefinder.
 
     The noiseless round-trip time is 2 * (H - h) / c; Gaussian timing
     jitter of noise_std seconds is added when an RNG is supplied. With
@@ -105,8 +92,7 @@ def simulate_ceiling_echo(
         t += rng.normal(0.0, noise_std)
     t = max(t, 0.0)
     gap = c * t / 2.0
-    derived = min(max(ceiling_height - gap, 0.0), ceiling_height)
-    return HeightMeasurement(t, ceiling_height, derived)
+    return min(max(ceiling_height - gap, 0.0), ceiling_height)
 
 
 def fuse_height(z_stage1: float, h_drone: float, w1: float) -> float:

@@ -33,16 +33,12 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelModel, Scene, apply_channel, sample_multipath
-from .config import SimConfig
+from .config import MAX_FIXES, SimConfig
 from .dop import DroneDomain
 from .errors import ConfigError, UltralocError
 from .ranging import estimate_ranges
 from .solver import trilaterate
 from .waveform import random_data_bits
-
-# Most fixes one trajectory may hold. At about 5 ms a fix (BENCH_22.json's
-# fix-stream) 2**16 fixes take over five minutes of one CPU.
-MAX_TRAJECTORY_FIXES = 2**16
 
 # Stream labels keeping seed derivations of different experiment kinds apart.
 _STREAM_SIMULATE = 0
@@ -99,24 +95,30 @@ def random_position(domain: DroneDomain, rng: np.random.Generator) -> np.ndarray
     return rng.uniform(*zip(domain.x_range, domain.y_range, domain.z_range))
 
 
+def _limit_fixes(n: int, what: str, fix: str) -> None:
+    """A ConfigError, naming the keys to change, if n fixes exceed MAX_FIXES."""
+    if n > MAX_FIXES:
+        raise ConfigError(f"{what} would hold more than the {MAX_FIXES} fixes allowed; {fix}")
+
+
 def make_trajectory(config: SimConfig) -> np.ndarray:
     """Seeded piecewise-linear random path through run.trajectory_waypoints
     drone-domain corners, resampled at run.fix_spacing, as (n, 3) fix points.
-    More than MAX_TRAJECTORY_FIXES points is a ConfigError, counted first."""
+    More than MAX_FIXES points is a ConfigError, counted first. Each leg of
+    nonzero length adds a point, so more than MAX_FIXES waypoints is
+    rejected before any corner is drawn, even on a zero-volume drone
+    domain, where every leg has zero length and the path is one point."""
     run, domain = config.run, config.drone_domain()
+    _limit_fixes(run.trajectory_waypoints, "the trajectory", "lower [run] trajectory_waypoints")
     rng = np.random.default_rng([run.seed, _STREAM_TRAJECTORY])
     corners = np.array([random_position(domain, rng) for _ in range(run.trajectory_waypoints)])
     legs = []  # (start, vector, length, steps), the step count capped at the limit
     for a, b in zip(corners[:-1], corners[1:]):
         length = float(np.linalg.norm(b - a))
         if length > 0.0:
-            steps = max(int(min(length / run.fix_spacing, MAX_TRAJECTORY_FIXES)), 1)
+            steps = max(int(min(length / run.fix_spacing, MAX_FIXES)), 1)
             legs.append((a, b - a, length, steps))
-    if 1 + sum(leg[3] for leg in legs) > MAX_TRAJECTORY_FIXES:
-        raise ConfigError(
-            f"the trajectory would hold more than the {MAX_TRAJECTORY_FIXES} fixes allowed; "
-            "raise [run] fix_spacing"
-        )
+    _limit_fixes(1 + sum(leg[3] for leg in legs), "the trajectory", "raise [run] fix_spacing")
     fixes = [corners[0]]
     for a, seg, length, n_steps in legs:
         for k in range(1, n_steps + 1):
@@ -237,7 +239,9 @@ def _rows(trials: TrialRecord, index) -> TrialRecord:
 
 
 def simulate(config: SimConfig) -> TrialRecord:
-    """Run run.trials seeded fixes at random drone-domain positions at the config SNR."""
+    """Run run.trials seeded fixes at random drone-domain positions at the
+    config SNR; more than MAX_FIXES is a ConfigError before any fix is made."""
+    _limit_fixes(config.run.trials, "the simulation", "lower [run] trials")
     return _run_trials(_trial_jobs(config, config.run.trials, _STREAM_SIMULATE))
 
 
@@ -246,9 +250,11 @@ def sweep_snr(config: SimConfig) -> tuple[TrialRecord, list[dict]]:
     SNR of run.snr_list.
 
     Returns one trials table, SNR after SNR, plus one aggregate_records
-    row per SNR over that SNR's own rows.
+    row per SNR over that SNR's own rows. More than MAX_FIXES fixes in all
+    is a ConfigError before any fix is made.
     """
     n, snr_list = config.run.trials, config.run.snr_list
+    _limit_fixes(n * len(snr_list), "the sweep", "lower [run] trials or shorten [run] snr_list")
     jobs = []
     for s_idx, snr in enumerate(snr_list):
         cfg_s = replace(config, channel=replace(config.channel, snr_db=snr))

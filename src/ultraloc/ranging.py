@@ -51,37 +51,24 @@ class RangeEstimates:
     peak_values: np.ndarray
 
 
-@dataclass(frozen=True)
-class DespreadResult:
-    """Despread waveform plus a flag for a discarded trailing partial symbol."""
-
-    signal: SampledSignal
-    truncated: bool
-
-
 def despread(
     received: SampledSignal, code_row: np.ndarray, config: WaveformConfig
-) -> DespreadResult:
+) -> SampledSignal:
     """Multiply each chip interval of the received signal by its code chip.
 
     The chip grid starts at sample 0 of the received signal (the shared
-    receiver clock). A trailing partial symbol is dropped and flagged. A
-    code whose chips do not split a symbol into whole samples raises
-    ChipAlignmentError.
+    receiver clock). A trailing partial symbol is dropped, which leaves the
+    result shorter than the received signal. A code whose chips do not
+    split a symbol into whole samples raises ChipAlignmentError.
     """
     code_row = np.asarray(code_row, dtype=np.int64)
     chip_len = config.samples_per_chip(code_row.size)
     sps = config.samples_per_symbol
     samples = received.samples
-    n_whole = (samples.size // sps) * sps
-    truncated = n_whole != samples.size
-    n_symbols = n_whole // sps
+    n_symbols = samples.size // sps
     code_track = np.tile(np.repeat(code_row, chip_len), n_symbols)
-    out = samples[:n_whole] * code_track
-    return DespreadResult(
-        signal=SampledSignal(samples=out, sample_rate=received.sample_rate),
-        truncated=truncated,
-    )
+    out = samples[: n_symbols * sps] * code_track
+    return SampledSignal(samples=out, sample_rate=received.sample_rate)
 
 
 def _fast_length(n: int) -> int:
@@ -222,8 +209,7 @@ def decode_bits(
     and echoes lengthen it), and a short one gives the whole symbols it
     holds.
     """
-    result = despread(received, code_row, config)
-    y = result.signal.samples
+    y = despread(received, code_row, config).samples
     sps = config.samples_per_symbol
     n_symbols = min(y.size // sps, len(hops))
     carrier = hop_carrier(config, hops, n_symbols)

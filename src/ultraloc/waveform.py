@@ -65,16 +65,6 @@ def walsh_rows(order: int, n_rows: int) -> np.ndarray:
     return rows
 
 
-def encode_symbol(data_bit: int, code_row: np.ndarray) -> np.ndarray:
-    """Spread one +/-1 data bit into chips by multiplying with a code row."""
-    if data_bit not in (-1, 1):
-        raise ValueError(f"data bit must be +1 or -1, got {data_bit}")
-    code_row = np.asarray(code_row)
-    if code_row.size == 0:
-        raise ValueError("code row must be nonempty")
-    return data_bit * code_row
-
-
 def random_hop_plan(
     n_symbols: int,
     seed: int,
@@ -207,13 +197,6 @@ class SampledSignal:
     def __len__(self) -> int:
         return self.samples.shape[-1]
 
-    @property
-    def duration(self) -> float:
-        return len(self) / self.sample_rate
-
-    def energy(self) -> float:
-        return float(np.sum(self.samples**2))
-
 
 def hop_carrier(config: WaveformConfig, hops: np.ndarray, n_symbols: int) -> np.ndarray:
     """Unit sinusoid at each symbol's hop channel, sin(2*pi*f_m*t + phase),
@@ -313,25 +296,6 @@ def generate_tx_signals(
     chips = (bits[..., None] * codes[..., None, :]).astype(float)[..., None]
     samples = (chips * carrier.reshape(n_bits, n_chips, chip_len)).reshape(*bits.shape[:-1], -1)
     return SampledSignal(samples=samples, sample_rate=config.sample_rate)
-
-
-def band_energy_fraction(
-    samples: np.ndarray, sample_rate: float, f_low: float, f_high: float
-) -> float:
-    """Fraction of a segment's spectral energy inside [f_low, f_high].
-
-    Measured from the Fourier magnitude of the (rectangular-windowed)
-    segment, zero-padded for fine frequency resolution.
-    """
-    samples = np.asarray(samples, dtype=float)
-    n_fft = max(8 * samples.size, 1024)
-    spectrum = np.abs(np.fft.rfft(samples, n=n_fft)) ** 2
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
-    total = spectrum.sum()
-    if total == 0.0:
-        return 0.0
-    in_band = spectrum[(freqs >= f_low) & (freqs <= f_high)].sum()
-    return float(in_band / total)
 
 
 def random_data_bits(shape: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarray:

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from ultraloc import harness
 from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, SPEED_OF_SOUND
 from ultraloc.cli import _build_parser, main
-from ultraloc.config import MAX_FIX_SAMPLES, MAX_LATTICE_POINTS
-from ultraloc.harness import MAX_TRAJECTORY_FIXES
+from ultraloc.config import MAX_FIX_SAMPLES, MAX_FIXES, MAX_LATTICE_POINTS
 from ultraloc.waveform import SAMPLE_RATE
 
 FAST_INI = """
@@ -541,11 +541,44 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == (
-            f"error: the trajectory would hold more than the {MAX_TRAJECTORY_FIXES} fixes "
+            f"error: the trajectory would hold more than the {MAX_FIXES} fixes "
             "allowed; raise [run] fix_spacing\n"
         )
         assert captured.out == ""
         assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command,ini,run,keys",
+        [
+            ("simulate", "[run]\ntrials = 3\n", "simulation", "lower [run] trials"),
+            ("rangetest", "[run]\ntrials = 3\n", "simulation", "lower [run] trials"),
+            (
+                "sweep",
+                "[run]\ntrials = 1\nsnr_list = 0 5 10\n",
+                "sweep",
+                "lower [run] trials or shorten [run] snr_list",
+            ),
+            (
+                "trajectory",
+                "[run]\ntrajectory_waypoints = 3\n",
+                "trajectory",
+                "lower [run] trajectory_waypoints",
+            ),
+        ],
+        ids=["simulate", "rangetest", "sweep", "trajectory"],
+    )
+    def test_fix_limit_is_one_error_line(self, tmp_path, capsys, monkeypatch, command, ini, run, keys):
+        # one fix over a limit lowered to 2 stands for 10**9 trials or waypoints
+        # at 2**16: rejected before a job or corner exists, so nothing is allocated
+        monkeypatch.setattr(harness, "MAX_FIXES", 2)
+        bad = tmp_path / "many.ini"
+        bad.write_text(ini)
+        code = run_cli(command, "--config", str(bad), "--out", str(tmp_path / "out"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: the {run} would hold more than the 2 fixes allowed; {keys}\n"
+        assert captured.out == ""
+        assert not any((tmp_path / "out").glob("*"))
 
     @pytest.mark.parametrize(
         "ini",

@@ -59,7 +59,6 @@ class TestDopAt:
         assert report.hdop == pytest.approx(math.sqrt(1.5), rel=1e-12)
         assert report.vdop == pytest.approx(1.0, rel=1e-12)
         assert report.gdop == pytest.approx(math.sqrt(2.5), rel=1e-12)
-        assert report.classification is dop.GdopClass.VERY_GOOD
 
     def test_gdop_identity(self):
         rng = np.random.default_rng(1)
@@ -93,29 +92,6 @@ class TestDopAt:
         target = np.asarray(ORIGINAL_LAYOUT.positions)[0]
         with pytest.raises(DegenerateGeometryError):
             dop.dop_at(ORIGINAL_LAYOUT, target)
-
-
-class TestClassification:
-    @pytest.mark.parametrize(
-        "gdop,expected",
-        [
-            (0.5, dop.GdopClass.MEASUREMENT_ERROR_OR_REDUNDANCY),
-            (1.0, dop.GdopClass.IDEAL),
-            (1.5, dop.GdopClass.VERY_GOOD),
-            (2.0, dop.GdopClass.GOOD),
-            (4.9, dop.GdopClass.GOOD),
-            (7.0, dop.GdopClass.MEDIUM),
-            (15.0, dop.GdopClass.SUFFICIENT),
-            (20.0, dop.GdopClass.BAD),
-            (25.0, dop.GdopClass.BAD),
-        ],
-    )
-    def test_bands(self, gdop, expected):
-        assert dop.classify_gdop(gdop) is expected
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            dop.classify_gdop(-0.1)
 
 
 class TestDopAverage:

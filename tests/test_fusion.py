@@ -13,22 +13,20 @@ from ultraloc.dop import dop_components
 
 class TestCeilingEcho:
     def test_round_trip_arithmetic(self):
-        m = fusion.simulate_ceiling_echo(3.657, 4.0, c=343.0, noise_std=0.0)
-        assert m.round_trip_time == pytest.approx(2.0 * 0.343 / 343.0, rel=1e-12)
-        assert m.round_trip_time == pytest.approx(2e-3, rel=1e-12)
-        assert m.derived_height == pytest.approx(3.657, abs=1e-12)
+        # a 2 ms round trip at 343 m/s is a 0.343 m gap to the ceiling
+        h = fusion.simulate_ceiling_echo(3.657, 4.0, c=343.0, noise_std=0.0)
+        assert h == pytest.approx(3.657, abs=1e-12)
 
     def test_near_ceiling_limit(self):
         eps = 1e-9
-        m = fusion.simulate_ceiling_echo(4.0 - eps, 4.0, noise_std=0.0)
-        assert m.round_trip_time == pytest.approx(0.0, abs=1e-11)
-        assert m.derived_height == pytest.approx(4.0, abs=1e-8)
+        h = fusion.simulate_ceiling_echo(4.0 - eps, 4.0, noise_std=0.0)
+        assert h == pytest.approx(4.0, abs=1e-8)
 
     def test_noise_propagates_to_height_std(self):
         # height std is c * noise_std / 2, about 1.7 mm for 10 us jitter
         rng = np.random.default_rng(12)
         heights = [
-            fusion.simulate_ceiling_echo(2.0, 4.0, noise_std=10e-6, rng=rng).derived_height
+            fusion.simulate_ceiling_echo(2.0, 4.0, noise_std=10e-6, rng=rng)
             for _ in range(1000)
         ]
         expected = 343.0 * 10e-6 / 2.0
@@ -41,10 +39,22 @@ class TestCeilingEcho:
 
     def test_obstruction_shortens_echo(self):
         rng = np.random.default_rng(3)
-        m = fusion.simulate_ceiling_echo(
+        h = fusion.simulate_ceiling_echo(
             1.0, 4.0, noise_std=0.0, rng=rng, obstruction_prob=1.0
         )
-        assert m.derived_height >= 1.0
+        assert h >= 1.0
+
+    def test_heavy_jitter_height_stays_in_the_room(self):
+        # 1 s of timing jitter, about 170 m of gap, and every echo obstructed:
+        # the clamp keeps every derived height within [0, H]
+        rng = np.random.default_rng(7)
+        heights = np.array([
+            fusion.simulate_ceiling_echo(1.0, 4.0, noise_std=1.0, rng=rng, obstruction_prob=1.0)
+            for _ in range(1000)
+        ])
+        assert ((0.0 <= heights) & (heights <= 4.0)).all()
+        # both ends are reached, so both sides of the clamp ran
+        assert (heights == 0.0).any() and (heights == 4.0).any()
 
     def test_rejects_height_outside_room(self):
         with pytest.raises(ValueError):
@@ -163,7 +173,7 @@ def parent_fusion_block(config, est, true_position, rng):
             var_tri = (float(vdop[0]) * quant_std) ** 2 if np.isfinite(vdop[0]) else 1.0
             var_echo = (ch.speed_of_sound * fu.echo_noise_std / 2.0) ** 2
             w1 = fusion.inverse_variance_weights(var_tri, var_echo)
-        est[2] = fusion.fuse_height(est[2], echo.derived_height, w1)
+        est[2] = fusion.fuse_height(est[2], echo, w1)
 
 
 class TestFusedZ:

@@ -136,6 +136,30 @@ class TestSimulateAndSweep:
         assert table[0]["n_failed"] == 0
         assert math.isfinite(table[0]["mean_err_3d"])
 
+    def test_fix_limit_counts_simulate_trials_before_any_job(self, monkeypatch):
+        cfg = fast_config(trials=3)
+        monkeypatch.setattr(harness, "MAX_FIXES", 3)
+        assert len(harness.simulate(cfg).trial_id) == 3
+        monkeypatch.setattr(harness, "MAX_FIXES", 2)
+        monkeypatch.setattr(harness, "_trial_jobs", None)  # a job built would raise TypeError
+        message = r"^the simulation would hold more than the 2 fixes allowed; lower \[run\] trials$"
+        with pytest.raises(ConfigError, match=message):
+            harness.simulate(cfg)
+
+    def test_fix_limit_counts_every_sweep_fix_before_any_job(self, monkeypatch):
+        # 2 trials at each of 2 SNRs: neither factor alone exceeds a limit of 3
+        cfg = fast_config(trials=2, snr_list=(0.0, 20.0))
+        monkeypatch.setattr(harness, "MAX_FIXES", 4)
+        assert len(harness.sweep_snr(cfg)[0].trial_id) == 4
+        monkeypatch.setattr(harness, "MAX_FIXES", 3)
+        monkeypatch.setattr(harness, "_trial_jobs", None)
+        message = (
+            r"^the sweep would hold more than the 3 fixes allowed; "
+            r"lower \[run\] trials or shorten \[run\] snr_list$"
+        )
+        with pytest.raises(ConfigError, match=message):
+            harness.sweep_snr(cfg)
+
     def test_failed_trials_counted_not_dropped(self):
         cfg = fast_config(snr_list=(10.0,))
         cfg = replace(cfg, scene=replace(cfg.scene, layout=COPLANAR, layout_name="file"))
@@ -313,9 +337,9 @@ class TestTrajectory:
     def test_fix_limit_counts_the_path_exactly(self, monkeypatch):
         cfg = fast_config(seed=3, trajectory_waypoints=4)
         n = len(harness.make_trajectory(cfg))
-        monkeypatch.setattr(harness, "MAX_TRAJECTORY_FIXES", n)
+        monkeypatch.setattr(harness, "MAX_FIXES", n)
         assert len(harness.make_trajectory(cfg)) == n
-        monkeypatch.setattr(harness, "MAX_TRAJECTORY_FIXES", n - 1)
+        monkeypatch.setattr(harness, "MAX_FIXES", n - 1)
         message = rf"more than the {n - 1} fixes allowed; raise \[run\] fix_spacing"
         with pytest.raises(ConfigError, match=message):
             harness.make_trajectory(cfg)
@@ -324,6 +348,24 @@ class TestTrajectory:
         tiny = fast_config(seed=3, trajectory_waypoints=4, fix_spacing=5e-324)
         with pytest.raises(ConfigError, match=r"raise \[run\] fix_spacing"):
             harness.make_trajectory(tiny)
+
+    @pytest.mark.parametrize(
+        "domain",
+        [{}, dict(domain_x=(2.0, 2.0), domain_y=(2.0, 2.0), domain_z=(1.0, 1.0))],
+        ids=["default", "zero-volume"],
+    )
+    def test_waypoint_limit_is_checked_before_any_corner(self, monkeypatch, domain):
+        # one waypoint over the limit: on the default domain every leg adds a
+        # fix; on a zero-volume one the path would be one point, rejected too
+        cfg = fast_config(trajectory_waypoints=5, **domain)
+        monkeypatch.setattr(harness, "MAX_FIXES", 4)
+        monkeypatch.setattr(harness, "random_position", None)  # a corner drawn would raise TypeError
+        message = (
+            r"^the trajectory would hold more than the 4 fixes allowed; "
+            r"lower \[run\] trajectory_waypoints$"
+        )
+        with pytest.raises(ConfigError, match=message):
+            harness.make_trajectory(cfg)
 
     def test_trajectory_deterministic(self):
         cfg = fast_config(seed=3, trajectory_waypoints=4)

@@ -11,6 +11,19 @@ from ultraloc.errors import ChipAlignmentError
 from conftest import make_burst_config, single_channel_plan
 
 
+def band_energy_fraction(samples, sample_rate, f_low, f_high):
+    """Fraction of a segment's spectral energy inside [f_low, f_high], from
+    the Fourier magnitude of the rectangular-windowed segment, zero-padded
+    for fine frequency resolution."""
+    n_fft = max(8 * samples.size, 1024)
+    spectrum = np.abs(np.fft.rfft(samples, n=n_fft)) ** 2
+    freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
+    total = spectrum.sum()
+    if total == 0.0:
+        return 0.0
+    return float(spectrum[(freqs >= f_low) & (freqs <= f_high)].sum() / total)
+
+
 class TestWalshHadamard:
     def test_order_one(self):
         assert wf.walsh_rows(1, 1).tolist() == [[1]]
@@ -56,27 +69,6 @@ class TestWalshHadamard:
     def test_rows_rejects_count_outside_the_order(self, n_rows):
         with pytest.raises(ValueError, match=f"cannot take {n_rows} rows"):
             wf.walsh_rows(8, n_rows)
-
-
-class TestEncodeSymbol:
-    def test_identity_bit(self):
-        code = np.array([1, -1, 1, -1])
-        assert wf.encode_symbol(1, code).tolist() == [1, -1, 1, -1]
-
-    def test_sign_flip(self):
-        code = np.array([1, -1, 1, -1])
-        assert wf.encode_symbol(-1, code).tolist() == [-1, 1, -1, 1]
-
-    def test_all_ones_code(self):
-        assert wf.encode_symbol(-1, np.ones(4, dtype=int)).tolist() == [-1, -1, -1, -1]
-
-    def test_rejects_bad_bit(self):
-        with pytest.raises(ValueError):
-            wf.encode_symbol(0, np.ones(4, dtype=int))
-
-    def test_rejects_empty_code(self):
-        with pytest.raises(ValueError):
-            wf.encode_symbol(1, np.array([]))
 
 
 class TestHopPlan:
@@ -206,7 +198,7 @@ class TestGenerateTxSignal:
         for s, ch in enumerate([0, 3]):
             segment = sig.samples[s * sps : (s + 1) * sps]
             fractions = [
-                wf.band_energy_fraction(
+                band_energy_fraction(
                     segment, sig.sample_rate, f - 2_500.0, f + 2_500.0
                 )
                 for f in wf.CENTER_FREQUENCIES
@@ -293,7 +285,7 @@ class TestSpectralOccupancy:
     def _fraction(self, walsh4, row_index, freq=32_500.0):
         config, hops = single_channel_plan(1, freq=freq)
         sig = wf.generate_tx_signals(config, hops, walsh4[row_index], [1])
-        return wf.band_energy_fraction(
+        return band_energy_fraction(
             sig.samples, sig.sample_rate, freq - 2_500.0, freq + 2_500.0
         )
 
@@ -349,7 +341,7 @@ class TestValidation:
     def test_stacked_signal_counts_samples_per_row(self):
         sig = wf.SampledSignal(samples=np.zeros((4, 680)), sample_rate=340_000.0)
         assert len(sig) == 680
-        assert sig.duration == pytest.approx(0.002)
+        assert len(sig) / sig.sample_rate == pytest.approx(0.002)
 
     def test_signal_rejects_non_finite(self):
         with pytest.raises(ValueError):
