@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .config import SimConfig, default_config, load_config, resolve_layout, validate_config
+from .config import SimConfig, default_config, load_config, resolve_layout
 from .dop import dop_components
-from .errors import UltralocError
+from .errors import ConfigError, UltralocError
 from .placement import optimize as run_placement
 
 
@@ -61,18 +61,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args: argparse.Namespace) -> SimConfig:
     cfg = load_config(args.config) if args.config else default_config()
     flags = vars(args)  # a command has only the flags it reads
-    if flags.get("seed") is not None:
-        cfg = replace(cfg, run=replace(cfg.run, seed=flags["seed"]))
-    if flags.get("trials") is not None:
-        cfg = replace(cfg, run=replace(cfg.run, trials=flags["trials"]))
+    run = {key: flags[key] for key in ("seed", "trials") if flags.get(key) is not None}
     layout = flags.get("layout")
-    if layout is not None:
-        cfg = replace(
-            cfg,
-            scene=replace(cfg.scene, layout_name=layout, layout=resolve_layout(layout)),
-        )
-    validate_config(cfg, source="command line")
-    return cfg
+    scene = {} if layout is None else dict(layout_name=layout, layout=resolve_layout(layout))
+    try:  # one replace, so the command line is checked once, as a whole
+        return replace(cfg, run=replace(cfg.run, **run), scene=replace(cfg.scene, **scene))
+    except ConfigError as exc:
+        raise ConfigError(f"command line: {exc}") from exc
 
 
 def _outdir(args: argparse.Namespace) -> Path:

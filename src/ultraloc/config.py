@@ -6,10 +6,11 @@ Config files use sections [scene], [waveform], [channel], [fusion],
 each parsed by its annotation. The four module sections are their
 modules' own parameter objects, which state their sections' rules:
 waveform.WaveformConfig, channel.ChannelConfig, fusion.FusionConfig and
-placement.PlacementConfig. validate_config states only the rules of
-[run] and those that join sections. Every key is optional and falls
-back to the field's default; unknown sections or keys fail loading
-immediately with the offending name in the message.
+placement.PlacementConfig. SimConfig checks the rules of [run] and those
+that join sections when it is made, so replace with a bad value raises
+ConfigError. Every key is optional and falls back to the field's
+default; unknown sections or keys fail loading immediately with the
+offending name in the message.
 """
 
 from __future__ import annotations
@@ -79,6 +80,79 @@ class SimConfig:
     fusion: FusionConfig = field(default_factory=FusionConfig)
     placement: PlacementConfig = field(default_factory=PlacementConfig)
     run: RunConfigSection = field(default_factory=RunConfigSection)
+
+    def __post_init__(self):
+        """Reject a config unless every object a run builds from it can be built.
+
+        Each module section states its own rules when it is made; the rules
+        here are [run]'s and those that join sections. Then what a run builds
+        is built once, so a rule that shows only in a build (chip alignment,
+        the hop window, the scene) is reported with its section or key.
+        """
+        rn, room = self.run, self.scene.room_dims
+        ranges = (rn.domain_x, rn.domain_y, rn.domain_z)
+        for broken, msg in (
+            (rn.trials < 1, "trials must be positive"),
+            (not rn.snr_list, "snr_list needs at least one SNR"),
+            (rn.seed < 0, "seed must be non-negative"),
+            (rn.trajectory_waypoints < 1, "trajectory_waypoints must be at least 1"),
+            (rn.domain_grid <= 0, "domain_grid must be positive"),
+            (rn.fix_spacing <= 0, "fix_spacing must be positive"),
+            (
+                not all(0 < lo and hi < side for (lo, hi), side in zip(ranges, room)),
+                "drone domain must lie strictly inside the room",
+            ),
+        ):
+            if broken:
+                raise ConfigError(msg)
+        # before any build: the received length, counting one hop draw per bit
+        wf, ch = self.waveform, self.channel
+        flight = (ch.taps_per_beacon > 0) * ch.excess_delay_max + math.hypot(*room) / ch.speed_of_sound
+        bits = min(wf.burst_bits, sys.float_info.max)  # not every int converts to a float
+        n_rx = max((flight + bits * wf.symbol_duration) * wf.sample_rate, bits)
+        if n_rx > MAX_FIX_SAMPLES:
+            raise ConfigError(
+                f"one fix would receive {n_rx:.4g} samples, more than the {MAX_FIX_SAMPLES} allowed"
+            )
+
+        centre = np.mean(ranges, axis=1)
+        for where, build in (
+            ("[waveform]", lambda: wf.bursts(0, np.ones((1, 1), dtype=np.int64))),
+            # a sweep runs the channel at each listed SNR in turn
+            ("[run] snr_list:", lambda: [replace(ch, snr_db=snr) for snr in rn.snr_list]),
+            ("[run]", self.drone_domain),
+            ("[scene]", lambda: Scene(room, self.scene.layout, centre)),
+        ):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{where} {exc}") from exc
+        # counted, not built, after the sections and builds that reject an inverted range or a bad grid
+        for name, n_points, key in (
+            ("drone-domain", self.drone_domain().size, "[run] domain_grid"),
+            ("beacon", self.placement_problem().beacon_domain.size, "[placement] beacon_grid"),
+        ):
+            if n_points > MAX_LATTICE_POINTS:
+                raise ConfigError(
+                    f"the {name} lattice would hold {n_points} points, more than the "
+                    f"{MAX_LATTICE_POINTS} allowed; raise {key}"
+                )
+        if ch.taps_per_beacon > 0 and ch.excess_delay_min * wf.sample_rate < 1.0:
+            raise ConfigError(
+                f"excess_delay_min must be at least one sample period "
+                f"({1.0 / wf.sample_rate:g} s), or a tap lands on its direct path's sample"
+            )
+        # auto weights square both FusionConfig.range_stds: neither may over- or underflow
+        fu = self.fusion
+        for keys, std in zip(
+            ("[channel] speed_of_sound", "[channel] speed_of_sound or [fusion] echo_noise_std"),
+            fu.range_stds(ch.speed_of_sound, wf.sample_rate),
+        ):
+            if fu.auto_weights and not 0.0 < std * std < math.inf:
+                raise ConfigError(
+                    f"[fusion] auto_weights squares a {std:g} m range error to {std * std:g}, "
+                    f"not a positive finite variance; change {keys}"
+                )
 
     def drone_domain(self) -> DroneDomain:
         rn = self.run
@@ -193,7 +267,7 @@ _SCHEMA = {
 
 
 def load_config(path: str | Path) -> SimConfig:
-    """Read and validate a config file, failing fast on unknown keys."""
+    """Read a config file, failing fast on unknown keys, with its path in every error."""
     if Path(path).is_dir():
         raise ConfigError(f"config path is a directory, not a file: {path}")
     parser = configparser.ConfigParser(interpolation=None)
@@ -236,81 +310,7 @@ def load_config(path: str | Path) -> SimConfig:
             sections[section] = cls(**values[section])
         except ValueError as exc:  # a section that checks its own values
             raise ConfigError(f"{path}: [{section}] {exc}") from exc
-    cfg = SimConfig(**sections)
-    validate_config(cfg, source=str(path))
-    return cfg
-
-
-def validate_config(cfg: SimConfig, source: str = "<config>") -> None:
-    """Reject a config unless every object a run builds from it can be built.
-
-    Each module section states its own rules when it is made; the rules
-    here are [run]'s and those that join sections. Then what a run builds
-    is built once, so a rule that shows only in a build (chip alignment,
-    the hop window, the scene) is reported with its section or key.
-    """
-    def fail(msg: str):
-        raise ConfigError(f"{source}: {msg}")
-
-    rn, room = cfg.run, cfg.scene.room_dims
-    ranges = (rn.domain_x, rn.domain_y, rn.domain_z)
-    for broken, msg in (
-        (rn.trials < 1, "trials must be positive"),
-        (not rn.snr_list, "snr_list needs at least one SNR"),
-        (rn.seed < 0, "seed must be non-negative"),
-        (rn.trajectory_waypoints < 1, "trajectory_waypoints must be at least 1"),
-        (rn.domain_grid <= 0, "domain_grid must be positive"),
-        (rn.fix_spacing <= 0, "fix_spacing must be positive"),
-        (
-            not all(0 < lo and hi < side for (lo, hi), side in zip(ranges, room)),
-            "drone domain must lie strictly inside the room",
-        ),
-    ):
-        if broken:
-            fail(msg)
-    # before any build: the received length, counting one hop draw per bit
-    wf, ch = cfg.waveform, cfg.channel
-    flight = (ch.taps_per_beacon > 0) * ch.excess_delay_max + math.hypot(*room) / ch.speed_of_sound
-    bits = min(wf.burst_bits, sys.float_info.max)  # not every int converts to a float
-    n_rx = max((flight + bits * wf.symbol_duration) * wf.sample_rate, bits)
-    if n_rx > MAX_FIX_SAMPLES:
-        fail(f"one fix would receive {n_rx:.4g} samples, more than the {MAX_FIX_SAMPLES} allowed")
-
-    centre = np.mean(ranges, axis=1)
-    for where, build in (
-        ("[waveform]", lambda: wf.bursts(0, np.ones((1, 1), dtype=np.int64))),
-        # a sweep runs the channel at each listed SNR in turn
-        ("[run] snr_list:", lambda: [replace(ch, snr_db=snr) for snr in rn.snr_list]),
-        ("[run]", cfg.drone_domain),
-        ("[scene]", lambda: Scene(room, cfg.scene.layout, centre)),
-    ):
-        try:
-            build()
-        except ValueError as exc:
-            fail(f"{where} {exc}")
-    # counted, not built, after the sections and builds that reject an inverted range or a bad grid
-    for name, n_points, key in (
-        ("drone-domain", cfg.drone_domain().size, "[run] domain_grid"),
-        ("beacon", cfg.placement_problem().beacon_domain.size, "[placement] beacon_grid"),
-    ):
-        if n_points > MAX_LATTICE_POINTS:
-            fail(
-                f"the {name} lattice would hold {n_points} points, more than the "
-                f"{MAX_LATTICE_POINTS} allowed; raise {key}"
-            )
-    if ch.taps_per_beacon > 0 and ch.excess_delay_min * wf.sample_rate < 1.0:
-        fail(
-            f"excess_delay_min must be at least one sample period "
-            f"({1.0 / wf.sample_rate:g} s), or a tap lands on its direct path's sample"
-        )
-    # auto weights square both range errors (FusionConfig.fused_z): neither may over- or underflow
-    c, fu = ch.speed_of_sound, cfg.fusion
-    for keys, std in (
-        ("[channel] speed_of_sound", c / wf.sample_rate / math.sqrt(12.0)),
-        ("[channel] speed_of_sound or [fusion] echo_noise_std", c * fu.echo_noise_std / 2.0),
-    ):
-        if fu.auto_weights and not 0.0 < std * std < math.inf:
-            fail(
-                f"[fusion] auto_weights squares a {std:g} m range error to {std * std:g}, "
-                f"not a positive finite variance; change {keys}"
-            )
+    try:
+        return SimConfig(**sections)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

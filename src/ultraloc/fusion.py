@@ -43,11 +43,16 @@ class FusionConfig:
         if self.auto_weights and self.echo_noise_std == 0:
             raise ValueError("auto_weights needs a positive echo_noise_std to weight the echo by")
 
+    def range_stds(self, c: float, fs: float) -> tuple[float, float]:
+        """The two range errors (m) auto_weights weighs by: the sample grid's,
+        c / fs / sqrt(12), which the VDOP at a fix scales into the
+        trilateration's, and the ceiling echo's, c * echo_noise_std / 2."""
+        return c / fs / math.sqrt(12.0), c * self.echo_noise_std / 2.0
+
     def fused_z(self, est: np.ndarray, scene: Scene, c: float, fs: float, rng) -> float:
         """est's z with fusion off, else its blend with one ceiling echo from
-        rng. auto_weights weighs by inverse variance: the echo's range error
-        is c * echo_noise_std / 2, the trilateration's the sample grid's, c /
-        fs / sqrt(12), times the VDOP at est (variance 1 where degenerate)."""
+        rng. auto_weights weighs by inverse variance, the range_stds squared
+        with the grid's scaled by the VDOP at est (variance 1 where degenerate)."""
         if not self.enabled:
             return est[2]
         h, ceiling = float(scene.receiver_position[2]), scene.room_dims[2]
@@ -55,9 +60,10 @@ class FusionConfig:
         w1 = self.w1
         if self.auto_weights:
             _, vdop, _ = dop_components(scene.beacons, est[None, :])
-            range_std = float(vdop[0]) * (c / fs / math.sqrt(12.0))
+            grid_std, echo_std = self.range_stds(c, fs)
+            range_std = float(vdop[0]) * grid_std
             var_tri = range_std**2 if np.isfinite(vdop[0]) else 1.0
-            w1 = inverse_variance_weights(var_tri, (c * self.echo_noise_std / 2.0) ** 2)
+            w1 = inverse_variance_weights(var_tri, echo_std**2)
         return fuse_height(est[2], h_echo, w1)
 
 

@@ -10,6 +10,7 @@ from ultraloc import harness
 from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, SPEED_OF_SOUND
 from ultraloc.cli import _build_parser, main
 from ultraloc.config import MAX_FIX_SAMPLES, MAX_FIXES, MAX_LATTICE_POINTS
+from ultraloc.placement import MAX_SEARCH_LAYOUTS
 from ultraloc.waveform import SAMPLE_RATE
 
 FAST_INI = """
@@ -581,6 +582,33 @@ class TestErrorPaths:
         assert not any((tmp_path / "out").glob("*"))
 
     @pytest.mark.parametrize(
+        "ini, layouts",
+        [
+            ("[placement]\npopulation = 1000000\n", 11 * (10**6 + 100 * 20)),
+            ("[placement]\npopulation = 1000000000\n", 11 * (10**9 + 100 * 20)),
+            (
+                "[placement]\nmax_restarts = 1000000000\nhdop_tolerance = 0.01\n",
+                (10**9 + 1) * (50 + 100 * 20),
+            ),
+        ],
+        ids=["population_million", "population_billion", "max_restarts_billion"],
+    )
+    def test_search_limit_is_one_error_line(self, tmp_path, capsys, ini, layouts):
+        # each ran past a timeout with no output: counted when [placement] is made
+        bad = tmp_path / "search.ini"
+        bad.write_text(ini)
+        code = run_cli("optimize", "--config", str(bad), "--out", str(tmp_path / "out"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"error: {bad}: [placement] a search would breed and score up to {layouts} layouts, "
+            f"more than the {MAX_SEARCH_LAYOUTS} allowed; lower max_restarts, population or "
+            "iterations\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "ini",
         [
             "[channel]\nexcess_delay_max = 1e6\n",
@@ -781,6 +809,16 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"error: config path is a directory, not a file: {tmp_path}\n"
+        assert captured.out == ""
+
+    def test_two_bad_overrides_report_the_first_rule_they_break(self, fast_ini, tmp_path, capsys):
+        # the overrides are applied in one replace and checked once, in rule order
+        code = run_cli(
+            "simulate", "--config", fast_ini, "--out", str(tmp_path), "--seed", "-1", "--trials", "0"
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: command line: trials must be positive\n"
         assert captured.out == ""
 
     def test_zero_trials_override_is_one_error_line(self, fast_ini, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -25,8 +26,8 @@ def write(tmp_path, text, name="sim.ini"):
 
 class TestDefaults:
     def test_default_config_is_valid(self):
-        cfg = cfg_mod.default_config()
-        cfg_mod.validate_config(cfg)
+        cfg = cfg_mod.SimConfig()
+        assert cfg == cfg_mod.default_config()
         assert cfg.scene.layout is ORIGINAL_LAYOUT
         assert cfg.waveform.sample_rate == 340_000.0
         assert len(cfg.waveform.center_frequencies) == 6
@@ -396,8 +397,7 @@ class TestFailLoud:
 
         monkeypatch.setattr(channel_mod, "sample_multipath", no_draw)
         path = write(tmp_path, "[channel]\ntaps_per_beacon = 15000\nexcess_delay_max = 4.6\n")
-        cfg = cfg_mod.load_config(path)
-        cfg_mod.validate_config(cfg)
+        cfg = cfg_mod.load_config(path)  # the SimConfig's own checks ran as it was made
         assert cfg.channel.taps_per_beacon == 15000
 
     def test_multipath_is_the_tap_count(self, tmp_path):
@@ -504,6 +504,36 @@ class TestFailLoud:
         path = write(tmp_path, "[scene]\nlayout = 50%\n")
         with pytest.raises(ConfigError, match="layout '50%' is neither built-in"):
             cfg_mod.load_config(path)
+
+
+class TestValidByConstruction:
+    """A SimConfig checks itself when it is made, so replace cannot build one
+    that a run would fail on; each case below once reached a run."""
+
+    @pytest.mark.parametrize(
+        "run, match",
+        [
+            # simulate returned an empty table that aggregate_records could not read
+            (dict(trials=0), "trials must be positive"),
+            # a ValueError traceback from the trial pool's scene
+            (dict(domain_z=(0.5, 9.0)), "drone domain must lie strictly inside the room"),
+            # sweep_snr returned no rows
+            (dict(snr_list=()), "snr_list needs at least one SNR"),
+            # make_trajectory divided by zero
+            (dict(fix_spacing=0.0), "fix_spacing must be positive"),
+        ],
+        ids=["trials", "domain_above_ceiling", "empty_snr_list", "fix_spacing"],
+    )
+    def test_replace_with_a_bad_run_value_raises(self, run, match):
+        cfg = cfg_mod.default_config()
+        with pytest.raises(ConfigError, match=f"^{re.escape(match)}$"):
+            replace(cfg, run=replace(cfg.run, **run))
+
+    def test_a_rule_joining_sections_is_checked_at_replace(self):
+        # a 2 m ceiling puts the default drone domain's top (3 m) outside the room
+        cfg = cfg_mod.default_config()
+        with pytest.raises(ConfigError, match="drone domain must lie strictly inside the room"):
+            replace(cfg, scene=replace(cfg.scene, room_dims=(5.0, 5.0, 2.0)))
 
 
 class TestResolveLayout:

@@ -151,6 +151,12 @@ class TestFusionConfig:
         assert fusion.FusionConfig(w1=0.0).w1 == 0.0
         assert fusion.FusionConfig(w1=1.0, obstruction_prob=1.0).w1 == 1.0
 
+    def test_range_stds_are_the_grid_and_echo_errors(self):
+        # the sample grid's uniform rounding error, and half the echo's round-trip jitter
+        grid_std, echo_std = fusion.FusionConfig(echo_noise_std=2e-5).range_stds(343.0, 340_000.0)
+        assert grid_std == 343.0 / 340_000.0 / math.sqrt(12.0)
+        assert echo_std == 343.0 * 2e-5 / 2.0
+
 
 def parent_fusion_block(config, est, true_position, rng):
     """The fusion block run_fix held inline before FusionConfig.fused_z, kept

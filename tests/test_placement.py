@@ -569,7 +569,7 @@ class TestBreed:
             oracle_rng = copy.deepcopy(rng)
             want, r, f = per_child_breed(parents, problem, oracle_rng)
             got = placement.breed(parents, problem, rng)
-            assert len(got) == len(want) == problem.config.offspring
+            assert len(got) == len(want) == problem.config.parents // 2
             np.testing.assert_array_equal(got, want)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
             redraws += r
@@ -583,7 +583,7 @@ class TestBreed:
         rng = np.random.default_rng(13)
         parents = placement.seed_population(problem, rng)[: problem.config.parents]
         children = placement.breed(parents, problem, rng)
-        assert children.shape == (problem.config.offspring, 4, 3)
+        assert children.shape == (problem.config.parents // 2, 4, 3)
         assert children.dtype == np.float64
 
     def test_falls_back_after_max_draws(self):
@@ -760,9 +760,6 @@ class TestProblemValidation:
         assert result.restarts == 0
         assert len(result.history) == 8
 
-    def test_offspring_is_half_of_parents(self):
-        assert placement.PlacementConfig(parents=40).offspring == 20
-
     @pytest.mark.parametrize("key", ["hdop_tolerance", "vdop_tolerance"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     def test_rejects_each_nonpositive_or_nan_tolerance(self, key, value):
@@ -779,11 +776,22 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="beacon_grid must be positive"):
             placement.PlacementConfig(beacon_grid=grid)
 
+    def test_layout_limit_counts_every_run_seed_and_child(self):
+        # (max_restarts + 1) * (population + iterations * parents / 2) layouts
+        limit = placement.MAX_SEARCH_LAYOUTS
+        placement.PlacementConfig(population=limit - 100 * 20, max_restarts=0)
+        with pytest.raises(ValueError, match=f"up to {limit + 1} layouts"):
+            placement.PlacementConfig(population=limit - 100 * 20 + 1, max_restarts=0)
+        with pytest.raises(ValueError, match=f"up to {2 * limit} layouts"):
+            placement.PlacementConfig(population=limit - 100 * 20, max_restarts=1)
+        with pytest.raises(ValueError, match=f"up to {limit + 20} layouts"):
+            placement.PlacementConfig(population=limit - 100 * 20, iterations=101, max_restarts=0)
+
     def test_limits_are_accepted(self):
         config = placement.PlacementConfig(
             population=2, parents=2, iterations=1, max_restarts=0, min_separation=0.0
         )
-        assert config.offspring == 1
+        assert (config.population, config.parents) == (2, 2)
 
 
 class TestPlacementProblem:
