@@ -12,6 +12,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -36,6 +37,7 @@ _FLAGS = {
 }
 
 
+@functools.cache  # built once a process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ultraloc",

@@ -164,8 +164,13 @@ def dop_components(
     n_pairs = len(layouts) * len(points)
     # The differences, unit vectors, their outer products and M are laid
     # out point-last, (beacon, axis, layout-major point), so each step is
-    # one pass over contiguous rows of every point.
-    diff = layouts.transpose(1, 2, 0)[..., None] - points.T[:, None, :]
+    # one pass over contiguous rows of every point. The differences are
+    # written straight into a C-contiguous (beacon, axis, layout, point)
+    # array, so merging its last two axes is a view: a broadcast
+    # subtraction's own result is laid out in its inputs' order, and
+    # reshaping it copies every difference.
+    diff = np.empty((n_beacons, 3, len(layouts), len(points)))
+    np.subtract(layouts.transpose(1, 2, 0)[..., None], points.T[:, None, :], out=diff)
     diff = diff.reshape(n_beacons, 3, n_pairs)
     # (dx^2 + dy^2) + dz^2, the same sum as np.linalg.norm behind a slower dispatch
     r = np.sqrt(np.add.reduce(diff * diff, axis=1))

@@ -14,6 +14,8 @@ A generation's layouts not yet scored in the run are scored together
 (score_layouts): the degeneracy rules run on the whole batch at once, and
 the DOP kernel takes the rest in calls of at most PAIR_BUDGET (layout,
 drone-lattice point) pairs, 16 layouts of the default 486-point lattice.
+Each call's rows become fitness terms in one terms pass per chunk, one
+mean per row over the whole (layouts, points) array.
 
 Offspring are scored against a cutoff, the worst fitness among the
 current population. The cull's stable sort puts those 50 layouts first,
@@ -52,7 +54,12 @@ MAX_DRAWS = 20
 # (layout, lattice point) pairs per DOP kernel call while scoring a batch:
 # 16 layouts of the default 486-point drone lattice. A lattice larger than
 # this goes one layout a call, so a fine drone lattice never holds more
-# than one layout's kernel temporaries at once.
+# than one layout's kernel temporaries at once. Half of it (8 layouts) was
+# not reliably faster: a kernel call costs about 85 us a layout without
+# the inverse and 310 us with it at 4 to 32 layouts a call, and in two
+# runs of 30 in-process pairs of default searches (same seed in a pair,
+# order alternated; 2-vCPU x86-64, numpy 2.4) 4096 beat 8192 in 16 and
+# 23, medians 96.3 against 98.0 and 107.9 against 113.4 ms.
 PAIR_BUDGET = 8192
 # Most layouts one search may seed and breed: each of the max_restarts + 1
 # runs seeds a population and breeds parents / 2 children an iteration.
@@ -156,6 +163,8 @@ class PlacementConfig:
             raise ValueError("need at least one iteration")
         if not self.beacon_grid > 0:
             raise ValueError("beacon_grid must be positive")
+        if not self.min_separation >= 0:  # NaN fails too
+            raise ValueError("min_separation must be non-negative")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be non-negative")
         layouts = (self.max_restarts + 1) * (self.population + self.iterations * (self.parents // 2))
@@ -267,7 +276,8 @@ def score_layouts(
     layouts go through the DOP kernel together, in calls of at most
     PAIR_BUDGET (layout, lattice point) pairs, and never less than one
     layout a call, so a fine drone lattice holds one layout's kernel
-    temporaries at a time.
+    temporaries at a time. Each chunk takes one terms pass (_terms) for
+    its cutoff test and one for its rows, not one per layout.
 
     A layout whose fitness certainly exceeds the cutoff scores (inf, nan,
     nan) too, and its points skip the inverse: fitness never falls when
@@ -280,35 +290,47 @@ def score_layouts(
     terms[:, 0] = np.inf
     valid = np.flatnonzero(~coincident_pairs(layouts).any(axis=-1) & full_rank(layouts))
     points = problem.drone_domain.points()
-    # an empty lattice still reaches domain_mean, which rejects it
-    per_call = max(1, PAIR_BUDGET // max(1, len(points)))
+    per_call = max(1, PAIR_BUDGET // len(points))
     for start in range(0, len(valid), per_call):
         rows = valid[start : start + per_call]
         chosen = np.ones(len(rows), dtype=bool)
 
         def may_survive(*bounds):
             # a NaN bound (not certified at every point) is scored exactly
-            chosen[:] = [not _terms(*b, problem)[0] > cutoff for b in zip(*bounds)]
+            chosen[:] = ~(_terms(*bounds, problem)[:, 0] > cutoff)
             return chosen
 
         invert = None if cutoff == math.inf else may_survive
         dops = dop_components(layouts[rows], points, invert=invert)
         dops = [a.reshape(len(rows), len(points))[chosen] for a in dops]
-        for row, *dop_row in zip(rows[chosen], *dops):
-            terms[row] = _terms(*dop_row, problem)
+        terms[rows[chosen]] = _terms(*dops, problem)
     return terms
 
 
 def _terms(
     hdop: np.ndarray, vdop: np.ndarray, degenerate: np.ndarray, problem: PlacementProblem
-) -> tuple[float, float, float]:
-    """(fitness, hdop_avg, vdop_avg) of one layout's DOP over the drone lattice."""
-    try:
-        hdop_avg, vdop_avg = domain_mean(hdop, vdop, degenerate)
-    except DomainDegeneracyError:
-        return math.inf, math.nan, math.nan
-    penalty = HDOP_PENALTY if hdop_avg > problem.config.hdop_tolerance else 0.0
-    return vdop_avg + penalty, hdop_avg, vdop_avg
+) -> np.ndarray:
+    """(L, 3) rows of (fitness, hdop_avg, vdop_avg) of L layouts' (L, P) DOP
+    over the drone lattice, as domain_mean averages each row.
+
+    The rows are averaged in one pass: numpy sums each contiguous row
+    pairwise, exactly as domain_mean's 1-D mean does. A row with a
+    degenerate point keeps domain_mean's own masked mean, since a mean over
+    fewer points is summed in another order, and scores (inf, nan, nan)
+    where domain_mean rejects it.
+    """
+    hdop_avg, vdop_avg = hdop.mean(axis=1), vdop.mean(axis=1)
+    rejected = degenerate.any(axis=1)  # until domain_mean accepts the row
+    for k in np.flatnonzero(rejected):
+        try:
+            hdop_avg[k], vdop_avg[k] = domain_mean(hdop[k], vdop[k], degenerate[k])
+            rejected[k] = False
+        except DomainDegeneracyError:
+            hdop_avg[k] = vdop_avg[k] = math.nan
+    # the penalty is exactly HDOP_PENALTY or 0.0, as in per-layout scoring
+    fitness = vdop_avg + HDOP_PENALTY * (hdop_avg > problem.config.hdop_tolerance)
+    fitness[rejected] = math.inf
+    return np.column_stack([fitness, hdop_avg, vdop_avg])
 
 
 def fitness(beacons: np.ndarray, problem: PlacementProblem) -> tuple[float, float, float]:

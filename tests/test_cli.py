@@ -358,6 +358,40 @@ class TestFlags:
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    def test_one_parser_serves_every_call_as_a_fresh_one_would(self, fast_ini, tmp_path, capsys):
+        # main builds its parser once a process; no call may see another's flags
+        calls = [
+            ("optimize", "--config", fast_ini, "--seed", "5"),
+            ("optimize", "--config", fast_ini),
+            ("dopmap", "--config", fast_ini, "--layout", "optimized"),
+            ("dopmap", "--config", fast_ini),
+            ("simulate", "--config", fast_ini, "--trials", "1", "--seed", "4", "--layout", "optimized"),
+            ("simulate", "--config", fast_ini),
+        ]
+
+        def run(k, argv):
+            out = tmp_path / f"call-{k}"  # the same path each time: stdout names it
+            assert run_cli(*argv, "--out", str(out)) == 0
+            return capsys.readouterr().out, {f.name: f.read_bytes() for f in out.iterdir()}
+
+        assert _build_parser() is _build_parser()
+        together = [run(k, argv) for k, argv in enumerate(calls)]
+        with pytest.raises(SystemExit) as exc:
+            run_cli("optimize", "--trials", "3", "--out", str(tmp_path / "usage"))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trials 3" in capsys.readouterr().err
+        assert run(1, calls[1]) == together[1]
+        alone = []
+        for k, argv in enumerate(calls):
+            _build_parser.cache_clear()
+            alone.append(run(k, argv))
+        assert together == alone
+        assert json.loads(together[0][1]["placement.json"])["seed"] == 5
+        assert json.loads(together[1][1]["placement.json"])["seed"] == 3  # the config's
+        assert together[2][1]["dopmap.csv"] != together[3][1]["dopmap.csv"]
+        summary = json.loads(together[5][1]["summary.json"])
+        assert (summary["n_trials"], summary["seed"], summary["layout"]) == (2, 3, "original")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -687,6 +721,17 @@ class TestErrorPaths:
         assert captured.err == (
             f"error: {bad}: [waveform] 680 samples/symbol not divisible by code length 1048576\n"
         )
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_min_separation_is_one_error_line(self, tmp_path, capsys):
+        # it searched as if 0 were given and wrote a layout
+        bad = tmp_path / "sep.ini"
+        bad.write_text("[placement]\nmin_separation = -1\n")
+        code = run_cli("optimize", "--config", str(bad), "--out", str(tmp_path / "out"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {bad}: [placement] min_separation must be non-negative\n"
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 

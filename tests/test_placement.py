@@ -315,6 +315,35 @@ class TestScoreLayouts:
             tracemalloc.stop()
         assert batch <= 1.5 * one_call
 
+    @pytest.mark.parametrize("hdop_tolerance", [2.0, 1.0])
+    def test_rows_with_a_few_degenerate_points_keep_the_masked_mean(self, hdop_tolerance):
+        # A drone lattice up to the 4 m ceiling: a ceiling beacon on one of its
+        # 648 points is degenerate there alone, within domain_mean's 1%.
+        problem = placement.PlacementProblem(
+            placement.PlacementConfig(hdop_tolerance=hdop_tolerance),
+            DroneDomain(z_range=(0.5, 4.0)),
+        )
+        points = problem.drone_domain.points()
+        on_point = np.array([[1.0, 1.5, 4.0], [0.0, 2.5, 3.0], [5.0, 4.0, 2.5], [2.5, 5.0, 3.5]])
+        edge_on = mixed_batch()[4]
+        batch = np.concatenate([[on_point, edge_on], spanning_population(problem, 3)])
+        n_bad = dop_components(batch, points)[2].reshape(len(batch), len(points)).sum(axis=1)
+        masked = (n_bad > 0) & (n_bad <= 0.01 * len(points))
+        assert n_bad[0] == 1 and n_bad[1] == 81
+        assert masked.sum() >= 3 and (n_bad == 0).sum() >= 10
+
+        exact = placement.score_layouts(batch, problem)
+        for layout, row in zip(batch, exact):
+            np.testing.assert_array_equal(row, per_layout_fitness(layout, problem))
+        assert np.isfinite(exact[masked, 0]).all() and np.isinf(exact[1, 0])
+
+        finite = np.sort(exact[np.isfinite(exact[:, 0]), 0])
+        for cutoff in (*exact[masked, 0], finite[0], np.median(finite), finite[-1]):
+            got = placement.score_layouts(batch, problem, cutoff=cutoff)
+            kept = np.isfinite(got[:, 0])
+            np.testing.assert_array_equal(got[kept], exact[kept])
+            assert (exact[~kept, 0] > cutoff).all() and np.isnan(got[~kept, 1:]).all()
+
 
 def bounds_and_exact(layouts, problem):
     """The DOP kernel's (hdop, vdop) lower bounds and its exact (hdop, vdop,
@@ -680,6 +709,39 @@ class TestOptimize:
         for b in result.layout.positions:
             assert tuple(b) in candidates
 
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_kernel_batch_size_cannot_change_a_search(self, seed, monkeypatch):
+        problem = fast_problem(rng_seed=seed)
+        kernel = placement.dop_components
+        batch_sizes = []
+
+        def recording(layouts, points, invert=None):
+            batch_sizes.append(len(layouts))
+            return kernel(layouts, points, invert=invert)
+
+        def search():
+            batch_sizes.clear()
+            generations = []
+            result = placement.optimize(
+                problem, observer=lambda run, it, pop: generations.append(pop.tobytes())
+            )
+            return result, generations, max(batch_sizes)
+
+        monkeypatch.setattr(placement, "dop_components", recording)
+        want, want_generations, widest = search()
+        monkeypatch.setattr(placement, "PAIR_BUDGET", 1)  # one layout a kernel call
+        got, generations, one = search()
+        assert widest > 1 and one == 1
+        assert generations == want_generations
+        assert got.layout.positions.tobytes() == want.layout.positions.tobytes()
+        assert got.history == want.history
+        assert (got.vdop_avg, got.hdop_avg, got.restarts, got.feasible) == (
+            want.vdop_avg,
+            want.hdop_avg,
+            want.restarts,
+            want.feasible,
+        )
+
 
 class TestFitnessMemo:
     def test_each_distinct_layout_scored_once(self, monkeypatch):
@@ -775,6 +837,11 @@ class TestProblemValidation:
     def test_rejects_nonpositive_or_nan_beacon_grid(self, grid):
         with pytest.raises(ValueError, match="beacon_grid must be positive"):
             placement.PlacementConfig(beacon_grid=grid)
+
+    @pytest.mark.parametrize("separation", [-1.0, -1e-12, math.nan])
+    def test_rejects_negative_or_nan_min_separation(self, separation):
+        with pytest.raises(ValueError, match="min_separation must be non-negative"):
+            placement.PlacementConfig(min_separation=separation)
 
     def test_layout_limit_counts_every_run_seed_and_child(self):
         # (max_restarts + 1) * (population + iterations * parents / 2) layouts
