@@ -62,10 +62,29 @@ def coincident_pairs(layouts: np.ndarray) -> np.ndarray:
 
 
 def full_rank(layouts: np.ndarray) -> np.ndarray:
-    """Whether p_n - p_i of (..., n, 3) layouts have rank 3 (1e-9 m), as a
-    3-D fix needs."""
+    """Whether p_4 - p_i of (..., 4, 3) layouts have rank 3 (1e-9 m), as a
+    3-D fix needs: np.linalg.matrix_rank(diffs, tol=1e-9) == 3.
+
+    The determinant of the 3x3 difference rows A decides a layout where it
+    is certain; only the rest reach matrix_rank's SVD. A's least singular
+    value s3 lies between 2 |det A| / ||A||_F^2 and |det A|^(1/3). numpy's
+    LU det is within 1e-13 relative of the exact det of A + E, with
+    ||E|| < 2e-14 ||A||_F (partial pivoting grows a 3x3 by at most 4), and
+    the SVD's s3 is within a small multiple of eps ||A||_F of A's, so
+    slop = 1e-13 ||A||_F covers both. So A is rank 3 where |det| >
+    ||A||_F^2 (1e-9 + slop), s3 over twice the tolerance, and below rank 3
+    where |det|^(1/3) < 1e-9 / 2 - slop, s3 under half of it: a layout on
+    the ceiling or on one wall, whose A has a zero column, has det exactly 0.
+    """
     diffs = layouts[..., -1:, :] - layouts[..., :-1, :]
-    return np.linalg.matrix_rank(diffs, tol=1e-9) == 3
+    det = np.abs(np.linalg.det(diffs))
+    norm2 = np.add.reduce(diffs * diffs, axis=(-2, -1))
+    slop = 1e-13 * np.sqrt(norm2)
+    rank3 = np.asarray(det > norm2 * (1e-9 + slop))  # 0-d for one layout, still assignable
+    undecided = ~rank3 & (det >= np.maximum(5e-10 - slop, 0.0) ** 3)
+    if undecided.any():
+        rank3[undecided] = np.linalg.matrix_rank(diffs[undecided], tol=1e-9) == 3
+    return rank3
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity, as arrays have no single truth value

@@ -100,6 +100,7 @@ def _write_summary(cfg: SimConfig, summary: dict, out: Path) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
+    harness.limit_simulation(cfg)  # counted before the output directory exists
     out = _outdir(args)
     trials = harness.simulate(cfg)
     harness.write_trials_csv(trials, out / "trials.csv")
@@ -116,6 +117,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
+    harness.limit_sweep(cfg)  # counted before the output directory exists
     out = _outdir(args)
     trials, table = harness.sweep_snr(cfg)
     harness.write_trials_csv(trials, out / "trials.csv")
@@ -133,8 +135,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_trajectory(args) -> int:
     cfg = _load(args)
+    waypoints = harness.make_trajectory(cfg)  # counted before the output directory exists
     out = _outdir(args)
-    trials, summary = harness.run_trajectory(cfg, harness.make_trajectory(cfg))
+    trials, summary = harness.run_trajectory(cfg, waypoints)
     harness.write_trials_csv(trials, out / "trajectory.csv")
     _write_summary(cfg, summary, out)
     _fail_if_all_failed(trials)
@@ -188,6 +191,7 @@ def _cmd_dopmap(args) -> int:
 
 def _cmd_rangetest(args) -> int:
     cfg = _load(args)
+    harness.limit_simulation(cfg)  # counted before the output directory exists
     out = _outdir(args)
     trials = harness.simulate(cfg)
     harness.write_csv(

@@ -20,10 +20,12 @@ from .channel import BeaconLayout
 from .errors import DegenerateGeometryError, DomainDegeneracyError
 
 CONDITION_CAP = 1e8
-# Relative slack under the closed-form DOP estimates that makes them lower
-# bounds (dop_components' invert). Over the 2367 layouts the default
-# searches of seeds 0-7 score, an estimated domain mean is within 2.2e-12
-# of the exact one, relative; the kernel's error bound is 1e-8.
+# Relative slack on either side of the closed-form DOP estimates that makes
+# them certified bounds: times 1 - ESTIMATE_SLACK a lower bound (what
+# dop_components' invert sees), times 1 + ESTIMATE_SLACK an upper bound
+# (placement.bound_layouts). Over the 2367 layouts the default searches of
+# seeds 0-7 score, an estimated domain mean is within 2.2e-12 of the exact
+# one, relative; the kernel's error bound is 1e-8.
 ESTIMATE_SLACK = 1e-6
 
 # Default flight volume for desk-scale experiments: half a meter away
@@ -153,7 +155,8 @@ def dop_components(
     degenerate point and where the trace screen leaves a point to
     eigvalsh. Elsewhere cond(M) < CONDITION_CAP / 10, so the closed
     form's relative error, like the inverse's, is a small multiple of
-    1e-16 * cond(M) < 1e-8.
+    1e-16 * cond(M) < 1e-8, and the closed form times 1 + ESTIMATE_SLACK
+    is an upper bound.
     """
     positions = np.asarray(
         beacons.positions if isinstance(beacons, BeaconLayout) else beacons, dtype=float

@@ -238,10 +238,22 @@ def _rows(trials: TrialRecord, index) -> TrialRecord:
     return TrialRecord(**{f.name: getattr(trials, f.name)[index] for f in fields(TrialRecord)})
 
 
+def limit_simulation(config: SimConfig) -> None:
+    """A ConfigError if simulate's run.trials fixes exceed MAX_FIXES."""
+    _limit_fixes(config.run.trials, "the simulation", "lower [run] trials")
+
+
+def limit_sweep(config: SimConfig) -> None:
+    """A ConfigError if sweep_snr's run.trials fixes at each SNR of
+    run.snr_list exceed MAX_FIXES in all."""
+    n = config.run.trials * len(config.run.snr_list)
+    _limit_fixes(n, "the sweep", "lower [run] trials or shorten [run] snr_list")
+
+
 def simulate(config: SimConfig) -> TrialRecord:
     """Run run.trials seeded fixes at random drone-domain positions at the
     config SNR; more than MAX_FIXES is a ConfigError before any fix is made."""
-    _limit_fixes(config.run.trials, "the simulation", "lower [run] trials")
+    limit_simulation(config)
     return _run_trials(_trial_jobs(config, config.run.trials, _STREAM_SIMULATE))
 
 
@@ -254,7 +266,7 @@ def sweep_snr(config: SimConfig) -> tuple[TrialRecord, list[dict]]:
     is a ConfigError before any fix is made.
     """
     n, snr_list = config.run.trials, config.run.snr_list
-    _limit_fixes(n * len(snr_list), "the sweep", "lower [run] trials or shorten [run] snr_list")
+    limit_sweep(config)
     jobs = []
     for s_idx, snr in enumerate(snr_list):
         cfg_s = replace(config, channel=replace(config.channel, snr_db=snr))

@@ -10,17 +10,18 @@ coordinate, and the worst 20 of the resulting 70 are culled. The whole
 search restarts from a fresh population when the final best layout
 misses either tolerance.
 
-A generation's layouts not yet scored in the run are scored together
-(score_layouts): the degeneracy rules run on the whole batch at once, and
-the DOP kernel takes the rest in calls of at most PAIR_BUDGET (layout,
-drone-lattice point) pairs, 16 layouts of the default 486-point lattice.
-Each call's rows become fitness terms in one terms pass per chunk, one
-mean per row over the whole (layouts, points) array.
-
-Offspring are scored against a cutoff, the worst fitness among the
-current population. The cull's stable sort puts those 50 layouts first,
-so an offspring above the cutoff is never kept: one whose fitness the DOP
-kernel's lower bounds put above it scores inf and skips the 3x3 inverse.
+A generation is ranked on certified fitness bounds, and the DOP
+kernel's 3x3 inverse runs only for the few layouts whose exact row an
+output or a near-tie needs. The layouts of a generation not yet seen in
+the run are bounded together (bound_layouts): the degeneracy rules run on
+the whole batch at once, and the DOP kernel takes the rest in calls of at
+most PAIR_BUDGET (layout, drone-lattice point) pairs, 16 layouts of the
+default 486-point lattice. Each layout's fitness lies between the terms
+of the kernel's closed-form DOP times 1 - ESTIMATE_SLACK and times
+1 + ESTIMATE_SLACK. A layout whose interval meets another distinct
+layout's, and each generation's fittest layout, is scored exactly
+(score_layouts); every other interval is disjoint from all the others,
+so its place in the exact stable order is already known.
 
 Children are snapped to the lattice through scipy's k-d tree. The tree,
 and scipy.spatial with it, loads on a domain's first snap rather than at
@@ -37,7 +38,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channel import BEACON_PAIRS, ROOM_DIMS, BeaconLayout, coincident_pairs, full_rank
-from .dop import DroneDomain, _axis_size, _inclusive_arange, domain_mean, dop_components
+from .dop import (
+    ESTIMATE_SLACK,
+    DroneDomain,
+    _axis_size,
+    _inclusive_arange,
+    domain_mean,
+    dop_components,
+)
 from .errors import DomainDegeneracyError, InfeasibleDomainError
 
 if TYPE_CHECKING:
@@ -259,9 +267,23 @@ def seed_population(problem: PlacementProblem, rng: np.random.Generator) -> np.n
     return np.array(population)
 
 
-def score_layouts(
-    layouts: np.ndarray, problem: PlacementProblem, cutoff: float = math.inf
-) -> np.ndarray:
+def _kernel_chunks(layouts: np.ndarray, problem: PlacementProblem) -> list[np.ndarray]:
+    """Indices of the (L, 4, 3) layouts that pass BeaconLayout's degeneracy
+    rules, in chunks of at most PAIR_BUDGET (layout, drone-lattice point)
+    pairs and never less than one layout, for one DOP kernel call each."""
+    valid = np.flatnonzero(~coincident_pairs(layouts).any(axis=-1) & full_rank(layouts))
+    per_call = max(1, PAIR_BUDGET // len(problem.drone_domain.points()))
+    return [valid[start : start + per_call] for start in range(0, len(valid), per_call)]
+
+
+def _rejected(n: int) -> np.ndarray:
+    """n rows of (inf, nan, nan), a degenerate layout's terms."""
+    terms = np.full((n, 3), np.nan)
+    terms[:, 0] = np.inf
+    return terms
+
+
+def score_layouts(layouts: np.ndarray, problem: PlacementProblem) -> np.ndarray:
     """(L, 3) rows of (fitness, hdop_avg, vdop_avg) for (L, 4, 3) layouts.
 
     Fitness is the domain-averaged VDOP, penalized when average HDOP
@@ -276,35 +298,56 @@ def score_layouts(
     layouts go through the DOP kernel together, in calls of at most
     PAIR_BUDGET (layout, lattice point) pairs, and never less than one
     layout a call, so a fine drone lattice holds one layout's kernel
-    temporaries at a time. Each chunk takes one terms pass (_terms) for
-    its cutoff test and one for its rows, not one per layout.
-
-    A layout whose fitness certainly exceeds the cutoff scores (inf, nan,
-    nan) too, and its points skip the inverse: fitness never falls when
-    either average rises, so _terms of the kernel's lower bounds (see
-    dop_components' invert) is a lower bound on it. Every other row
-    equals the one that scoring its layout alone gives.
+    temporaries at a time. Each chunk's rows come from one terms pass
+    (_terms), not one per layout, and each equals the row that scoring
+    its layout alone gives.
     """
     layouts = np.asarray(layouts, dtype=float)
-    terms = np.full((len(layouts), 3), np.nan)
-    terms[:, 0] = np.inf
-    valid = np.flatnonzero(~coincident_pairs(layouts).any(axis=-1) & full_rank(layouts))
+    terms = _rejected(len(layouts))
     points = problem.drone_domain.points()
-    per_call = max(1, PAIR_BUDGET // len(points))
-    for start in range(0, len(valid), per_call):
-        rows = valid[start : start + per_call]
-        chosen = np.ones(len(rows), dtype=bool)
-
-        def may_survive(*bounds):
-            # a NaN bound (not certified at every point) is scored exactly
-            chosen[:] = ~(_terms(*bounds, problem)[:, 0] > cutoff)
-            return chosen
-
-        invert = None if cutoff == math.inf else may_survive
-        dops = dop_components(layouts[rows], points, invert=invert)
-        dops = [a.reshape(len(rows), len(points))[chosen] for a in dops]
-        terms[rows[chosen]] = _terms(*dops, problem)
+    for rows in _kernel_chunks(layouts, problem):
+        dops = dop_components(layouts[rows], points)
+        terms[rows] = _terms(*(a.reshape(len(rows), -1) for a in dops), problem)
     return terms
+
+
+def bound_layouts(
+    layouts: np.ndarray, problem: PlacementProblem
+) -> tuple[np.ndarray, np.ndarray]:
+    """(L, 3) lower and upper bounds on score_layouts' rows of (L, 4, 3)
+    layouts, from the DOP kernel's closed form with no 3x3 inverse.
+
+    The lower rows are _terms of the kernel's lower bounds (dop_components'
+    invert: the closed form times 1 - ESTIMATE_SLACK), the upper rows
+    _terms of the same closed form times 1 + ESTIMATE_SLACK. The closed
+    form is within ESTIMATE_SLACK / 1000 of the exact DOP, and fitness
+    never falls when either average rises, so each layout's exact fitness
+    lies between its two bounds. The closed form is positive, so the two
+    fitness bounds differ.
+
+    A layout the batch rules or domain_mean reject has (inf, nan, nan) as
+    both bounds, as score_layouts scores it. A layout whose lower fitness
+    bound is NaN, since the kernel's trace screen left a usable point to
+    eigvalsh, is inverted in the same kernel call: both its bounds are its
+    exact score_layouts row. So equal fitness bounds mean an exact row.
+    """
+    layouts = np.asarray(layouts, dtype=float)
+    lower, upper = _rejected(len(layouts)), _rejected(len(layouts))
+    points = problem.drone_domain.points()
+    widen = (1.0 + ESTIMATE_SLACK) / (1.0 - ESTIMATE_SLACK)
+    for rows in _kernel_chunks(layouts, problem):
+
+        def certify(hdop, vdop, degenerate):
+            lower[rows] = _terms(hdop, vdop, degenerate, problem)
+            upper[rows] = _terms(hdop * widen, vdop * widen, degenerate, problem)
+            return np.isnan(lower[rows, 0])
+
+        dops = dop_components(layouts[rows], points, invert=certify)
+        exact = np.isnan(lower[rows, 0])
+        if exact.any():
+            dops = [a.reshape(len(rows), -1)[exact] for a in dops]
+            lower[rows[exact]] = upper[rows[exact]] = _terms(*dops, problem)
+    return lower, upper
 
 
 def _terms(
@@ -382,10 +425,52 @@ def breed(parents: np.ndarray, problem: PlacementProblem, rng: np.random.Generat
     return children
 
 
-def _best(layouts: np.ndarray, terms: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n fittest layouts and their (n, 3) terms rows, ties in creation order."""
-    keep = np.argsort(terms[:, 0], kind="stable")[:n]
-    return layouts[keep], terms[keep]
+def _best(
+    layouts: np.ndarray, bounds: dict[bytes, tuple], n: int, problem: PlacementProblem
+) -> tuple[np.ndarray, np.ndarray]:
+    """The n fittest (P, 4, 3) layouts, ties in creation order, and the
+    fittest one's exact (fitness, hdop_avg, vdop_avg) row.
+
+    bounds is the run's memo. It maps the exact bytes of each layout seen
+    (layouts are lattice copies, so equal layouts are equal bytes) to its
+    bound_layouts lower and upper fitness and lower row, or, once
+    score_layouts has scored it, to its exact fitness twice and exact row.
+    Layouts not yet in it are bounded in one bound_layouts batch, repeats
+    counted once.
+
+    The order is the stable argsort of exact fitness, found with few exact
+    rows. One sort by lower bound and a running max of the upper bounds
+    split the distinct layouts into clusters of overlapping intervals.
+    Every layout of a cluster that holds two or more is scored exactly,
+    as is the fittest layout, whose row the caller reads, in one
+    score_layouts batch. Each cluster's interval lies wholly below the
+    next one's, so sorting on each layout's exact fitness where known and
+    its lower bound elsewhere orders the layouts as their exact fitness
+    does, and copies of one layout share a key and keep creation order.
+    """
+    keys = [beacons.tobytes() for beacons in layouts]
+    first: dict[bytes, int] = {}
+    for k, key in enumerate(keys):
+        first.setdefault(key, k)
+    new = [key for key in first if key not in bounds]
+    if new:
+        lower, upper = bound_layouts(layouts[[first[key] for key in new]], problem)
+        bounds.update(zip(new, zip(lower[:, 0].tolist(), upper[:, 0].tolist(), lower)))
+    distinct = list(first)
+    lo, up = np.array([bounds[key][:2] for key in distinct]).T
+    order = np.argsort(lo, kind="stable")
+    opens = np.r_[True, lo[order[1:]] > np.maximum.accumulate(up[order])[:-1]]
+    cluster = np.cumsum(opens)
+    shared = np.empty(len(distinct), dtype=bool)
+    shared[order] = (np.bincount(cluster) > 1)[cluster]
+    shared[order[0]] = True  # the fittest, whose row the caller reads
+    exact = np.flatnonzero(shared & (lo < up))  # equal bounds are an exact row already
+    if len(exact):
+        rows = score_layouts(layouts[[first[distinct[i]] for i in exact]], problem)
+        for i, row in zip(exact, rows):
+            bounds[distinct[i]] = (row[0], row[0], row)
+    keep = np.argsort([bounds[key][0] for key in keys], kind="stable")[:n]
+    return layouts[keep], bounds[keys[keep[0]]][2]
 
 
 def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
@@ -394,58 +479,39 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
     Each run: seed a stratified population, then for the configured
     iteration count breed the best 40 pairwise into 20 offspring in one
     array pass per generation, and cull the worst 20 of the pooled 70.
-    A generation is one (P, 4, 3) layout array with one (P, 3) array of
-    (fitness, hdop_avg, vdop_avg) rows, ranked by a stable sort on
-    fitness alone, so ties stay in creation order. If the run's best
-    layout misses either tolerance the search restarts with a fresh
-    seeded population, up to max_restarts times; the best layout found
-    anywhere is then returned flagged infeasible.
+    A generation is one (P, 4, 3) layout array, ranked as a stable sort on
+    exact fitness alone ranks it, so ties stay in creation order. If the
+    run's best layout misses either tolerance the search restarts with a
+    fresh seeded population, up to max_restarts times; the best layout
+    found anywhere is then returned flagged infeasible.
 
-    Each distinct layout is scored at most once per run: fitness terms
-    are memoized by the exact bytes of the layout (layouts are lattice
-    copies, so equal layouts are equal bytes), and surviving clones or
-    children that snap back onto a scored layout reuse them. The layouts
-    of a generation that miss the memo, repeats counted once, are scored
-    in one score_layouts batch. Offspring are scored with cutoff
-    terms[-1, 0], the worst fitness of the current population, which
-    never rises within a run: an offspring scored inf for exceeding one
-    cutoff exceeds every later one, and the cull discards it as it would
-    its exact row.
+    Each distinct layout gets at most one pair of fitness bounds and one
+    exact row per run (_best's memo), so surviving clones and children
+    that snap back onto a seen layout reuse them. Most layouts are ranked
+    on their bounds alone and never pay the DOP kernel's 3x3 inverse; the
+    history and the result read only exact rows.
 
     observer, if given, is called as observer(run_idx, iteration,
     population) after every cull, for instrumentation; population is the
     generation's (P, 4, 3) layout array, fittest first.
     """
-    scores: dict[bytes, np.ndarray] = {}
-
-    def score(layouts: np.ndarray, cutoff: float = math.inf) -> np.ndarray:
-        keys = [beacons.tobytes() for beacons in layouts]
-        new = {key: k for k, key in enumerate(keys) if key not in scores}
-        if new:
-            rows = score_layouts(layouts[list(new.values())], problem, cutoff=cutoff)
-            scores.update(zip(new, rows))
-        return np.array([scores[key] for key in keys])
-
     cfg = problem.config
     best = None  # (fitness, hdop_avg, vdop_avg, layout, history) of the fittest run yet
     for run_idx in range(cfg.max_restarts + 1):
         rng = np.random.default_rng([problem.rng_seed, run_idx])
-        scores.clear()
-        population = seed_population(problem, rng)
-        population, terms = _best(population, score(population), cfg.population)
+        bounds: dict[bytes, tuple] = {}
+        population, row = _best(seed_population(problem, rng), bounds, cfg.population, problem)
         history: list[float] = []
         for iteration in range(cfg.iterations):
             offspring = breed(population[: cfg.parents], problem, rng)
-            population, terms = _best(
-                np.concatenate([population, offspring]),
-                np.concatenate([terms, score(offspring, cutoff=terms[-1, 0])]),
-                cfg.population,
+            population, row = _best(
+                np.concatenate([population, offspring]), bounds, cfg.population, problem
             )
-            history.append(float(terms[0, 0]))
+            history.append(float(row[0]))
             if observer is not None:
                 observer(run_idx, iteration, population)
 
-        fit, hdop_avg, vdop_avg = terms[0].tolist()
+        fit, hdop_avg, vdop_avg = row.tolist()
         met = vdop_avg <= cfg.vdop_tolerance and hdop_avg <= cfg.hdop_tolerance
         feasible = math.isfinite(fit) and met
         if feasible or best is None or fit < best[0]:

@@ -9,7 +9,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from ultraloc import dop, placement
-from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout
+from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout, full_rank
 from ultraloc.config import default_config
 from ultraloc.dop import DroneDomain, domain_mean, dop_average, dop_components
 from ultraloc.errors import DomainDegeneracyError, InfeasibleDomainError, SingularGeometryError
@@ -337,12 +337,10 @@ class TestScoreLayouts:
             np.testing.assert_array_equal(row, per_layout_fitness(layout, problem))
         assert np.isfinite(exact[masked, 0]).all() and np.isinf(exact[1, 0])
 
-        finite = np.sort(exact[np.isfinite(exact[:, 0]), 0])
-        for cutoff in (*exact[masked, 0], finite[0], np.median(finite), finite[-1]):
-            got = placement.score_layouts(batch, problem, cutoff=cutoff)
-            kept = np.isfinite(got[:, 0])
-            np.testing.assert_array_equal(got[kept], exact[kept])
-            assert (exact[~kept, 0] > cutoff).all() and np.isnan(got[~kept, 1:]).all()
+        lower, upper = placement.bound_layouts(batch, problem)
+        assert_bounds_hold(lower, upper, exact)
+        # a masked row's bounds are the masked means of the kernel's bounds
+        assert (lower[masked, 0] < upper[masked, 0]).all()
 
 
 def bounds_and_exact(layouts, problem):
@@ -370,41 +368,75 @@ def near_coplanar_stack(rng, n, tilt):
     return layouts
 
 
+def assert_bounds_hold(lower, upper, exact):
+    """bound_layouts' contract against score_layouts' rows: each fitness,
+    hdop_avg and vdop_avg lies between its bounds, and a row whose fitness
+    bounds are equal is the exact row."""
+    assert lower.shape == upper.shape == exact.shape
+    point = lower[:, 0] == upper[:, 0]
+    np.testing.assert_array_equal(lower[point], exact[point])
+    np.testing.assert_array_equal(upper[point], exact[point])
+    assert (lower[~point] <= exact[~point]).all() and (exact[~point] <= upper[~point]).all()
+    assert np.isfinite(exact[~point]).all()
+
+
 def every_offspring_exact(monkeypatch):
-    """Make optimize score every layout exactly: the reference search."""
-    plain_score = placement.score_layouts
-    monkeypatch.setattr(
-        placement,
-        "score_layouts",
-        lambda layouts, problem, cutoff=math.inf: plain_score(layouts, problem),
-    )
+    """Make optimize bound every layout by its exact row: the reference
+    search, which ranks each generation by a stable sort on exact fitness."""
+
+    def exact_bounds(layouts, problem):
+        rows = placement_score_layouts(layouts, problem)
+        return rows, rows.copy()
+
+    monkeypatch.setattr(placement, "bound_layouts", exact_bounds)
 
 
 def traced_search(problem, monkeypatch):
     """optimize's result, every generation it observed, and the layouts it
-    scored inf for exceeding a cutoff. Every row it is given is checked
-    against the layout's exact row: equal to it, or (inf, nan, nan) for a
-    layout whose exact fitness exceeds the cutoff."""
-    generations = []
-    culled = []
-    scorer = placement.score_layouts
+    ranked on their bounds alone. Every bound row it is given is checked
+    against the layout's exact row (assert_bounds_hold); each layout is
+    bounded once a run and scored exactly at most once a run; and each
+    history entry is the exact fitness of the generation's first layout."""
+    generations, bounded, scored, history = [], {}, set(), {}
+    run = [-1]
+    bounder, scorer = placement.bound_layouts, placement.score_layouts
+    seeder = placement.seed_population
 
-    def checking(layouts, problem, cutoff=math.inf):
-        terms = scorer(layouts, problem, cutoff=cutoff)
-        exact = placement_score_layouts(layouts, problem)
-        above = terms[:, 0] != exact[:, 0]
-        np.testing.assert_array_equal(terms[~above], exact[~above])
-        assert np.isinf(terms[above, 0]).all() and np.isnan(terms[above, 1:]).all()
-        assert (exact[above, 0] > cutoff).all()
-        culled.extend(beacons.copy() for beacons in layouts[above])
-        return terms
+    def seeding(problem, rng):
+        run[0] += 1
+        return seeder(problem, rng)
 
-    monkeypatch.setattr(placement, "score_layouts", checking)
-    result = placement.optimize(
-        problem, observer=lambda run, it, pop: generations.append((run, it, pop.tobytes()))
-    )
+    def checking_bounds(layouts, problem):
+        lower, upper = bounder(layouts, problem)
+        assert_bounds_hold(lower, upper, placement_score_layouts(layouts, problem))
+        for beacons in layouts:
+            key = (run[0], beacons.tobytes())
+            assert key not in bounded  # one interval per layout per run
+            bounded[key] = beacons.copy()
+        return lower, upper
+
+    def counting_score(layouts, problem):
+        for beacons in layouts:
+            key = (run[0], beacons.tobytes())
+            assert key in bounded and key not in scored  # at most one exact row
+            scored.add(key)
+        return scorer(layouts, problem)
+
+    def observer(run_idx, iteration, pop):
+        generations.append((run_idx, iteration, pop.tobytes()))
+        history.setdefault(run_idx, []).append(placement_score_layouts(pop[:1], problem)[0, 0])
+
+    monkeypatch.setattr(placement, "seed_population", seeding)
+    monkeypatch.setattr(placement, "bound_layouts", checking_bounds)
+    monkeypatch.setattr(placement, "score_layouts", counting_score)
+    result = placement.optimize(problem, observer=observer)
+    monkeypatch.setattr(placement, "seed_population", seeder)
+    monkeypatch.setattr(placement, "bound_layouts", bounder)
     monkeypatch.setattr(placement, "score_layouts", scorer)
-    return result, generations, culled
+    # every history entry is the exact fitness of its generation's first layout
+    assert result.history in history.values()
+    skipped = [beacons for key, beacons in bounded.items() if key not in scored]
+    return result, generations, skipped
 
 
 def assert_same_search(got, want):
@@ -435,6 +467,8 @@ class TestCertifiedBound:
             assert (low <= want).all()
             assert (low >= want * (1 - 2 * slack)).all()
             assert (np.abs(low / (1 - slack) - want) <= want * slack / 1000).all()
+            # bound_layouts' upper bound: the same closed form times 1 + slack
+            assert (low * ((1 + slack) / (1 - slack)) >= want).all()
         return int((~np.isnan(bounds[0]) | degenerate).all(axis=1).sum())
 
     def test_estimates_of_seed_populations(self):
@@ -449,35 +483,132 @@ class TestCertifiedBound:
         assert self.assert_bounds(stack, placement.PlacementProblem()) >= len(stack) // 2
 
     @pytest.mark.parametrize("hdop_tolerance", [2.0, 1.0])
-    def test_inf_rows_only_above_the_cutoff(self, hdop_tolerance):
+    def test_bounds_hold_the_exact_rows(self, hdop_tolerance):
         problem = placement.PlacementProblem(placement.PlacementConfig(hdop_tolerance=hdop_tolerance))
         batch = mixed_batch()
         exact = placement.score_layouts(batch, problem)
-        finite = np.sort(exact[np.isfinite(exact[:, 0]), 0])
-        for cutoff in (finite[0], np.median(finite), finite[-1], -1.0):
-            got = placement.score_layouts(batch, problem, cutoff=cutoff)
-            above = exact[:, 0] > cutoff
-            assert (np.isinf(got[:, 0]) == above).all()
-            assert np.isnan(got[above, 1:]).all()
-            np.testing.assert_array_equal(got[~above], exact[~above])
+        lower, upper = placement.bound_layouts(batch, problem)
+        assert_bounds_hold(lower, upper, exact)
+        # only the degenerate layouts have a point interval: (inf, nan, nan)
+        point = lower[:, 0] == upper[:, 0]
+        np.testing.assert_array_equal(point, np.isinf(exact[:, 0]))
+        # a repeat bounds alike, and one layout alone bounds as in the batch
+        np.testing.assert_array_equal(lower[0], lower[2])
+        for k in (0, 5, 9):
+            alone = placement.bound_layouts(batch[k : k + 1], problem)
+            np.testing.assert_array_equal(alone[0][0], lower[k])
+            np.testing.assert_array_equal(alone[1][0], upper[k])
+
+    @pytest.mark.parametrize("tilt", [1e-3, 1e-5])
+    def test_uncertified_layouts_come_back_exact(self, tilt):
+        # near-coplanar beacons leave some usable points to eigvalsh, with no
+        # bound there: those layouts are inverted in the same kernel call
+        problem = placement.PlacementProblem()
+        stack = near_coplanar_stack(np.random.default_rng(8), 48, tilt)
+        lower, upper = placement.bound_layouts(stack, problem)
+        exact = placement.score_layouts(stack, problem)
+        assert_bounds_hold(lower, upper, exact)
+        point = lower[:, 0] == upper[:, 0]
+        assert point.any() and np.isfinite(exact[point, 0]).all()
+
+    def test_a_wide_interval_joins_every_interval_it_meets(self, monkeypatch):
+        # hand-set bounds around exact rows: A's interval spans B's and C's,
+        # which are disjoint, and A's exact fitness lies inside C's interval
+        problem = placement.PlacementProblem(rng_seed=0)
+        pop = spanning_population(problem, 12)
+        rows = placement_score_layouts(pop, problem)
+        b, a, c = np.argsort(rows[:, 0])[[0, len(pop) // 2, -1]]
+        fb, fa, fc = rows[[b, a, c], 0]
+        eps = (fa - fb) / 10
+        intervals = {b: (fb - eps, fb + eps), a: (fb - 3 * eps, fc + 3 * eps), c: (fa - eps, fc + eps)}
+        layouts = pop[[c, a, b]]
+        bounds = {pop[k].tobytes(): (*intervals[k], rows[k]) for k in (a, b, c)}
+        scored = []
+
+        def recording(layouts, problem):
+            scored.extend(beacons.tobytes() for beacons in layouts)
+            return placement_score_layouts(layouts, problem)
+
+        monkeypatch.setattr(placement, "score_layouts", recording)
+        best, row = placement._best(layouts, bounds, 3, problem)
+        assert best.tobytes() == pop[[b, a, c]].tobytes()
+        np.testing.assert_array_equal(row, rows[b])
+        assert set(scored) == {pop[k].tobytes() for k in (a, b, c)}
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_search_equals_one_that_scores_every_offspring_exactly(self, seed, monkeypatch):
         problem = fast_problem(rng_seed=seed)
         got = traced_search(problem, monkeypatch)
+        assert got[2]  # some layouts were ranked on their bounds alone
+        every_offspring_exact(monkeypatch)
+        assert_same_search(got, traced_search(problem, monkeypatch))
+
+    @pytest.mark.parametrize(
+        "overrides, domain",
+        [
+            (dict(hdop_tolerance=1.0), None),
+            (dict(vdop_tolerance=0.5, max_restarts=2), None),
+            (
+                dict(hdop_tolerance=1.0, vdop_tolerance=0.5, max_restarts=1),
+                DroneDomain(z_range=(0.5, 4.0)),
+            ),
+            ({}, DroneDomain(z_range=(0.5, 4.0))),
+            (dict(beacon_grid=0.1), None),
+        ],
+        ids=[
+            "penalized",
+            "infeasible_restarts",
+            "ceiling_lattice_penalized",
+            "ceiling_lattice",
+            "grid_0.1",
+        ],
+    )
+    def test_search_kinds_equal_the_exact_reference(self, overrides, domain, monkeypatch):
+        problem = fast_problem(rng_seed=3, iterations=20, **overrides)
+        if domain is not None:  # a drone lattice up to the ceiling: degenerate points
+            problem = dataclasses.replace(problem, drone_domain=domain)
+        got = traced_search(problem, monkeypatch)
         assert got[2]
         every_offspring_exact(monkeypatch)
         assert_same_search(got, traced_search(problem, monkeypatch))
 
+    def test_overlapping_mirror_images_keep_the_exact_stable_order(self, monkeypatch):
+        # a layout and its mirror image across x = 2.5 have the same DOP means
+        # up to rounding, so their intervals overlap and both are scored exactly
+        problem = placement.PlacementProblem(rng_seed=0)
+        pop = spanning_population(problem, 11)[:12]
+        mirror = pop[:4].copy()
+        mirror[..., 0] = 5.0 - mirror[..., 0]
+        layouts = np.concatenate([pop[:6], mirror, pop[[1, 4]], pop[6:]])
+        exact = placement_score_layouts(layouts, problem)
+        scored = []
+
+        def recording(layouts, problem):
+            scored.extend(beacons.tobytes() for beacons in layouts)
+            return placement_score_layouts(layouts, problem)
+
+        monkeypatch.setattr(placement, "score_layouts", recording)
+        bounds = {}
+        lower, upper = placement.bound_layouts(layouts, problem)
+        overlap = (lower[:4, 0] <= upper[6:10, 0]) & (lower[6:10, 0] <= upper[:4, 0])
+        assert overlap.all()
+        best, row = placement._best(layouts, bounds, 10, problem)
+        keep = np.argsort(exact[:, 0], kind="stable")[:10]
+        assert best.tobytes() == layouts[keep].tobytes()
+        np.testing.assert_array_equal(row, exact[keep[0]])
+        assert {b.tobytes() for b in layouts[:4]} | {b.tobytes() for b in mirror} <= set(scored)
+        assert len(scored) == len(set(scored)) < len(layouts)
+
     def test_infeasible_search_across_a_restart(self, monkeypatch):
-        # Each run has its own memo. Seeded with layouts the first run culled,
-        # the restart must score them again, exactly.
+        # Each run has its own memo. Seeded with layouts the first run ranked
+        # on their bounds alone, the restart must bound them again.
         problem = fast_problem(vdop_tolerance=0.01, max_restarts=1)
-        _, _, culled = traced_search(fast_problem(vdop_tolerance=0.01, max_restarts=0), monkeypatch)
-        injected = np.array(culled[: problem.config.population // 2])
+        first_run = fast_problem(vdop_tolerance=0.01, max_restarts=0)
+        _, _, skipped = traced_search(first_run, monkeypatch)
+        injected = np.array(skipped[: problem.config.population // 2])
         keys = {beacons.tobytes() for beacons in injected}
-        plain_seed, scorer = placement.seed_population, placement.score_layouts
-        runs, cutoffs = [], []
+        plain_seed, bounder = placement.seed_population, placement.bound_layouts
+        runs, bounded = [], []
 
         def seeding(problem, rng):
             pop = plain_seed(problem, rng)
@@ -486,36 +617,108 @@ class TestCertifiedBound:
                 pop[: len(injected)] = injected
             return pop
 
-        def recording(layouts, problem, cutoff=math.inf):
-            cutoffs.extend(cutoff for beacons in layouts if beacons.tobytes() in keys)
-            return scorer(layouts, problem, cutoff=cutoff)
+        def recording(layouts, problem):
+            bounded.extend(runs[-1] for beacons in layouts if beacons.tobytes() in keys)
+            return bounder(layouts, problem)
 
         monkeypatch.setattr(placement, "seed_population", seeding)
-        monkeypatch.setattr(placement, "score_layouts", recording)
+        monkeypatch.setattr(placement, "bound_layouts", recording)
         got = traced_search(problem, monkeypatch)
         assert not got[0].feasible and got[0].restarts == 1 and len(injected)
-        # each once in the first run, against a cutoff, and once in the restart
-        assert len(cutoffs) - len(injected) == cutoffs.count(math.inf) == len(injected)
+        # each bounded once in the first run and once in the restart
+        assert bounded.count(0) == bounded.count(1) == len(injected) == len(bounded) // 2
         every_offspring_exact(monkeypatch)
         assert_same_search(got, traced_search(problem, monkeypatch))
 
     def test_default_search_skips_inverses(self, monkeypatch):
-        inverted = []
-        inv = np.linalg.inv
+        problem = placement.PlacementProblem(rng_seed=3)
+        n_points = len(problem.drone_domain.points())
+        inverted, bounded = [], []
+        inv, bounder = np.linalg.inv, placement.bound_layouts
 
         def counting_inv(m):
             inverted.append(len(m))
             return inv(m)
 
+        def counting_bounds(layouts, problem):
+            bounded.append(len(layouts))
+            return bounder(layouts, problem)
+
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
-        problem = placement.PlacementProblem(placement.PlacementConfig(iterations=30), rng_seed=3)
+        monkeypatch.setattr(placement, "bound_layouts", counting_bounds)
         result = placement.optimize(problem)
-        skipping = sum(inverted)
-        inverted.clear()
+        # a layout inverts at most n_points points, so this counts at least the inverted layouts
+        assert sum(inverted) / n_points < 0.1 * sum(bounded)
         every_offspring_exact(monkeypatch)
         want = placement.optimize(problem)
         assert result.history == want.history
-        assert skipping < 0.8 * sum(inverted)
+        assert result.layout.positions.tobytes() == want.layout.positions.tobytes()
+
+
+class TestFullRankScreen:
+    """channel.full_rank's determinant screen gives matrix_rank's mask, and
+    decides a search's layouts without the SVD."""
+
+    def assert_matches(self, layouts, monkeypatch):
+        """full_rank equals matrix_rank(tol=1e-9) == 3; returns how many
+        layouts the screen left to matrix_rank."""
+        rank = np.linalg.matrix_rank
+        want = rank(layouts[..., -1:, :] - layouts[..., :-1, :], tol=1e-9) == 3
+        undecided = []
+
+        def counting(diffs, tol):
+            undecided.append(len(diffs))
+            return rank(diffs, tol=tol)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np.linalg, "matrix_rank", counting)
+            got = full_rank(layouts)
+        np.testing.assert_array_equal(got, want)
+        return sum(undecided)
+
+    def test_seed_populations(self, monkeypatch):
+        undecided = 0
+        for seed in range(32):
+            problem = placement.PlacementProblem(rng_seed=seed)
+            pop = placement.seed_population(problem, np.random.default_rng([seed, 0]))
+            undecided += self.assert_matches(pop, monkeypatch)
+        # wall layouts on a slanted plane, whose LU det is rounding noise
+        assert undecided <= 32 * len(pop) // 100
+
+    @pytest.mark.parametrize("tilt", [10.0**-k for k in range(1, 13)])
+    def test_near_coplanar_stacks(self, tilt, monkeypatch):
+        stack = near_coplanar_stack(np.random.default_rng(8), 64, tilt)
+        undecided = self.assert_matches(stack, monkeypatch)
+        if tilt >= 1e-3:
+            assert undecided == 0
+
+    @pytest.mark.parametrize("grid", [0.25, 0.1])
+    def test_exactly_coplanar_lattice_layouts(self, grid, monkeypatch):
+        # on the ceiling, on one wall, and on the plane x = z - 2, which
+        # crosses the x = 0 wall, both y walls and the ceiling
+        candidates = placement.BeaconDomain(grid_resolution=grid).candidates()
+        x, y, z = candidates.T
+        planes = [z == 4.0, x == 0.0, np.isclose(x, z - 2.0)]
+        rng = np.random.default_rng(4)
+        picks = [rng.choice(np.flatnonzero(on), 4, replace=False) for on in planes for _ in range(20)]
+        layouts = candidates[np.array(picks)]
+        assert not full_rank(layouts).any()
+        undecided = self.assert_matches(layouts[:40], monkeypatch)
+        assert undecided == 0  # a zero column: an exact zero det
+        self.assert_matches(layouts[40:], monkeypatch)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-7, 1e-8, 1e-9])
+    def test_tiny_layouts_near_the_tolerance(self, scale, monkeypatch):
+        # beacons metres apart are far from 1e-9 m; these test both margins
+        layouts = np.random.default_rng(6).normal(size=(200, 4, 3)) * scale
+        self.assert_matches(layouts, monkeypatch)
+
+    def test_one_layout(self):
+        tilted = np.array([[0, 0, 2], [5, 0, 2], [5, 5, 2], [0, 5, 2]], dtype=float)
+        for tilt, spans in [(0.0, False), (1e-9, False), (2e-9, True), (1.0, True)]:
+            tilted[3, 2] = 2.0 + tilt
+            assert bool(full_rank(tilted)) is spans
+            assert BeaconLayout(positions=tilted).spans_3d is spans
 
 
 class TestCrossover:
@@ -745,21 +948,27 @@ class TestOptimize:
 
 class TestFitnessMemo:
     def test_each_distinct_layout_scored_once(self, monkeypatch):
-        plain_seed, plain_score = placement.seed_population, placement.score_layouts
-        runs, scored, exact = [], [], {}
+        plain_seed, plain_bounds, plain_score = (
+            placement.seed_population,
+            placement.bound_layouts,
+            placement.score_layouts,
+        )
+        runs, bounded, scored = [], [], []
 
         def seeding(problem, rng):
             runs.append(len(runs))
             return plain_seed(problem, rng)
 
-        def counting_score(layouts, problem, cutoff=math.inf):
-            terms = plain_score(layouts, problem, cutoff=cutoff)
-            for beacons, row, want in zip(layouts, terms, plain_score(layouts, problem)):
-                scored.append((runs[-1], beacons.tobytes()))
-                exact[scored[-1]] = np.array_equal(row, want, equal_nan=True)
-            return terms
+        def counting_bounds(layouts, problem):
+            bounded.extend((runs[-1], beacons.tobytes()) for beacons in layouts)
+            return plain_bounds(layouts, problem)
+
+        def counting_score(layouts, problem):
+            scored.extend((runs[-1], beacons.tobytes()) for beacons in layouts)
+            return plain_score(layouts, problem)
 
         monkeypatch.setattr(placement, "seed_population", seeding)
+        monkeypatch.setattr(placement, "bound_layouts", counting_bounds)
         monkeypatch.setattr(placement, "score_layouts", counting_score)
         problem = fast_problem(vdop_tolerance=0.01)
         seen = set()
@@ -771,12 +980,13 @@ class TestFitnessMemo:
 
         result = placement.optimize(problem, observer=observer)
         assert result.restarts == problem.config.max_restarts > 0
-        # scored at most once per run, some of them inf for exceeding the cutoff
-        assert len(scored) == len(set(scored))
-        assert not all(exact.values())
-        # every layout that survived a cull was scored exactly, in its own run
-        assert seen and seen <= set(scored)
-        assert all(exact[key] for key in seen)
+        # one interval per layout per run, and at most one exact row, of a bounded layout
+        assert len(bounded) == len(set(bounded))
+        assert len(scored) == len(set(scored)) and set(scored) <= set(bounded)
+        # most layouts are ranked on their bounds alone
+        assert len(scored) < len(bounded) / 2
+        # every layout that survived a cull was bounded in its own run
+        assert seen and seen <= set(bounded)
         # history[i] is the fresh fitness of the best layout observed at iteration i
         assert result.history in best.values()
         if result.feasible:
