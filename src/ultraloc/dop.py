@@ -2,7 +2,10 @@
 
 The unit vectors from the receiver to each beacon form a matrix whose
 normal-matrix inverse maps unit range noise onto position covariance;
-its diagonal yields HDOP (x-y), VDOP (z), and GDOP. A closed-form 2-D
+its diagonal yields HDOP (x-y), VDOP (z), and GDOP. One kernel,
+dop_components, serves every caller; asked to estimate, it returns the
+closed form of that diagonal from the matrix's entries wherever its
+condition is certified, and inverts only the rest. A closed-form 2-D
 Cramer-Rao expression is provided for cross-checks.
 """
 
@@ -10,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -20,13 +22,6 @@ from .channel import BeaconLayout
 from .errors import DegenerateGeometryError, DomainDegeneracyError
 
 CONDITION_CAP = 1e8
-# Relative slack on either side of the closed-form DOP estimates that makes
-# them certified bounds: times 1 - ESTIMATE_SLACK a lower bound (what
-# dop_components' invert sees), times 1 + ESTIMATE_SLACK an upper bound
-# (placement.bound_layouts). Over the 2367 layouts the default searches of
-# seeds 0-7 score, an estimated domain mean is within 2.2e-12 of the exact
-# one, relative; the kernel's error bound is 1e-8.
-ESTIMATE_SLACK = 1e-6
 
 # Default flight volume for desk-scale experiments: half a meter away
 # from every wall, ceiling clearance of one meter, half-meter lattice.
@@ -53,9 +48,9 @@ class DroneDomain:
 
     def __post_init__(self):
         for lo, hi in (self.x_range, self.y_range, self.z_range):
-            if lo > hi:
+            if not lo <= hi:  # NaN fails too
                 raise ValueError("domain range must have min <= max")
-        if self.grid_resolution <= 0:
+        if not self.grid_resolution > 0:
             raise ValueError("grid resolution must be positive")
 
     def points(self) -> np.ndarray:
@@ -123,7 +118,7 @@ def dop_at(beacons: BeaconLayout, target: np.ndarray) -> DopReport:
 def dop_components(
     beacons: BeaconLayout | np.ndarray,
     points: np.ndarray,
-    invert: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None,
+    estimate: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized HDOP/VDOP of one or many layouts over many points.
 
@@ -145,18 +140,13 @@ def dop_components(
     well-conditioned by a factor of 10 to spare, so the mask equals the
     one eigvalsh would give at every point.
 
-    invert, if given, is called once, before any inverse, as
-    invert(hdop, vdop, degenerate) with (L, P) views of the arrays
-    returned, and returns an (L,) bool mask of the layouts to invert; the
-    others come back NaN, so every number returned is the inverse's.
-    During the call hdop/vdop hold certified lower bounds: the closed form
-    from M's entries and det(M) (hdop^2 = ((bc - f^2) + (ac - e^2)) / det,
-    vdop^2 = (ab - d^2) / det) times 1 - ESTIMATE_SLACK, NaN at a
-    degenerate point and where the trace screen leaves a point to
-    eigvalsh. Elsewhere cond(M) < CONDITION_CAP / 10, so the closed
-    form's relative error, like the inverse's, is a small multiple of
-    1e-16 * cond(M) < 1e-8, and the closed form times 1 + ESTIMATE_SLACK
-    is an upper bound.
+    With estimate, the 3x3 inverse runs only at the usable points the
+    trace screen leaves to eigvalsh, and hdop/vdop hold the inverse's values
+    there. At every other usable point they hold the closed form from M's
+    entries and det(M): hdop^2 = ((bc - f^2) + (ac - e^2)) / det,
+    vdop^2 = (ab - d^2) / det. There cond(M) < CONDITION_CAP / 10, so the
+    closed form's relative error, like the inverse's, is a small multiple
+    of 1e-16 * cond(M) < 1e-8. The degenerate mask does not change.
     """
     positions = np.asarray(
         beacons.positions if isinstance(beacons, BeaconLayout) else beacons, dtype=float
@@ -202,17 +192,13 @@ def dop_components(
     hdop = np.full(n_pairs, np.nan)
     vdop = hdop.copy()
     ok = ~degenerate
-    if invert is not None:
+    if estimate:
         screened = ~(coincident | unsure)
-        # the bounds go where the results will, sparing the call a buffer
         np.divide((b * c - f * f) + (a * c - e * e), det, out=hdop, where=screened)
         np.divide(a * b - d * d, det, out=vdop, where=screened)
-        for lower in (hdop, vdop):
-            np.multiply(np.sqrt(lower, out=lower), 1.0 - ESTIMATE_SLACK, out=lower)
-        shape = (len(layouts), len(points))
-        chosen = invert(hdop.reshape(shape), vdop.reshape(shape), degenerate.reshape(shape))
-        ok &= np.repeat(chosen, len(points))
-        hdop[~ok] = vdop[~ok] = np.nan
+        np.sqrt(hdop, out=hdop)
+        np.sqrt(vdop, out=vdop)
+        ok &= unsure
     if ok.any():
         q = np.linalg.inv(m[ok])
         hdop[ok] = np.sqrt(q[:, 0, 0] + q[:, 1, 1])

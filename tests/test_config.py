@@ -1,7 +1,7 @@
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -349,6 +349,61 @@ class TestSchema:
             for key, value in keys.items():
                 name, _ = cfg_mod._SCHEMA[section][key]
                 assert getattr(getattr(cfg, section), name) == value, (section, key)
+
+
+# Edge values by a key's type: each must load, or stop at one ConfigError
+EDGE_FLOATS = ("0", "-0.0", "1e-300", "-1e-300", "1e300", "-1e300", "nan", "inf", "-inf")
+EDGE_INTS = ("0", "-1", str(2**31), str(10**12))
+EDGE_OTHERS = {"bool": ("true", "off", "2"), "str": ("optimized", "no-such-layout")}
+
+
+def _edge_cases():
+    """(section, key, raw value) for every key of the schema: a float takes
+    each edge float, an int each edge int, and a tuple its default with one
+    entry swapped for each edge float, then no entry and a lone nan."""
+    defaults = cfg_mod.SimConfig()
+    cases = []
+    for section, cls in get_type_hints(cfg_mod.SimConfig).items():
+        annotations = {f.name: f.type for f in fields(cls)}
+        for key, (name, _) in cfg_mod._SCHEMA[section].items():
+            annotation = annotations[name]
+            if annotation in ("float", "float | None"):
+                values = EDGE_FLOATS
+            elif annotation == "int":
+                values = EDGE_INTS
+            elif annotation in EDGE_OTHERS:
+                values = EDGE_OTHERS[annotation]
+            else:
+                assert annotation.startswith("tuple["), annotation
+                default = [repr(v) for v in getattr(getattr(defaults, section), name)]
+                values = [
+                    ", ".join(default[:i] + [edge] + default[i + 1 :])
+                    for i in range(len(default))
+                    for edge in EDGE_FLOATS
+                ]
+                values += ["", "nan"]
+            cases += [(section, key, value) for value in values]
+    return cases
+
+
+EDGE_CASES = _edge_cases()
+
+
+class TestEdgeValues:
+    def test_every_key_has_edge_cases(self):
+        covered = {(section, key) for section, key, _ in EDGE_CASES}
+        assert covered == {(s, k) for s, keys in cfg_mod._SCHEMA.items() for k in keys}
+        assert len(EDGE_CASES) == len(set(EDGE_CASES)) > 350
+
+    @pytest.mark.parametrize(
+        "section, key, value", EDGE_CASES, ids=[f"{s}.{k}={v}" for s, k, v in EDGE_CASES]
+    )
+    def test_loads_or_raises_one_config_error(self, tmp_path, section, key, value):
+        path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
+        try:
+            cfg_mod.load_config(path)
+        except ConfigError as exc:
+            assert str(exc) and "\n" not in str(exc)
 
 
 class TestFailLoud:

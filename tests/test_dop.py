@@ -168,6 +168,22 @@ class TestDopAverage:
         np.testing.assert_array_equal(points, fresh)
 
 
+@pytest.mark.parametrize(
+    "domain, kwargs, message",
+    [
+        (dop.DroneDomain, dict(grid_resolution=math.nan), "grid resolution must be positive"),
+        (dop.DroneDomain, dict(x_range=(math.nan, 4.5)), "min <= max"),
+        (dop.DroneDomain, dict(z_range=(0.5, math.nan)), "min <= max"),
+        (BeaconDomain, dict(grid_resolution=math.nan), "grid resolution must be positive"),
+        (BeaconDomain, dict(room_dims=(math.nan, 5.0, 4.0)), "room dimensions must be positive"),
+    ],
+    ids=["drone_grid", "drone_x_lo", "drone_z_hi", "beacon_grid", "beacon_room"],
+)
+def test_domains_reject_nan(domain, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        domain(**kwargs)
+
+
 class TestOracleEquivalence:
     def test_against_adjugate_inversion(self):
         rng = np.random.default_rng(42)
@@ -307,67 +323,71 @@ def adjugate_dops(layout, points):
 
 
 class TestInvertSelection:
-    """dop_components(..., invert=f): f sees certified lower bounds, the
-    layouts it picks get the plain call's values bit for bit, and the rest
-    come back NaN."""
+    """dop_components(..., estimate=True): the 3x3 inverse runs only at the
+    usable points the trace screen leaves to eigvalsh, whose values equal
+    the plain call's bit for bit; every other usable point holds the closed
+    form, and the degenerate mask is the plain call's."""
+
+    @staticmethod
+    def inverted(layouts, points, monkeypatch):
+        """Mask of the points an estimate call inverts: with an inverse that
+        returns NaN, they come back NaN though not degenerate."""
+        with monkeypatch.context() as patched:
+            patched.setattr(np.linalg, "inv", lambda m: np.full(m.shape, np.nan))
+            hdop, _, degenerate = dop.dop_components(layouts, points, estimate=True)
+        return np.isnan(hdop) & ~degenerate
 
     @pytest.mark.parametrize("n_layouts", [1, 3, 17])
-    def test_chosen_layouts_equal_the_plain_call(self, n_layouts):
+    def test_unscreened_points_equal_the_plain_call(self, n_layouts, monkeypatch):
         layouts, points = TestStackedLayouts.stack_and_points(n_layouts)
         plain = dop.dop_components(layouts, points)
-        pick = np.random.default_rng(n_layouts).permutation(np.arange(n_layouts) % 2 == 0)
-        calls = []
-
-        def random_subset(hdop, vdop, degenerate):
-            calls.append((hdop.copy(), vdop.copy(), degenerate.copy()))
-            return pick
-
-        got = dop.dop_components(layouts, points, invert=random_subset)
-        [(low_h, low_v, low_deg)] = calls
-        shape = (n_layouts, len(points))
-        assert low_h.shape == low_v.shape == low_deg.shape == shape
-        np.testing.assert_array_equal(got[2], plain[2])
-        np.testing.assert_array_equal(low_deg, plain[2].reshape(shape))
-        for k, low in ((0, low_h), (1, low_v)):
-            rows, want = got[k].reshape(shape), plain[k].reshape(shape)
-            np.testing.assert_array_equal(rows[pick], want[pick])
-            assert np.isnan(rows[~pick]).all()
-            # NaN exactly where degenerate, or left to eigvalsh by the screen
-            assert np.isnan(low[low_deg]).all()
-            given = ~np.isnan(low)
-            assert (low[given] <= want[given]).all()
-            assert (low[given] >= want[given] * (1 - 2 * dop.ESTIMATE_SLACK)).all()
+        got = dop.dop_components(layouts, points, estimate=True)
+        inverted = self.inverted(layouts, points, monkeypatch)
+        degenerate = plain[2]
+        np.testing.assert_array_equal(got[2], degenerate)
         # the ceiling layout's near-plane points reach eigvalsh yet stay usable
-        assert (np.isnan(low_h[0]) & ~low_deg[0]).any()
+        assert inverted[: len(points)].any()
+        screened = ~(inverted | degenerate)
+        assert screened.any()
+        for k in range(2):
+            assert got[k].shape == (n_layouts * len(points),)
+            np.testing.assert_array_equal(got[k][inverted], plain[k][inverted])
+            assert np.isnan(got[k][degenerate]).all()
+            # the closed form's error bound
+            np.testing.assert_allclose(got[k][screened], plain[k][screened], rtol=1e-8, atol=0)
 
-    def test_estimates_match_an_adjugate_oracle(self):
+    def test_estimates_match_an_adjugate_oracle(self, monkeypatch):
         points = dop.DroneDomain().points()
         layouts = np.array([ORIGINAL_LAYOUT.positions, OPTIMIZED_LAYOUT.positions])
-        low = []
-
-        def keep_bounds(hdop, vdop, degenerate):
-            low.extend((hdop.copy(), vdop.copy()))
-            return np.zeros(len(hdop), dtype=bool)
-
-        dop.dop_components(layouts, points, invert=keep_bounds)
-        for layout, hdop, vdop in zip(layouts, low[0], low[1]):
-            want_h, want_v = adjugate_dops(layout, points)
-            np.testing.assert_allclose(hdop / (1 - dop.ESTIMATE_SLACK), want_h, rtol=1e-12)
-            np.testing.assert_allclose(vdop / (1 - dop.ESTIMATE_SLACK), want_v, rtol=1e-12)
-
-    def test_nothing_chosen_inverts_nothing(self, monkeypatch):
-        layouts, points = TestStackedLayouts.stack_and_points(3)
-        plain = dop.dop_components(layouts, points)
 
         def no_inverse(m):
-            raise AssertionError("inverted a layout invert left out")
+            raise AssertionError("inverted a point on a well-screened batch")
 
         monkeypatch.setattr(np.linalg, "inv", no_inverse)
-        hdop, vdop, degenerate = dop.dop_components(
-            layouts, points, invert=lambda h, v, d: np.zeros(len(h), bool)
-        )
-        assert np.isnan(hdop).all() and np.isnan(vdop).all()
-        np.testing.assert_array_equal(degenerate, plain[2])
+        hdop, vdop, degenerate = dop.dop_components(layouts, points, estimate=True)
+        assert not degenerate.any()
+        for layout, h, v in zip(layouts, *(a.reshape(len(layouts), -1) for a in (hdop, vdop))):
+            want_h, want_v = adjugate_dops(layout, points)
+            np.testing.assert_allclose(h, want_h, rtol=1e-12)
+            np.testing.assert_allclose(v, want_v, rtol=1e-12)
+
+    def test_inverts_only_the_unsure_usable_points(self, monkeypatch):
+        layouts, points = TestStackedLayouts.stack_and_points(3)
+        seen = {"eigvalsh": [], "inv": []}
+        for name, fn in ((name, getattr(np.linalg, name)) for name in seen):
+
+            def recording(m, fn=fn, name=name):
+                seen[name].append(m.copy())
+                return fn(m)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        dop.dop_components(layouts, points, estimate=True)
+        monkeypatch.undo()
+        [unsure], [inverted] = seen["eigvalsh"], seen["inv"]
+        eigs = np.linalg.eigvalsh(unsure)
+        usable = (eigs[:, 0] > 0) & (eigs[:, -1] / np.maximum(eigs[:, 0], 1e-300) <= dop.CONDITION_CAP)
+        assert usable.any() and not usable.all()
+        np.testing.assert_array_equal(inverted, unsure[usable])
 
 
 class TestEmpiricalConsistency:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from ultraloc import dop, placement
+from ultraloc import placement
 from ultraloc.channel import OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, BeaconLayout, full_rank
 from ultraloc.config import default_config
 from ultraloc.dop import DroneDomain, domain_mean, dop_average, dop_components
@@ -170,36 +170,41 @@ class TestSeedPopulation:
             placement.seed_population(problem, np.random.default_rng(problem.rng_seed))
 
 
+def fitness(beacons, problem):
+    """(fitness, hdop_avg, vdop_avg) of one (4, 3) layout: its score_layouts row."""
+    return tuple(placement.score_layouts(np.asarray(beacons)[None], problem)[0].tolist())
+
+
 class TestFitness:
     def test_reference_layouts_ordering(self):
         problem = placement.PlacementProblem(rng_seed=0)
-        f_orig, _, _ = placement.fitness(ORIGINAL_LAYOUT.positions, problem)
-        f_opt, _, _ = placement.fitness(OPTIMIZED_LAYOUT.positions, problem)
+        f_orig, _, _ = fitness(ORIGINAL_LAYOUT.positions, problem)
+        f_opt, _, _ = fitness(OPTIMIZED_LAYOUT.positions, problem)
         assert math.isfinite(f_orig) and math.isfinite(f_opt)
         assert f_opt < f_orig
 
     def test_no_penalty_when_hdop_within_tolerance(self):
         problem = placement.PlacementProblem(rng_seed=0)
-        fit, hdop_avg, vdop_avg = placement.fitness(OPTIMIZED_LAYOUT.positions, problem)
+        fit, hdop_avg, vdop_avg = fitness(OPTIMIZED_LAYOUT.positions, problem)
         assert hdop_avg <= problem.config.hdop_tolerance
         assert fit == vdop_avg
 
     def test_penalty_when_hdop_breaks_tolerance(self):
         problem = placement.PlacementProblem(placement.PlacementConfig(hdop_tolerance=0.5), rng_seed=0)
-        fit, _, _ = placement.fitness(OPTIMIZED_LAYOUT.positions, problem)
+        fit, _, _ = fitness(OPTIMIZED_LAYOUT.positions, problem)
         assert fit >= placement.HDOP_PENALTY
 
     def test_coplanar_layout_gets_sentinel(self):
         problem = placement.PlacementProblem(rng_seed=0)
         flat = np.array([[0, 0, 4], [5, 0, 4], [5, 5, 4], [0, 5, 4]], dtype=float)
-        assert placement.fitness(flat, problem)[0] == math.inf
+        assert fitness(flat, problem)[0] == math.inf
 
 
     def test_coincident_layout_gets_sentinel(self):
         problem = placement.PlacementProblem(rng_seed=0)
         layout = np.array(OPTIMIZED_LAYOUT.positions)
         layout[1] = layout[0]
-        fit, hdop_avg, vdop_avg = placement.fitness(layout, problem)
+        fit, hdop_avg, vdop_avg = fitness(layout, problem)
         assert fit == math.inf
         assert math.isnan(hdop_avg) and math.isnan(vdop_avg)
 
@@ -207,21 +212,21 @@ class TestFitness:
         problem = placement.PlacementProblem(rng_seed=0)
         layout = np.array(OPTIMIZED_LAYOUT.positions)
         before = layout.copy()
-        first = placement.fitness(layout, problem)
-        assert placement.fitness(layout, problem) == first
+        first = fitness(layout, problem)
+        assert fitness(layout, problem) == first
         assert isinstance(first, tuple) and len(first) == 3
         np.testing.assert_array_equal(layout, before)
         assert layout.flags.writeable
 
     def test_programming_error_propagates(self, monkeypatch):
         # only a degenerate geometry scores inf; any other ValueError is a bug
-        def broken(layouts, points, invert=None):
+        def broken(layouts, points, estimate=False):
             raise ValueError("broken DOP path")
 
         monkeypatch.setattr(placement, "dop_components", broken)
         problem = placement.PlacementProblem(rng_seed=0)
         with pytest.raises(ValueError, match="broken DOP path"):
-            placement.fitness(np.array(OPTIMIZED_LAYOUT.positions), problem)
+            fitness(np.array(OPTIMIZED_LAYOUT.positions), problem)
         with pytest.raises(ValueError, match="broken DOP path"):
             placement.optimize(fast_problem())
 
@@ -268,7 +273,7 @@ class TestScoreLayouts:
         got = placement.score_layouts(batch, problem)
         assert got.shape == (len(batch), 3)
         for layout, row in zip(batch, got):
-            np.testing.assert_array_equal(row, placement.fitness(layout, problem))
+            np.testing.assert_array_equal(row, fitness(layout, problem))
             np.testing.assert_array_equal(row, per_layout_fitness(layout, problem))
         assert np.isinf(got[[1, 3, 4, 6], 0]).all()
         assert np.isfinite(got[[0, 2, 5, 7], 0]).all()
@@ -287,7 +292,7 @@ class TestScoreLayouts:
         n_points = len(problem.drone_domain.points())
         calls = []
 
-        def recording(layouts, points, invert=None):
+        def recording(layouts, points, estimate=False):
             calls.append(len(layouts))
             n = len(layouts) * n_points
             return np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
@@ -343,20 +348,18 @@ class TestScoreLayouts:
         assert (lower[masked, 0] < upper[masked, 0]).all()
 
 
-def bounds_and_exact(layouts, problem):
-    """The DOP kernel's (hdop, vdop) lower bounds and its exact (hdop, vdop,
-    degenerate), each (L, P), for a stack of layouts."""
+def estimates_and_exact(layouts, problem):
+    """The DOP kernel's (hdop, vdop) estimates, its exact (hdop, vdop,
+    degenerate), and the mask of the points whose estimates it took from
+    the 3x3 inverse, each (L, P), for a stack of layouts."""
     points = problem.drone_domain.points()
     shape = (len(layouts), len(points))
     exact = [a.reshape(shape) for a in dop_components(layouts, points)]
-    bounds = []
-
-    def keep_bounds(hdop, vdop, degenerate):
-        bounds.extend((hdop.copy(), vdop.copy()))
-        return np.zeros(len(hdop), dtype=bool)
-
-    dop_components(layouts, points, invert=keep_bounds)
-    return bounds, exact
+    estimates = [a.reshape(shape) for a in dop_components(layouts, points, estimate=True)[:2]]
+    with pytest.MonkeyPatch.context() as patched:  # an inverse of NaNs marks its points
+        patched.setattr(np.linalg, "inv", lambda m: np.full(m.shape, np.nan))
+        blind = dop_components(layouts, points, estimate=True)[0].reshape(shape)
+    return estimates, exact, np.isnan(blind) & ~exact[2]
 
 
 def near_coplanar_stack(rng, n, tilt):
@@ -454,22 +457,22 @@ def assert_same_search(got, want):
 
 class TestCertifiedBound:
     def assert_bounds(self, layouts, problem):
-        """Every bound is at most the exact value, and its closed form is
-        within ESTIMATE_SLACK / 1000 of it: the slack has a 1000x margin.
-        Returns how many layouts have a bound at every usable point."""
-        slack = dop.ESTIMATE_SLACK
-        bounds, (*exact, degenerate) = bounds_and_exact(layouts, problem)
-        for low, want in zip(bounds, exact):
-            # NaN where degenerate, or where the screen left a point to eigvalsh
-            assert np.isnan(low[degenerate]).all()
-            given = ~np.isnan(low)
-            low, want = low[given], want[given]
-            assert (low <= want).all()
+        """Every estimate times 1 - ESTIMATE_SLACK is at most the exact value
+        and times 1 + ESTIMATE_SLACK at least it, and the estimate is within
+        ESTIMATE_SLACK / 1000 of it: the slack has a 1000x margin. Returns
+        how many layouts were estimated with no 3x3 inverse."""
+        slack = placement.ESTIMATE_SLACK
+        estimates, (*exact, degenerate), inverted = estimates_and_exact(layouts, problem)
+        for est, want in zip(estimates, exact):
+            assert np.isnan(est[degenerate]).all()
+            # the inverse's own values where the screen left a usable point to eigvalsh
+            np.testing.assert_array_equal(est[inverted], want[inverted])
+            est, want = est[~degenerate], want[~degenerate]
+            low, up = est * (1 - slack), est * (1 + slack)
+            assert (low <= want).all() and (want <= up).all()
             assert (low >= want * (1 - 2 * slack)).all()
-            assert (np.abs(low / (1 - slack) - want) <= want * slack / 1000).all()
-            # bound_layouts' upper bound: the same closed form times 1 + slack
-            assert (low * ((1 + slack) / (1 - slack)) >= want).all()
-        return int((~np.isnan(bounds[0]) | degenerate).all(axis=1).sum())
+            assert (np.abs(est - want) <= want * slack / 1000).all()
+        return int((~inverted).all(axis=1).sum())
 
     def test_estimates_of_seed_populations(self):
         for seed in range(32):
@@ -500,16 +503,21 @@ class TestCertifiedBound:
             np.testing.assert_array_equal(alone[1][0], upper[k])
 
     @pytest.mark.parametrize("tilt", [1e-3, 1e-5])
-    def test_uncertified_layouts_come_back_exact(self, tilt):
-        # near-coplanar beacons leave some usable points to eigvalsh, with no
-        # bound there: those layouts are inverted in the same kernel call
+    def test_bounds_hold_and_near_plane_points_are_exact(self, tilt):
+        # near-coplanar beacons leave some usable points to eigvalsh: the
+        # kernel inverts those alone, and their layouts' bounds hold as any do
         problem = placement.PlacementProblem()
         stack = near_coplanar_stack(np.random.default_rng(8), 48, tilt)
         lower, upper = placement.bound_layouts(stack, problem)
         exact = placement.score_layouts(stack, problem)
         assert_bounds_hold(lower, upper, exact)
-        point = lower[:, 0] == upper[:, 0]
-        assert point.any() and np.isfinite(exact[point, 0]).all()
+        estimates, (*want, _), inverted = estimates_and_exact(stack, problem)
+        for est, w in zip(estimates, want):
+            np.testing.assert_array_equal(est[inverted], w[inverted])
+        usable = np.isfinite(exact[:, 0])
+        assert (inverted.any(axis=1) & usable).any()
+        # only a rejected layout has a point interval
+        np.testing.assert_array_equal(lower[:, 0] == upper[:, 0], ~usable)
 
     def test_a_wide_interval_joins_every_interval_it_meets(self, monkeypatch):
         # hand-set bounds around exact rows: A's interval spans B's and C's,
@@ -918,9 +926,9 @@ class TestOptimize:
         kernel = placement.dop_components
         batch_sizes = []
 
-        def recording(layouts, points, invert=None):
+        def recording(layouts, points, estimate=False):
             batch_sizes.append(len(layouts))
-            return kernel(layouts, points, invert=invert)
+            return kernel(layouts, points, estimate=estimate)
 
         def search():
             batch_sizes.clear()
