@@ -40,9 +40,9 @@ from .waveform import WaveformConfig
 MAX_FIX_SAMPLES = 2**21
 # Most points the drone-domain lattice, or the beacon lattice before its
 # repeats are dropped, may hold. dopmap passes the whole drone lattice to
-# one DOP kernel call, about 470 bytes a point: 1,030,376 points
+# one DOP kernel call, about 310 bytes a point: 1,030,376 points
 # (domain_grid = 0.034, the finest default-domain grid allowed) peaked at
-# 515 MB RSS in 16 s. A default optimize on 1,043,817 beacon points
+# 354 MB RSS in 7 s. A default optimize on 1,043,817 beacon points
 # (beacon_grid = 0.0079, the finest default-room grid allowed) peaked at
 # 190 MB RSS in 2.6 s. Both on numpy 2.4, Python 3.11, Linux x86-64.
 MAX_LATTICE_POINTS = 2**20
@@ -303,7 +303,10 @@ def load_config(path: str | Path) -> SimConfig:
 
     scene = values["scene"]
     if "layout_name" in scene:
-        scene["layout"] = resolve_layout(str(scene["layout_name"]))
+        try:
+            scene["layout"] = resolve_layout(str(scene["layout_name"]))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     sections = {}
     for section, cls in _SECTIONS.items():
         try:

@@ -3,8 +3,10 @@
 The unit vectors from the receiver to each beacon form a matrix whose
 normal-matrix inverse maps unit range noise onto position covariance;
 its diagonal yields HDOP (x-y), VDOP (z), and GDOP. One kernel,
-dop_components, serves every caller; asked to estimate, it returns the
-closed form of that diagonal from the matrix's entries wherever its
+dop_components, serves every caller. It streams the beacons one at a
+time through one reused block, adding each beacon's products into the
+normal matrix's six distinct entries; asked to estimate, it returns the
+closed form of that diagonal from those entries wherever the matrix's
 condition is certified, and inverts only the rest. A closed-form 2-D
 Cramer-Rao expression is provided for cross-checks.
 """
@@ -22,6 +24,9 @@ from .channel import BeaconLayout
 from .errors import DegenerateGeometryError, DomainDegeneracyError
 
 CONDITION_CAP = 1e8
+# (beacon, layout, point) terms up to which dop_components takes every
+# beacon in one pass; a larger call streams one beacon a pass.
+ONE_PASS_TERMS = 4096
 
 # Default flight volume for desk-scale experiments: half a meter away
 # from every wall, ceiling clearance of one meter, half-meter lattice.
@@ -131,7 +136,9 @@ def dop_components(
 
     The normal matrix M = sum_i u_i u_i^T is summed beacon by beacon in
     beacon order, so each point's M, and every result, does not depend
-    on how many layouts or points share the call.
+    on how many layouts or points share the call. Only its six distinct
+    entries are kept; the full 3x3 matrices are assembled only for the
+    points eigvalsh or the inverse takes.
 
     A point is degenerate when a beacon coincides with it or M has
     cond(M) > CONDITION_CAP. M is symmetric PSD, so
@@ -147,6 +154,10 @@ def dop_components(
     vdop^2 = (ab - d^2) / det. There cond(M) < CONDITION_CAP / 10, so the
     closed form's relative error, like the inverse's, is a small multiple
     of 1e-16 * cond(M) < 1e-8. The degenerate mask does not change.
+
+    A large call peaks at about 150 bytes a (layout, point) pair with
+    estimate and about 290 without, where every usable point is inverted
+    (tracemalloc, one layout over 173,225 points).
     """
     positions = np.asarray(
         beacons.positions if isinstance(beacons, BeaconLayout) else beacons, dtype=float
@@ -155,55 +166,101 @@ def dop_components(
     layouts = positions.reshape(-1, *positions.shape[-2:])
     n_beacons = layouts.shape[1]
     n_pairs = len(layouts) * len(points)
-    # The differences, unit vectors, their outer products and M are laid
-    # out point-last, (beacon, axis, layout-major point), so each step is
-    # one pass over contiguous rows of every point. The differences are
-    # written straight into a C-contiguous (beacon, axis, layout, point)
-    # array, so merging its last two axes is a view: a broadcast
-    # subtraction's own result is laid out in its inputs' order, and
-    # reshaping it copies every difference.
-    diff = np.empty((n_beacons, 3, len(layouts), len(points)))
-    np.subtract(layouts.transpose(1, 2, 0)[..., None], points.T[:, None, :], out=diff)
-    diff = diff.reshape(n_beacons, 3, n_pairs)
-    # (dx^2 + dy^2) + dz^2, the same sum as np.linalg.norm behind a slower dispatch
-    r = np.sqrt(np.add.reduce(diff * diff, axis=1))
-    on_beacon = r < 1e-12
-    coincident = on_beacon.any(axis=0)
-    u = np.divide(diff, np.where(on_beacon, 1.0, r)[:, None, :], out=diff)
-    rows, cols = u[:, :, None, :], u[:, None, :, :]
-    mt = rows[0] * cols[0]
-    # one reused term buffer: one product of every beacon at once, a
-    # (beacons, 3, 3, points) array, measured slower on 16-layout stacks
-    term = np.empty_like(mt)
-    for i in range(1, n_beacons):
-        mt += np.multiply(rows[i], cols[i], out=term)
-    m = mt.transpose(2, 0, 1)
-    a, b, c = mt[0, 0], mt[1, 1], mt[2, 2]
-    d, e, f = mt[0, 1], mt[0, 2], mt[1, 2]
-    det = a * (b * c - f * f) - d * (d * c - f * e) + e * (d * f - b * e)
-    unsure = ~(coincident | (det * CONDITION_CAP > 10.0 * (a + b + c) ** 3))
+    # One block holds a pass's unit vectors and their products, laid out
+    # point-last (beacon, axis, layout-major point), and M's six distinct
+    # entries. A large call streams one beacon a pass, so the block stays
+    # twelve rows of n_pairs floats (cache-resident at PAIR_BUDGET) however
+    # many beacons there are; a small one takes every beacon in one pass,
+    # so a one-point call pays one pass's ufunc calls, not one a beacon.
+    # One allocation rather than one a buffer also lets the allocator hand
+    # the same pages back call after call: a default search takes about
+    # 1,900 page faults, against 3,600 with three separate buffers
+    # (glibc 2.36, Linux x86-64).
+    per_pass = n_beacons if n_beacons * n_pairs <= ONE_PASS_TERMS else 1
+    block = np.empty((6 * per_pass + 6, n_pairs))
+    units = block[: 3 * per_pass].reshape(per_pass, 3, n_pairs)
+    terms = block[3 * per_pass : -6].reshape(per_pass, 3, n_pairs)
+    entries = block[-6:]  # rows a, b, c, d, f, e: xx, yy, zz, xy, yz, zx
+    # the differences land in the unit vectors' rows, (layout, point) split
+    diffs = units.reshape(per_pass, 3, len(layouts), len(points))
+    beacon_cols = layouts.transpose(1, 2, 0)[..., None]
+    # contiguous point rows: strided ones made the subtraction a third slower
+    point_rows = np.ascontiguousarray(points.T)[:, None, :]
+    r = terms[:, 0]
+    on_beacon = np.empty(r.shape, dtype=bool)
+    coincident = np.zeros(n_pairs, dtype=bool)
+    for start in range(0, n_beacons, per_pass):
+        np.subtract(beacon_cols[start : start + per_pass], point_rows, out=diffs)
+        # (dx^2 + dy^2) + dz^2, the sum np.linalg.norm takes
+        np.multiply(units, units, out=terms)
+        r += terms[:, 1]
+        r += terms[:, 2]
+        np.sqrt(r, out=r)
+        np.less(r, 1e-12, out=on_beacon)
+        if on_beacon.any():
+            coincident |= on_beacon.any(axis=0)
+            r[on_beacon] = 1.0
+        units /= r[:, None]
+        np.multiply(units, units, out=terms)
+        _add_in_order(entries[:3], terms, start)
+        np.multiply(units[:, :2], units[:, 1:], out=terms[:, :2])
+        np.multiply(units[:, 2], units[:, 0], out=terms[:, 2])
+        _add_in_order(entries[3:], terms, start)
+    a, b, c, d, f, e = entries
+    # into the freed pass rows: bc - f^2, for det and the closed form, and det
+    bc_ff, det = block[0], block[1]
+    np.subtract(b * c, f * f, out=bc_ff)
+    np.add(a * bc_ff - d * (d * c - f * e), e * (d * f - b * e), out=det)
+    sure = det * CONDITION_CAP > 10.0 * (a + b + c) ** 3
+    unsure = ~(coincident | sure)
     degenerate = coincident.copy()
     if unsure.any():
-        eigs = np.linalg.eigvalsh(m[unsure])
+        eigs = np.linalg.eigvalsh(_normal_matrices(entries, unsure))
         degenerate[unsure] = (eigs[:, 0] <= 0) | (
             eigs[:, -1] / np.maximum(eigs[:, 0], 1e-300) > CONDITION_CAP
         )
 
-    hdop = np.full(n_pairs, np.nan)
-    vdop = hdop.copy()
     ok = ~degenerate
     if estimate:
-        screened = ~(coincident | unsure)
-        np.divide((b * c - f * f) + (a * c - e * e), det, out=hdop, where=screened)
-        np.divide(a * b - d * d, det, out=vdop, where=screened)
-        np.sqrt(hdop, out=hdop)
-        np.sqrt(vdop, out=vdop)
+        # the closed form at every point, then NaN where it is not certified:
+        # a divide masked to the certified points took twice as long
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hdop = (bc_ff + (a * c - e * e)) / det
+            vdop = (a * b - d * d) / det
+            np.sqrt(hdop, out=hdop)
+            np.sqrt(vdop, out=vdop)
+        uncertified = coincident | unsure
+        hdop[uncertified] = vdop[uncertified] = np.nan
         ok &= unsure
+    else:
+        hdop = np.full(n_pairs, np.nan)
+        vdop = hdop.copy()
     if ok.any():
-        q = np.linalg.inv(m[ok])
+        q = np.linalg.inv(_normal_matrices(entries, ok))
         hdop[ok] = np.sqrt(q[:, 0, 0] + q[:, 1, 1])
         vdop[ok] = np.sqrt(q[:, 2, 2])
     return hdop, vdop, degenerate
+
+
+def _add_in_order(total: np.ndarray, terms: np.ndarray, first: int) -> None:
+    """Add the (beacon, ...) terms of beacons first, first + 1, ... into
+    total, each sum in beacon order, ((t0 + t1) + t2) + ...: a pass holds
+    every beacon (first == 0) or one. Reducing the outermost axis, numpy
+    adds whole rows in order; it sums pairwise only along the innermost."""
+    if first:
+        total += terms[0]
+    else:
+        np.add.reduce(terms, axis=0, out=total)
+
+
+# M's nine entries, row by row, as rows of dop_components' six distinct ones
+_FULL_ENTRIES = np.array([0, 3, 5, 3, 1, 4, 5, 4, 2])[:, None]
+
+
+def _normal_matrices(entries: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(k, 3, 3) normal matrices of the k masked points, from the (6, n)
+    rows xx, yy, zz, xy, yz, zx."""
+    return entries[_FULL_ENTRIES, mask].T.reshape(-1, 3, 3)
 
 
 def dop_average(beacons: BeaconLayout, domain: DroneDomain) -> tuple[float, float]:

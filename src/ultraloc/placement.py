@@ -15,7 +15,7 @@ kernel's 3x3 inverse runs only for the few layouts whose exact row an
 output or a near-tie needs. The layouts of a generation not yet seen in
 the run are bounded together (bound_layouts): the degeneracy rules run on
 the whole batch at once, and the DOP kernel takes the rest in calls of at
-most PAIR_BUDGET (layout, drone-lattice point) pairs, 16 layouts of the
+most PAIR_BUDGET (layout, drone-lattice point) pairs, 33 layouts of the
 default 486-point lattice. Each call asks the kernel for its closed-form
 estimates, and each layout's fitness lies between the terms of those
 estimates times 1 - ESTIMATE_SLACK and times 1 + ESTIMATE_SLACK; this
@@ -54,15 +54,16 @@ MAX_RESTARTS = 10
 HDOP_PENALTY = 1e6
 MAX_DRAWS = 20
 # (layout, lattice point) pairs per DOP kernel call while scoring a batch:
-# 16 layouts of the default 486-point drone lattice. A lattice larger than
+# 33 layouts of the default 486-point drone lattice. A lattice larger than
 # this goes one layout a call, so a fine drone lattice never holds more
-# than one layout's kernel temporaries at once. Half of it (8 layouts) was
-# not reliably faster: a kernel call costs about 85 us a layout without
-# the inverse and 310 us with it at 4 to 32 layouts a call, and in two
-# runs of 30 in-process pairs of default searches (same seed in a pair,
-# order alternated; 2-vCPU x86-64, numpy 2.4) 4096 beat 8192 in 16 and
-# 23, medians 96.3 against 98.0 and 107.9 against 113.4 ms.
-PAIR_BUDGET = 8192
+# than one layout's kernel temporaries at once; a full call's peak is about
+# 2.4 MB (150 bytes a pair). On the streaming kernel, in two runs of 40
+# alternating process pairs (20 default searches a process, median CPU ms;
+# 2-vCPU x86-64, numpy 2.4), 16384 against 8192 read 0.952 and 0.984 of
+# the time (30 and 26 wins of 40), and 4096 read 1.030 and 1.046 (14 and
+# 13 wins): fewer, larger calls, whose streamed block (twelve rows of
+# pairs, 1.5 MB) still fits a 2 MB L2. 32768 read 1.01 (8 of 24 wins).
+PAIR_BUDGET = 16384
 # Most layouts one search may seed and breed: each of the max_restarts + 1
 # runs seeds a population and breeds parents / 2 children an iteration.
 # On the default problem a layout costs 30-230 us to make and score, so

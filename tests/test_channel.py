@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,24 @@ class TestSceneAndLayout:
         pos[pair[1]] = pos[pair[0]] + 1e-12
         with pytest.raises(ValueError, match=f"beacons {pair[0]} and {pair[1]} coincide"):
             ch.BeaconLayout(positions=pos)
+
+    def test_coincident_pairs_equal_np_isclose(self):
+        # near-tolerance gaps on either side of atol + rtol * |y|, equal,
+        # signed-zero, infinite and NaN coordinates, in every pair slot
+        base = np.array([0.0, -0.0, 1e-9, 2.0, -3.5, 1e5, np.inf, -np.inf, np.nan])
+        tol = 1e-8 + 1e-5 * np.abs(base[3:6])
+        near = np.concatenate([base[3:6] + tol * k for k in (0.999999, 1.0, 1.000001)])
+        values = np.concatenate([base, near, near - 2 * tol.repeat(3) / 3, [1e-8, -1e-8, 2e-8]])
+        rng = np.random.default_rng(5)
+        layouts = rng.choice(values, size=(4000, 4, 3))
+        # half the layouts repeat a beacon's coordinates into another's, some exactly
+        src, dst = rng.integers(0, 4, size=(2, 2000))
+        layouts[np.arange(2000), dst] = layouts[np.arange(2000), src]
+        i, j = ch.BEACON_PAIRS
+        want = np.isclose(layouts[..., i, :], layouts[..., j, :]).all(axis=-1)
+        got = ch.coincident_pairs(layouts)
+        np.testing.assert_array_equal(got, want)
+        assert want.any() and not want.all()
 
     def test_coincidence_error_names_first_pair_in_loop_order(self):
         # (0, 3) and (1, 2) both coincide; i-major order reports (0, 3)
@@ -377,6 +397,13 @@ class TestModelValidation:
     def test_model_rejects_bad_speed(self):
         with pytest.raises(ValueError, match="speed of sound must be positive"):
             ch.ChannelConfig(speed_of_sound=-1.0)
+
+    @pytest.mark.parametrize("speed", [ch.MAX_SPEED_OF_SOUND * (1 + 1e-15), 1e300, float("nan")])
+    def test_model_rejects_speed_above_any_gas(self, speed):
+        message = f"speed of sound must be positive and at most 2000 m/s, got {speed:g}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ch.ChannelConfig(speed_of_sound=speed)
+        assert ch.ChannelConfig(speed_of_sound=ch.MAX_SPEED_OF_SOUND).speed_of_sound == 2000.0
 
     def test_model_rejects_wrong_beacon_count(self):
         with pytest.raises(ValueError):

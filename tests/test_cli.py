@@ -544,12 +544,8 @@ class TestErrorPaths:
                 "[fusion]\nenabled = true\nauto_weights = true\necho_noise_std = 1e-200\n",
                 "1.715e-198", "0", "[channel] speed_of_sound or [fusion] echo_noise_std",
             ),
-            (
-                "[fusion]\nenabled = true\nauto_weights = true\n\n[channel]\nspeed_of_sound = 1e300\n",
-                "8.49045e+293", "inf", "[channel] speed_of_sound",
-            ),
         ],
-        ids=["echo_noise_std", "speed_of_sound"],
+        ids=["echo_noise_std"],
     )
     def test_auto_weight_variance_out_of_range_is_one_error_line(
         self, tmp_path, capsys, ini, std, square, keys
@@ -564,6 +560,29 @@ class TestErrorPaths:
         assert captured.err == (
             f"error: {bad}: [fusion] auto_weights squares a {std} m range error to {square}, "
             f"not a positive finite variance; change {keys}\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "ini",
+        [
+            "[channel]\nspeed_of_sound = 1e300\n",
+            "[fusion]\nenabled = true\nauto_weights = true\n\n[channel]\nspeed_of_sound = 1e300\n",
+        ],
+        ids=["plain", "auto_weights"],
+    )
+    def test_speed_of_sound_above_any_gas_is_one_error_line(self, tmp_path, capsys, ini):
+        # simulate used to run it to a 2.38 m mean error and exit 0; with
+        # auto weights it overflowed the grid's squared range error
+        bad = tmp_path / "fast.ini"
+        bad.write_text(ini)
+        code = run_cli("simulate", "--config", str(bad), "--trials", "2", "--out", str(tmp_path / "out"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"error: {bad}: [channel] speed of sound must be positive and at most 2000 m/s, "
+            "got 1e+300\n"
         )
         assert captured.out == ""
         assert not (tmp_path / "out").exists()

@@ -560,6 +560,20 @@ class TestFailLoud:
         with pytest.raises(ConfigError, match="layout '50%' is neither built-in"):
             cfg_mod.load_config(path)
 
+    @pytest.mark.parametrize("text", [None, "a b c\n"], ids=["missing", "unparsable"])
+    def test_layout_file_error_names_the_config(self, tmp_path, text):
+        layout = tmp_path / "layout.txt"
+        if text is not None:
+            layout.write_text(text)
+        path = write(tmp_path, f"[scene]\nlayout = {layout}\n")
+        with pytest.raises(ConfigError) as info:
+            cfg_mod.load_config(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: layout ")
+        assert message.count(str(layout)) == 1
+        if text is None:
+            assert message == f"{path}: layout '{layout}' is neither built-in nor an existing file"
+
 
 class TestValidByConstruction:
     """A SimConfig checks itself when it is made, so replace cannot build one

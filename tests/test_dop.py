@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,146 @@ class TestInvertSelection:
         usable = (eigs[:, 0] > 0) & (eigs[:, -1] / np.maximum(eigs[:, 0], 1e-300) <= dop.CONDITION_CAP)
         assert usable.any() and not usable.all()
         np.testing.assert_array_equal(inverted, unsure[usable])
+
+
+def array_dop_components(positions, points, estimate=False):
+    """The kernel dop_components streams beacons in place of: it held every
+    beacon's differences and unit vectors, (N, 3, L * P), and all nine
+    entries of each point's M at once. The reference for the streaming
+    kernel, which must reproduce it bit for bit."""
+    layouts = positions.reshape(-1, *positions.shape[-2:])
+    n_beacons = layouts.shape[1]
+    n_pairs = len(layouts) * len(points)
+    diff = np.empty((n_beacons, 3, len(layouts), len(points)))
+    np.subtract(layouts.transpose(1, 2, 0)[..., None], points.T[:, None, :], out=diff)
+    diff = diff.reshape(n_beacons, 3, n_pairs)
+    r = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    on_beacon = r < 1e-12
+    coincident = on_beacon.any(axis=0)
+    u = np.divide(diff, np.where(on_beacon, 1.0, r)[:, None, :], out=diff)
+    rows, cols = u[:, :, None, :], u[:, None, :, :]
+    mt = rows[0] * cols[0]
+    for i in range(1, n_beacons):
+        mt += rows[i] * cols[i]
+    m = mt.transpose(2, 0, 1)
+    a, b, c = mt[0, 0], mt[1, 1], mt[2, 2]
+    d, e, f = mt[0, 1], mt[0, 2], mt[1, 2]
+    det = a * (b * c - f * f) - d * (d * c - f * e) + e * (d * f - b * e)
+    unsure = ~(coincident | (det * dop.CONDITION_CAP > 10.0 * (a + b + c) ** 3))
+    degenerate = coincident.copy()
+    if unsure.any():
+        eigs = np.linalg.eigvalsh(m[unsure])
+        degenerate[unsure] = (eigs[:, 0] <= 0) | (
+            eigs[:, -1] / np.maximum(eigs[:, 0], 1e-300) > dop.CONDITION_CAP
+        )
+    hdop = np.full(n_pairs, np.nan)
+    vdop = hdop.copy()
+    ok = ~degenerate
+    if estimate:
+        screened = ~(coincident | unsure)
+        np.divide((b * c - f * f) + (a * c - e * e), det, out=hdop, where=screened)
+        np.divide(a * b - d * d, det, out=vdop, where=screened)
+        np.sqrt(hdop, out=hdop)
+        np.sqrt(vdop, out=vdop)
+        ok &= unsure
+    if ok.any():
+        q = np.linalg.inv(m[ok])
+        hdop[ok] = np.sqrt(q[:, 0, 0] + q[:, 1, 1])
+        vdop[ok] = np.sqrt(q[:, 2, 2])
+    return hdop, vdop, degenerate
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w, equal_nan=True)
+        np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
+
+
+# A fifth beacon for each of the two fixed layouts: mid-ceiling, mid-wall.
+FIFTH_BEACON = {"ceiling": [2.5, 2.5, 4.0], "original": [0.0, 2.5, 3.0]}
+# Peak traced bytes a lattice point of one estimate=True call on a
+# 334,611-point lattice: the streaming kernel measured 150 (its block of
+# twelve rows is 96); the array kernel it replaced measured 329.
+ESTIMATE_PEAK_BYTES_A_POINT = 160
+
+
+class TestStreamingKernel:
+    """dop_components streams the beacons one at a time through one block,
+    or takes them all in one pass on a small call; either way every result
+    is the array kernel's, bit for bit."""
+
+    @staticmethod
+    def layouts(n_layouts, n_beacons):
+        rng = np.random.default_rng(10 * n_layouts + n_beacons)
+        candidates = BeaconDomain().candidates()
+        fixed = [
+            np.vstack([CEILING, [FIFTH_BEACON["ceiling"]]]),
+            np.vstack([ORIGINAL_LAYOUT.positions, [FIFTH_BEACON["original"]]]),
+        ]
+        layouts = [layout[:n_beacons] for layout in fixed]
+        while len(layouts) < n_layouts:
+            layouts.append(candidates[rng.choice(len(candidates), size=n_beacons, replace=False)])
+        return np.array(layouts[:n_layouts])
+
+    # on a beacon of each fixed layout, in the ceiling beacons' plane, and
+    # rising into it, where cond(M) sweeps through CONDITION_CAP
+    SPECIAL = np.vstack(
+        [
+            CEILING[:1],
+            ORIGINAL_LAYOUT.positions[:1],
+            [[2.0, 2.0, 4.0], [3.0, 1.2, 4.0]],
+            np.column_stack([np.full(6, 2.2), np.full(6, 2.7), 4.0 - np.geomspace(1e-2, 1e-7, 6)]),
+        ]
+    )
+
+    @classmethod
+    def points(cls, many):
+        if not many:
+            return cls.SPECIAL
+        gaps = np.geomspace(1e-1, 1e-9, 600)
+        near_ceiling = np.column_stack([np.full(gaps.size, 2.2), np.full(gaps.size, 2.7), 4.0 - gaps])
+        return np.vstack([dop.DroneDomain().points(), near_ceiling, cls.SPECIAL])
+
+    @pytest.mark.parametrize("estimate", [False, True])
+    @pytest.mark.parametrize("many", [False, True], ids=["one_pass", "streamed"])
+    @pytest.mark.parametrize("n_beacons", [4, 5])
+    @pytest.mark.parametrize("n_layouts", [1, 3, 17])
+    def test_same_bits_as_the_array_kernel(self, n_layouts, n_beacons, many, estimate):
+        layouts, points = self.layouts(n_layouts, n_beacons), self.points(many)
+        terms = n_beacons * n_layouts * len(points)
+        assert (terms > dop.ONE_PASS_TERMS) == many
+        got = dop.dop_components(layouts, points, estimate=estimate)
+        assert_same_bits(got, array_dop_components(layouts, points, estimate))
+        # both fixed layouts are degenerate on their own beacon, and the
+        # ceiling one in its plane and near it, but not everywhere
+        degenerate = got[2].reshape(n_layouts, -1)
+        n = len(self.SPECIAL)
+        assert degenerate[0, -n] and degenerate[0, -n + 2 : -n + 4].all()
+        assert degenerate[0, -6:].any() and not degenerate[0, -6:].all()
+        assert not degenerate[0].all()
+        if n_layouts > 1:
+            assert degenerate[1, -n + 1]
+
+    @pytest.mark.parametrize("estimate", [False, True])
+    def test_one_point_calls_same_bits(self, estimate):
+        # the fusion weights' calls: one point, one layout, one pass
+        targets = np.random.default_rng(3).uniform([0.5, 0.5, 0.5], [4.5, 4.5, 3.0], (200, 3))
+        for target in np.vstack([targets, OPTIMIZED_LAYOUT.positions[:1]]):
+            got = dop.dop_components(OPTIMIZED_LAYOUT, target, estimate=estimate)
+            want = array_dop_components(OPTIMIZED_LAYOUT.positions, target[None], estimate)
+            assert_same_bits(got, want)
+
+    def test_estimate_peak_memory_a_point(self):
+        points = dop.DroneDomain(grid_resolution=0.05).points()
+        assert len(points) >= 2**18
+        tracemalloc.start()
+        try:
+            dop.dop_components(OPTIMIZED_LAYOUT, points, estimate=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ESTIMATE_PEAK_BYTES_A_POINT * len(points)
 
 
 class TestEmpiricalConsistency:

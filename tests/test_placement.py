@@ -286,7 +286,7 @@ class TestScoreLayouts:
         with pytest.raises(DomainDegeneracyError):
             dop_average(BeaconLayout(positions=edge_on), DroneDomain())
 
-    @pytest.mark.parametrize("grid, per_call", [(0.5, 16), (0.1, 1)])
+    @pytest.mark.parametrize("grid, per_call", [(0.5, 33), (0.1, 1)])
     def test_kernel_calls_stay_within_pair_budget(self, grid, per_call, monkeypatch):
         problem = placement.PlacementProblem(drone_domain=DroneDomain(grid_resolution=grid))
         n_points = len(problem.drone_domain.points())
@@ -298,10 +298,11 @@ class TestScoreLayouts:
             return np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
 
         monkeypatch.setattr(placement, "dop_components", recording)
-        pop = spanning_population(problem, 4)
+        # two populations, so the default lattice's batch takes more than one call
+        pop = np.concatenate([spanning_population(problem, 4), spanning_population(problem, 5)])
         placement.score_layouts(pop, problem)
         assert sum(calls) == len(pop)
-        assert max(calls) == per_call
+        assert len(calls) > 1 and max(calls) == per_call
         assert max(calls) * n_points <= max(placement.PAIR_BUDGET, n_points)
 
     def test_fine_lattice_memory_stays_one_layout_deep(self):
