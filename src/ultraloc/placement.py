@@ -24,9 +24,15 @@ distinct layout's, and each generation's fittest layout, is scored
 exactly (score_layouts); every other interval is disjoint from all the
 others, so its place in the exact stable order is already known.
 
-Children are snapped to the lattice through scipy's k-d tree. The tree,
-and scipy.spatial with it, loads on a domain's first snap rather than at
-import, so commands that never search do not pay the ~0.25 s import.
+A generation pays only for what it changes. A child beacon that copies a
+parent beacon is already a lattice point, so only mixed beacons are
+snapped to the lattice, through scipy's k-d tree; the tree, and
+scipy.spatial with it, loads on a domain's first snap rather than at
+import, so commands that never search do not pay the ~0.25 s import. The
+ranking hashes only a generation's offspring, and when every offspring
+copies a survivor, as in about two of three default generations, the
+pool holds no new layout and the memo's fitness ranks it without the
+cluster pass.
 """
 
 from __future__ import annotations
@@ -142,7 +148,11 @@ class BeaconDomain:
         return pts
 
     def on_ceiling(self, points: np.ndarray) -> np.ndarray:
-        return np.isclose(np.atleast_2d(points)[:, 2], self.room_dims[2])
+        """Whether each point's z is np.isclose to the ceiling height."""
+        z, h = np.atleast_2d(points)[:, 2], float(self.room_dims[2])
+        # np.isclose(z, h)'s own expression, without the cost of its wrapper
+        with np.errstate(invalid="ignore"):
+            return (np.abs(z - h) <= 1e-8 + 1e-5 * abs(h)) & math.isfinite(h) | (z == h)
 
 
 @dataclass(frozen=True)
@@ -368,11 +378,21 @@ def _terms(
 def breed(parents: np.ndarray, problem: PlacementProblem, rng: np.random.Generator) -> np.ndarray:
     """Cross each adjacent pair of (2k, 4, 3) parents into (k, 4, 3) children.
 
-    Beacon k of a child takes each of x, y, z independently from either
-    parent's beacon k with probability 1/2, then snaps to the nearest
-    lattice candidate (coordinate mixing can leave the wall/ceiling
-    planes). A child whose beacons break the separation constraint is
-    redrawn; after MAX_DRAWS failed draws it is a copy of its first parent.
+    The parents are lattice layouts: every beacon is one of the beacon
+    domain's candidates, as in every population seed_population starts and
+    breed continues. Beacon k of a child takes each of x, y, z
+    independently from either parent's beacon k with probability 1/2, then
+    snaps to the nearest lattice candidate (coordinate mixing can leave the
+    wall/ceiling planes). A child whose beacons break the separation
+    constraint is redrawn; after MAX_DRAWS failed draws it is a copy of its
+    first parent.
+
+    Only mixed beacons go through the k-d tree. A child beacon equal to
+    either parent's beacon (its three mask bits agree, its parent beacons
+    are equal, or the coordinates it takes from the other parent match) is
+    a lattice point; the lattice has no repeats, so that point's nearest
+    candidate is itself, and snapping it would return its own bytes. Every
+    child still takes the separation test.
 
     The masks form one queue consumed in child order, exactly as a loop
     drawing one (4, 3) mask per try would consume them. Each pass draws
@@ -391,7 +411,11 @@ def breed(parents: np.ndarray, problem: PlacementProblem, rng: np.random.Generat
         if not len(masks):
             masks = rng.integers(0, 2, size=(len(a) - c, 4, 3)).astype(bool)
         k = len(masks)
-        child_pts = problem.beacon_domain.snap(np.where(masks, a[c : c + k], b[c : c + k]))
+        pa, pb = a[c : c + k], b[c : c + k]
+        child_pts = np.where(masks, pa, pb)
+        mixed = ~((child_pts == pa).all(axis=-1) | (child_pts == pb).all(axis=-1))
+        if mixed.any():
+            child_pts[mixed] = problem.beacon_domain.snap(child_pts[mixed])
         ok = _separated(child_pts, problem.config.min_separation)
         n_ok = k if ok.all() else int(ok.argmin())
         children[c : c + n_ok] = child_pts[:n_ok]
@@ -408,52 +432,82 @@ def breed(parents: np.ndarray, problem: PlacementProblem, rng: np.random.Generat
     return children
 
 
-def _best(
-    layouts: np.ndarray, bounds: dict[bytes, tuple], n: int, problem: PlacementProblem
-) -> tuple[np.ndarray, np.ndarray]:
-    """The n fittest (P, 4, 3) layouts, ties in creation order, and the
-    fittest one's exact (fitness, hdop_avg, vdop_avg) row.
+def _score_clusters(
+    pool: np.ndarray, keys: list[bytes], bounds: dict[bytes, tuple], problem: PlacementProblem
+) -> None:
+    """_best's cluster pass: bound the pool's layouts the memo lacks, then
+    score exactly each layout whose bounds leave its place in the exact
+    order open, and the fittest one, writing both into the memo.
 
-    bounds is the run's memo. It maps the exact bytes of each layout seen
-    (layouts are lattice copies, so equal layouts are equal bytes) to its
-    bound_layouts lower and upper fitness and lower row, or, once
-    score_layouts has scored it, to its exact fitness twice and exact row.
-    Layouts not yet in it are bounded in one bound_layouts batch, repeats
-    counted once.
-
-    The order is the stable argsort of exact fitness, found with few exact
-    rows. One sort by lower bound and a running max of the upper bounds
-    split the distinct layouts into clusters of overlapping intervals.
-    Every layout of a cluster that holds two or more is scored exactly,
-    as is the fittest layout, whose row the caller reads, in one
+    Layouts not yet in the memo are bounded in one bound_layouts batch,
+    repeats counted once. One sort by lower bound and a running max of the
+    upper bounds split the distinct layouts into clusters of overlapping
+    intervals. Every layout of a cluster that holds two or more is scored
+    exactly, as is the fittest layout, whose row the caller reads, in one
     score_layouts batch. Each cluster's interval lies wholly below the
     next one's, so sorting on each layout's exact fitness where known and
     its lower bound elsewhere orders the layouts as their exact fitness
-    does, and copies of one layout share a key and keep creation order.
+    does.
     """
-    keys = [beacons.tobytes() for beacons in layouts]
     first: dict[bytes, int] = {}
     for k, key in enumerate(keys):
         first.setdefault(key, k)
     new = [key for key in first if key not in bounds]
     if new:
-        lower, upper = bound_layouts(layouts[[first[key] for key in new]], problem)
+        lower, upper = bound_layouts(pool[[first[key] for key in new]], problem)
         bounds.update(zip(new, zip(lower[:, 0].tolist(), upper[:, 0].tolist(), lower)))
     distinct = list(first)
     lo, up = np.array([bounds[key][:2] for key in distinct]).T
     order = np.argsort(lo, kind="stable")
-    opens = np.r_[True, lo[order[1:]] > np.maximum.accumulate(up[order])[:-1]]
+    opens = np.empty(len(order), dtype=bool)
+    opens[0] = True
+    opens[1:] = lo[order[1:]] > np.maximum.accumulate(up[order])[:-1]
     cluster = np.cumsum(opens)
     shared = np.empty(len(distinct), dtype=bool)
     shared[order] = (np.bincount(cluster) > 1)[cluster]
     shared[order[0]] = True  # the fittest, whose row the caller reads
     exact = np.flatnonzero(shared & (lo < up))  # equal bounds: rejected, or scored already
     if len(exact):
-        rows = score_layouts(layouts[[first[distinct[i]] for i in exact]], problem)
+        rows = score_layouts(pool[[first[distinct[i]] for i in exact]], problem)
         for i, row in zip(exact, rows):
             bounds[distinct[i]] = (row[0], row[0], row)
+
+
+def _best(
+    pool: np.ndarray,
+    kept: list[bytes],
+    bounds: dict[bytes, tuple],
+    n: int,
+    problem: PlacementProblem,
+) -> tuple[np.ndarray, list[bytes], np.ndarray]:
+    """The n fittest of the (P, 4, 3) pool, ties in creation order, their
+    keys, and the fittest one's exact (fitness, hdop_avg, vdop_avg) row.
+
+    kept holds the keys of the pool's leading layouts: the survivors the
+    last call with this memo returned, or none. Only the layouts after them,
+    the offspring, are hashed. A layout's key is its exact bytes: layouts
+    are lattice copies, so equal layouts are equal bytes.
+
+    bounds is the run's memo. It maps the key of each layout seen to its
+    bound_layouts lower and upper fitness and lower row, or, once
+    score_layouts has scored it, to its exact fitness twice and exact row.
+    The order is the stable argsort of exact fitness, found with few exact
+    rows (_score_clusters), and copies of one layout share a key and keep
+    creation order.
+
+    Every call leaves the memo with an exact row for each of its pool's
+    distinct layouts whose interval meets another's, and for the fittest.
+    When every offspring copies a survivor, the pool holds no distinct
+    layout the last call's pool lacked, so the cluster pass would neither
+    bound nor score anything, and it is skipped: the memo's fitness
+    already ranks the pool.
+    """
+    offspring = [beacons.tobytes() for beacons in pool[len(kept) :]]
+    keys = kept + offspring
+    if not set(offspring) <= set(kept):
+        _score_clusters(pool, keys, bounds, problem)
     keep = np.argsort([bounds[key][0] for key in keys], kind="stable")[:n]
-    return layouts[keep], bounds[keys[keep[0]]][2]
+    return pool[keep], [keys[k] for k in keep], bounds[keys[keep[0]]][2]
 
 
 def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
@@ -472,7 +526,12 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
     exact row per run (_best's memo), so surviving clones and children
     that snap back onto a seen layout reuse them. Most layouts are ranked
     on their bounds alone and never pay the DOP kernel's 3x3 inverse; the
-    history and the result read only exact rows.
+    history and the result read only exact rows. A generation pays only for
+    what it changes: breed snaps only the child beacons that copy neither
+    parent's, _best hashes only the offspring, since each call hands back
+    its survivors' keys, and a generation whose offspring all copy
+    survivors (about two in three of a default search's) runs no cluster
+    pass.
 
     observer, if given, is called as observer(run_idx, iteration,
     population) after every cull, for instrumentation; population is the
@@ -483,12 +542,14 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
     for run_idx in range(cfg.max_restarts + 1):
         rng = np.random.default_rng([problem.rng_seed, run_idx])
         bounds: dict[bytes, tuple] = {}
-        population, row = _best(seed_population(problem, rng), bounds, cfg.population, problem)
+        population, kept, row = _best(
+            seed_population(problem, rng), [], bounds, cfg.population, problem
+        )
         history: list[float] = []
         for iteration in range(cfg.iterations):
             offspring = breed(population[: cfg.parents], problem, rng)
-            population, row = _best(
-                np.concatenate([population, offspring]), bounds, cfg.population, problem
+            population, kept, row = _best(
+                np.concatenate([population, offspring]), kept, bounds, cfg.population, problem
             )
             history.append(float(row[0]))
             if observer is not None:

@@ -243,6 +243,40 @@ class TestFusionGoldenBytes:
         )
 
 
+# sha256 of (placement.json, history.csv) from `optimize --seed k` with no
+# config: the default 50/40/100 search, whose generations (unlike FAST_INI's)
+# often breed only copies of their survivors.
+DEFAULT_SEARCH_GOLDEN = {
+    0: (
+        "6e874d4eff5f0e09b36fe4e342fd71ad6c442376367d3e8b2259f3802e0ca0b6",
+        "fb1d06908afe834238bb2e5da31c727a0723b1f6185d2b5fe47a754836d8fa50",
+    ),
+    1: (
+        "c4c3c56879cf595c52bd6cdc3986d511e15b1a2686f9bef91c1a4f6874317a79",
+        "dbe44f26b04cea1c0426e51ca1ad31c70b772c2bbd489eb5715e5a8c8291e53d",
+    ),
+    2: (
+        "fdf6c50fe24cb827751ff624acc5988f25fa483d409bfdc8b6858930e3738a93",
+        "e3083c9b120b503917e2bb6d63b3963cfecd1f030f3847f2a6f01323da9f1a36",
+    ),
+    3: (
+        "759981d2740c87e38fabc26f9284fa73223b15cac9d66810187750cb4abf2e5c",
+        "c88a2c196efda384a98344ccb3f15e56d14790f20b80defcad7693bffe5e9eb6",
+    ),
+}
+
+
+class TestDefaultSearchGoldenBytes:
+    @pytest.mark.parametrize("seed", sorted(DEFAULT_SEARCH_GOLDEN))
+    def test_optimize_bytes(self, tmp_path, seed):
+        assert run_cli("optimize", "--seed", str(seed), "--out", str(tmp_path)) == 0
+        got = tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("placement.json", "history.csv")
+        )
+        assert got == DEFAULT_SEARCH_GOLDEN[seed]
+
+
 class TestFlags:
     def test_layout_override(self, fast_ini, tmp_path):
         out = tmp_path / "opt_layout"

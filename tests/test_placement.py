@@ -124,6 +124,62 @@ class TestBeaconDomain:
         dists = np.linalg.norm(queries[:, None, :] - pts[None, :, :], axis=2)
         np.testing.assert_array_equal(dom.snap(queries), pts[dists.argmin(axis=1)])
 
+    @pytest.mark.parametrize(
+        "room, grid",
+        [
+            ((5.0, 5.0, 4.0), 0.1),
+            ((5.0, 5.0, 4.0), 0.25),
+            ((5.0, 5.0, 4.0), 0.3),
+            ((5.0, 5.0, 4.0), 0.5),
+            ((5.1, 4.3, 3.7), 0.25),
+        ],
+    )
+    def test_every_candidate_snaps_to_its_own_bytes(self, room, grid):
+        # breed snaps no child beacon that copies a parent beacon: a lattice
+        # point's nearest candidate must be that point, down to its bits
+        dom = placement.BeaconDomain(room_dims=room, grid_resolution=grid)
+        pts = dom.candidates()
+        assert dom.snap(pts).tobytes() == pts.tobytes()
+
+    @pytest.mark.parametrize(
+        "room, grid",
+        [
+            ((5.0, 5.0, 4.0), 0.25),
+            ((5.0, 5.0, 4.0), 0.1),
+            ((6.3, 4.1, 3.3), 0.3),
+            ((5.1, 4.3, 3.7), 0.25),
+        ],
+    )
+    def test_on_ceiling_equals_np_isclose(self, room, grid):
+        dom = placement.BeaconDomain(room_dims=room, grid_resolution=grid)
+        h = room[2]
+        near = h + h * np.array([0.0, 1e-9, -1e-9, 9.99e-6, 1.001e-5, -9.99e-6, -1.001e-5, 1.0])
+        near = np.r_[near, 2.5e-9, np.nan, np.inf, -np.inf]
+        points = np.concatenate([dom.candidates(), np.column_stack([near, near, near])])
+        got = dom.on_ceiling(points)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, np.isclose(points[:, 2], h))
+        assert got[: len(dom.candidates())].any() and not got.all()
+        # one (3,) point is one row
+        np.testing.assert_array_equal(dom.on_ceiling(points[0]), np.isclose(points[:1, 2], h))
+
+    @pytest.mark.parametrize("h", [2.0**-27, 4.0, math.inf])
+    def test_on_ceiling_equals_np_isclose_at_the_tolerance(self, h):
+        # heights z exactly np.isclose's tolerance from h, one ulp either
+        # side of it, and the non-finite ones; no lattice is built
+        dom = placement.BeaconDomain(room_dims=(5.0, 5.0, h))
+        tol = 1e-8 + 1e-5 * h
+        z = [h, math.nan, math.inf, -math.inf, 0.0]
+        for edge in (h + tol, h - tol):
+            if abs(edge - h) == tol:  # exact at 2**-27 m, rounded at 4 m
+                z += [edge]
+            z += [np.nextafter(edge, -math.inf), np.nextafter(edge, math.inf)]
+        points = np.zeros((len(z), 3))
+        points[:, 2] = z
+        want = np.isclose(points[:, 2], h)
+        assert want.any() and not want.all()
+        np.testing.assert_array_equal(dom.on_ceiling(points), want)
+
 
 class TestSeedPopulation:
     def test_size_and_membership(self):
@@ -539,8 +595,9 @@ class TestCertifiedBound:
             return placement_score_layouts(layouts, problem)
 
         monkeypatch.setattr(placement, "score_layouts", recording)
-        best, row = placement._best(layouts, bounds, 3, problem)
+        best, keys, row = placement._best(layouts, [], bounds, 3, problem)
         assert best.tobytes() == pop[[b, a, c]].tobytes()
+        assert keys == [pop[k].tobytes() for k in (b, a, c)]
         np.testing.assert_array_equal(row, rows[b])
         assert set(scored) == {pop[k].tobytes() for k in (a, b, c)}
 
@@ -601,12 +658,49 @@ class TestCertifiedBound:
         lower, upper = placement.bound_layouts(layouts, problem)
         overlap = (lower[:4, 0] <= upper[6:10, 0]) & (lower[6:10, 0] <= upper[:4, 0])
         assert overlap.all()
-        best, row = placement._best(layouts, bounds, 10, problem)
+        best, keys, row = placement._best(layouts, [], bounds, 10, problem)
         keep = np.argsort(exact[:, 0], kind="stable")[:10]
         assert best.tobytes() == layouts[keep].tobytes()
+        assert keys == [beacons.tobytes() for beacons in layouts[keep]]
         np.testing.assert_array_equal(row, exact[keep[0]])
         assert {b.tobytes() for b in layouts[:4]} | {b.tobytes() for b in mirror} <= set(scored)
         assert len(scored) == len(set(scored)) < len(layouts)
+
+    def test_survivor_copies_skip_the_cluster_pass(self, monkeypatch):
+        # a default run a few generations in: survivors ranked on their bounds
+        # alone, and a pool whose offspring all copy survivors
+        problem = placement.PlacementProblem(rng_seed=2)
+        cfg = problem.config
+        rng = np.random.default_rng([2, 0])
+        bounds = {}
+        seeded = placement.seed_population(problem, rng)
+        population, kept, _ = placement._best(seeded, [], bounds, cfg.population, problem)
+        for _ in range(5):
+            offspring = placement.breed(population[: cfg.parents], problem, rng)
+            pool = np.concatenate([population, offspring])
+            population, kept, _ = placement._best(pool, kept, bounds, cfg.population, problem)
+        assert kept == [beacons.tobytes() for beacons in population]
+        assert sum(lo < up for lo, up, _ in bounds.values()) > cfg.population // 2
+        picks = np.random.default_rng(3).integers(0, cfg.population, cfg.parents // 2)
+        picks[:2] = 0, cfg.population - 1  # the fittest and the last survivor too
+        pool = np.concatenate([population, population[picks]])
+        memo = copy.deepcopy(bounds)
+
+        def unused(layouts, problem):
+            raise AssertionError("the pool holds no layout the last call lacked")
+
+        monkeypatch.setattr(placement, "bound_layouts", unused)
+        monkeypatch.setattr(placement, "score_layouts", unused)
+        got = placement._best(pool, kept, bounds, cfg.population, problem)
+        # the uncarried call hashes the whole pool and runs the cluster pass:
+        # it too bounds and scores nothing, and ranks the pool alike
+        want = placement._best(pool, [], memo, cfg.population, problem)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1] == [beacons.tobytes() for beacons in got[0]]
+        np.testing.assert_array_equal(got[2], want[2])
+        assert bounds.keys() == memo.keys()
+        for key, (lo, up, row) in bounds.items():
+            assert (lo, up) == memo[key][:2] and row.tobytes() == memo[key][2].tobytes()
 
     def test_infeasible_search_across_a_restart(self, monkeypatch):
         # Each run has its own memo. Seeded with layouts the first run ranked
@@ -844,6 +938,57 @@ class TestBreed:
         spent.integers(0, 2, size=(placement.MAX_DRAWS + 1, 4, 3))
         assert rng.bit_generator.state == spent.bit_generator.state
 
+    def test_equal_parents_make_no_snap_call(self, monkeypatch):
+        # each child beacon copies its parents' beacon, already a lattice point
+        problem = placement.PlacementProblem()
+        pop = placement.seed_population(problem, np.random.default_rng(14))
+        parents = np.repeat(pop[:20], 2, axis=0)
+        assert len(parents) == 40 and placement._separated(parents, 0.5).all()
+
+        def no_snap(self, points):
+            raise AssertionError("snapped a copied beacon")
+
+        monkeypatch.setattr(placement.BeaconDomain, "snap", no_snap)
+        rng = np.random.default_rng(15)
+        children = placement.breed(parents, problem, rng)
+        assert children.tobytes() == pop[:20].tobytes()
+        spent = np.random.default_rng(15)
+        spent.integers(0, 2, size=(20, 4, 3))
+        assert rng.bit_generator.state == spent.bit_generator.state
+
+    @pytest.mark.parametrize("grid", [0.25, 0.5])
+    def test_equal_and_unequal_pairs_match_per_child_loop(self, grid, monkeypatch):
+        # equal pairs, an unseparated equal pair that falls back, pairs that
+        # share beacons, and unequal pairs: every child beacon the loop snaps
+        # through the tree is breed's, whether breed snapped it or not
+        problem = placement.PlacementProblem(placement.PlacementConfig(beacon_grid=grid))
+        snap, snapped = placement.BeaconDomain.snap, []
+
+        def counting(self, points):
+            snapped.append(len(points))
+            return snap(self, points)
+
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            pop = placement.seed_population(problem, rng)
+            bad = pop[0].copy()
+            bad[1] = bad[0]
+            shared = pop[7].copy()
+            shared[[0, 2]] = pop[8][[0, 2]]
+            parents = np.concatenate(
+                [pop[:6], np.repeat(pop[6:9], 2, axis=0), [bad, bad, shared, pop[8]], pop[20:44]]
+            )
+            assert len(parents) == problem.config.parents
+            oracle_rng = copy.deepcopy(rng)
+            want, _, fallbacks = per_child_breed(parents, problem, oracle_rng)
+            monkeypatch.setattr(placement.BeaconDomain, "snap", counting)
+            got = placement.breed(parents, problem, rng)
+            monkeypatch.setattr(placement.BeaconDomain, "snap", snap)
+            assert got.tobytes() == np.array(want).tobytes()
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert fallbacks >= 1  # the unseparated equal pair
+        assert snapped  # the unequal pairs mixed some beacons
+
     def test_no_parents_breed_nothing(self):
         # a problem never has fewer than 2 parents, but breed stays total
         rng = np.random.default_rng(12)
@@ -920,6 +1065,47 @@ class TestOptimize:
         candidates = {tuple(p) for p in problem.beacon_domain.candidates()}
         for b in result.layout.positions:
             assert tuple(b) in candidates
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_default_search_equals_the_per_child_reference(self, seed, monkeypatch):
+        # Most default generations breed only copies of survivors, so they
+        # snap few beacons and skip the cluster pass. The reference snaps
+        # every child beacon through the tree (the per-child loop) and runs
+        # the cluster pass every generation (_best carrying no keys).
+        problem = placement.PlacementProblem(rng_seed=seed)
+        cfg = problem.config
+        rng = np.random.default_rng([seed, 0])
+        bounds = {}
+        seeded = placement.seed_population(problem, rng)
+        population, _, row = placement._best(seeded, [], bounds, cfg.population, problem)
+        want, history, copies_only = [], [], 0
+        for _ in range(cfg.iterations):
+            children, _, _ = per_child_breed(population[: cfg.parents], problem, rng)
+            survivors = {beacons.tobytes() for beacons in population}
+            copies_only += all(child.tobytes() in survivors for child in children)
+            pool = np.concatenate([population, np.array(children)])
+            population, _, row = placement._best(pool, [], bounds, cfg.population, problem)
+            want.append(population.tobytes())
+            history.append(float(row[0]))
+
+        cluster_pass, passes = placement._score_clusters, []
+
+        def counting(*args):
+            passes.append(args)
+            return cluster_pass(*args)
+
+        monkeypatch.setattr(placement, "_score_clusters", counting)
+        generations = []
+        result = placement.optimize(
+            problem, observer=lambda run, it, pop: generations.append(pop.tobytes())
+        )
+        assert result.restarts == 0 and result.feasible
+        assert generations == want
+        assert result.history == history
+        assert result.layout.positions.tobytes() == population[0].tobytes()
+        assert [result.hdop_avg, result.vdop_avg] == row[1:].tolist()
+        # the seeding call and each generation that bred a new layout
+        assert copies_only and len(passes) == 1 + cfg.iterations - copies_only
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_kernel_batch_size_cannot_change_a_search(self, seed, monkeypatch):
