@@ -1,7 +1,7 @@
 """Indoor acoustic propagation model.
 
-Sums the four beacon signals at the receiver with their direct-path
-delays, adds Rayleigh-faded multipath taps per beacon, and injects white
+Sums the beacon signals at the receiver with their direct-path delays,
+adds Rayleigh-faded multipath taps per beacon, and injects white
 Gaussian noise at a prescribed SNR. ChannelConfig, the [channel] config
 section, describes the channel; a fix's ChannelModel carries it with the
 taps sample_multipath draws from it and a noise seed. Everything is
@@ -54,15 +54,15 @@ MAX_SPEED_OF_SOUND = 2000.0
 
 # Tap signs, indexed by a 0/1 draw as rng.choice((-1.0, 1.0)) indexes them.
 _SIGNS = np.array([-1.0, 1.0])
-
-# The six beacon pairs (i < j) of a four-beacon layout, in loop order.
-BEACON_PAIRS = np.triu_indices(4, 1)
+# beacon_pairs(n): the beacon pairs (i < j) of an n-beacon layout, in loop
+# order, as np.triu_indices(n, 1) gives them; built once per n.
+beacon_pairs = functools.cache(functools.partial(np.triu_indices, k=1))
 
 
 def coincident_pairs(layouts: np.ndarray) -> np.ndarray:
-    """Whether each beacon pair of (..., 4, 3) layouts coincides (np.isclose
-    on every coordinate), as (..., 6) in BEACON_PAIRS order."""
-    i, j = BEACON_PAIRS
+    """Whether each beacon pair of (..., N, 3) layouts coincides (np.isclose
+    on every coordinate), as (..., N (N - 1) / 2) in beacon_pairs order."""
+    i, j = beacon_pairs(layouts.shape[-2])
     x, y = layouts[..., i, :], layouts[..., j, :]
     # np.isclose(x, y)'s own expression, without the cost of its wrapper
     with np.errstate(invalid="ignore"):
@@ -71,12 +71,13 @@ def coincident_pairs(layouts: np.ndarray) -> np.ndarray:
 
 
 def full_rank(layouts: np.ndarray) -> np.ndarray:
-    """Whether p_4 - p_i of (..., 4, 3) layouts have rank 3 (1e-9 m), as a
+    """Whether p_N - p_i of (..., N, 3) layouts have rank 3 (1e-9 m), as a
     3-D fix needs: np.linalg.matrix_rank(diffs, tol=1e-9) == 3.
 
-    The determinant of the 3x3 difference rows A decides a layout where it
-    is certain; only the rest reach matrix_rank's SVD. A's least singular
-    value s3 lies between 2 |det A| / ||A||_F^2 and |det A|^(1/3). numpy's
+    The determinant of a four-beacon layout's 3x3 difference rows A decides
+    it where it is certain; only the rest, and larger layouts, reach
+    matrix_rank's SVD. A's least singular value s3 lies between
+    2 |det A| / ||A||_F^2 and |det A|^(1/3). numpy's
     LU det is within 1e-13 relative of the exact det of A + E, with
     ||E|| < 2e-14 ||A||_F (partial pivoting grows a 3x3 by at most 4), and
     the SVD's s3 is within a small multiple of eps ||A||_F of A's, so
@@ -86,6 +87,8 @@ def full_rank(layouts: np.ndarray) -> np.ndarray:
     the ceiling or on one wall, whose A has a zero column, has det exactly 0.
     """
     diffs = layouts[..., -1:, :] - layouts[..., :-1, :]
+    if diffs.shape[-2] != 3:
+        return np.linalg.matrix_rank(diffs, tol=1e-9) == 3
     det = np.abs(np.linalg.det(diffs))
     norm2 = np.add.reduce(diffs * diffs, axis=(-2, -1))
     slop = 1e-13 * np.sqrt(norm2)
@@ -98,18 +101,18 @@ def full_rank(layouts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)  # compared by identity, as arrays have no single truth value
 class BeaconLayout:
-    """Positions of the four ultrasonic transmitter beacons, in meters."""
+    """Positions of the N >= 4 ultrasonic transmitter beacons, (N, 3), in meters."""
 
     positions: np.ndarray
 
     def __post_init__(self):
         # a copy, so freezing the layout's array leaves the caller's writeable
         pos = np.array(self.positions, dtype=float)
-        if pos.shape != (4, 3):
-            raise ValueError(f"expected 4 beacons with xyz coordinates, got shape {pos.shape}")
+        if pos.ndim != 2 or pos.shape[1] != 3 or len(pos) < 4:
+            raise ValueError(f"expected at least 4 beacons with xyz coordinates, got {pos.shape}")
         pairs = np.flatnonzero(coincident_pairs(pos))
         if pairs.size:
-            i, j = np.transpose(BEACON_PAIRS)[pairs[0]]
+            i, j = np.transpose(beacon_pairs(len(pos)))[pairs[0]]
             raise SingularGeometryError(f"beacons {i} and {j} coincide")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -133,6 +136,7 @@ OPTIMIZED_LAYOUT = BeaconLayout(
         [[4.5, 0.0, 2.5], [5.0, 4.0, 3.5], [1.0, 5.0, 2.0], [1.5, 2.0, 4.0]]
     )
 )
+_NO_TAPS = np.zeros((len(ORIGINAL_LAYOUT.positions), 0))
 
 
 @dataclass(frozen=True)
@@ -217,23 +221,23 @@ class ChannelModel:
     Row i of excess_delays and tap_gains holds beacon i's reflected paths:
     delays beyond beacon i's own direct path (s, positive, so no tap
     arrives at or before it) and amplitude gains (|g| < 1), both float
-    (4, n_taps) arrays, stored as read-only copies. The seed makes the
-    noise realization reproducible; the taps are carried explicitly so a
-    trial's channel is fully pinned down by this object. The default is a
-    noiseless channel without taps.
+    (N, n_taps) arrays for N beacons, stored as read-only copies. The seed
+    makes the noise realization reproducible; the taps are carried
+    explicitly so a trial's channel is fully pinned down by this object.
+    The default is a noiseless channel without taps for ORIGINAL_LAYOUT.
     """
 
     config: ChannelConfig = ChannelConfig(snr_db=None)
-    excess_delays: np.ndarray = field(default_factory=lambda: np.zeros((4, 0)))
-    tap_gains: np.ndarray = field(default_factory=lambda: np.zeros((4, 0)))
+    excess_delays: np.ndarray = field(default_factory=_NO_TAPS.copy)
+    tap_gains: np.ndarray = field(default_factory=_NO_TAPS.copy)
     rng_seed: int = 0
 
     def __post_init__(self):
         delays = np.array(self.excess_delays, dtype=float)
         gains = np.array(self.tap_gains, dtype=float)
-        if delays.ndim != 2 or delays.shape[0] != 4 or gains.shape != delays.shape:
+        if delays.ndim != 2 or gains.shape != delays.shape:
             raise ValueError(
-                f"expected (4, n_taps) excess delays and gains, got {delays.shape} and {gains.shape}"
+                f"expected (N, n_taps) tap delays and gains, got {delays.shape} and {gains.shape}"
             )
         if not (delays > 0).all():
             raise ValueError("excess delays must be positive")
@@ -246,7 +250,7 @@ class ChannelModel:
 
 
 def direct_delays(scene: Scene, c: float = SPEED_OF_SOUND) -> np.ndarray:
-    """One-way propagation delay from each beacon to the receiver, in seconds, shape (4,)."""
+    """One-way propagation delay from each beacon to the receiver, in seconds, shape (N,)."""
     d = scene.beacons.positions - scene.receiver_position
     # vecdot runs the same ddot kernel as the scalar np.linalg.norm(d[i]);
     # norm(d, axis=-1) rounds another way on about one pair in ten
@@ -254,11 +258,11 @@ def direct_delays(scene: Scene, c: float = SPEED_OF_SOUND) -> np.ndarray:
 
 
 def sample_multipath(
-    rng: np.random.Generator, config: ChannelConfig
+    rng: np.random.Generator, config: ChannelConfig, n_beacons: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one Rayleigh-faded multipath realization for every beacon.
+    """Draw one Rayleigh-faded multipath realization for each of n_beacons.
 
-    Returns (excess_delays, tap_gains), each (4, config.taps_per_beacon),
+    Returns (excess_delays, tap_gains), each (n_beacons, config.taps_per_beacon),
     as ChannelModel takes them. Excess delays are uniform over the
     config's excess-delay range with pairwise spacing of at least
     MIN_TAP_SPACING; the mean tap power starts first_tap_db below the
@@ -268,11 +272,11 @@ def sample_multipath(
     """
     lo, hi, n_taps = config.excess_delay_min, config.excess_delay_max, config.taps_per_beacon
     p0 = 10.0 ** (config.first_tap_db / 10.0)
-    delays = np.empty((4, n_taps))
-    unit = np.empty((4, n_taps))
-    picks = np.empty((4, n_taps), dtype=np.int64)
+    delays = np.empty((n_beacons, n_taps))
+    unit = np.empty((n_beacons, n_taps))
+    picks = np.empty((n_beacons, n_taps), dtype=np.int64)
     # one beacon after another: delays, magnitudes, signs; that order fixes the stream
-    for i in range(4):
+    for i in range(n_beacons):
         delays[i] = _spaced_uniform(rng, lo, hi, n_taps, MIN_TAP_SPACING)
         unit[i] = rng.rayleigh(size=n_taps)
         picks[i] = rng.integers(0, 2, n_taps)
@@ -305,18 +309,18 @@ def _spaced_uniform(
 
 
 def apply_channel(tx: SampledSignal, scene: Scene, model: ChannelModel) -> SampledSignal:
-    """Propagate the four beacons' bursts to the receiver and add noise.
+    """Propagate the scene's beacons' bursts to the receiver and add noise.
 
-    tx holds one burst row per beacon, shape (4, n). Each beacon
-    contributes its row delayed by the direct-path delay plus one
-    attenuated copy per multipath tap, delayed by the direct-path delay
-    plus the tap's excess delay; all delays are rounded to the nearest
-    sample. With the config's distance_attenuation, each row is first
-    divided by its direct path length, at least 1 m. The output is long
-    enough that no delayed copy is truncated. White Gaussian noise is
-    scaled so that total-signal-power / noise-power equals
-    10^(snr_db/10). The SNR, the speed of sound and the attenuation are
-    read from model.config.
+    tx holds one burst row per beacon of the scene, shape (N, n), and the
+    model one row of taps per beacon. Each beacon contributes its row
+    delayed by the direct-path delay plus one attenuated copy per
+    multipath tap, delayed by the direct-path delay plus the tap's excess
+    delay; all delays are rounded to the nearest sample. With the config's
+    distance_attenuation, each row is first divided by its direct path
+    length, at least 1 m. The output is long enough that no delayed copy
+    is truncated. White Gaussian noise is scaled so that
+    total-signal-power / noise-power equals 10^(snr_db/10). The SNR, the
+    speed of sound and the attenuation are read from model.config.
 
     The copies are summed in place and in the order above: the direct row
     as it is, each tap through one reused term buffer. The noise is a
@@ -326,10 +330,13 @@ def apply_channel(tx: SampledSignal, scene: Scene, model: ChannelModel) -> Sampl
     gathered from the cached carrier table (see waveform).
 
     Raises:
-        ValueError: If tx does not have 4 rows.
+        ValueError: If tx or the model's taps do not have one row per beacon.
     """
-    if tx.samples.shape[:-1] != (4,):
-        raise ValueError(f"expected one burst row per beacon (4, n), got {tx.samples.shape}")
+    n = len(scene.beacons.positions)
+    if tx.samples.shape[:-1] != (n,):
+        raise ValueError(f"expected one burst row per beacon ({n}, n), got {tx.samples.shape}")
+    if len(model.tap_gains) != n:
+        raise ValueError(f"expected {n} tap rows, one per beacon, got {len(model.tap_gains)}")
     cfg, fs, rows = model.config, tx.sample_rate, tx.samples
     tau0 = direct_delays(scene, cfg.speed_of_sound)
     if cfg.distance_attenuation:

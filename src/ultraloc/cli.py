@@ -194,15 +194,16 @@ def _cmd_rangetest(args) -> int:
     harness.limit_simulation(cfg)  # counted before the output directory exists
     out = _outdir(args)
     trials = harness.simulate(cfg)
+    n_trials, n_beacons = trials.range_errors.shape
     harness.write_csv(
         out / "rangetest.csv",
         ["trial_id", "beacon", "range_error", "peak_sample", "failed"],
         zip(
-            np.repeat(trials.trial_id, 4).tolist(),
-            np.tile(np.arange(4), trials.failed.size).tolist(),
+            np.repeat(trials.trial_id, n_beacons).tolist(),
+            np.tile(np.arange(n_beacons), n_trials).tolist(),
             trials.range_errors.ravel().tolist(),
             trials.peak_samples.ravel().tolist(),
-            np.repeat(trials.failed, 4).tolist(),
+            np.repeat(trials.failed, n_beacons).tolist(),
         ),
     )
     _fail_if_all_failed(trials)

@@ -34,10 +34,10 @@ from .fusion import FusionConfig
 from .placement import PlacementConfig, PlacementProblem
 from .waveform import WaveformConfig
 
-# Most samples one fix may receive. A fix holds several (4, n) arrays of
-# that length: at up to 2**21 samples one default-config fix peaked at
-# 416 MB RSS (numpy 2.4, Python 3.11, Linux x86-64).
-MAX_FIX_SAMPLES = 2**21
+# Most samples each of a fix's (N, n) arrays may hold: N beacon rows of
+# the received length n. At N = 4 and n up to 2**21 one default-config fix
+# peaked at 416 MB RSS (numpy 2.4, Python 3.11, Linux x86-64).
+MAX_FIX_SAMPLES = 2**23
 # Most points the drone-domain lattice, or the beacon lattice before its
 # repeats are dropped, may hold. dopmap passes the whole drone lattice to
 # one DOP kernel call, about 310 bytes a point: 1,030,376 points
@@ -90,6 +90,7 @@ class SimConfig:
         the hop window, the scene) is reported with its section or key.
         """
         rn, room = self.run, self.scene.room_dims
+        wf, ch, n = self.waveform, self.channel, len(self.scene.layout.positions)
         ranges = (rn.domain_x, rn.domain_y, rn.domain_z)
         for broken, msg in (
             (rn.trials < 1, "trials must be positive"),
@@ -102,17 +103,21 @@ class SimConfig:
                 not all(0 < lo and hi < side for (lo, hi), side in zip(ranges, room)),
                 "drone domain must lie strictly inside the room",
             ),
+            (  # before the [waveform] build: one code row per beacon
+                wf.walsh_order < n,
+                f"[waveform] walsh_order must be at least {n} to separate the layout's {n} beacons",
+            ),
         ):
             if broken:
                 raise ConfigError(msg)
-        # before any build: the received length, counting one hop draw per bit
-        wf, ch = self.waveform, self.channel
+        # before any build: the received samples on every beacon row, one hop draw per bit
         flight = (ch.taps_per_beacon > 0) * ch.excess_delay_max + math.hypot(*room) / ch.speed_of_sound
         bits = min(wf.burst_bits, sys.float_info.max)  # not every int converts to a float
         n_rx = max((flight + bits * wf.symbol_duration) * wf.sample_rate, bits)
-        if n_rx > MAX_FIX_SAMPLES:
+        if n * n_rx > MAX_FIX_SAMPLES:
             raise ConfigError(
-                f"one fix would receive {n_rx:.4g} samples, more than the {MAX_FIX_SAMPLES} allowed"
+                f"one fix would receive {n_rx:.4g} samples on {n} beacon rows: "
+                f"{n * n_rx:.4g} samples, more than the {MAX_FIX_SAMPLES} allowed"
             )
 
         centre = np.mean(ranges, axis=1)
@@ -171,9 +176,10 @@ def resolve_layout(name: str) -> BeaconLayout:
     """Map a layout argument to beacon coordinates.
 
     "original" and "optimized" are built in; anything else is read as a
-    file path holding a JSON list of four [x, y, z] triples, a JSON object
-    whose "beacons" key holds that list (the placement.json `optimize`
-    writes), or four whitespace/comma separated coordinate lines.
+    file path holding a JSON list of [x, y, z] triples, one per beacon, a
+    JSON object whose "beacons" key holds that list (the placement.json
+    `optimize` writes), or one whitespace/comma separated coordinate line
+    per beacon.
     """
     if name == "original":
         return ORIGINAL_LAYOUT

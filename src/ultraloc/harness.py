@@ -1,7 +1,7 @@
 """Monte Carlo experiment driver tying the whole pipeline together.
 
-One fix (run_fix): synthesize the four beacon bursts, push them through
-the channel, estimate the four ranges by matched-filter correlation,
+One fix (run_fix): synthesize one burst per beacon, push them through
+the channel, estimate each range by matched-filter correlation,
 trilaterate, optionally fuse the ceiling-rangefinder height, and record
 the errors in a TrialRecord. Simulations, sweeps and trajectories repeat
 that over seeded trials and return one trials table: a TrialRecord whose
@@ -48,10 +48,10 @@ _STREAM_TRAJECTORY = 2
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One localization fix (run_fix: scalars, (3,) and (4,) arrays, a
-    4-tuple of peaks) or a run's trials table (stack_records: the same
-    fields as (n,), (n, 3) and (n, 4) columns, row k for trial k). The
-    fields are in CSV order; CSV_FIELDS names their columns."""
+    """One localization fix of N beacons (run_fix: scalars, (3,) and (N,)
+    arrays, an N-tuple of peaks) or a run's trials table (stack_records:
+    the same fields as (n,), (n, 3) and (n, N) columns, row k for trial k).
+    The fields are in CSV order; csv_fields names their columns."""
 
     trial_id: int | np.ndarray
     snr_db: float | None | np.ndarray
@@ -61,33 +61,17 @@ class TrialRecord:
     err_z: float | np.ndarray
     err_3d: float | np.ndarray
     range_errors: np.ndarray
-    peak_samples: tuple[int, int, int, int] | np.ndarray
+    peak_samples: tuple[int, ...] | np.ndarray
     failed: bool | np.ndarray
     error: str | np.ndarray
 
-    CSV_FIELDS = (
-        "trial_id",
-        "snr_db",
-        "true_x",
-        "true_y",
-        "true_z",
-        "est_x",
-        "est_y",
-        "est_z",
-        "err_xy",
-        "err_z",
-        "err_3d",
-        "range_err_0",
-        "range_err_1",
-        "range_err_2",
-        "range_err_3",
-        "peak_0",
-        "peak_1",
-        "peak_2",
-        "peak_3",
-        "failed",
-        "error",
-    )
+    @staticmethod
+    def csv_fields(n_beacons: int) -> list[str]:
+        """The CSV column names of a trials table of n_beacons beacons."""
+        xyz = [f"{name}_{axis}" for name in ("true", "est") for axis in "xyz"]
+        per_beacon = [f"{name}_{i}" for name in ("range_err", "peak") for i in range(n_beacons)]
+        scalars = ["err_xy", "err_z", "err_3d"]
+        return ["trial_id", "snr_db", *xyz, *scalars, *per_beacon, "failed", "error"]
 
 
 def random_position(domain: DroneDomain, rng: np.random.Generator) -> np.ndarray:
@@ -133,6 +117,7 @@ def run_fix(config: SimConfig, true_position: np.ndarray, rng_seed) -> TrialReco
     try:
         return _run_fix_inner(config, true_position, rng_seed)
     except UltralocError as exc:
+        n = len(config.scene.layout.positions)
         return TrialRecord(
             trial_id=0,
             snr_db=config.channel.snr_db,
@@ -141,8 +126,8 @@ def run_fix(config: SimConfig, true_position: np.ndarray, rng_seed) -> TrialReco
             err_xy=math.nan,
             err_z=math.nan,
             err_3d=math.nan,
-            range_errors=np.full(4, np.nan),
-            peak_samples=(-1, -1, -1, -1),
+            range_errors=np.full(n, np.nan),
+            peak_samples=(-1,) * n,
             failed=True,
             error=f"{type(exc).__name__}: {exc}",
         )
@@ -150,25 +135,19 @@ def run_fix(config: SimConfig, true_position: np.ndarray, rng_seed) -> TrialReco
 
 def _run_fix_inner(config: SimConfig, true_position: np.ndarray, rng_seed) -> TrialRecord:
     rng = np.random.default_rng(rng_seed)
-    wf = config.waveform
-    ch = config.channel
-    scene = Scene(
-        room_dims=config.scene.room_dims,
-        beacons=config.scene.layout,
-        receiver_position=true_position,
-    )
+    wf, ch, layout = config.waveform, config.channel, config.scene.layout
+    scene = Scene(room_dims=config.scene.room_dims, beacons=layout, receiver_position=true_position)
+    n = len(layout.positions)
     # the plan seed is drawn before the data bits, the taps before the noise
     # seed; the bursts, unscaled, double as the matched-filter references
-    references = wf.bursts(int(rng.integers(2**31)), random_data_bits((4, wf.burst_bits), rng))
-    model = ChannelModel(ch, *sample_multipath(rng, ch), rng_seed=int(rng.integers(2**31)))
+    references = wf.bursts(int(rng.integers(2**31)), random_data_bits((n, wf.burst_bits), rng))
+    model = ChannelModel(ch, *sample_multipath(rng, ch, n), rng_seed=int(rng.integers(2**31)))
     received = apply_channel(references, scene, model)
 
     estimates = estimate_ranges(received, references, ch.speed_of_sound)
     ranges = estimates.distances
-    true_dists = np.linalg.norm(
-        np.asarray(config.scene.layout.positions) - true_position[None, :], axis=1
-    )
-    est = trilaterate(config.scene.layout, ranges)
+    true_dists = np.linalg.norm(layout.positions - true_position, axis=1)
+    est = trilaterate(layout, ranges)
 
     # the echo, with fusion on, is drawn after the noise seed
     est[2] = config.fusion.fused_z(est, scene, ch.speed_of_sound, wf.sample_rate, rng)
@@ -347,15 +326,15 @@ def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable])
 
 
 def write_trials_csv(trials: TrialRecord, path: str | Path) -> None:
-    """Write a trials table under CSV_FIELDS: each field's columns, in field order."""
-    n = len(trials.trial_id)
+    """Write a trials table under csv_fields: each field's columns, in field order."""
+    n, n_beacons = trials.range_errors.shape
     # .tolist() hands write_csv Python scalars: a bool, not a numpy bool, prints 1 or 0
     columns = [
         column
         for f in fields(TrialRecord)
         for column in np.reshape(getattr(trials, f.name), (n, -1)).T.tolist()
     ]
-    write_csv(path, TrialRecord.CSV_FIELDS, zip(*columns))
+    write_csv(path, TrialRecord.csv_fields(n_beacons), zip(*columns))
 
 
 def write_sweep_csv(table: list[dict], path: str | Path) -> None:

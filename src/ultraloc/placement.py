@@ -1,11 +1,11 @@
 """Evolutionary search for beacon placements that minimize average VDOP.
 
-A layout is a (4, 3) array of beacon positions drawn from a lattice over
-the ceiling and the top half of the walls, and a generation is one
-(P, 4, 3) array of layouts. Fitness is the drone-domain average VDOP,
-with a large constant penalty whenever the average HDOP exceeds its
-tolerance so infeasible layouts always rank behind feasible ones.
-Selection keeps the best 40 of 50, adjacent parents are crossed per
+A layout is a (BEACONS, 3) array of beacon positions drawn from a
+lattice over the ceiling and the top half of the walls, and a generation
+is one (P, BEACONS, 3) array of layouts. Fitness is the drone-domain
+average VDOP, with a large constant penalty whenever the average HDOP
+exceeds its tolerance so infeasible layouts always rank behind feasible
+ones. Selection keeps the best 40 of 50, adjacent parents are crossed per
 coordinate, and the worst 20 of the resulting 70 are culled. The whole
 search restarts from a fresh population when the final best layout
 misses either tolerance.
@@ -28,7 +28,7 @@ A generation pays only for what it changes. A child beacon that copies a
 parent beacon is already a lattice point, so only mixed beacons are
 snapped to the lattice, through scipy's k-d tree; the tree, and
 scipy.spatial with it, loads on a domain's first snap rather than at
-import, so commands that never search do not pay the ~0.25 s import. The
+import, so commands that never search do not pay its import (_tree). The
 ranking hashes only a generation's offspring, and when every offspring
 copies a survivor, as in about two of three default generations, the
 pool holds no new layout and the memo's fitness ranks it without the
@@ -44,13 +44,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import BEACON_PAIRS, ROOM_DIMS, BeaconLayout, coincident_pairs, full_rank
+from .channel import ROOM_DIMS, BeaconLayout, beacon_pairs, coincident_pairs, full_rank
 from .dop import DroneDomain, _axis_size, _inclusive_arange, domain_mean, dop_components
 from .errors import DomainDegeneracyError, InfeasibleDomainError
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
 
+# Beacons in each layout the search seeds, and so in every layout it breeds.
+BEACONS = 4
 BEACON_GRID = 0.25
 MIN_SEPARATION = 0.5
 POPULATION = 50
@@ -120,7 +122,9 @@ class BeaconDomain:
 
     @functools.cached_property
     def _tree(self) -> cKDTree:
-        # deferred: scipy.spatial takes ~0.25 s to load and only a search snaps
+        # deferred: only a search snaps, and scipy.spatial takes 0.41-0.46 s to load after
+        # numpy (python -X importtime, three fresh processes; Python 3.11, numpy 2.4,
+        # scipy 1.17, 2-vCPU x86-64 VM)
         from scipy.spatial import cKDTree
 
         return cKDTree(self._lattice)
@@ -222,11 +226,11 @@ class PlacementResult:
 
 
 def _separated(points: np.ndarray, min_sep: float) -> np.ndarray:
-    """Whether every beacon pair of each (..., 4, 3) layout is min_sep apart.
+    """Whether every beacon pair of each (..., N, 3) layout is min_sep apart.
 
     The result has the layouts' leading shape, a numpy bool for one layout.
     """
-    i, j = BEACON_PAIRS
+    i, j = beacon_pairs(points.shape[-2])
     d = points[..., i, :] - points[..., j, :]
     # vecdot runs the same ddot kernel as the scalar np.linalg.norm(d), so
     # near-threshold lattice pairs compare alike. norm(d, axis=-1) rounds
@@ -238,21 +242,21 @@ def _separated(points: np.ndarray, min_sep: float) -> np.ndarray:
 def _draw_separated(
     pool: np.ndarray, rng: np.random.Generator, min_sep: float, max_tries: int = 200
 ) -> np.ndarray:
-    """Pick 4 mutually separated points from a candidate pool."""
-    if pool.shape[0] < 4:
-        raise InfeasibleDomainError("fewer than 4 candidate positions in group")
+    """Pick BEACONS mutually separated points from a candidate pool."""
+    if pool.shape[0] < BEACONS:
+        raise InfeasibleDomainError(f"fewer than {BEACONS} candidate positions in group")
     for _ in range(max_tries):
-        idx = rng.choice(pool.shape[0], size=4, replace=False)
+        idx = rng.choice(pool.shape[0], size=BEACONS, replace=False)
         pts = pool[idx]
         if _separated(pts, min_sep):
             return pts
     raise InfeasibleDomainError(
-        f"could not find 4 candidates separated by {min_sep} m in {max_tries} draws"
+        f"could not find {BEACONS} candidates separated by {min_sep} m in {max_tries} draws"
     )
 
 
 def seed_population(problem: PlacementProblem, rng: np.random.Generator) -> np.ndarray:
-    """Generate the initial (P, 4, 3) population, stratified to escape local minima.
+    """Generate the initial (P, BEACONS, 3) population, stratified to escape local minima.
 
     Deterministic quotas split the population into all-ceiling, all-wall,
     and mixed groups so the search starts spread over the beacon domain.
@@ -273,14 +277,14 @@ def seed_population(problem: PlacementProblem, rng: np.random.Generator) -> np.n
         for _ in range(200):
             pts = _draw_separated(candidates, rng, min_sep)
             on_ceil = problem.beacon_domain.on_ceiling(pts)
-            if 0 < on_ceil.sum() < 4:
+            if 0 < on_ceil.sum() < len(pts):
                 break
         population.append(pts)
     return np.array(population)
 
 
 def _kernel_chunks(layouts: np.ndarray, problem: PlacementProblem) -> list[np.ndarray]:
-    """Indices of the (L, 4, 3) layouts that pass BeaconLayout's degeneracy
+    """Indices of the (L, N, 3) layouts that pass BeaconLayout's degeneracy
     rules, in chunks of at most PAIR_BUDGET (layout, drone-lattice point)
     pairs and never less than one layout, for one DOP kernel call each."""
     valid = np.flatnonzero(~coincident_pairs(layouts).any(axis=-1) & full_rank(layouts))
@@ -296,7 +300,7 @@ def _rejected(n: int) -> np.ndarray:
 
 
 def score_layouts(layouts: np.ndarray, problem: PlacementProblem) -> np.ndarray:
-    """(L, 3) rows of (fitness, hdop_avg, vdop_avg) for (L, 4, 3) layouts.
+    """(L, 3) rows of (fitness, hdop_avg, vdop_avg) for (L, N, 3) layouts.
 
     Fitness is the domain-averaged VDOP, penalized when average HDOP
     breaks tolerance. A degenerate layout scores (inf, nan, nan): one
@@ -326,7 +330,7 @@ def score_layouts(layouts: np.ndarray, problem: PlacementProblem) -> np.ndarray:
 def bound_layouts(
     layouts: np.ndarray, problem: PlacementProblem
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(L, 3) lower and upper bounds on score_layouts' rows of (L, 4, 3)
+    """(L, 3) lower and upper bounds on score_layouts' rows of (L, N, 3)
     layouts, from the DOP kernel's estimates (dop_components' estimate),
     which skip the 3x3 inverse wherever the kernel's trace screen allows.
 
@@ -376,7 +380,7 @@ def _terms(
 
 
 def breed(parents: np.ndarray, problem: PlacementProblem, rng: np.random.Generator) -> np.ndarray:
-    """Cross each adjacent pair of (2k, 4, 3) parents into (k, 4, 3) children.
+    """Cross each adjacent pair of (2k, N, 3) parents into (k, N, 3) children.
 
     The parents are lattice layouts: every beacon is one of the beacon
     domain's candidates, as in every population seed_population starts and
@@ -395,21 +399,21 @@ def breed(parents: np.ndarray, problem: PlacementProblem, rng: np.random.Generat
     child still takes the separation test.
 
     The masks form one queue consumed in child order, exactly as a loop
-    drawing one (4, 3) mask per try would consume them. Each pass draws
+    drawing one (N, 3) mask per try would consume them. Each pass draws
     one mask per child still owed, snaps and tests them all at once, and
     accepts the children before the first rejected one; the rejected
     child takes the next mask in the queue. Each mask bit costs one
-    32-bit draw that never rejects, so one (k, 4, 3) draw equals k (4, 3)
+    32-bit draw that never rejects, so one (k, N, 3) draw equals k (N, 3)
     draws, and the children and the generator's final state equal the
     per-child loop's.
     """
     a, b = parents[0::2], parents[1::2]
     children = np.empty_like(a)
-    masks = np.empty((0, 4, 3), dtype=bool)
+    masks = np.empty((0, *a.shape[1:]), dtype=bool)
     c = failed = 0
     while c < len(a):
         if not len(masks):
-            masks = rng.integers(0, 2, size=(len(a) - c, 4, 3)).astype(bool)
+            masks = rng.integers(0, 2, size=(len(a) - c, *a.shape[1:])).astype(bool)
         k = len(masks)
         pa, pb = a[c : c + k], b[c : c + k]
         child_pts = np.where(masks, pa, pb)
@@ -480,7 +484,7 @@ def _best(
     n: int,
     problem: PlacementProblem,
 ) -> tuple[np.ndarray, list[bytes], np.ndarray]:
-    """The n fittest of the (P, 4, 3) pool, ties in creation order, their
+    """The n fittest of the (P, N, 3) pool, ties in creation order, their
     keys, and the fittest one's exact (fitness, hdop_avg, vdop_avg) row.
 
     kept holds the keys of the pool's leading layouts: the survivors the
@@ -516,7 +520,7 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
     Each run: seed a stratified population, then for the configured
     iteration count breed the best 40 pairwise into 20 offspring in one
     array pass per generation, and cull the worst 20 of the pooled 70.
-    A generation is one (P, 4, 3) layout array, ranked as a stable sort on
+    A generation is one (P, BEACONS, 3) layout array, ranked as a stable sort on
     exact fitness alone ranks it, so ties stay in creation order. If the
     run's best layout misses either tolerance the search restarts with a
     fresh seeded population, up to max_restarts times; the best layout
@@ -535,7 +539,7 @@ def optimize(problem: PlacementProblem, observer=None) -> PlacementResult:
 
     observer, if given, is called as observer(run_idx, iteration,
     population) after every cull, for instrumentation; population is the
-    generation's (P, 4, 3) layout array, fittest first.
+    generation's (P, BEACONS, 3) layout array, fittest first.
     """
     cfg = problem.config
     best = None  # (fitness, hdop_avg, vdop_avg, layout, history) of the fittest run yet

@@ -4,7 +4,7 @@ Ranging correlates the raw composite signal against each beacon's known
 transmitted burst (code and hop plan included). Sliding the full coded
 reference is the same computation as despreading each candidate alignment
 and integrating, but stays exact for delays that are not chip-aligned.
-All beacons are ranged in one pass: the received signal and the (4, n)
+All beacons are ranged in one pass: the received signal and the (N, n)
 burst array the transmitter made go through one batched real FFT, and
 one inverse transform yields every beacon's lags. Both are numpy's, at
 scipy's real-transform fast length for the received signal, which

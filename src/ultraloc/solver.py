@@ -24,14 +24,14 @@ def trilaterate(beacons: BeaconLayout, ranges: np.ndarray) -> np.ndarray:
         b_i = d_i^2 - d_n^2 - |p_i|^2 + |p_n|^2
 
     and the returned position is the least-squares solution of A x = b.
-    With four beacons A is 3x3 and the system is exactly determined, so
-    how well the ranges agree shows only in the range residuals
-    d_i - |x - p_i|.
+    N beacons give N - 1 rows: four make A 3x3 and exactly determined,
+    more an overdetermined least-squares fit. How well the ranges agree
+    shows in the range residuals d_i - |x - p_i|: N - 3 degrees of freedom.
 
     Raises:
         SingularGeometryError: If the beacons are collinear/coplanar so A
             loses column rank (BeaconLayout.spans_3d).
-        ValueError: If fewer than 4 ranges are supplied or any is negative.
+        ValueError: If the ranges are not one per beacon or any is negative.
     """
     positions = np.asarray(beacons.positions, dtype=float)
     d = np.asarray(ranges, dtype=float)

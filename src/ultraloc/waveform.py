@@ -1,9 +1,10 @@
 """Hybrid FH-CDMA transmit waveform generation.
 
 Each beacon transmits BPSK data bits spread by a Walsh-Hadamard code row
-(four chips per bit) and carried on a sinusoid whose frequency hops once
-per symbol over a bank of ultrasonic channels. All four beacons share one
-hop sequence; the orthogonal codes keep them separable at the receiver.
+(walsh_order chips per bit) and carried on a sinusoid whose frequency
+hops once per symbol over a bank of ultrasonic channels. All beacons
+share one hop sequence; the orthogonal codes keep them separable at the
+receiver, one code row per beacon.
 
 WaveformConfig, the [waveform] config section, describes every burst. A
 burst is built from it and three plain arrays: the hop indices
@@ -123,8 +124,8 @@ class WaveformConfig:
             raise ValueError("sample_rate must be positive")
         if self.symbol_duration <= 0:
             raise ValueError("symbol_duration must be positive")
-        if self.walsh_order < 4:
-            raise ValueError("walsh_order must be at least 4 to separate four beacons")
+        if self.walsh_order < 1:
+            raise ValueError("walsh_order must be positive")
         if self.burst_bits < 1:
             raise ValueError("burst_bits must be positive")
         bank = tuple(self.center_frequencies)

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -79,7 +80,7 @@ class TestSceneAndLayout:
         # half the layouts repeat a beacon's coordinates into another's, some exactly
         src, dst = rng.integers(0, 4, size=(2, 2000))
         layouts[np.arange(2000), dst] = layouts[np.arange(2000), src]
-        i, j = ch.BEACON_PAIRS
+        i, j = ch.beacon_pairs(4)
         want = np.isclose(layouts[..., i, :], layouts[..., j, :]).all(axis=-1)
         got = ch.coincident_pairs(layouts)
         np.testing.assert_array_equal(got, want)
@@ -225,7 +226,7 @@ class TestApplyChannel:
         b = wf.SampledSignal(samples=rng.normal(0, 1, 2000), sample_rate=FS)
         ab = wf.SampledSignal(samples=a.samples + b.samples, sample_rate=FS)
         scene = make_scene()
-        delays, gains = ch.sample_multipath(np.random.default_rng(1), DEFAULT)
+        delays, gains = ch.sample_multipath(np.random.default_rng(1), DEFAULT, 4)
         model = ch.ChannelModel(NOISELESS, excess_delays=delays, tap_gains=gains)
         out_a = ch.apply_channel(beacon0_only(a), scene, model)
         out_b = ch.apply_channel(beacon0_only(b), scene, model)
@@ -237,7 +238,7 @@ class TestApplyChannel:
     def test_determinism_same_seed(self):
         sig = tone_burst(4)
         scene = make_scene()
-        delays, gains = ch.sample_multipath(np.random.default_rng(8), DEFAULT)
+        delays, gains = ch.sample_multipath(np.random.default_rng(8), DEFAULT, 4)
         config = ch.ChannelConfig(snr_db=5.0)
         model = ch.ChannelModel(config, excess_delays=delays, tap_gains=gains, rng_seed=123)
         sigs = beacon0_only(sig)
@@ -289,21 +290,21 @@ class TestApplyChannel:
 
 class TestSampleMultipath:
     def test_tap_properties(self):
-        excess, gains = ch.sample_multipath(np.random.default_rng(2), DEFAULT)
+        excess, gains = ch.sample_multipath(np.random.default_rng(2), DEFAULT, 4)
         assert excess.shape == gains.shape == (4, ch.N_TAPS)
         assert np.all(excess >= ch.EXCESS_DELAY_RANGE[0])
         assert np.all(excess <= ch.EXCESS_DELAY_RANGE[1])
         assert np.all(np.abs(gains) < 1.0)
 
     def test_deterministic_given_rng(self):
-        t1 = ch.sample_multipath(np.random.default_rng(7), DEFAULT)
-        t2 = ch.sample_multipath(np.random.default_rng(7), DEFAULT)
+        t1 = ch.sample_multipath(np.random.default_rng(7), DEFAULT, 4)
+        t2 = ch.sample_multipath(np.random.default_rng(7), DEFAULT, 4)
         assert all(np.array_equal(a, b) for a, b in zip(t1, t2))
 
     def test_mean_tap_power_below_direct(self):
         gains = []
         for seed in range(200):
-            _, tap_gains = ch.sample_multipath(np.random.default_rng(seed), DEFAULT)
+            _, tap_gains = ch.sample_multipath(np.random.default_rng(seed), DEFAULT, 4)
             gains.extend(tap_gains.ravel())
         mean_power = np.mean(np.square(gains))
         assert mean_power < 10.0 ** (ch.FIRST_TAP_DB / 10.0)
@@ -317,7 +318,7 @@ class TestSampleMultipath:
         lo, hi = ch.EXCESS_DELAY_RANGE
         for seed in range(3):
             config = ch.ChannelConfig(taps_per_beacon=n_taps)
-            delays, _ = ch.sample_multipath(np.random.default_rng(seed), config)
+            delays, _ = ch.sample_multipath(np.random.default_rng(seed), config, 4)
             for excess in delays:
                 assert excess.size == n_taps
                 assert np.all(excess >= lo - 1e-12) and np.all(excess <= hi + 1e-12)
@@ -406,8 +407,10 @@ class TestModelValidation:
         assert ch.ChannelConfig(speed_of_sound=ch.MAX_SPEED_OF_SOUND).speed_of_sound == 2000.0
 
     def test_model_rejects_wrong_beacon_count(self):
-        with pytest.raises(ValueError):
-            ch.ChannelModel(excess_delays=np.zeros((2, 0)), tap_gains=np.zeros((2, 0)))
+        # the model holds any row count; the channel takes one row per beacon of its scene
+        model = ch.ChannelModel(excess_delays=np.zeros((2, 0)), tap_gains=np.zeros((2, 0)))
+        with pytest.raises(ValueError, match=r"expected 4 tap rows, one per beacon, got 2"):
+            ch.apply_channel(beacon0_only(tone_burst()), make_scene(), model)
 
     @pytest.mark.parametrize(
         "delays,gains",
@@ -415,7 +418,7 @@ class TestModelValidation:
         ids=["mismatch", "1-D", "3-D"],
     )
     def test_model_rejects_bad_tap_shapes(self, delays, gains):
-        with pytest.raises(ValueError, match=r"\(4, n_taps\)"):
+        with pytest.raises(ValueError, match=r"\(N, n_taps\)"):
             ch.ChannelModel(excess_delays=np.full(delays, 0.005), tap_gains=np.full(gains, 0.1))
 
     def test_model_compares_by_identity(self):
@@ -468,7 +471,7 @@ def old_apply_channel(tx, scene, model):
     fs = tx.sample_rate
     tau0 = ch.direct_delays(scene, model.config.speed_of_sound)
     delays = np.column_stack([tau0, tau0[:, None] + model.excess_delays])
-    gains = np.column_stack([np.ones(4), model.tap_gains])
+    gains = np.column_stack([np.ones(len(tau0)), model.tap_gains])
     lags = np.rint(delays * fs).astype(np.int64)
     clean = np.zeros(int(lags.max()) + len(tx))
     for row, row_lags, row_gains in zip(tx.samples, lags.tolist(), gains.tolist()):
@@ -496,7 +499,7 @@ class TestChannelBitIdentity:
         config = ch.ChannelConfig(taps_per_beacon=n_taps)
         for seed in range(2000 if n_taps <= 5 else 100):
             rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            excess, gains = ch.sample_multipath(rng, config)
+            excess, gains = ch.sample_multipath(rng, config, 4)
             old_delays, old_gains = old_sample_multipath(scene, old_rng, n_taps=n_taps)
             # the absolute delays apply_channel forms are the old ones, bit for bit
             assert (tau0 + excess).tobytes() == old_delays.tobytes()
@@ -512,7 +515,7 @@ class TestChannelBitIdentity:
         for seed in range(20):
             rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             config = ch.ChannelConfig(excess_delay_min=tight[0], excess_delay_max=tight[1])
-            excess, gains = ch.sample_multipath(rng, config)
+            excess, gains = ch.sample_multipath(rng, config, 4)
             old_delays, old_gains = old_sample_multipath(
                 scene, old_rng, excess_delay_range=tight
             )
@@ -531,7 +534,7 @@ class TestChannelBitIdentity:
             bits = wf.random_data_bits((4, 8), rng)
             tx = wf.generate_tx_signals(make_burst_config(), hops, walsh, bits)
             config = ch.ChannelConfig(snr_db=snr_db)
-            model = ch.ChannelModel(config, *ch.sample_multipath(rng, config), rng_seed=seed + 40)
+            model = ch.ChannelModel(config, *ch.sample_multipath(rng, config, 4), rng_seed=seed + 40)
             out = ch.apply_channel(tx, scene, model).samples
             assert out.tobytes() == old_apply_channel(tx, scene, model).tobytes()
 
@@ -548,7 +551,7 @@ class TestChannelBitIdentity:
             scene = make_scene(receiver=rx)
             hops, bits = wf.random_hop_plan(8, seed), wf.random_data_bits((4, 8), rng)
             tx = wf.generate_tx_signals(make_burst_config(), hops, walsh, bits)
-            model = ch.ChannelModel(config, *ch.sample_multipath(rng, config), rng_seed=seed + 7)
+            model = ch.ChannelModel(config, *ch.sample_multipath(rng, config, 4), rng_seed=seed + 7)
             divisors = np.maximum(ch.direct_delays(scene, C) * C, 1.0)
             assert (divisors[0] == 1.0) == (seed == 0)
             scaled = wf.SampledSignal(samples=tx.samples / divisors[:, None], sample_rate=FS)
@@ -561,3 +564,91 @@ class TestChannelBitIdentity:
         model = ch.ChannelModel(ch.ChannelConfig(snr_db=10.0), rng_seed=9)
         out = ch.apply_channel(tx, make_scene(), model).samples
         assert out.tobytes() == old_apply_channel(tx, make_scene(), model).tobytes()
+
+
+# the original layout and a fifth beacon mid-ceiling
+FIVE = np.vstack([ch.ORIGINAL_LAYOUT.positions, [[2.5, 2.5, 4.0]]])
+
+
+class TestBeaconCount:
+    """The beacon count is the layout's row count: every channel site reads
+    N from the arrays it holds, and four beacons keep their bits."""
+
+    def test_layout_takes_any_count_from_four(self):
+        for n in (4, 5, 8):
+            pos = np.random.default_rng(n).uniform(0.0, 4.0, size=(n, 3))
+            assert ch.BeaconLayout(positions=pos).positions.shape == (n, 3)
+        assert ch.BeaconLayout(positions=FIVE).spans_3d
+
+    @pytest.mark.parametrize("shape", [(3, 3), (0, 3), (5, 2), (5, 4), (12,), (2, 5, 3)])
+    def test_layout_rejects_fewer_than_four_xyz_rows(self, shape):
+        with pytest.raises(ValueError, match=r"expected at least 4 beacons with xyz coordinates"):
+            ch.BeaconLayout(positions=np.ones(shape))
+
+    def test_coincidence_error_names_the_fifth_beacon(self):
+        pos = FIVE.copy()
+        pos[4] = pos[2]
+        with pytest.raises(ValueError, match="beacons 2 and 4 coincide"):
+            ch.BeaconLayout(positions=pos)
+
+    @pytest.mark.parametrize("n", [2, 4, 5, 7])
+    def test_beacon_pairs_are_loop_order_and_built_once(self, n):
+        assert list(zip(*ch.beacon_pairs(n))) == list(itertools.combinations(range(n), 2))
+        assert ch.beacon_pairs(n) is ch.beacon_pairs(n)
+
+    def test_coincident_pairs_of_five_equal_a_pair_loop(self):
+        values = np.array([0.0, -0.0, 1e-9, 2.0, 2.0 + 1e-6, 2.0 + 1e-4, np.inf, np.nan])
+        layouts = np.random.default_rng(9).choice(values, size=(800, 5, 3))
+        want = [
+            [np.isclose(layout[i], layout[j]).all() for i, j in itertools.combinations(range(5), 2)]
+            for layout in layouts
+        ]
+        np.testing.assert_array_equal(ch.coincident_pairs(layouts), want)
+        assert np.any(want) and not np.all(want)
+
+    def test_full_rank_of_five_equals_a_per_layout_svd(self):
+        rng = np.random.default_rng(10)
+        general = rng.uniform(0.0, 5.0, size=(100, 5, 3))
+        on_ceiling = general.copy()
+        on_ceiling[..., 2] = 4.0
+        collinear = rng.uniform(size=(50, 1, 1)) * np.arange(5.0)[:, None] + [1.0, 2.0, 3.0]
+        tilted = on_ceiling[:100].copy()
+        tilted[:, 4, 2] += 10.0 ** -rng.uniform(5, 12, size=100)
+        layouts = np.concatenate([general, on_ceiling, collinear, tilted])
+        want = [
+            (np.linalg.svd(layout[-1] - layout[:-1], compute_uv=False) > 1e-9).sum() == 3
+            for layout in layouts
+        ]
+        np.testing.assert_array_equal(ch.full_rank(layouts), want)
+        assert bool(ch.full_rank(FIVE)) and not ch.full_rank(on_ceiling).any()
+        assert ch.full_rank(tilted).any() and not ch.full_rank(tilted).all()
+
+    @pytest.mark.parametrize("config", [DEFAULT, ch.ChannelConfig(taps_per_beacon=20)])
+    def test_multipath_rows_of_five_extend_the_four_beacon_draw(self, config):
+        # draws stay per beacon, in stream order: a fifth row is drawn after the four
+        for seed in range(8):
+            four = ch.sample_multipath(np.random.default_rng(seed), config, 4)
+            five = ch.sample_multipath(np.random.default_rng(seed), config, 5)
+            for rows4, rows5 in zip(four, five):
+                assert rows5.shape == (5, config.taps_per_beacon)
+                assert rows5[:4].tobytes() == rows4.tobytes()
+
+    def test_channel_of_five_beacons_matches_old_expression(self):
+        scene = make_scene(receiver=(1.4, 3.2, 1.1), layout=ch.BeaconLayout(positions=FIVE))
+        hops, bits = wf.random_hop_plan(8, 3), wf.random_data_bits((5, 8), np.random.default_rng(3))
+        config = wf.WaveformConfig(symbol_duration=8 * 16 / FS, walsh_order=8)
+        tx = wf.generate_tx_signals(config, hops, wf.walsh_rows(8, 5), bits)
+        rng = np.random.default_rng(4)
+        model = ch.ChannelModel(DEFAULT, *ch.sample_multipath(rng, DEFAULT, 5), rng_seed=11)
+        out = ch.apply_channel(tx, scene, model).samples
+        assert out.tobytes() == old_apply_channel(tx, scene, model).tobytes()
+
+    def test_channel_takes_one_burst_and_tap_row_per_beacon(self):
+        five = make_scene(layout=ch.BeaconLayout(positions=FIVE))
+        with pytest.raises(ValueError, match=r"expected one burst row per beacon \(5, n\), got \(4, 680\)"):
+            ch.apply_channel(beacon0_only(tone_burst()), five, ch.ChannelModel())
+        tx = wf.SampledSignal(samples=np.zeros((5, 680)), sample_rate=FS)
+        with pytest.raises(ValueError, match="expected 5 tap rows, one per beacon, got 4"):
+            ch.apply_channel(tx, five, ch.ChannelModel())
+        no_taps = ch.ChannelModel(excess_delays=np.zeros((5, 0)), tap_gains=np.zeros((5, 0)))
+        assert not ch.apply_channel(tx, five, no_taps).samples.any()

@@ -106,6 +106,75 @@ class TestCommands:
         assert len(rows) == 2 * 4
 
 
+FIVE_BEACONS = "2.5 0 1.5\n5 2.5 2.5\n2.5 5 2\n0 5 3\n2.5 2.5 4\n"  # original + mid-ceiling
+
+
+def five_beacon_ini(tmp_path, walsh_order):
+    """FAST_INI on the five-beacon layout at a walsh_order."""
+    layout = tmp_path / "five.txt"
+    layout.write_text(FIVE_BEACONS)
+    path = tmp_path / f"five-{walsh_order}.ini"
+    waveform = f"[waveform]\nwalsh_order = {walsh_order}\n"
+    path.write_text(FAST_INI.replace("[waveform]\n", waveform) + f"\n[scene]\nlayout = {layout}\n")
+    return str(path)
+
+
+class TestFiveBeacons:
+    """A layout's row count is its beacon count, from the config to every output."""
+
+    @pytest.mark.parametrize(
+        "command,name",
+        [("simulate", "trials.csv"), ("sweep", "trials.csv"), ("trajectory", "trajectory.csv")],
+    )
+    def test_trial_commands_write_a_column_per_beacon(self, tmp_path, command, name):
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", five_beacon_ini(tmp_path, 8), "--out", str(out)) == 0
+        with open(out / name) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["failed"] == "0" for r in rows)
+        assert [k for k in rows[0] if k.startswith(("range_err_", "peak_"))] == [
+            *(f"range_err_{i}" for i in range(5)),
+            *(f"peak_{i}" for i in range(5)),
+        ]
+        assert all(abs(float(r["range_err_4"])) < 0.01 for r in rows)
+
+    def test_rangetest_writes_a_row_per_beacon(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("rangetest", "--config", five_beacon_ini(tmp_path, 8), "--out", str(out)) == 0
+        with open(out / "rangetest.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["trial_id"], r["beacon"]) for r in rows] == [
+            (str(k), str(i)) for k in range(2) for i in range(5)
+        ]
+
+    def test_dopmap_maps_five_beacons(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("dopmap", "--config", five_beacon_ini(tmp_path, 8), "--out", str(out)) == 0
+        with open(out / "dopmap.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5 * 5 * 3
+        assert all(math.isfinite(float(r["gdop"])) for r in rows)
+
+    @pytest.mark.parametrize("command", ["simulate", "dopmap"])
+    def test_walsh_order_below_the_count_is_one_error_line(self, tmp_path, capsys, command):
+        ini = five_beacon_ini(tmp_path, 4)
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", ini, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        message = "[waveform] walsh_order must be at least 5 to separate the layout's 5 beacons"
+        assert captured.err == f"error: {ini}: {message}\n"
+        assert not out.exists()
+
+    def test_three_beacon_layout_is_one_error_line(self, tmp_path, capsys):
+        layout = tmp_path / "three.txt"
+        layout.write_text("".join(FIVE_BEACONS.splitlines(keepends=True)[:3]))
+        out = tmp_path / "out"
+        assert run_cli("dopmap", "--layout", str(layout), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: layout file ") and "at least 4 beacons" in err
+        assert err.count("\n") == 1 and not out.exists()
+
+
 # sha256 of each CSV the CLI writes from FAST_INI: the output format is
 # pinned byte for byte, so any change to a cell's text fails here.
 GOLDEN = {

@@ -406,6 +406,78 @@ class TestEdgeValues:
             assert str(exc) and "\n" not in str(exc)
 
 
+class TestEdgePairs:
+    """Two edge values in one file: every pair of rules they may break is
+    still one single-line ConfigError, or the config loads."""
+
+    @settings(
+        max_examples=400,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(pair=st.tuples(st.sampled_from(EDGE_CASES), st.sampled_from(EDGE_CASES)))
+    def test_two_edge_values_load_or_raise_one_config_error(self, tmp_path, pair):
+        sections: dict[str, str] = {}
+        for section, key, value in pair:  # one key twice is a duplicate-key error
+            sections[section] = sections.get(section, "") + f"{key} = {value}\n"
+        text = "".join(f"[{section}]\n{keys}" for section, keys in sections.items())
+        try:
+            cfg_mod.load_config(write(tmp_path, text))
+        except ConfigError as exc:
+            assert str(exc) and "\n" not in str(exc)
+
+
+class TestWalshRule:
+    """walsh_order >= N joins [waveform] to the layout; the waveform alone
+    asks only for a positive order."""
+
+    def five_beacon_file(self, tmp_path):
+        path = tmp_path / "five.txt"
+        path.write_text("".join(" ".join(map(str, row)) + "\n" for row in FIVE_BEACONS))
+        return path
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_order_below_four_beacons_keeps_its_message(self, tmp_path, order):
+        path = write(tmp_path, f"[waveform]\nwalsh_order = {order}\n")
+        message = "[waveform] walsh_order must be at least 4 to separate the layout's 4 beacons"
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            cfg_mod.load_config(path)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_nonpositive_order_is_the_waveform_rule(self, tmp_path, order):
+        path = write(tmp_path, f"[waveform]\nwalsh_order = {order}\n")
+        with pytest.raises(ConfigError, match=re.escape("[waveform] walsh_order must be positive")):
+            cfg_mod.load_config(path)
+
+    def test_five_beacons_need_order_eight(self, tmp_path):
+        layout = self.five_beacon_file(tmp_path)
+        path = write(tmp_path, f"[scene]\nlayout = {layout}\n")
+        with pytest.raises(ConfigError, match=re.escape("walsh_order must be at least 5 to separate the layout's 5 beacons")):
+            cfg_mod.load_config(path)
+        cfg = cfg_mod.load_config(write(tmp_path, f"[scene]\nlayout = {layout}\n[waveform]\nwalsh_order = 8\n"))
+        assert cfg.scene.layout.positions.tolist() == FIVE_BEACONS
+
+    def test_replace_checks_the_rule(self):
+        five = channel_mod.BeaconLayout(positions=FIVE_BEACONS)
+        cfg = cfg_mod.SimConfig()
+        with pytest.raises(ConfigError, match="at least 5 to separate"):
+            replace(cfg, scene=replace(cfg.scene, layout=five))
+        replace(cfg, scene=replace(cfg.scene, layout=five), waveform=wf.WaveformConfig(walsh_order=8))
+
+    def test_fix_sample_limit_counts_every_beacon_row(self):
+        # within the limit on four rows, a fifth row of the same length breaks it
+        five = channel_mod.BeaconLayout(positions=FIVE_BEACONS)
+        cfg = cfg_mod.SimConfig()
+        bits = (cfg_mod.MAX_FIX_SAMPLES // 4 - 20_000) // cfg.waveform.samples_per_symbol
+        cfg = replace(cfg, waveform=replace(cfg.waveform, burst_bits=bits, walsh_order=8))
+        with pytest.raises(ConfigError, match=r"one fix would receive .* on 5 beacon rows"):
+            replace(cfg, scene=replace(cfg.scene, layout=five))
+
+
+FIVE_BEACONS = [[2.5, 0.0, 1.5], [5.0, 2.5, 2.5], [2.5, 5.0, 2.0], [0.0, 5.0, 3.0], [2.5, 2.5, 4.0]]
+
+
 class TestFailLoud:
     """Values that used to crash or silently fail every trial later on."""
 

@@ -9,7 +9,7 @@ import pytest
 
 from ultraloc import harness
 from ultraloc import waveform as wf
-from ultraloc.channel import N_TAPS, OPTIMIZED_LAYOUT, SPEED_OF_SOUND, BeaconLayout
+from ultraloc.channel import N_TAPS, OPTIMIZED_LAYOUT, ORIGINAL_LAYOUT, SPEED_OF_SOUND, BeaconLayout
 from ultraloc.config import default_config
 from ultraloc.errors import ConfigError, SingularGeometryError
 
@@ -457,8 +457,34 @@ class TestWriters:
         path = tmp_path / "trials.csv"
         harness.write_trials_csv(trials, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == ",".join(harness.TrialRecord.CSV_FIELDS)
+        assert lines[0] == (
+            "trial_id,snr_db,true_x,true_y,true_z,est_x,est_y,est_z,err_xy,err_z,err_3d,"
+            "range_err_0,range_err_1,range_err_2,range_err_3,peak_0,peak_1,peak_2,peak_3,"
+            "failed,error"
+        )
         assert len(lines) == 1 + len(trials.trial_id)
+
+    def test_failed_five_beacon_fix_fills_a_column_per_beacon(self, tmp_path, monkeypatch):
+        five = BeaconLayout(positions=np.vstack([ORIGINAL_LAYOUT.positions, [[2.5, 2.5, 4.0]]]))
+        cfg = fast_config()
+        cfg = replace(
+            cfg,
+            scene=replace(cfg.scene, layout=five),
+            waveform=replace(cfg.waveform, walsh_order=8),
+        )
+
+        def singular(*args):
+            raise SingularGeometryError("stand-in for a degenerate fix")
+
+        monkeypatch.setattr(harness, "trilaterate", singular)
+        record = harness.run_fix(cfg, np.array([2.0, 2.0, 1.0]), 0)
+        assert record.failed and record.range_errors.shape == (5,)
+        assert record.peak_samples == (-1,) * 5
+        path = tmp_path / "trials.csv"
+        harness.write_trials_csv(harness.stack_records([record, record]), path)
+        header, *rows = path.read_text().splitlines()
+        assert header.endswith("range_err_4,peak_0,peak_1,peak_2,peak_3,peak_4,failed,error")
+        assert rows[0].split(",")[-7:-2] == ["-1"] * 5
 
     def test_summary_json_roundtrip(self, tmp_path):
         import json

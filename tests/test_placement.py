@@ -875,7 +875,7 @@ def per_child_breed(parents, problem, rng):
     children, redraws, fallbacks = [], 0, 0
     for a, b in zip(parents[0::2], parents[1::2]):
         for _ in range(20):
-            mask = rng.integers(0, 2, size=(4, 3)).astype(bool)
+            mask = rng.integers(0, 2, size=a.shape).astype(bool)
             pts = problem.beacon_domain.snap(np.where(mask, a, b))
             if scalar_separated(pts, problem.config.min_separation):
                 children.append(pts)
@@ -1025,6 +1025,48 @@ class TestSeparated:
         pair = dom.snap(np.array([[0.4, 0.0, 4.0], [0.7, 0.4, 4.0]]))
         layout = np.vstack([pair, [[100.0, 100.0, 100.0], [-100.0, -100.0, -100.0]]])
         assert placement._separated(layout, 0.5) == scalar_separated(layout, 0.5)
+
+
+def five_beacon_layouts(problem, seed, n):
+    """n seeded layouts of the search's four beacons plus a fifth lattice point."""
+    rng = np.random.default_rng(seed)
+    candidates = problem.beacon_domain.candidates()
+    pop = placement.seed_population(problem, rng)[:n]
+    fifth = candidates[rng.choice(len(candidates), size=len(pop))]
+    return np.concatenate([pop, fifth[:, None]], axis=1)
+
+
+class TestFiveBeacons:
+    """The scoring, separation and crossover read N from the layouts' shape."""
+
+    def test_separated_equals_the_scalar_pair_loop(self):
+        problem = placement.PlacementProblem()
+        layouts = np.concatenate([five_beacon_layouts(problem, seed, 50) for seed in range(4)])
+        want = [scalar_separated(layout, 0.5) for layout in layouts]
+        np.testing.assert_array_equal(placement._separated(layouts, 0.5), want)
+        assert any(want) and not all(want)
+
+    def test_breed_matches_per_child_loop(self):
+        problem = placement.PlacementProblem()
+        for seed in range(4):
+            parents = five_beacon_layouts(problem, seed, problem.config.parents)
+            rng = np.random.default_rng([seed, 1])
+            oracle_rng = copy.deepcopy(rng)
+            want, _, _ = per_child_breed(parents, problem, oracle_rng)
+            got = placement.breed(parents, problem, rng)
+            assert got.shape == (problem.config.parents // 2, 5, 3)
+            assert got.tobytes() == np.array(want).tobytes()
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_score_layouts_equals_per_layout_fitness(self):
+        problem = fast_problem()
+        layouts = five_beacon_layouts(problem, 3, 12)
+        layouts[1, 4] = layouts[1, 0]  # coincident
+        layouts[2, :, 2] = 4.0  # coplanar, on the ceiling
+        rows = placement.score_layouts(layouts, problem)
+        for layout, row in zip(layouts, rows):
+            np.testing.assert_array_equal(row, per_layout_fitness(layout, problem))
+        assert np.isinf(rows[[1, 2], 0]).all() and np.isfinite(rows[3:, 0]).any()
 
 
 class TestOptimize:

@@ -203,7 +203,7 @@ def channel_composite(seed, snr_db):
     bits = wf.random_data_bits((4, wf.BURST_BITS), rng)
     refs = wf.generate_tx_signals(CONFIG, hops, walsh[:4], bits)
     config = ch.ChannelConfig(snr_db=snr_db)
-    taps = ch.sample_multipath(rng, config)
+    taps = ch.sample_multipath(rng, config, 4)
     model = ch.ChannelModel(config, *taps, rng_seed=int(rng.integers(2**31)))
     return ch.apply_channel(refs, scene, model), refs
 
